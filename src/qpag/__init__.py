@@ -41,7 +41,7 @@ from .model import (
     make_tape,
     push,
 )
-from .simulate import initial_vector, measure, run, step, trajectory
+from .simulate import initial_vector, measure, run, trajectory
 from .wellformed import (
     AuditReport,
     Violation,
@@ -111,6 +111,5 @@ __all__ = [
     "run_ppa",
     "run_qcpda",
     "serialize_machine",
-    "step",
     "trajectory",
 ]

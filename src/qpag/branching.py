@@ -20,7 +20,6 @@ from typing import Optional
 from .errors import StateSpaceOverflow
 from .model import (
     HALT_MASS,
-    PRUNE_THRESHOLD,
     MachineQCPDA,
     RunResult,
     StackOp,
@@ -28,6 +27,7 @@ from .model import (
     default_max_steps,
     make_tape,
 )
+from .simulate import evolve
 
 BRANCH_CAP = 10**5
 
@@ -67,6 +67,12 @@ def initial_branch(machine: MachineQCPDA) -> Branch:
     )
 
 
+def _move(key, t):
+    """The (state, head) key row ``t`` leads to; the stack operation waits
+    for the measurement."""
+    return (t.target, key[1] + t.move)
+
+
 def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
     """Advance one branch by one step and measure.
 
@@ -74,35 +80,10 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
     surviving mass) plus this branch's contributions to the probability
     ledgers, already scaled by the branch probability.
     """
-    n = len(tape)
-    parked = 0.0
-    truncated = 0.0
     top = branch.stack[-1]
-
-    out: dict = {}
-    for key in sorted(branch.psi):
-        amp = branch.psi[key]
-        state, head = key
-        if head >= n:
-            parked += abs(amp) ** 2
-            continue
-        column = machine.columns.get((state, tape[head], top))
-        if not column:
-            truncated += abs(amp) ** 2
-            continue
-        for t in column:
-            if t.amp == 0:
-                continue
-            succ = (t.target, head + t.move)
-            out[succ] = out.get(succ, 0j) + amp * t.amp
-
-    pruned: dict = {}
-    for key in sorted(out):
-        amp = out[key]
-        if abs(amp) < PRUNE_THRESHOLD:
-            truncated += abs(amp) ** 2
-        else:
-            pruned[key] = amp
+    pruned, parked, truncated = evolve(
+        branch.psi, tape, machine.columns, lambda key: top, _move
+    )
 
     # measurement outcomes: accept, reject, or the scheduled stack operation
     acc = 0.0

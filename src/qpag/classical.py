@@ -64,7 +64,7 @@ def run_ppa(
                 leaked += mass
                 continue
             column = machine.columns.get((state, tape[head], stack[-1]))
-            if not column:
+            if column is None:
                 col_key = (state, tape[head], stack[-1])
                 if col_key not in warned:
                     warned.add(col_key)
@@ -76,8 +76,6 @@ def run_ppa(
                 leaked += mass
                 continue
             for t in column:
-                if t.prob == 0:
-                    continue
                 new_stack, _ = apply_stack_op(stack, t.op)
                 part = mass * t.prob
                 if t.target in machine.accepting:
@@ -106,8 +104,7 @@ def run_dpda(
     max_steps: Optional[int] = None,
 ) -> str:
     for col_key, column in machine.columns.items():
-        live = [t for t in column if t.prob != 0]
-        if len(live) != 1 or abs(live[0].prob - 1) > 1e-9:
+        if len(column) != 1 or abs(column[0].prob - 1) > 1e-9:
             raise NotDeterministic(
                 f"column (state={col_key[0]}, read={col_key[1]}, "
                 f"top={col_key[2]}) is not a single probability-1 transition"
@@ -127,10 +124,9 @@ def run_dpda(
         if head >= n:
             return BLOCK
         column = machine.columns.get((state, tape[head], stack[-1]))
-        live = [t for t in column if t.prob != 0] if column else []
-        if not live:
+        if column is None:
             return BLOCK
-        t = live[0]
+        t = column[0]
         stack, _ = apply_stack_op(stack, t.op)
         state = t.target
         head += t.move

@@ -30,7 +30,7 @@ from .model import (
     default_max_steps,
     make_tape,
 )
-from .simulate import initial_vector, trajectory
+from .simulate import tally, trajectory
 from .wellformed import check_qcpda
 
 
@@ -203,24 +203,21 @@ def _image_run(machine, word, budget):
     """Run the lowered machine and check that components sharing a garbage
     history also share a stack at every completed three-step block."""
     tape = make_tape(machine, word)
-    p_acc = 0.0
-    p_rej = 0.0
-    parked = 0.0
-    final = initial_vector(machine)
     decoherent = True
-    for rec in trajectory(machine, tape, budget):
-        p_acc += rec.acc_delta
-        p_rej += rec.rej_delta
-        parked += rec.parked_delta
-        final = rec.psi
-        if rec.step % 3 == 0:
-            groups: dict = {}
-            for conf in rec.psi:
-                groups.setdefault(conf.garbage, set()).add(conf.stack)
-            if any(len(stacks) > 1 for stacks in groups.values()):
-                decoherent = False
-    p_non = parked + sum(abs(final[c]) ** 2 for c in sorted(final))
-    return p_acc, p_rej, p_non, decoherent
+
+    def checked():
+        nonlocal decoherent
+        for rec in trajectory(machine, tape, budget):
+            if rec.step % 3 == 0:
+                groups: dict = {}
+                for conf in rec.psi:
+                    groups.setdefault(conf.garbage, set()).add(conf.stack)
+                if any(len(stacks) > 1 for stacks in groups.values()):
+                    decoherent = False
+            yield rec
+
+    res = tally(machine, checked())
+    return res.p_acc, res.p_rej, res.p_non, decoherent
 
 
 def equiv_check(

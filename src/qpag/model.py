@@ -282,8 +282,32 @@ def _transition_key(t):
     return tuple(parts)
 
 
+class _Machine:
+    """Halting set and column index shared by the three machine classes."""
+
+    # Name of the transition field holding the row's weight.
+    _weight = "amp"
+
+    @cached_property
+    def halting(self) -> frozenset[str]:
+        return self.accepting | self.rejecting
+
+    def is_halting(self, state: str) -> bool:
+        return state in self.halting
+
+    @cached_property
+    def columns(self):
+        """(state, read, top) -> rows in table order. Rows of weight zero
+        are left out, so a column of only zero rows is undefined."""
+        cols: dict[tuple[str, str, str], list] = {}
+        for t in self.transitions:
+            if getattr(t, self._weight) != 0:
+                cols.setdefault((t.source, t.read, t.top), []).append(t)
+        return {k: tuple(v) for k, v in cols.items()}
+
+
 @dataclass(frozen=True)
-class MachineQPAG:
+class MachineQPAG(_Machine):
     states: tuple[str, ...]
     input_alphabet: InputAlphabet
     stack_alphabet: StackAlphabet
@@ -307,20 +331,6 @@ class MachineQPAG:
             )
 
     @cached_property
-    def halting(self) -> frozenset[str]:
-        return self.accepting | self.rejecting
-
-    def is_halting(self, state: str) -> bool:
-        return state in self.halting
-
-    @cached_property
-    def columns(self):
-        cols: dict[tuple[str, str, str], list] = {}
-        for t in self.transitions:
-            cols.setdefault((t.source, t.read, t.top), []).append(t)
-        return {k: tuple(v) for k, v in cols.items()}
-
-    @cached_property
     def push_strings(self) -> tuple[tuple[str, ...], ...]:
         found = {t.op.payload for t in self.transitions if t.op.kind == "push"}
         return tuple(sorted(found))
@@ -333,7 +343,7 @@ class MachineQPAG:
 
 
 @dataclass(frozen=True)
-class MachineQCPDA:
+class MachineQCPDA(_Machine):
     states: tuple[str, ...]
     input_alphabet: InputAlphabet
     stack_alphabet: StackAlphabet
@@ -360,22 +370,8 @@ class MachineQCPDA:
             _check_push_payload(op, self.stack_alphabet)
 
     @cached_property
-    def halting(self) -> frozenset[str]:
-        return self.accepting | self.rejecting
-
-    def is_halting(self, state: str) -> bool:
-        return state in self.halting
-
-    @cached_property
     def sigma_map(self) -> dict[str, StackOp]:
         return dict(self.sigma)
-
-    @cached_property
-    def columns(self):
-        cols: dict[tuple[str, str, str], list] = {}
-        for t in self.transitions:
-            cols.setdefault((t.source, t.read, t.top), []).append(t)
-        return {k: tuple(v) for k, v in cols.items()}
 
     @cached_property
     def push_strings(self) -> tuple[tuple[str, ...], ...]:
@@ -384,7 +380,7 @@ class MachineQCPDA:
 
 
 @dataclass(frozen=True)
-class MachinePPA:
+class MachinePPA(_Machine):
     states: tuple[str, ...]
     input_alphabet: InputAlphabet
     stack_alphabet: StackAlphabet
@@ -393,22 +389,10 @@ class MachinePPA:
     accepting: frozenset[str]
     rejecting: frozenset[str]
 
+    _weight = "prob"
+
     def __post_init__(self):
         _check_common(self, "ppa")
-
-    @cached_property
-    def halting(self) -> frozenset[str]:
-        return self.accepting | self.rejecting
-
-    def is_halting(self, state: str) -> bool:
-        return state in self.halting
-
-    @cached_property
-    def columns(self):
-        cols: dict[tuple[str, str, str], list] = {}
-        for t in self.transitions:
-            cols.setdefault((t.source, t.read, t.top), []).append(t)
-        return {k: tuple(v) for k, v in cols.items()}
 
 
 Machine = Union[MachineQPAG, MachineQCPDA, MachinePPA]
@@ -450,12 +434,6 @@ def make_tape(machine: Machine, word) -> tuple[str, ...]:
 
 def display_tape(machine: Machine, tape) -> str:
     return join_tokens(tuple(machine.input_alphabet.display(s) for s in tape))
-
-
-def amplitude_close(a: complex, b: complex, tol: float = AMP_MAG_TOL) -> bool:
-    """Componentwise closeness of two amplitudes."""
-    a, b = complex(a), complex(b)
-    return abs(a.real - b.real) <= tol and abs(a.imag - b.imag) <= tol
 
 
 # Sparse state vector: configuration -> amplitude.

@@ -1,4 +1,17 @@
-"""State-vector evolution for garbage-tape machines.
+"""State-vector evolution for garbage-tape machines, and the step kernel
+that every quantum engine shares.
+
+* ``successor(conf, t)`` is the garbage-tape successor rule: row ``t``'s
+  stack operation and head move, with a popped symbol appended to the
+  garbage tape. ``trajectory`` and ``wellformed.audit_unitarity`` build
+  configurations through it.
+* ``evolve(psi, tape, columns, top, succ)`` is one unmeasured step of any
+  sparse vector whose keys start with (state, head): expand every key
+  through its column, accumulate, count parked and undefined-column mass,
+  and prune. ``trajectory`` (behind ``run`` and the image runs of
+  ``compiler.equiv_check``) and ``branching.qcpda_step`` step through it.
+* ``tally`` folds a trajectory into the four-mass ledger for ``run`` and
+  the image runs of ``compiler.equiv_check``.
 
 One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /
@@ -10,8 +23,9 @@ Bookkeeping rules, all of which keep
 
 * a configuration whose head has moved past the right endmarker is parked:
   it cannot read, so its mass is retired into ``p_non`` before the step;
-* a live configuration whose column is undefined contributes its mass to
-  ``truncation_loss`` (the table is only a fragment of a unitary there);
+* a live configuration whose column is undefined (no rows of nonzero
+  amplitude) contributes its mass to ``truncation_loss`` (the table is only
+  a fragment of a unitary there);
 * amplitudes below ``PRUNE_THRESHOLD`` are dropped into ``truncation_loss``;
 * the run stops when the live mass falls below ``HALT_MASS`` or the step
   budget runs out, and whatever is still live lands in ``p_non``.
@@ -47,44 +61,51 @@ def initial_vector(machine: MachineQPAG) -> StateVector:
     return {initial_configuration(machine): 1 + 0j}
 
 
-def _evolve(machine, tape, psi):
-    """Apply one transition-table step. Returns (new_psi, parked, truncated)."""
+def successor(conf: Configuration, t) -> Configuration:
+    """The configuration transition ``t`` takes ``conf`` to: the stack
+    operation applies and a popped symbol is appended to the garbage tape."""
+    stack, delta = apply_stack_op(conf.stack, t.op)
+    return Configuration(t.target, conf.head + t.move, stack, conf.garbage + delta)
+
+
+def _stack_top(conf: Configuration) -> str:
+    return conf.stack[-1]
+
+
+def evolve(psi, tape, columns, top, succ):
+    """Apply one transition-table step to a sparse vector whose keys start
+    with (state, head). ``top(key)`` is the stack top the key reads and
+    ``succ(key, t)`` the key row ``t`` leads to.
+
+    Returns (new vector, parked mass, truncated mass): parked is the mass
+    whose head is past the right endmarker, truncated the mass on undefined
+    columns plus the amplitudes pruned below ``PRUNE_THRESHOLD``.
+    """
     n = len(tape)
-    out: StateVector = {}
+    out: dict = {}
     parked = 0.0
     truncated = 0.0
-    for conf in sorted(psi):
-        amp = psi[conf]
-        if conf.head >= n:
+    for key in sorted(psi):
+        amp = psi[key]
+        head = key[1]
+        if head >= n:
             parked += abs(amp) ** 2
             continue
-        column = machine.columns.get((conf.state, tape[conf.head], conf.stack[-1]))
-        if not column:
+        column = columns.get((key[0], tape[head], top(key)))
+        if column is None:
             truncated += abs(amp) ** 2
             continue
         for t in column:
-            if t.amp == 0:
-                continue
-            stack, delta = apply_stack_op(conf.stack, t.op)
-            succ = Configuration(
-                t.target, conf.head + t.move, stack, conf.garbage + delta
-            )
-            out[succ] = out.get(succ, 0j) + amp * t.amp
-    pruned: StateVector = {}
-    for conf in sorted(out):
-        amp = out[conf]
+            nxt = succ(key, t)
+            out[nxt] = out.get(nxt, 0j) + amp * t.amp
+    pruned: dict = {}
+    for key in sorted(out):
+        amp = out[key]
         if abs(amp) < PRUNE_THRESHOLD:
             truncated += abs(amp) ** 2
         else:
-            pruned[conf] = amp
+            pruned[key] = amp
     return pruned, parked, truncated
-
-
-def step(machine: MachineQPAG, tape, psi: StateVector) -> StateVector:
-    """Pure transition step without measurement (parked and truncated mass
-    is discarded here; use run() for full accounting)."""
-    new, _, _ = _evolve(machine, tape, psi)
-    return new
 
 
 def measure(machine: MachineQPAG, psi: StateVector):
@@ -127,7 +148,9 @@ def trajectory(
     for i in range(1, max_steps + 1):
         if vector_norm_sq(psi) < HALT_MASS:
             return
-        psi, parked, truncated = _evolve(machine, tape, psi)
+        psi, parked, truncated = evolve(
+            psi, tape, machine.columns, _stack_top, successor
+        )
         if len(psi) > config_cap:
             raise StateSpaceOverflow(
                 f"state vector exceeded {config_cap} configurations at step {i}"
@@ -147,6 +170,11 @@ def run(
     tape = make_tape(machine, word)
     if max_steps is None:
         max_steps = default_max_steps(len(tape) - 2)
+    return tally(machine, trajectory(machine, tape, max_steps), trace_depth)
+
+
+def tally(machine: MachineQPAG, records, trace_depth: int = 0) -> RunResult:
+    """Fold a trajectory's step records into the four-mass ledger."""
     p_acc = 0.0
     p_rej = 0.0
     parked = 0.0
@@ -154,7 +182,7 @@ def run(
     steps = 0
     final: StateVector = initial_vector(machine)
     snaps: list[StepSnapshot] = []
-    for rec in trajectory(machine, tape, max_steps):
+    for rec in records:
         steps = rec.step
         p_acc += rec.acc_delta
         p_rej += rec.rej_delta

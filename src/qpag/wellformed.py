@@ -37,11 +37,11 @@ from .model import (
     MachineQCPDA,
     MachineQPAG,
     StackOp,
-    apply_stack_op,
     initial_configuration,
     make_tape,
     tokens_doc,
 )
+from .simulate import successor
 
 CONDITION_IDS = ("1", "2", "3a", "3b", "4", "5a", "5b")
 
@@ -142,6 +142,25 @@ def _norm_violations(machine, sums, mode, tol, viols):
     return evaluated
 
 
+def _pop_on_bottom(t, weight):
+    """The "pop-on-z" entry for row ``t``, which pops the bottom symbol."""
+    return (
+        "pop-on-z",
+        (t.source, t.read, t.top, t.target, t.move),
+        Violation(
+            "pop-on-z",
+            (
+                ("state", t.source),
+                ("read", t.read),
+                ("top", t.top),
+                ("target", t.target),
+                ("move", t.move),
+            ),
+            weight,
+        ),
+    )
+
+
 def _finish(viols, mode, evaluations):
     viols.sort(key=lambda v: (v[0], v[1]))
     ordered = tuple(v[2] for v in viols)
@@ -174,24 +193,7 @@ def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -
     # pop on the bottom symbol is never allowed
     for t in trans:
         if t.op.kind == "pop" and t.top == bottom:
-            key = (t.source, t.read, t.top, t.target, t.move)
-            viols.append(
-                (
-                    "pop-on-z",
-                    key,
-                    Violation(
-                        "pop-on-z",
-                        (
-                            ("state", t.source),
-                            ("read", t.read),
-                            ("top", t.top),
-                            ("target", t.target),
-                            ("move", t.move),
-                        ),
-                        abs(t.amp),
-                    ),
-                )
-            )
+            viols.append(_pop_on_bottom(t, abs(t.amp)))
 
     evaluations = {cid: 0 for cid in CONDITION_IDS}
 
@@ -453,24 +455,7 @@ def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9)
     for t in trans:
         op = sigma.get(t.target)
         if op is not None and op.kind == "pop" and t.top == bottom:
-            key = (t.source, t.read, t.top, t.target, t.move)
-            viols.append(
-                (
-                    "pop-on-z",
-                    key,
-                    Violation(
-                        "pop-on-z",
-                        (
-                            ("state", t.source),
-                            ("read", t.read),
-                            ("top", t.top),
-                            ("target", t.target),
-                            ("move", t.move),
-                        ),
-                        abs(t.amp),
-                    ),
-                )
-            )
+            viols.append(_pop_on_bottom(t, abs(t.amp)))
 
     evaluations = {"1": 0, "2": 0, "4": 0}
 
@@ -543,24 +528,7 @@ def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
 
     for t in machine.transitions:
         if t.prob != 0 and t.op.kind == "pop" and t.top == bottom:
-            key = (t.source, t.read, t.top, t.target, t.move)
-            viols.append(
-                (
-                    "pop-on-z",
-                    key,
-                    Violation(
-                        "pop-on-z",
-                        (
-                            ("state", t.source),
-                            ("read", t.read),
-                            ("top", t.top),
-                            ("target", t.target),
-                            ("move", t.move),
-                        ),
-                        abs(t.prob),
-                    ),
-                )
-            )
+            viols.append(_pop_on_bottom(t, abs(t.prob)))
         if t.prob < -tol or t.prob > 1 + tol:
             dist = t.prob - 1 if t.prob > 1 else -t.prob
             key = (t.source, t.read, t.top, t.target, t.move, 1)
@@ -672,25 +640,28 @@ def audit_unitarity(
     seen = {start}
     frontier = [start]
     warn = set()
-    for _ in range(depth):
+    vecs: dict[Configuration, dict[Configuration, complex]] = {}
+    # levels 0..depth-1 expand the frontier; level depth only takes images
+    for level in range(depth + 1):
         new = []
         for c in sorted(frontier):
             if c.head >= n:
                 continue
             col = machine.columns.get((c.state, tape[c.head], c.stack[-1]))
-            if not col:
+            if col is None:
                 warn.add(
                     f"undefined column (state={c.state}, read={tape[c.head]}, "
                     f"top={c.stack[-1]})"
                 )
                 continue
+            vec: dict[Configuration, complex] = {}
             for t in col:
-                if t.amp == 0:
-                    continue
-                stack, delta = apply_stack_op(c.stack, t.op)
-                succ = Configuration(
-                    t.target, c.head + t.move, stack, c.garbage + delta
-                )
+                succ = successor(c, t)
+                vec[succ] = vec.get(succ, 0j) + t.amp
+            vecs[c] = vec
+            if level == depth:
+                continue
+            for succ in vec:
                 if succ not in seen:
                     seen.add(succ)
                     new.append(succ)
@@ -702,26 +673,7 @@ def audit_unitarity(
         if not frontier:
             break
 
-    reachable = sorted(seen)
-    images = []
-    for c in reachable:
-        if c.head >= n:
-            continue
-        col = machine.columns.get((c.state, tape[c.head], c.stack[-1]))
-        if not col:
-            warn.add(
-                f"undefined column (state={c.state}, read={tape[c.head]}, "
-                f"top={c.stack[-1]})"
-            )
-            continue
-        vec: dict[Configuration, complex] = {}
-        for t in col:
-            if t.amp == 0:
-                continue
-            stack, delta = apply_stack_op(c.stack, t.op)
-            succ = Configuration(t.target, c.head + t.move, stack, c.garbage + delta)
-            vec[succ] = vec.get(succ, 0j) + t.amp
-        images.append((c, vec))
+    images = [(c, vecs[c]) for c in sorted(vecs)]
 
     failures = []
     for c, vec in images:
@@ -752,7 +704,7 @@ def audit_unitarity(
 
     return AuditReport(
         passed=not failures,
-        examined=len(reachable),
+        examined=len(seen),
         stepped=len(images),
         warnings=tuple(sorted(warn)),
         failures=tuple(failures),

@@ -1,5 +1,7 @@
 """Reachable-basis unitarity audits cross-checked against a dense matrix."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,16 @@ def test_truncated_machine_reports_undefined_columns():
     )
     rep = audit_unitarity(trimmed, "aa#aa#aa", depth=6)
     assert any("undefined" in w for w in rep.warnings)
+    # the same rows zeroed instead of dropped: a warning, not a norm failure
+    zeroed = replace(
+        m,
+        transitions=tuple(
+            replace(t, amp=0j) if t.source == "q1_I0" else t for t in m.transitions
+        ),
+    )
+    rep = audit_unitarity(zeroed, "aa#aa#aa", depth=6)
+    assert any("undefined" in w for w in rep.warnings)
+    assert rep.passed
 
 
 def test_empty_machine_vacuous():

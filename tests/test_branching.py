@@ -190,6 +190,19 @@ def test_parked_branches_retire_to_non_halting():
     assert res.steps <= 6
 
 
+def test_zero_amplitude_column_becomes_truncation_loss():
+    # z1's only column holds a zero-amplitude row, so it is undefined and the
+    # mass that reaches it is truncated rather than lost
+    rows = [
+        TransitionQCPDA("z0", "<", "Z", "z1", 1, 1 + 0j),
+        TransitionQCPDA("z1", "0", "Z", "z0", 1, 0j),
+    ]
+    m = _qcpda(rows, [("z0", EPSILON), ("z1", EPSILON)], ("z0", "z1"))
+    res = run_qcpda(m, "0")
+    assert res.truncation_loss == pytest.approx(1.0, abs=1e-12)
+    assert res.total() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_word_budget_default_terminates():
     m = random_qcpda(1)
     res = run_qcpda(m, "01", max_steps=8)

@@ -84,6 +84,10 @@ def test_dpda_block_on_undefined_column():
     rows = [TransitionPPA("d0", "<", "Z", "d1", EPSILON, 1, 1.0)]
     m = _ppa(rows, ("d0", "d1"))
     assert run_dpda(m, "a") == BLOCK
+    # a column whose only row has probability zero is undefined too
+    rows.append(TransitionPPA("d1", "a", "Z", "d0", EPSILON, 1, 0.0))
+    m = _ppa(rows, ("d0", "d1"))
+    assert run_dpda(m, "a") == BLOCK
 
 
 def test_dpda_block_when_parked():
@@ -129,6 +133,12 @@ def test_ppa_undefined_column_leaks_and_warns():
         TransitionPPA("p0", "<", "Z", "p1", EPSILON, 1, 1.0),
         # p1 has no rows: half the question is where the mass goes
     ]
+    m = _ppa(rows, ("p0", "p1"))
+    with pytest.warns(UserWarning):
+        res = run_ppa(m, "a")
+    assert res.p_non == pytest.approx(1.0, abs=1e-12)
+    # p1's column holding only a probability-zero row is just as undefined
+    rows.append(TransitionPPA("p1", "a", "Z", "p0", EPSILON, 1, 0.0))
     m = _ppa(rows, ("p0", "p1"))
     with pytest.warns(UserWarning):
         res = run_ppa(m, "a")

@@ -185,3 +185,10 @@ def test_join_tokens_single_char_concat(tokens):
         assert joined == "".join(tokens)
     else:
         assert joined == ",".join(tokens)
+
+
+def test_all_exports_resolve():
+    import qpag
+
+    missing = [name for name in qpag.__all__ if not hasattr(qpag, name)]
+    assert missing == []

@@ -1,5 +1,7 @@
 """Vector engine: conservation, closed forms, trace output, caps."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -94,6 +96,16 @@ def test_undefined_column_becomes_truncation_loss():
         rejecting=m.rejecting,
     )
     res = run(crippled, "a#a#a")
+    assert res.truncation_loss == pytest.approx(1.0, abs=1e-12)
+    assert res.total() == pytest.approx(1.0, abs=1e-12)
+    # the same rows zeroed instead of dropped leave the column just as undefined
+    zeroed = replace(
+        m,
+        transitions=tuple(
+            replace(t, amp=0j) if t.source == "q0" else t for t in m.transitions
+        ),
+    )
+    res = run(zeroed, "a#a#a")
     assert res.truncation_loss == pytest.approx(1.0, abs=1e-12)
     assert res.total() == pytest.approx(1.0, abs=1e-12)
 
