@@ -173,11 +173,11 @@ def run_qcpda(
                     )
                 else:
                     merged[fp] = child
+                    if len(merged) > branch_cap:
+                        raise StateSpaceOverflow(
+                            f"branch frontier exceeded {branch_cap} at step {i}"
+                        )
         frontier = [merged[fp] for fp in sorted(merged)]
-        if len(frontier) > branch_cap:
-            raise StateSpaceOverflow(
-                f"branch frontier exceeded {branch_cap} at step {i}"
-            )
     p_non += sum(b.prob for b in frontier)
     return RunResult(
         p_acc=p_acc,

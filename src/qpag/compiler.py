@@ -210,7 +210,8 @@ def _image_run(machine, word, budget):
         for rec in trajectory(machine, tape, budget):
             if rec.step % 3 == 0:
                 groups: dict = {}
-                for conf in rec.psi:
+                # interned cells are equal exactly when their tapes are
+                for conf in rec.vector:
                     groups.setdefault(conf.garbage, set()).add(conf.stack)
                 if any(len(stacks) > 1 for stacks in groups.values()):
                     decoherent = False

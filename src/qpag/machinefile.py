@@ -140,7 +140,10 @@ def _string_list(value, path):
 def _number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}: number out of range") from None
 
 
 def _move(value, path):

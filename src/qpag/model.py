@@ -297,13 +297,15 @@ class _Machine:
 
     @cached_property
     def columns(self):
-        """(state, read, top) -> rows in table order. Rows of weight zero
-        are left out, so a column of only zero rows is undefined."""
+        """(state, read, top) -> rows in canonical order, sorted by
+        (target, move, stack operation), so the order of the table never
+        reaches a result. Rows of weight zero are left out, so a column of
+        only zero rows is undefined."""
         cols: dict[tuple[str, str, str], list] = {}
         for t in self.transitions:
             if getattr(t, self._weight) != 0:
                 cols.setdefault((t.source, t.read, t.top), []).append(t)
-        return {k: tuple(v) for k, v in cols.items()}
+        return {k: tuple(sorted(v, key=_transition_key)) for k, v in cols.items()}
 
 
 @dataclass(frozen=True)
@@ -445,8 +447,8 @@ def initial_configuration(machine: Machine) -> Configuration:
 
 
 def vector_norm_sq(psi: StateVector) -> float:
-    """Squared norm, summed in sorted configuration order for determinism."""
-    return sum(abs(psi[c]) ** 2 for c in sorted(psi))
+    """Squared norm, summed in the vector's insertion order."""
+    return sum(abs(a) ** 2 for a in psi.values())
 
 
 # ======================================================================

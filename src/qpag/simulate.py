@@ -1,10 +1,19 @@
 """State-vector evolution for garbage-tape machines, and the step kernel
 that every quantum engine shares.
 
-* ``successor(conf, t)`` is the garbage-tape successor rule: row ``t``'s
-  stack operation and head move, with a popped symbol appended to the
-  garbage tape. ``trajectory`` and ``wellformed.audit_unitarity`` build
-  configurations through it.
+* Inside the kernel a stack or a garbage tape is a ``Cell``: its top
+  symbol, a link to the cell below it, and its length. Cells are interned
+  in a table that belongs to one run (``cons``), so equal tapes are the
+  same object, a ``CellConfiguration`` hashes and compares in O(1), and a
+  push, a pop or a garbage append costs O(1) whatever the depth. Cells
+  point down to their parents only, so a run's cells are freed when its
+  table and vectors are. ``CellConfiguration.view`` turns one back into a
+  plain-tuple ``Configuration`` where callers see it: ``StepRecord.psi``,
+  the ``run`` trace and ``wellformed.audit_unitarity``'s reports.
+* ``successor(table, conf, t)`` is the garbage-tape successor rule over
+  cells: row ``t``'s stack operation and head move, with a popped symbol
+  appended to the garbage tape. ``trajectory`` and
+  ``wellformed.audit_unitarity`` build configurations through it.
 * ``evolve(psi, tape, columns, top, succ)`` is one unmeasured step of any
   sparse vector whose keys start with (state, head): expand every key
   through its column, accumulate, count parked and undefined-column mass,
@@ -30,16 +39,19 @@ Bookkeeping rules, all of which keep
 * the run stops when the live mass falls below ``HALT_MASS`` or the step
   budget runs out, and whatever is still live lands in ``p_non``.
 
-Iteration is in sorted configuration order everywhere, so runs are
-deterministic regardless of table order or hash seeds.
+Vectors are iterated in dict insertion order, and every column lists its
+rows in canonical order (``model._Machine.columns``), so the order in which
+amplitudes are summed depends neither on the order of the transition table
+nor on hash seeds, and runs are deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cached_property, partial
+from typing import Iterator, NamedTuple, Optional
 
-from .errors import StateSpaceOverflow
+from .errors import PopOnBottom, StateSpaceOverflow
 from .model import (
     CONFIG_CAP,
     HALT_MASS,
@@ -49,44 +61,132 @@ from .model import (
     RunResult,
     StateVector,
     StepSnapshot,
-    apply_stack_op,
     default_max_steps,
     initial_configuration,
+    join_tokens,
     make_tape,
     vector_norm_sq,
 )
+
+
+class Cell:
+    """The top symbol of an interned stack or garbage tape, on top of the
+    tape ``parent``; ``len`` is the tape's length. Build cells with
+    ``cons`` only, so that two cells of one run are equal exactly when they
+    are the same object."""
+
+    __slots__ = ("parent", "symbol", "depth", "_tokens")
+
+    def __init__(self, parent: Optional[Cell], symbol: Optional[str], depth: int):
+        self.parent = parent
+        self.symbol = symbol
+        self.depth = depth
+
+    def __len__(self) -> int:
+        return self.depth
+
+    def tokens(self) -> tuple[str, ...]:
+        """The tape's symbols, bottom first. The tuple is kept on this cell
+        and on each cell below it, so a later call costs O(1)."""
+        chain = []
+        cell = self
+        while True:
+            try:
+                out = cell._tokens
+                break
+            except AttributeError:
+                chain.append(cell)
+                cell = cell.parent
+        for cell in reversed(chain):
+            out = cell._tokens = out + (cell.symbol,)
+        return out
+
+
+# The empty tape: the garbage tape at the start of a run, and the cell below
+# every stack's bottom symbol.
+EMPTY = Cell(None, None, 0)
+EMPTY._tokens = ()
+
+
+def cons(table: dict, parent: Cell, symbol: str) -> Cell:
+    """The cell of ``table`` holding ``symbol`` on top of ``parent``."""
+    cell = table.get((parent, symbol))
+    if cell is None:
+        cell = table[parent, symbol] = Cell(parent, symbol, parent.depth + 1)
+    return cell
+
+
+# Builds a NamedTuple without its Python-level __new__.
+_new_configuration = tuple.__new__
+
+
+class CellConfiguration(NamedTuple):
+    """A configuration inside the kernel: stack and garbage are cells."""
+
+    state: str
+    head: int
+    stack: Cell
+    garbage: Cell
+
+    def view(self) -> Configuration:
+        """The same configuration with plain-tuple stack and garbage."""
+        return _new_configuration(
+            Configuration,
+            (self.state, self.head, self.stack.tokens(), self.garbage.tokens()),
+        )
+
+
+def start(machine: MachineQPAG, table: dict) -> CellConfiguration:
+    """``initial_configuration`` with its tapes interned in ``table``."""
+    bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
+    return CellConfiguration(machine.initial, 0, bottom, EMPTY)
 
 
 def initial_vector(machine: MachineQPAG) -> StateVector:
     return {initial_configuration(machine): 1 + 0j}
 
 
-def successor(conf: Configuration, t) -> Configuration:
+def successor(table: dict, conf: CellConfiguration, t) -> CellConfiguration:
     """The configuration transition ``t`` takes ``conf`` to: the stack
-    operation applies and a popped symbol is appended to the garbage tape."""
-    stack, delta = apply_stack_op(conf.stack, t.op)
-    return Configuration(t.target, conf.head + t.move, stack, conf.garbage + delta)
+    operation applies and a popped symbol is appended to the garbage tape.
+    New cells are interned in ``table``. Popping the bottom symbol raises
+    PopOnBottom."""
+    stack = conf.stack
+    garbage = conf.garbage
+    kind = t.op.kind
+    if kind == "push":
+        for symbol in t.op.payload:
+            stack = cons(table, stack, symbol)
+    elif kind == "pop":
+        if stack.depth <= 1:
+            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+        garbage = cons(table, garbage, stack.symbol)
+        stack = stack.parent
+    return _new_configuration(
+        CellConfiguration, (t.target, conf.head + t.move, stack, garbage)
+    )
 
 
-def _stack_top(conf: Configuration) -> str:
-    return conf.stack[-1]
+def _stack_top(conf: CellConfiguration) -> str:
+    return conf.stack.symbol
 
 
-def evolve(psi, tape, columns, top, succ):
+def evolve(psi, tape, columns, top, succ, cap: int = CONFIG_CAP):
     """Apply one transition-table step to a sparse vector whose keys start
     with (state, head). ``top(key)`` is the stack top the key reads and
     ``succ(key, t)`` the key row ``t`` leads to.
 
     Returns (new vector, parked mass, truncated mass): parked is the mass
     whose head is past the right endmarker, truncated the mass on undefined
-    columns plus the amplitudes pruned below ``PRUNE_THRESHOLD``.
+    columns plus the amplitudes pruned below ``PRUNE_THRESHOLD``. Raises
+    StateSpaceOverflow as soon as the new vector holds more than ``cap``
+    keys.
     """
     n = len(tape)
     out: dict = {}
     parked = 0.0
     truncated = 0.0
-    for key in sorted(psi):
-        amp = psi[key]
+    for key, amp in psi.items():
         head = key[1]
         if head >= n:
             parked += abs(amp) ** 2
@@ -98,9 +198,12 @@ def evolve(psi, tape, columns, top, succ):
         for t in column:
             nxt = succ(key, t)
             out[nxt] = out.get(nxt, 0j) + amp * t.amp
+            if len(out) > cap:
+                raise StateSpaceOverflow(
+                    f"state vector exceeded {cap} configurations"
+                )
     pruned: dict = {}
-    for key in sorted(out):
-        amp = out[key]
+    for key, amp in out.items():
         if abs(amp) < PRUNE_THRESHOLD:
             truncated += abs(amp) ** 2
         else:
@@ -113,8 +216,7 @@ def measure(machine: MachineQPAG, psi: StateVector):
     acc = 0.0
     rej = 0.0
     rest: StateVector = {}
-    for conf in sorted(psi):
-        amp = psi[conf]
+    for conf, amp in psi.items():
         if conf.state in machine.accepting:
             acc += abs(amp) ** 2
         elif conf.state in machine.rejecting:
@@ -126,14 +228,20 @@ def measure(machine: MachineQPAG, psi: StateVector):
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Post-measurement state after one loop iteration."""
+    """Post-measurement state after one loop iteration. ``vector`` is keyed
+    by the kernel's ``CellConfiguration``s; ``psi`` is the same vector keyed
+    by plain-tuple ``Configuration``s, built the first time it is read."""
 
     step: int
-    psi: StateVector
+    vector: StateVector
     acc_delta: float
     rej_delta: float
     parked_delta: float
     truncation_delta: float
+
+    @cached_property
+    def psi(self) -> StateVector:
+        return {conf.view(): amp for conf, amp in self.vector.items()}
 
 
 def trajectory(
@@ -144,17 +252,18 @@ def trajectory(
 ) -> Iterator[StepRecord]:
     """Yield one StepRecord per loop iteration until the live mass dies out
     or the budget is exhausted."""
-    psi = initial_vector(machine)
+    table: dict = {}
+    succ = partial(successor, table)
+    psi = {start(machine, table): 1 + 0j}
     for i in range(1, max_steps + 1):
         if vector_norm_sq(psi) < HALT_MASS:
             return
-        psi, parked, truncated = evolve(
-            psi, tape, machine.columns, _stack_top, successor
-        )
-        if len(psi) > config_cap:
-            raise StateSpaceOverflow(
-                f"state vector exceeded {config_cap} configurations at step {i}"
+        try:
+            psi, parked, truncated = evolve(
+                psi, tape, machine.columns, _stack_top, succ, config_cap
             )
+        except StateSpaceOverflow as exc:
+            raise StateSpaceOverflow(f"{exc} at step {i}") from None
         psi, acc, rej = measure(machine, psi)
         yield StepRecord(i, psi, acc, rej, parked, truncated)
 
@@ -188,9 +297,9 @@ def tally(machine: MachineQPAG, records, trace_depth: int = 0) -> RunResult:
         p_rej += rec.rej_delta
         parked += rec.parked_delta
         truncated += rec.truncation_delta
-        final = rec.psi
+        final = rec.vector
         if trace_depth > 0:
-            top = sorted(final.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
+            top = sorted(rec.psi.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
             snaps.append(
                 StepSnapshot(
                     step=rec.step,

@@ -37,11 +37,10 @@ from .model import (
     MachineQCPDA,
     MachineQPAG,
     StackOp,
-    initial_configuration,
     make_tape,
     tokens_doc,
 )
-from .simulate import successor
+from .simulate import CellConfiguration, start, successor
 
 CONDITION_IDS = ("1", "2", "3a", "3b", "4", "5a", "5b")
 
@@ -631,39 +630,44 @@ def audit_unitarity(
     are skipped silently; non-parked configurations whose column is undefined
     produce a warning (not a failure), so partially specified machines audit
     their defined fragment. An empty machine passes vacuously with a warning.
+    Norms and overlaps are summed over each column's rows in canonical order,
+    so the report does not depend on the order of the transition table.
     """
     if depth < 1:
         raise InvariantError("audit depth must be at least 1")
     tape = make_tape(machine, word)
     n = len(tape)
-    start = initial_configuration(machine)
-    seen = {start}
-    frontier = [start]
+    table: dict = {}
+    first = start(machine, table)
+    # every configuration met so far -> its plain-tuple view, the sort key
+    seen = {first: first.view()}
+    frontier = [first]
     warn = set()
-    vecs: dict[Configuration, dict[Configuration, complex]] = {}
+    vecs: dict[CellConfiguration, dict[CellConfiguration, complex]] = {}
     # levels 0..depth-1 expand the frontier; level depth only takes images
     for level in range(depth + 1):
         new = []
-        for c in sorted(frontier):
+        for c in sorted(frontier, key=seen.__getitem__):
             if c.head >= n:
                 continue
-            col = machine.columns.get((c.state, tape[c.head], c.stack[-1]))
+            top = c.stack.symbol
+            col = machine.columns.get((c.state, tape[c.head], top))
             if col is None:
                 warn.add(
                     f"undefined column (state={c.state}, read={tape[c.head]}, "
-                    f"top={c.stack[-1]})"
+                    f"top={top})"
                 )
                 continue
-            vec: dict[Configuration, complex] = {}
+            vec: dict[CellConfiguration, complex] = {}
             for t in col:
-                succ = successor(c, t)
+                succ = successor(table, c, t)
                 vec[succ] = vec.get(succ, 0j) + t.amp
             vecs[c] = vec
             if level == depth:
                 continue
             for succ in vec:
                 if succ not in seen:
-                    seen.add(succ)
+                    seen[succ] = succ.view()
                     new.append(succ)
             if len(seen) > cap:
                 raise StateSpaceOverflow(
@@ -673,21 +677,20 @@ def audit_unitarity(
         if not frontier:
             break
 
-    images = [(c, vecs[c]) for c in sorted(vecs)]
+    images = sorted(vecs.items(), key=lambda item: seen[item[0]])
 
     failures = []
     for c, vec in images:
-        norm = sum(abs(a) ** 2 for _, a in sorted(vec.items())) ** 0.5
+        norm = sum(abs(a) ** 2 for a in vec.values()) ** 0.5
         if abs(norm - 1) > tol:
-            failures.append(AuditFailure("norm", (c,), norm))
+            failures.append(AuditFailure("norm", (seen[c],), norm))
 
-    by_target: dict[Configuration, list[tuple[int, complex]]] = {}
+    by_target: dict[CellConfiguration, list[tuple[int, complex]]] = {}
     for i, (_, vec) in enumerate(images):
-        for tgt in sorted(vec):
-            by_target.setdefault(tgt, []).append((i, vec[tgt]))
+        for tgt, a in vec.items():
+            by_target.setdefault(tgt, []).append((i, a))
     overlaps: dict[tuple[int, int], complex] = {}
-    for tgt in sorted(by_target):
-        entries = by_target[tgt]
+    for entries in by_target.values():
         for x in range(len(entries)):
             for y in range(x + 1, len(entries)):
                 (i, ai), (j, aj) = entries[x], entries[y]
@@ -695,9 +698,8 @@ def audit_unitarity(
     for (i, j) in sorted(overlaps):
         v = abs(overlaps[(i, j)])
         if v > tol:
-            failures.append(
-                AuditFailure("orthogonality", (images[i][0], images[j][0]), v)
-            )
+            witnesses = (seen[images[i][0]], seen[images[j][0]])
+            failures.append(AuditFailure("orthogonality", witnesses, v))
 
     if not machine.transitions:
         warn.add("machine has no transitions; audit is vacuous")

@@ -1,7 +1,13 @@
 """Branch-tree engine for machines that schedule stack moves per state."""
 
+import random
+import re
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
+from qpag import branching
 from qpag.errors import PopOnBottom, StateSpaceOverflow
 from qpag.model import (
     EPSILON,
@@ -148,6 +154,40 @@ def test_forking_walker_doubles():
 def test_branch_cap_enforced():
     with pytest.raises(StateSpaceOverflow):
         run_qcpda(forking_walker(), "0101", max_steps=20, branch_cap=4)
+
+
+def test_branch_cap_trips_while_frontier_grows(monkeypatch):
+    # the cap must stop a step while its merged frontier grows: the failing
+    # step steps fewer branches than the uncapped run does at that step
+    stepped = Counter()
+    real = branching.qcpda_step
+
+    def counting(machine, tape, branch):
+        stepped[branch.steps + 1] += 1
+        return real(machine, tape, branch)
+
+    monkeypatch.setattr(branching, "qcpda_step", counting)
+    run_qcpda(forking_walker(), "0101", max_steps=20)
+    full = dict(stepped)
+    stepped.clear()
+    with pytest.raises(StateSpaceOverflow, match=r"at step \d+$") as info:
+        run_qcpda(forking_walker(), "0101", max_steps=20, branch_cap=4)
+    step = int(re.search(r"at step (\d+)$", str(info.value)).group(1))
+    assert max(stepped) == step
+    assert 0 < stepped[step] < full[step]
+
+
+def test_run_qcpda_does_not_depend_on_table_order():
+    # equal ledgers, bit for bit, after a seeded shuffle of the table
+    for seed in range(0, 50, 5):
+        m = random_qcpda(seed)
+        rows = list(m.transitions)
+        random.Random(seed).shuffle(rows)
+        shuffled = replace(m, transitions=tuple(rows))
+        for word in words_up_to(3):
+            assert run_qcpda(shuffled, word, max_steps=8) == run_qcpda(
+                m, word, max_steps=8
+            ), (seed, word)
 
 
 def test_prune_prob_moves_mass_to_truncation():

@@ -1,11 +1,15 @@
 """File schema: strictness, float fidelity, byte-stable round-trips."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpag import problem1
-from qpag.errors import InvariantError, ParseError, SchemaError
+from qpag.compiler import compile_qcpda
+from qpag.errors import InvariantError, MachineError, ParseError, SchemaError
 from qpag.machinefile import (
     emit_json,
     machine_to_doc,
@@ -181,3 +185,48 @@ def test_multichar_tokens_as_lists():
     assert m.stack_alphabet.symbols == ("Z", "mark")
     assert m.transitions[0].op.payload == ("mark",)
     assert parse_machine(serialize_machine(m)) == m
+
+
+# Documents to fuzz: the built-in machine and a lowered image.
+_FUZZ_DOCS = (
+    machine_to_doc(problem1.build_machine()),
+    machine_to_doc(compile_qcpda(random_qcpda(4))[0]),
+)
+
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _value_paths(value, path=()):
+    """The path to every value below ``value``, containers included."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _value_paths(child, path + (key,))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parse_machine_fuzz_one_value(data):
+    # one value of a valid file replaced by an arbitrary leaf: the parser
+    # returns a machine or raises a MachineError, never anything else
+    doc = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_DOCS)))
+    path = data.draw(st.sampled_from(list(_value_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = data.draw(_LEAVES)
+    try:
+        machine = parse_machine(json.dumps(doc))
+    except MachineError:
+        return
+    assert isinstance(machine, (MachineQPAG, MachineQCPDA, MachinePPA))

@@ -1,17 +1,21 @@
 """Vector engine: conservation, closed forms, trace output, caps."""
 
+import random
+import re
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpag import problem1
+from qpag import problem1, simulate
+from qpag.compiler import compile_qcpda
 from qpag.errors import StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
-from qpag.model import default_max_steps, make_tape
+from qpag.model import Configuration, default_max_steps, make_tape
 from qpag.simulate import run, trajectory
 
 from .corpus import TOTAL_MACHINES
+from .generators import random_qcpda, words_up_to
 from .reference import ref_run_qpag
 
 
@@ -152,6 +156,90 @@ def test_config_cap_overflow():
     with pytest.raises(StateSpaceOverflow):
         for _ in trajectory(m, tape, max_steps=20, config_cap=8):
             pass
+
+
+def test_config_cap_trips_during_accumulation(monkeypatch):
+    # the cap must stop a step while its vector grows, not after the whole
+    # step has been built: count the successors the failing step computed
+    m = TOTAL_MACHINES["splitter"]()
+    tape = make_tape(m, "000000")
+    calls = 0
+    real = simulate.successor
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "successor", counting)
+    per_step = []
+    for _ in trajectory(m, tape, max_steps=20):
+        per_step.append(calls - sum(per_step))
+    calls = 0
+    with pytest.raises(StateSpaceOverflow, match=r"at step \d+$") as info:
+        for _ in trajectory(m, tape, max_steps=20, config_cap=8):
+            pass
+    step = int(re.search(r"at step (\d+)$", str(info.value)).group(1))
+    in_failing_step = calls - sum(per_step[: step - 1])
+    assert 0 < in_failing_step < per_step[step - 1]
+
+
+def test_results_do_not_depend_on_table_order():
+    # equal ledgers, bit for bit, after a seeded shuffle of the table
+    cases = [(problem1.build_machine(), ["a#a#a", "ab#ba#cd", "abc#cba#abd"])]
+    cases += [
+        (compile_qcpda(random_qcpda(seed))[0], words_up_to(3))
+        for seed in range(0, 50, 5)
+    ]
+    for i, (m, words) in enumerate(cases):
+        rows = list(m.transitions)
+        random.Random(i).shuffle(rows)
+        shuffled = replace(m, transitions=tuple(rows))
+        for word in words:
+            assert run(shuffled, word, max_steps=24) == run(m, word, max_steps=24), (
+                i,
+                word,
+            )
+
+
+def test_measure_sees_full_stack_depth(monkeypatch):
+    # the benchmark's traced run reads len(c.stack) off measure's survivors:
+    # the depth including the bottom symbol, n + 1 for a problem1 word
+    inst = problem1.generate(8, problem1.YES, seed=3)
+    depths = []
+    real = simulate.measure
+
+    def spy(machine, psi):
+        result = real(machine, psi)
+        depths.extend(len(c.stack) for c in result[0])
+        return result
+
+    monkeypatch.setattr(simulate, "measure", spy)
+    res = run(problem1.build_machine(), inst.tokens())
+    assert res.p_acc == 1.0
+    assert max(depths) == 9
+
+
+def test_trajectory_records_hold_plain_tuples():
+    m = problem1.build_machine()
+    inst = problem1.generate(8, problem1.YES, seed=3)
+    tape = make_tape(m, inst.tokens())
+    records = list(trajectory(m, tape, default_max_steps(len(tape) - 2)))
+    assert records
+    for rec in records:
+        for conf in rec.psi:
+            assert type(conf) is Configuration
+            assert type(conf.stack) is tuple and type(conf.garbage) is tuple
+            assert all(type(s) is str for s in conf.stack + conf.garbage)
+
+
+@pytest.mark.parametrize("cls", [problem1.YES, problem1.NO])
+def test_deep_run_matches_closed_form(cls):
+    inst = problem1.generate(128, cls, seed=11)
+    acc, rej = problem1.expected_amplitudes(inst)
+    res = run(problem1.build_machine(), inst.tokens())
+    assert res.p_acc == abs(acc) ** 2
+    assert res.p_rej == abs(rej) ** 2
 
 
 def test_trajectory_step_records_conserve_mass():
