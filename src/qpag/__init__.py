@@ -41,7 +41,7 @@ from .model import (
     make_tape,
     push,
 )
-from .simulate import initial_vector, measure, run, trajectory
+from .simulate import initial_vector, measure, run, run_many, trajectory
 from .wellformed import (
     AuditReport,
     Violation,
@@ -108,6 +108,7 @@ __all__ = [
     "qcpda_step",
     "run",
     "run_dpda",
+    "run_many",
     "run_ppa",
     "run_qcpda",
     "serialize_machine",

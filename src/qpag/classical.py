@@ -2,7 +2,11 @@
 case.
 
 The probabilistic runner tracks a distribution over (state, head, stack)
-triples. Halting mass moves to p_acc / p_rej the moment a halting state is
+triples. Stacks are cells interned in a table owned by the run
+(``simulate.cons``), so a push or a pop costs O(1) whatever the depth, and
+the distribution is walked in insertion order: every column lists its rows
+in canonical order, so no result depends on the order of the transition
+table. Halting mass moves to p_acc / p_rej the moment a halting state is
 entered; mass reaching an undefined column or a parked head leaks into
 p_non, with a warning per distinct undefined column.
 
@@ -17,20 +21,35 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .errors import NotDeterministic
+from .errors import NotDeterministic, PopOnBottom
 from .model import (
     HALT_MASS,
     MachinePPA,
     RunResult,
-    apply_stack_op,
     default_max_steps,
+    join_tokens,
     make_tape,
 )
+from .simulate import EMPTY, Cell, cons
 
 ACCEPT = "accept"
 REJECT = "reject"
 BLOCK = "block"
 LOOP = "loop"
+
+
+def _stack_after(table: dict, stack: Cell, op) -> Cell:
+    """The stack ``op`` leaves, its cells interned in ``table``. Popping the
+    bottom symbol raises PopOnBottom."""
+    kind = op.kind
+    if kind == "push":
+        for symbol in op.payload:
+            stack = cons(table, stack, symbol)
+    elif kind == "pop":
+        if stack.depth <= 1:
+            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+        stack = stack.parent
+    return stack
 
 
 def run_ppa(
@@ -47,36 +66,36 @@ def run_ppa(
         return RunResult(1.0, 0.0, 0.0, 0.0, 0, None)
     if machine.initial in machine.rejecting:
         return RunResult(0.0, 1.0, 0.0, 0.0, 0, None)
-    dist = {(machine.initial, 0, (machine.stack_alphabet.bottom,)): 1.0}
+    table: dict = {}
+    bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
+    dist = {(machine.initial, 0, bottom): 1.0}
     p_acc = 0.0
     p_rej = 0.0
     leaked = 0.0
     warned = set()
     steps = 0
     for i in range(1, max_steps + 1):
-        if sum(dist[k] for k in sorted(dist)) < HALT_MASS:
+        if sum(dist.values()) < HALT_MASS:
             break
         new: dict = {}
-        for key in sorted(dist):
-            mass = dist[key]
-            state, head, stack = key
+        for (state, head, stack), mass in dist.items():
             if head >= n:
                 leaked += mass
                 continue
-            column = machine.columns.get((state, tape[head], stack[-1]))
+            col_key = (state, tape[head], stack.symbol)
+            column = machine.columns.get(col_key)
             if column is None:
-                col_key = (state, tape[head], stack[-1])
                 if col_key not in warned:
                     warned.add(col_key)
                     warnings.warn(
                         f"undefined column (state={state}, read={tape[head]}, "
-                        f"top={stack[-1]}); mass leaks to p_non",
+                        f"top={stack.symbol}); mass leaks to p_non",
                         stacklevel=2,
                     )
                 leaked += mass
                 continue
             for t in column:
-                new_stack, _ = apply_stack_op(stack, t.op)
+                new_stack = _stack_after(table, stack, t.op)
                 part = mass * t.prob
                 if t.target in machine.accepting:
                     p_acc += part
@@ -87,7 +106,7 @@ def run_ppa(
                     new[succ] = new.get(succ, 0.0) + part
         dist = new
         steps = i
-    p_non = leaked + sum(dist[k] for k in sorted(dist))
+    p_non = leaked + sum(dist.values())
     return RunResult(
         p_acc=p_acc,
         p_rej=p_rej,
@@ -115,7 +134,8 @@ def run_dpda(
     n = len(tape)
     state = machine.initial
     head = 0
-    stack = (machine.stack_alphabet.bottom,)
+    table: dict = {}
+    stack = cons(table, EMPTY, machine.stack_alphabet.bottom)
     for _ in range(max_steps):
         if state in machine.accepting:
             return ACCEPT
@@ -123,11 +143,11 @@ def run_dpda(
             return REJECT
         if head >= n:
             return BLOCK
-        column = machine.columns.get((state, tape[head], stack[-1]))
+        column = machine.columns.get((state, tape[head], stack.symbol))
         if column is None:
             return BLOCK
         t = column[0]
-        stack, _ = apply_stack_op(stack, t.op)
+        stack = _stack_after(table, stack, t.op)
         state = t.target
         head += t.move
     if state in machine.accepting:

@@ -3,13 +3,14 @@ that every quantum engine shares.
 
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
-  in a table that belongs to one run (``cons``), so equal tapes are the
-  same object, a ``CellConfiguration`` hashes and compares in O(1), and a
-  push, a pop or a garbage append costs O(1) whatever the depth. Cells
-  point down to their parents only, so a run's cells are freed when its
-  table and vectors are. ``CellConfiguration.view`` turns one back into a
-  plain-tuple ``Configuration`` where callers see it: ``StepRecord.psi``,
-  the ``run`` trace and ``wellformed.audit_unitarity``'s reports.
+  in a table that belongs to one run or one ``run_many`` batch (``cons``),
+  so equal tapes are the same object, a ``CellConfiguration`` hashes and
+  compares in O(1), and a push, a pop or a garbage append costs O(1)
+  whatever the depth. Cells point down to their parents only, so a run's
+  cells are freed when its table and vectors are.
+  ``CellConfiguration.view`` turns one back into a plain-tuple
+  ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
+  trace and ``wellformed.audit_unitarity``'s reports.
 * ``successor(table, conf, t)`` is the garbage-tape successor rule over
   cells: row ``t``'s stack operation and head move, with a popped symbol
   appended to the garbage tape. ``trajectory`` and
@@ -21,6 +22,27 @@ that every quantum engine shares.
   ``compiler.equiv_check``) and ``branching.qcpda_step`` step through it.
 * ``tally`` folds a trajectory into the four-mass ledger for ``run`` and
   the image runs of ``compiler.equiv_check``.
+* ``run_many(machine, words)`` yields ``run``'s untraced result for each
+  word, in order; ``problem1.sweep`` runs through it. A step reads the
+  tape only at the heads of the vector entering it (the parked check
+  compares a head with the tape's length), and heads move 0 or 1, never
+  left. So two tapes that agree below position L give the same vectors
+  and the same running sums through every step whose entering heads all
+  stayed below L. ``PrefixRuns`` keeps one checkpoint per step of the
+  previous word: the vector after it, the four running sums added in
+  ``tally``'s order, its squared norm, and the largest head that entered
+  any step so far. The next word resumes from the last checkpoint whose
+  largest head lies below the common prefix of the two tapes; its result
+  is checkpoint ``min(budget, last)``, and a ``HALT_MASS`` stop, which
+  reads no tape, carries over. The sums are the very floats ``run``
+  computes, so the results are equal with ``==``. No tape is a proper
+  prefix of another, because a tape ends with the right endmarker and no
+  word holds one; so a checkpoint below the common prefix never saw a
+  parked check the two lengths decide differently. All words share one
+  cell table. When it grows past twice its size after the last rebuild,
+  it is rebuilt from the cells the kept checkpoints reach. So it never
+  holds more than twice the cells reached at the last rebuild, and each
+  rebuild follows at least as many new cells as it keeps.
 
 One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /
@@ -47,6 +69,7 @@ nor on hash seeds, and runs are deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Optional
@@ -266,6 +289,112 @@ def trajectory(
             raise StateSpaceOverflow(f"{exc} at step {i}") from None
         psi, acc, rej = measure(machine, psi)
         yield StepRecord(i, psi, acc, rej, parked, truncated)
+
+
+def _common_prefix(a: tuple, b: tuple) -> int:
+    """How many leading symbols the tapes share."""
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return n
+
+
+class PrefixRuns:
+    """The checkpoint path behind ``run_many``: one ``run`` after another,
+    each resuming from the last step the previous word's run shares with it.
+
+    ``path[i]`` is checkpoint ``i``: the vector after step ``i`` with the
+    running (p_acc, p_rej, parked, truncated) sums and the vector's squared
+    norm. ``reach[i]`` is the largest head of any vector that entered steps
+    1..i, or -1 for ``i = 0``. ``table`` holds the cells of every run.
+    """
+
+    def __init__(
+        self,
+        machine: MachineQPAG,
+        max_steps: Optional[int] = None,
+        config_cap: int = CONFIG_CAP,
+    ):
+        self.machine = machine
+        self.max_steps = max_steps
+        self.config_cap = config_cap
+        self.table: dict = {}
+        self._succ = partial(successor, self.table)
+        self.tape: tuple = ()
+        psi = {start(machine, self.table): 1 + 0j}
+        self.path = [(psi, 0.0, 0.0, 0.0, 0.0, vector_norm_sq(psi))]
+        self.reach = [-1]
+        self._table_limit = 2 * len(self.table)
+
+    def run(self, word) -> RunResult:
+        """``run(machine, word, max_steps)``, untraced."""
+        machine = self.machine
+        tape = make_tape(machine, word)
+        budget = self.max_steps
+        if budget is None:
+            budget = default_max_steps(len(tape) - 2)
+        path = self.path
+        reach = self.reach
+        # reach is nondecreasing: keep the checkpoints that read only the
+        # shared prefix
+        keep = bisect_left(reach, _common_prefix(self.tape, tape))
+        del path[keep:], reach[keep:]
+        self.tape = tape
+        psi, acc, rej, parked, truncated, norm = path[-1]
+        read = reach[-1]
+        step = len(path)
+        columns = machine.columns
+        while step <= budget and not norm < HALT_MASS:
+            read = max(read, max(conf[1] for conf in psi))
+            try:
+                psi, d_parked, d_truncated = evolve(
+                    psi, tape, columns, _stack_top, self._succ, self.config_cap
+                )
+            except StateSpaceOverflow as exc:
+                raise StateSpaceOverflow(f"{exc} at step {step}") from None
+            psi, d_acc, d_rej = measure(machine, psi)
+            acc += d_acc
+            rej += d_rej
+            parked += d_parked
+            truncated += d_truncated
+            norm = vector_norm_sq(psi)
+            path.append((psi, acc, rej, parked, truncated, norm))
+            reach.append(read)
+            step += 1
+        if len(self.table) > self._table_limit:
+            self._rebuild_table()
+        steps = min(budget, len(path) - 1)
+        _, acc, rej, parked, truncated, norm = path[steps]
+        return RunResult(acc, rej, parked + norm, truncated, steps, None)
+
+    def _rebuild_table(self):
+        """Keep only the cells the path's vectors reach."""
+        kept: dict = {}
+        for entry in self.path:
+            for conf in entry[0]:
+                for cell in (conf.stack, conf.garbage):
+                    while cell.depth and (cell.parent, cell.symbol) not in kept:
+                        kept[cell.parent, cell.symbol] = cell
+                        cell = cell.parent
+        self.table.clear()
+        self.table.update(kept)
+        self._table_limit = 2 * len(kept)
+
+
+def run_many(
+    machine: MachineQPAG,
+    words,
+    max_steps: Optional[int] = None,
+    config_cap: int = CONFIG_CAP,
+) -> Iterator[RunResult]:
+    """Yield ``run(machine, word, max_steps)`` for each word, in order,
+    sharing the steps that consecutive words' common tape prefix fixes.
+    Words are read one at a time, as results are taken."""
+    runs = PrefixRuns(machine, max_steps, config_cap)
+    for word in words:
+        yield runs.run(word)
 
 
 def run(

@@ -1,9 +1,12 @@
 """Probabilistic and deterministic pushdown runners."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
 from qpag.classical import ACCEPT, BLOCK, LOOP, REJECT, run_dpda, run_ppa
-from qpag.errors import NotDeterministic
+from qpag.errors import NotDeterministic, PopOnBottom
 from qpag.model import (
     EPSILON,
     POP,
@@ -203,3 +206,81 @@ def test_ppa_mass_conserved_with_halting_split():
     assert res.total() == pytest.approx(1.0, abs=1e-12)
     assert res.p_acc == pytest.approx(res.p_rej, abs=1e-12)
     assert res.p_acc == pytest.approx(0.5, abs=1e-6)
+
+
+def _lopsided_ppa():
+    # uneven splits, pushes and pops whose branches merge on equal stacks:
+    # summation order shows in the last bits of the ledger
+    rows = [TransitionPPA("p0", "<", "Z", "p1", EPSILON, 1, 1.0)]
+    for top in _GAMMA.symbols:
+        rows += [
+            TransitionPPA("p1", "a", top, "p1", push("a"), 1, 0.3),
+            TransitionPPA("p1", "a", top, "p2", push("b", "a"), 1, 0.7),
+            TransitionPPA("p2", "a", top, "p1", EPSILON, 1, 0.1),
+            TransitionPPA("p2", "a", top, "p2", push("a"), 1, 0.2),
+            TransitionPPA("p2", "a", top, "pR", EPSILON, 1, 0.7),
+            TransitionPPA("p1", ">", top, "pA", EPSILON, 0, 1 / 3),
+            TransitionPPA("p1", ">", top, "pR", EPSILON, 0, 2 / 3),
+            TransitionPPA("p2", ">", top, "pA", EPSILON, 0, 1.0),
+        ]
+        if top == "Z":
+            rows += [
+                TransitionPPA("p1", "b", top, "pR", EPSILON, 1, 1.0),
+                TransitionPPA("p2", "b", top, "pA", EPSILON, 1, 1.0),
+            ]
+        else:
+            rows += [
+                TransitionPPA("p1", "b", top, "p2", POP, 1, 0.6),
+                TransitionPPA("p1", "b", top, "p1", POP, 0, 0.4),
+                TransitionPPA("p2", "b", top, "p1", POP, 1, 1.0),
+            ]
+    return _ppa(
+        rows,
+        ("p0", "p1", "p2", "pA", "pR"),
+        accepting=frozenset({"pA"}),
+        rejecting=frozenset({"pR"}),
+    )
+
+
+def test_ppa_does_not_depend_on_table_order():
+    words = ["", "a", "ab", "aab", "abab", "aaabbb", "aabab", "aaaabbba"]
+    cases = [
+        (_lopsided_ppa(), words),
+        (coin_ppa(), ["", "a", "aaa"]),
+        (dpda_wcwr(), ["c", "abcba", "abcab", "aabcbaa"]),
+    ]
+    for m, ws in cases:
+        rows = list(m.transitions)
+        for seed in range(3):
+            random.Random(seed).shuffle(rows)
+            shuffled = replace(m, transitions=tuple(rows))
+            for w in ws:
+                assert run_ppa(shuffled, w) == run_ppa(m, w), (seed, w)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_deep_stacks_keep_exact_ledgers(n):
+    u = "".join(random.Random(n).choice("ab") for _ in range(n))
+    m = dpda_wcwr()
+    member = run_ppa(m, u + "c" + u[::-1])
+    assert (member.p_acc, member.p_rej, member.p_non) == (1.0, 0.0, 0.0)
+    assert member.steps == 2 * n + 3
+    assert run_dpda(m, u + "c" + u[::-1]) == ACCEPT
+    flipped = u + "c" + u[::-1][:-1] + ("a" if u[0] == "b" else "b")
+    assert run_ppa(m, flipped).p_rej == 1.0
+    assert run_dpda(m, flipped) == REJECT
+
+
+def test_pop_on_bottom_raises_in_both_runners():
+    rows = [
+        TransitionPPA("p0", "<", "Z", "p1", push("a"), 1, 1.0),
+        TransitionPPA("p1", "a", "a", "p1", POP, 1, 1.0),
+        TransitionPPA("p1", "a", "Z", "p1", POP, 1, 1.0),
+        TransitionPPA("p1", ">", "Z", "p1", EPSILON, 1, 1.0),
+    ]
+    m = _ppa(rows, ("p0", "p1"))
+    assert run_ppa(m, "a").p_non == 1.0
+    with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
+        run_ppa(m, "aa")
+    with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
+        run_dpda(m, "aa")

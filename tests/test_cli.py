@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, JSON documents, byte stability."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -227,27 +228,50 @@ def test_problem1_sweep_needs_a_mode(capsys):
     assert main(["problem1", "sweep", "-n", "1"]) == 2
 
 
-def _cli(args):
+def _cli(args, hash_seed=None):
+    env = None
+    if hash_seed is not None:
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
     return subprocess.run(
         [sys.executable, "-m", "qpag", *args],
         capture_output=True,
         timeout=120,
+        env=env,
     )
+
+
+def _sweep_doc(n, mode, checked):
+    return (
+        f'{{\n  "n": {n},\n  "mode": "{mode}",\n  "checked": {checked},\n'
+        '  "failures": [],\n  "max_deviation": 0\n}\n'
+    ).encode()
 
 
 def test_stdout_byte_stable_across_processes(tmp_path):
     path = tmp_path / "builtin.json"
     path.write_text(serialize_machine(problem1.build_machine()), encoding="utf-8")
+    # sweep reports pinned to what per-word runs gave before batching
+    pinned = {
+        ("problem1", "sweep", "-n", "2", "--exhaustive"): _sweep_doc(
+            2, "exhaustive", 1296
+        ),
+        ("problem1", "sweep", "-n", "5", "--samples", "50"): _sweep_doc(
+            5, "sample", 50
+        ),
+    }
     for args in (
         ["check", str(path), "--mode", "total"],
         ["run", str(path), "--input", "ab#ba#ab", "--trace"],
         ["problem1", "gen", "-n", "2", "--class", "no"],
+        *map(list, pinned),
     ):
-        first = _cli(args)
-        second = _cli(args)
+        first = _cli(args, hash_seed=1)
+        second = _cli(args, hash_seed=2)
         assert first.stdout == second.stdout
         assert first.stdout  # nonempty
         assert first.returncode == second.returncode
+        if tuple(args) in pinned:
+            assert first.stdout == pinned[tuple(args)]
 
 
 def test_compiled_file_byte_stable(tmp_path):

@@ -1,4 +1,5 @@
-"""Vector engine: conservation, closed forms, trace output, caps."""
+"""Vector engine: conservation, closed forms, trace output, caps, and
+prefix-shared batches."""
 
 import random
 import re
@@ -12,7 +13,7 @@ from qpag import problem1, simulate
 from qpag.compiler import compile_qcpda
 from qpag.errors import StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
 from qpag.model import Configuration, default_max_steps, make_tape
-from qpag.simulate import run, trajectory
+from qpag.simulate import PrefixRuns, run, run_many, trajectory
 
 from .corpus import TOTAL_MACHINES
 from .generators import random_qcpda, words_up_to
@@ -286,3 +287,125 @@ def test_phase_preserved_in_trace():
     res = run(TOTAL_MACHINES["phase1"](), "0", trace_depth=2)
     amps = [a for s in res.trace for _, a in s.survivors]
     assert any(abs(a.imag) > 1e-12 for a in amps)
+
+
+# ----------------------------------------------------------------------
+# run_many: prefix-shared batches
+# ----------------------------------------------------------------------
+
+
+def test_run_many_equals_run_on_problem1_up_to_n2():
+    m = problem1.build_machine()
+    words = [
+        inst.tokens()
+        for n in (1, 2)
+        for inst in problem1._instances_exhaustive(n)
+    ]
+    assert len(words) == 1332
+    assert list(run_many(m, words)) == [run(m, w) for w in words]
+
+
+def test_run_many_equals_run_on_compiled_images():
+    words = words_up_to(4)
+    for seed in range(20):
+        image = compile_qcpda(random_qcpda(seed))[0]
+        rng = random.Random(seed)
+        orders = (
+            words,
+            rng.sample(words, len(words)),
+            [w for w in words for _ in (0, 1)] + words[::-1],
+        )
+        for budget in (0, 1, 7, 24):
+            single = {w: run(image, w, max_steps=budget) for w in words}
+            for order in orders:
+                got = list(run_many(image, order, max_steps=budget))
+                assert got == [single[w] for w in order], (seed, budget)
+
+
+def test_run_many_of_nothing_yields_nothing():
+    assert list(run_many(problem1.build_machine(), [])) == []
+    assert list(run_many(problem1.build_machine(), iter(()))) == []
+
+
+def test_run_many_shares_every_common_prefix(monkeypatch):
+    # problem1 heads all move right every step, so the shared run makes
+    # one step per node of the tapes' prefix trie, root excluded
+    m = problem1.build_machine()
+    tapes = [make_tape(m, inst.tokens()) for inst in problem1._instances_exhaustive(2)]
+    nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
+    steps = 0
+    real = simulate.measure
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "measure", counting)
+    report = problem1.sweep(2, machine=m)
+    assert report.checked == 1296 and not report.failures
+    assert steps == len(nodes) == 3127
+
+
+def _reached_cells(path):
+    cells = set()
+    for entry in path:
+        for conf in entry[0]:
+            for cell in (conf.stack, conf.garbage):
+                while cell.depth and cell not in cells:
+                    cells.add(cell)
+                    cell = cell.parent
+    return cells
+
+
+def test_run_many_cell_table_stays_bounded():
+    # distinct n = 16 words share little: without the rebuild the table
+    # would keep every cell of every run
+    m = problem1.build_machine()
+    rng = random.Random(4)
+    words = {
+        problem1.generate(16, rng.choice((problem1.YES, problem1.NO)), seed=s).word()
+        for s in range(1100)
+    }
+    assert len(words) >= 1000
+    runs = PrefixRuns(m)
+    peak = 0
+    created = 0
+    for i, w in enumerate(sorted(words)):
+        before = set(runs.table.values())
+        result = runs.run(w)
+        after = set(runs.table.values())
+        created += len(after - before)
+        if i % 97 == 0:
+            assert result == run(m, w)
+        reached = _reached_cells(runs.path)
+        assert reached <= after
+        peak = max(peak, len(reached))
+        assert len(runs.table) <= 2 * peak
+    assert created > 20 * peak
+
+
+def test_run_many_overflow_names_the_step():
+    m = TOTAL_MACHINES["splitter"]()
+    tape = make_tape(m, "00")
+    with pytest.raises(StateSpaceOverflow) as single:
+        for _ in trajectory(m, tape, default_max_steps(2), config_cap=8):
+            pass
+    results = run_many(m, ["0", "00"], config_cap=8)
+    assert next(results) == run(m, "0")
+    with pytest.raises(StateSpaceOverflow) as batch:
+        next(results)
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).endswith("at step 4")
+
+
+def test_run_many_rejects_a_bad_word_after_the_good_ones():
+    m = problem1.build_machine()
+    words = iter(["a#a#a", "ab#ba#ab", "a#z#a", "b#b#b"])
+    results = run_many(m, words)
+    assert next(results) == run(m, "a#a#a")
+    assert next(results) == run(m, "ab#ba#ab")
+    with pytest.raises(UnknownSymbol):
+        next(results)
+    # words are read one at a time, as results are taken
+    assert list(words) == ["b#b#b"]
