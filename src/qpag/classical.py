@@ -3,17 +3,17 @@ case.
 
 The probabilistic runner tracks a distribution over (state, head, stack)
 triples. Stacks are cells interned in a table owned by the run
-(``simulate.cons``), so a push or a pop costs O(1) whatever the depth, and
-the distribution is walked in insertion order: every column lists its rows
-in canonical order, so no result depends on the order of the transition
-table. Halting mass moves to p_acc / p_rej the moment a halting state is
-entered; mass reaching an undefined column or a parked head leaks into
-p_non, with a warning per distinct undefined column.
+(``simulate.stack_after``), so a push or a pop costs O(1) whatever the
+depth, and the distribution is walked in insertion order: every column
+lists its rows in canonical order, so no result depends on the order of
+the transition table. Halting mass moves to p_acc / p_rej the moment a
+halting state is entered; mass reaching an undefined column or a parked
+head leaks into p_non, with a warning per distinct undefined column.
 
 ``run_dpda`` insists on a single probability-1 transition per defined
-column and walks the unique path. Outcomes: "accept", "reject", "block"
-(no applicable transition, or head past the endmarker), "loop" (step budget
-exhausted).
+column and walks the unique path on a list stack. Outcomes: "accept",
+"reject", "block" (no applicable transition, or head past the endmarker),
+"loop" (step budget exhausted).
 """
 
 from __future__ import annotations
@@ -30,26 +30,12 @@ from .model import (
     join_tokens,
     make_tape,
 )
-from .simulate import EMPTY, Cell, cons
+from .simulate import EMPTY, cons, stack_after
 
 ACCEPT = "accept"
 REJECT = "reject"
 BLOCK = "block"
 LOOP = "loop"
-
-
-def _stack_after(table: dict, stack: Cell, op) -> Cell:
-    """The stack ``op`` leaves, its cells interned in ``table``. Popping the
-    bottom symbol raises PopOnBottom."""
-    kind = op.kind
-    if kind == "push":
-        for symbol in op.payload:
-            stack = cons(table, stack, symbol)
-    elif kind == "pop":
-        if stack.depth <= 1:
-            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
-        stack = stack.parent
-    return stack
 
 
 def run_ppa(
@@ -95,7 +81,7 @@ def run_ppa(
                 leaked += mass
                 continue
             for t in column:
-                new_stack = _stack_after(table, stack, t.op)
+                new_stack = stack_after(table, stack, t.op)
                 part = mass * t.prob
                 if t.target in machine.accepting:
                     p_acc += part
@@ -134,8 +120,7 @@ def run_dpda(
     n = len(tape)
     state = machine.initial
     head = 0
-    table: dict = {}
-    stack = cons(table, EMPTY, machine.stack_alphabet.bottom)
+    stack = [machine.stack_alphabet.bottom]
     for _ in range(max_steps):
         if state in machine.accepting:
             return ACCEPT
@@ -143,11 +128,16 @@ def run_dpda(
             return REJECT
         if head >= n:
             return BLOCK
-        column = machine.columns.get((state, tape[head], stack.symbol))
+        column = machine.columns.get((state, tape[head], stack[-1]))
         if column is None:
             return BLOCK
         t = column[0]
-        stack = _stack_after(table, stack, t.op)
+        if t.op.kind == "push":
+            stack.extend(t.op.payload)
+        elif t.op.kind == "pop":
+            if len(stack) <= 1:
+                raise PopOnBottom(f"pop on stack {join_tokens(stack)!r}")
+            stack.pop()
         state = t.target
         head += t.move
     if state in machine.accepting:

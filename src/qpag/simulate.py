@@ -11,7 +11,9 @@ that every quantum engine shares.
   ``CellConfiguration.view`` turns one back into a plain-tuple
   ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
   trace and ``wellformed.audit_unitarity``'s reports.
-* ``successor(table, conf, t)`` is the garbage-tape successor rule over
+* ``stack_after(table, stack, op)`` applies a stack operation to a cell
+  stack; ``classical.run_ppa`` keeps its stacks through it.
+  ``successor(table, conf, t)`` is the garbage-tape successor rule over
   cells: row ``t``'s stack operation and head move, with a popped symbol
   appended to the garbage tape. ``trajectory`` and
   ``wellformed.audit_unitarity`` build configurations through it.
@@ -169,11 +171,26 @@ def initial_vector(machine: MachineQPAG) -> StateVector:
     return {initial_configuration(machine): 1 + 0j}
 
 
+def stack_after(table: dict, stack: Cell, op) -> Cell:
+    """The stack ``op`` leaves, its new cells interned in ``table``.
+    Popping the bottom symbol raises PopOnBottom."""
+    kind = op.kind
+    if kind == "push":
+        for symbol in op.payload:
+            stack = cons(table, stack, symbol)
+    elif kind == "pop":
+        if stack.depth <= 1:
+            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+        stack = stack.parent
+    return stack
+
+
 def successor(table: dict, conf: CellConfiguration, t) -> CellConfiguration:
     """The configuration transition ``t`` takes ``conf`` to: the stack
-    operation applies and a popped symbol is appended to the garbage tape.
-    New cells are interned in ``table``. Popping the bottom symbol raises
-    PopOnBottom."""
+    operation applies as in ``stack_after`` and a popped symbol is appended
+    to the garbage tape. New cells are interned in ``table``. Popping the
+    bottom symbol raises PopOnBottom. The stack operation is written out
+    here rather than called: this is the innermost loop of every run."""
     stack = conf.stack
     garbage = conf.garbage
     kind = t.op.kind
@@ -311,15 +328,9 @@ class PrefixRuns:
     1..i, or -1 for ``i = 0``. ``table`` holds the cells of every run.
     """
 
-    def __init__(
-        self,
-        machine: MachineQPAG,
-        max_steps: Optional[int] = None,
-        config_cap: int = CONFIG_CAP,
-    ):
+    def __init__(self, machine: MachineQPAG, max_steps: Optional[int] = None):
         self.machine = machine
         self.max_steps = max_steps
-        self.config_cap = config_cap
         self.table: dict = {}
         self._succ = partial(successor, self.table)
         self.tape: tuple = ()
@@ -350,7 +361,7 @@ class PrefixRuns:
             read = max(read, max(conf[1] for conf in psi))
             try:
                 psi, d_parked, d_truncated = evolve(
-                    psi, tape, columns, _stack_top, self._succ, self.config_cap
+                    psi, tape, columns, _stack_top, self._succ
                 )
             except StateSpaceOverflow as exc:
                 raise StateSpaceOverflow(f"{exc} at step {step}") from None
@@ -384,15 +395,12 @@ class PrefixRuns:
 
 
 def run_many(
-    machine: MachineQPAG,
-    words,
-    max_steps: Optional[int] = None,
-    config_cap: int = CONFIG_CAP,
+    machine: MachineQPAG, words, max_steps: Optional[int] = None
 ) -> Iterator[RunResult]:
     """Yield ``run(machine, word, max_steps)`` for each word, in order,
     sharing the steps that consecutive words' common tape prefix fixes.
     Words are read one at a time, as results are taken."""
-    runs = PrefixRuns(machine, max_steps, config_cap)
+    runs = PrefixRuns(machine, max_steps)
     for word in words:
         yield runs.run(word)
 

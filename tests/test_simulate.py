@@ -4,6 +4,7 @@ prefix-shared batches."""
 import random
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -385,14 +386,16 @@ def test_run_many_cell_table_stays_bounded():
     assert created > 20 * peak
 
 
-def test_run_many_overflow_names_the_step():
+def test_run_many_overflow_names_the_step(monkeypatch):
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "00")
     with pytest.raises(StateSpaceOverflow) as single:
         for _ in trajectory(m, tape, default_max_steps(2), config_cap=8):
             pass
-    results = run_many(m, ["0", "00"], config_cap=8)
-    assert next(results) == run(m, "0")
+    first = run(m, "0")
+    monkeypatch.setattr(simulate, "evolve", partial(simulate.evolve, cap=8))
+    results = run_many(m, ["0", "00"])
+    assert next(results) == first
     with pytest.raises(StateSpaceOverflow) as batch:
         next(results)
     assert str(batch.value) == str(single.value)
