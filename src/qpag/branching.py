@@ -132,8 +132,6 @@ def run_qcpda(
     machine: MachineQCPDA,
     word,
     max_steps: Optional[int] = None,
-    prune_prob: float = 0.0,
-    branch_cap: int = BRANCH_CAP,
 ) -> RunResult:
     tape = make_tape(machine, word)
     if max_steps is None:
@@ -159,9 +157,6 @@ def run_qcpda(
             p_non += deltas.parked
             truncated += deltas.truncated
             for child in deltas.children:
-                if prune_prob > 0 and child.prob < prune_prob:
-                    truncated += child.prob
-                    continue
                 fp = child.fingerprint()
                 if fp in merged:
                     old = merged[fp]
@@ -173,9 +168,9 @@ def run_qcpda(
                     )
                 else:
                     merged[fp] = child
-                    if len(merged) > branch_cap:
+                    if len(merged) > BRANCH_CAP:
                         raise StateSpaceOverflow(
-                            f"branch frontier exceeded {branch_cap} at step {i}"
+                            f"branch frontier exceeded {BRANCH_CAP} at step {i}"
                         )
         frontier = [merged[fp] for fp in sorted(merged)]
     p_non += sum(b.prob for b in frontier)

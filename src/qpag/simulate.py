@@ -284,12 +284,7 @@ class StepRecord:
         return {conf.view(): amp for conf, amp in self.vector.items()}
 
 
-def trajectory(
-    machine: MachineQPAG,
-    tape,
-    max_steps: int,
-    config_cap: int = CONFIG_CAP,
-) -> Iterator[StepRecord]:
+def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecord]:
     """Yield one StepRecord per loop iteration until the live mass dies out
     or the budget is exhausted."""
     table: dict = {}
@@ -300,7 +295,7 @@ def trajectory(
             return
         try:
             psi, parked, truncated = evolve(
-                psi, tape, machine.columns, _stack_top, succ, config_cap
+                psi, tape, machine.columns, _stack_top, succ
             )
         except StateSpaceOverflow as exc:
             raise StateSpaceOverflow(f"{exc} at step {i}") from None

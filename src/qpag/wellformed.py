@@ -21,6 +21,19 @@ Condition ids: "1" column norm, "2" same-column-index orthogonality,
 "pop-on-z" (pop scheduled on the bottom symbol) and "range" (probability
 outside [0, 1]).
 
+Each orthogonality condition is a term generator: it pairs the rows whose
+images can meet and yields ``(key, term_key, conj(amp1) * amp2)``, where
+``key`` names the two columns the condition quantifies over. One routine,
+``_orthogonality``, sums the terms per key and reports each key whose sum
+exceeds the tolerance; the number of keys is the condition's evaluation
+count. Column norms (condition 1) go through ``_norm_violations`` for all
+three checkers. Every witness comes from one table, ``_WITNESS``: the
+condition's field names, paired in order with its key. ``check_qcpda``
+shares the generators of conditions 2 and 4 with ``check_qpag``; a
+scheduled-stack row carries no stack operation, so its operation key is
+``()``. Two rows of one column pair like any other two rows: applied to two
+configurations that differ in head or stack, their images can still meet.
+
 Every condition sum is accumulated in sorted term order, so reports are
 bit-identical across transition reorderings.
 """
@@ -28,10 +41,12 @@ bit-identical across transition reorderings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from .errors import InvariantError, StateSpaceOverflow
 from .model import (
     CONFIG_CAP,
+    POP,
     Configuration,
     MachinePPA,
     MachineQCPDA,
@@ -41,8 +56,6 @@ from .model import (
     tokens_doc,
 )
 from .simulate import CellConfiguration, start, successor
-
-CONDITION_IDS = ("1", "2", "3a", "3b", "4", "5a", "5b")
 
 
 @dataclass(frozen=True)
@@ -75,89 +88,112 @@ class WfReport:
         }
 
 
-def _norm_residual(s: float) -> float:
-    # Raw sum when the column overshoots, deficit otherwise; both exceed
-    # tolerance whenever the column is in violation.
-    return s if s > 1 else 1 - s
+def _op_desc(op_key) -> str:
+    kind, payload = op_key
+    return StackOp(kind, tuple(payload)).describe()
 
 
-class _Sums:
-    """Terms grouped per quantifier key; summed in sorted term order."""
+_SHIFT = ("state1", "read1", "top1", "move1", "state2", "read2", "top2", "move2")
 
-    def __init__(self):
-        self.terms: dict = {}
+# condition id -> witness field names, in the order of the condition's key
+_WITNESS = {
+    "1": ("state", "read", "top"),
+    "2": ("read", "top", "state1", "state2"),
+    "3a": ("read", "state1", "top1", "state2", "top2", "prefix"),
+    "3b": ("read", "state1", "top1", "state2", "top2", "op2"),
+    "4": ("top", "state1", "read1", "state2", "read2"),
+    "5a": _SHIFT + ("prefix",),
+    "5b": _SHIFT + ("op2",),
+    "pop-on-z": ("state", "read", "top", "target", "move"),
+    "range": ("state", "read", "top", "target", "move", "prob"),
+}
 
-    def add(self, key, term_key, value):
-        self.terms.setdefault(key, []).append((term_key, value))
-
-    def totals(self):
-        for key in sorted(self.terms):
-            rows = sorted(self.terms[key], key=lambda r: r[0])
-            total = 0j
-            for _, v in rows:
-                total += v
-            yield key, total
-
-    def __len__(self):
-        return len(self.terms)
+# witness fields whose key value is rendered for JSON
+_RENDER = {"prefix": tokens_doc, "op2": _op_desc}
 
 
-def _column_norms(transitions, weight):
-    sums = _Sums()
-    for t in transitions:
-        op = getattr(t, "op", None)
-        term_key = (t.target, () if op is None else op.sort_key(), t.move)
-        sums.add((t.source, t.read, t.top), term_key, weight(t))
-    return sums
-
-
-def _norm_violations(machine, sums, mode, tol, viols):
-    diag = {k: v.real for k, v in sums.totals()}
-    if mode == "partial":
-        evaluated = len(diag)
-        items = diag.items()
-    else:
-        evaluated = 0
-        items = []
-        for q in machine.states:
-            for a in machine.input_alphabet.symbols:
-                for b in machine.stack_alphabet.symbols:
-                    evaluated += 1
-                    items.append(((q, a, b), diag.get((q, a, b), 0.0)))
-    for (q, a, b), s in items:
-        bad = s > 1 + tol if mode == "partial" else abs(s - 1) > tol
-        if bad:
-            viols.append(
-                (
-                    "1",
-                    (q, a, b),
-                    Violation(
-                        "1",
-                        (("state", q), ("read", a), ("top", b)),
-                        _norm_residual(s),
-                    ),
-                )
-            )
-    return evaluated
+def _violation(cid, key, residual, *extra):
+    """The sortable entry (cid, key, Violation) of one failed condition. Its
+    witness pairs the condition's field names with ``key`` then ``extra``."""
+    values = key + extra
+    witness = tuple(
+        (name, _RENDER[name](value) if name in _RENDER else value)
+        for name, value in zip(_WITNESS[cid], values, strict=True)
+    )
+    return cid, key, Violation(cid, witness, residual)
 
 
 def _pop_on_bottom(t, weight):
     """The "pop-on-z" entry for row ``t``, which pops the bottom symbol."""
-    return (
-        "pop-on-z",
-        (t.source, t.read, t.top, t.target, t.move),
-        Violation(
-            "pop-on-z",
-            (
-                ("state", t.source),
-                ("read", t.read),
-                ("top", t.top),
-                ("target", t.target),
-                ("move", t.move),
-            ),
-            weight,
-        ),
+    key = (t.source, t.read, t.top, t.target, t.move)
+    return _violation("pop-on-z", key, weight)
+
+
+def _sums(terms):
+    """Quantifier key -> sum of its ``(key, term_key, value)`` terms, added
+    in sorted term order; keys in sorted order."""
+    groups: dict = {}
+    for key, term_key, value in terms:
+        groups.setdefault(key, []).append((term_key, value))
+    sums = {}
+    for key in sorted(groups):
+        total = 0j
+        for _, v in sorted(groups[key], key=lambda r: r[0]):
+            total += v
+        sums[key] = total
+    return sums
+
+
+def _orthogonality(cid, terms, tol, viols):
+    """Report each key whose terms sum to more than ``tol`` in absolute
+    value; returns the number of keys evaluated."""
+    sums = _sums(terms)
+    for key, total in sums.items():
+        if abs(total) > tol:
+            viols.append(_violation(cid, key, abs(total)))
+    return len(sums)
+
+
+def _op_key(t):
+    op = getattr(t, "op", None)
+    return () if op is None else op.sort_key()
+
+
+def _column_norms(transitions, weight):
+    """Column (state, read, top) -> sum of ``weight(t)`` over its rows."""
+    sums = _sums(
+        ((t.source, t.read, t.top), (t.target, _op_key(t), t.move), weight(t))
+        for t in transitions
     )
+    return {col: total.real for col, total in sums.items()}
+
+
+def _norm_violations(norms, columns, bad, viols):
+    """Report each of ``columns`` whose norm ``s`` makes ``bad(s)`` true;
+    returns the number of columns evaluated."""
+    for col in columns:
+        s = norms.get(col, 0.0)
+        if bad(s):
+            # raw sum when the column overshoots, deficit otherwise; both
+            # exceed tolerance whenever the column is in violation
+            viols.append(_violation("1", col, s if s > 1 else 1 - s))
+    return len(columns)
+
+
+def _amplitude_norms(machine, trans, mode, tol, viols):
+    """Condition (1) on amplitude rows: partial mode checks the defined
+    columns for overshoot, total mode every column of Q x Sigma x Gamma."""
+    norms = _column_norms(trans, lambda t: abs(t.amp) ** 2)
+    if mode == "partial":
+        return _norm_violations(norms, norms, lambda s: s > 1 + tol, viols)
+    every = list(
+        product(
+            machine.states,
+            machine.input_alphabet.symbols,
+            machine.stack_alphabet.symbols,
+        )
+    )
+    return _norm_violations(norms, every, lambda s: abs(s - 1) > tol, viols)
 
 
 def _finish(viols, mode, evaluations):
@@ -177,7 +213,106 @@ def _check_mode(mode):
 
 
 # ======================================================================
-# QPAG checker
+# Term generators, one per orthogonality condition
+# ======================================================================
+
+
+def _same_column_terms(trans):
+    """(2) Two columns with the same (read, top): rows with the same
+    target, stack operation and head move."""
+    by_image: dict = {}
+    for t in trans:
+        by_image.setdefault(
+            (t.read, t.top, t.target, _op_key(t), t.move), []
+        ).append((t.source, t.amp))
+    for (a, b, tgt, opk, mv), entries in by_image.items():
+        entries.sort(key=lambda e: e[0])
+        for i, (q1, a1) in enumerate(entries):
+            for q2, a2 in entries[i + 1 :]:
+                yield (a, b, q1, q2), (tgt, opk, mv), a1.conjugate() * a2
+
+
+def _head_shift_terms(trans):
+    """(4) Same stack, heads one apart: stationary against advancing rows
+    with the same target and stack operation."""
+    shift: dict = {}
+    for t in trans:
+        shift.setdefault((t.top, t.target, _op_key(t)), ([], []))[t.move].append(t)
+    for (b, tgt, opk), (m0, m1) in shift.items():
+        for t0 in m0:
+            for t1 in m1:
+                key = (b, t0.source, t0.read, t1.source, t1.read)
+                yield key, (tgt, opk), t0.amp.conjugate() * t1.amp
+
+
+def _extension(e, p, g_set):
+    """The prefix push row ``p`` lays over epsilon row ``e``'s top, or None
+    when the push does not end in that top or the prefix is not an
+    admissible push string."""
+    payload = p.op.payload
+    prefix = payload[:-1]
+    if payload[-1] == e.top and (not prefix or prefix in g_set):
+        return prefix
+    return None
+
+
+def _push_extends_terms(eps, pushes, g_set):
+    """(3a) Same head move and read: an epsilon row against a row that
+    pushes prefix + top onto the same hidden stack."""
+    same: dict = {}
+    for p in pushes:
+        same.setdefault((p.read, p.target, p.move), []).append(p)
+    for e in eps:
+        for p in same.get((e.read, e.target, e.move), ()):
+            prefix = _extension(e, p, g_set)
+            if prefix is not None:
+                key = (e.read, e.source, e.top, p.source, p.top, prefix)
+                yield key, (e.target, e.move), e.amp.conjugate() * p.amp
+
+
+def _pop_reveals_terms(pops, others):
+    """(3b) Same head move and read: a pop row against a row pushing the
+    revealed suffix (epsilon counts as the empty suffix)."""
+    same: dict = {}
+    for o in others:
+        same.setdefault((o.read, o.target, o.move), []).append(o)
+    for t1 in pops:
+        for o in same.get((t1.read, t1.target, t1.move), ()):
+            key = (t1.read, t1.source, t1.top, o.source, o.top, o.op.sort_key())
+            yield key, (t1.target, t1.move), t1.amp.conjugate() * o.amp
+
+
+def _side(t):
+    return (t.source, t.read, t.top, t.move)
+
+
+def _shifted_push_terms(eps, pushes, g_set):
+    """(5a) Like (3a) with opposite head moves and free reads."""
+    by_target: dict = {}
+    for p in pushes:
+        by_target.setdefault(p.target, []).append(p)
+    for e in eps:
+        for p in by_target.get(e.target, ()):
+            prefix = _extension(e, p, g_set)
+            if e.move != p.move and prefix is not None:
+                key = (*_side(e), *_side(p), prefix)
+                yield key, (e.target,), e.amp.conjugate() * p.amp
+
+
+def _shifted_pop_terms(pops, others):
+    """(5b) Like (3b) with opposite head moves and free reads."""
+    by_target: dict = {}
+    for o in others:
+        by_target.setdefault(o.target, []).append(o)
+    for t1 in pops:
+        for o in by_target.get(t1.target, ()):
+            if t1.move != o.move:
+                key = (*_side(t1), *_side(o), o.op.sort_key())
+                yield key, (t1.target,), t1.amp.conjugate() * o.amp
+
+
+# ======================================================================
+# Checkers
 # ======================================================================
 
 
@@ -187,336 +322,50 @@ def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -
     trans = [t for t in machine.transitions if t.amp != 0]
     g_set = machine.push_string_universe
     bottom = machine.stack_alphabet.bottom
-    viols: list = []
-
-    # pop on the bottom symbol is never allowed
-    for t in trans:
-        if t.op.kind == "pop" and t.top == bottom:
-            viols.append(_pop_on_bottom(t, abs(t.amp)))
-
-    evaluations = {cid: 0 for cid in CONDITION_IDS}
-
-    # (1) column norms
-    sums1 = _column_norms(trans, lambda t: abs(t.amp) ** 2)
-    evaluations["1"] = _norm_violations(machine, sums1, mode, tol, viols)
-
-    # (2) two columns with the same (read, top): orthogonal images
-    by_target = {}
-    for t in trans:
-        by_target.setdefault(
-            (t.read, t.top, t.target, t.op.sort_key(), t.move), []
-        ).append((t.source, t.amp))
-    sums2 = _Sums()
-    for (a, b, tgt, opk, mv), entries in by_target.items():
-        entries = sorted(entries, key=lambda e: e[0])
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                (q1, a1), (q2, a2) = entries[i], entries[j]
-                sums2.add((a, b, q1, q2), (tgt, opk, mv), a1.conjugate() * a2)
-    _orth_violations(
-        sums2,
-        tol,
-        viols,
-        "2",
-        lambda key: (
-            ("read", key[0]),
-            ("top", key[1]),
-            ("state1", key[2]),
-            ("state2", key[3]),
-        ),
-    )
-    evaluations["2"] = len(sums2)
-
     eps = [t for t in trans if t.op.kind == "epsilon"]
     pushes = [t for t in trans if t.op.kind == "push"]
     pops = [t for t in trans if t.op.kind == "pop"]
-
-    # (3a) same head move and read: an epsilon column against a column that
-    # pushes prefix+top onto the same hidden stack
-    push_same = {}
-    for p in pushes:
-        push_same.setdefault((p.read, p.target, p.move), []).append(p)
-    sums3a = _Sums()
-    for e in eps:
-        for p in push_same.get((e.read, e.target, e.move), ()):
-            payload = p.op.payload
-            if payload[-1] != e.top:
-                continue
-            prefix = payload[:-1]
-            if prefix and prefix not in g_set:
-                continue
-            if (e.source, e.top) == (p.source, p.top):
-                continue
-            key = (e.read, e.source, e.top, p.source, p.top, prefix)
-            sums3a.add(key, (e.target, e.move), e.amp.conjugate() * p.amp)
-    _orth_violations(
-        sums3a,
-        tol,
-        viols,
-        "3a",
-        lambda key: (
-            ("read", key[0]),
-            ("state1", key[1]),
-            ("top1", key[2]),
-            ("state2", key[3]),
-            ("top2", key[4]),
-            ("prefix", tokens_doc(key[5])),
-        ),
-    )
-    evaluations["3a"] = len(sums3a)
-
-    # (3b) same head move and read: a pop column against a column pushing the
-    # revealed suffix (epsilon counts as the empty suffix)
-    other_same = {}
-    for o in eps + pushes:
-        other_same.setdefault((o.read, o.target, o.move), []).append(o)
-    sums3b = _Sums()
-    for t1 in pops:
-        for o in other_same.get((t1.read, t1.target, t1.move), ()):
-            if (t1.source, t1.top) == (o.source, o.top):
-                continue
-            key = (
-                t1.read,
-                t1.source,
-                t1.top,
-                o.source,
-                o.top,
-                o.op.sort_key(),
-            )
-            sums3b.add(key, (t1.target, t1.move), t1.amp.conjugate() * o.amp)
-    _orth_violations(
-        sums3b,
-        tol,
-        viols,
-        "3b",
-        lambda key: (
-            ("read", key[0]),
-            ("state1", key[1]),
-            ("top1", key[2]),
-            ("state2", key[3]),
-            ("top2", key[4]),
-            ("op2", _op_desc(key[5])),
-        ),
-    )
-    evaluations["3b"] = len(sums3b)
-
-    # (4) same stack, heads one apart: stationary against advancing columns
-    shift = {}
-    for t in trans:
-        shift.setdefault((t.top, t.target, t.op.sort_key()), ([], []))[t.move].append(t)
-    sums4 = _Sums()
-    for (b, tgt, opk), (m0, m1) in shift.items():
-        for t0 in m0:
-            for t1 in m1:
-                if (t0.source, t0.read) == (t1.source, t1.read):
-                    continue
-                key = (b, t0.source, t0.read, t1.source, t1.read)
-                sums4.add(key, (tgt, opk), t0.amp.conjugate() * t1.amp)
-    _orth_violations(
-        sums4,
-        tol,
-        viols,
-        "4",
-        lambda key: (
-            ("top", key[0]),
-            ("state1", key[1]),
-            ("read1", key[2]),
-            ("state2", key[3]),
-            ("read2", key[4]),
-        ),
-    )
-    evaluations["4"] = len(sums4)
-
-    # (5a) like (3a) with opposite head moves and free reads
-    push_any = {}
-    for p in pushes:
-        push_any.setdefault(p.target, []).append(p)
-    sums5a = _Sums()
-    for e in eps:
-        for p in push_any.get(e.target, ()):
-            if e.move == p.move:
-                continue
-            payload = p.op.payload
-            if payload[-1] != e.top:
-                continue
-            prefix = payload[:-1]
-            if prefix and prefix not in g_set:
-                continue
-            if (e.source, e.read, e.top) == (p.source, p.read, p.top):
-                continue
-            key = (
-                e.source,
-                e.read,
-                e.top,
-                e.move,
-                p.source,
-                p.read,
-                p.top,
-                p.move,
-                prefix,
-            )
-            sums5a.add(key, (e.target,), e.amp.conjugate() * p.amp)
-    _orth_violations(
-        sums5a,
-        tol,
-        viols,
-        "5a",
-        lambda key: (
-            ("state1", key[0]),
-            ("read1", key[1]),
-            ("top1", key[2]),
-            ("move1", key[3]),
-            ("state2", key[4]),
-            ("read2", key[5]),
-            ("top2", key[6]),
-            ("move2", key[7]),
-            ("prefix", tokens_doc(key[8])),
-        ),
-    )
-    evaluations["5a"] = len(sums5a)
-
-    # (5b) like (3b) with opposite head moves and free reads
-    other_any = {}
-    for o in eps + pushes:
-        other_any.setdefault(o.target, []).append(o)
-    sums5b = _Sums()
-    for t1 in pops:
-        for o in other_any.get(t1.target, ()):
-            if t1.move == o.move:
-                continue
-            if (t1.source, t1.read, t1.top) == (o.source, o.read, o.top):
-                continue
-            key = (
-                t1.source,
-                t1.read,
-                t1.top,
-                t1.move,
-                o.source,
-                o.read,
-                o.top,
-                o.move,
-                o.op.sort_key(),
-            )
-            sums5b.add(key, (t1.target,), t1.amp.conjugate() * o.amp)
-    _orth_violations(
-        sums5b,
-        tol,
-        viols,
-        "5b",
-        lambda key: (
-            ("state1", key[0]),
-            ("read1", key[1]),
-            ("top1", key[2]),
-            ("move1", key[3]),
-            ("state2", key[4]),
-            ("read2", key[5]),
-            ("top2", key[6]),
-            ("move2", key[7]),
-            ("op2", _op_desc(key[8])),
-        ),
-    )
-    evaluations["5b"] = len(sums5b)
-
+    # pop on the bottom symbol is never allowed
+    viols = [_pop_on_bottom(t, abs(t.amp)) for t in pops if t.top == bottom]
+    evaluations = {"1": _amplitude_norms(machine, trans, mode, tol, viols)}
+    for cid, terms in (
+        ("2", _same_column_terms(trans)),
+        ("3a", _push_extends_terms(eps, pushes, g_set)),
+        ("3b", _pop_reveals_terms(pops, eps + pushes)),
+        ("4", _head_shift_terms(trans)),
+        ("5a", _shifted_push_terms(eps, pushes, g_set)),
+        ("5b", _shifted_pop_terms(pops, eps + pushes)),
+    ):
+        evaluations[cid] = _orthogonality(cid, terms, tol, viols)
     return _finish(viols, mode, evaluations)
-
-
-def _op_desc(op_key) -> str:
-    kind, payload = op_key
-    return StackOp(kind, tuple(payload)).describe()
-
-
-def _orth_violations(sums, tol, viols, cid, witness_of):
-    for key, total in sums.totals():
-        if abs(total) > tol:
-            viols.append((cid, key, Violation(cid, witness_of(key), abs(total))))
-
-
-# ======================================================================
-# QCPDA checker
-# ======================================================================
 
 
 def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9) -> WfReport:
     """Unitarity-for-every-word conditions for the scheduled-stack machine.
 
     Checks per stack symbol: column norms (1), same-column-index
-    orthogonality (2), and the head-shift products (4), which must vanish for
-    every ordered source pair including a source against itself since a word
-    may repeat a symbol at adjacent positions. Also flags any amplitude that
-    would schedule a pop on the bottom symbol.
+    orthogonality (2), and the head-shift products (4), with the generators
+    ``check_qpag`` uses; a row's stack operation is scheduled by its target,
+    so its operation key is ``()``. The head-shift products must vanish for
+    every ordered pair of columns, a column against itself included, since a
+    word may repeat a symbol at adjacent positions. Also flags any amplitude
+    that would schedule a pop on the bottom symbol.
     """
     _check_mode(mode)
     trans = [t for t in machine.transitions if t.amp != 0]
     bottom = machine.stack_alphabet.bottom
     sigma = machine.sigma_map
-    viols: list = []
-
-    for t in trans:
-        op = sigma.get(t.target)
-        if op is not None and op.kind == "pop" and t.top == bottom:
-            viols.append(_pop_on_bottom(t, abs(t.amp)))
-
-    evaluations = {"1": 0, "2": 0, "4": 0}
-
-    sums1 = _column_norms(trans, lambda t: abs(t.amp) ** 2)
-    evaluations["1"] = _norm_violations(machine, sums1, mode, tol, viols)
-
-    by_target = {}
-    for t in trans:
-        by_target.setdefault((t.read, t.top, t.target, t.move), []).append(
-            (t.source, t.amp)
-        )
-    sums2 = _Sums()
-    for (a, b, tgt, mv), entries in by_target.items():
-        entries = sorted(entries, key=lambda e: e[0])
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                (q1, a1), (q2, a2) = entries[i], entries[j]
-                sums2.add((a, b, q1, q2), (tgt, mv), a1.conjugate() * a2)
-    _orth_violations(
-        sums2,
-        tol,
-        viols,
-        "2",
-        lambda key: (
-            ("read", key[0]),
-            ("top", key[1]),
-            ("state1", key[2]),
-            ("state2", key[3]),
-        ),
-    )
-    evaluations["2"] = len(sums2)
-
-    shift = {}
-    for t in trans:
-        shift.setdefault((t.top, t.target), ([], []))[t.move].append(t)
-    sums4 = _Sums()
-    for (b, tgt), (m0, m1) in shift.items():
-        for t0 in m0:
-            for t1 in m1:
-                key = (b, t0.source, t0.read, t1.source, t1.read)
-                sums4.add(key, (tgt,), t0.amp.conjugate() * t1.amp)
-    _orth_violations(
-        sums4,
-        tol,
-        viols,
-        "4",
-        lambda key: (
-            ("top", key[0]),
-            ("state1", key[1]),
-            ("read1", key[2]),
-            ("state2", key[3]),
-            ("read2", key[4]),
-        ),
-    )
-    evaluations["4"] = len(sums4)
-
+    viols = [
+        _pop_on_bottom(t, abs(t.amp))
+        for t in trans
+        if t.top == bottom and sigma.get(t.target) == POP
+    ]
+    evaluations = {
+        "1": _amplitude_norms(machine, trans, mode, tol, viols),
+        "2": _orthogonality("2", _same_column_terms(trans), tol, viols),
+        "4": _orthogonality("4", _head_shift_terms(trans), tol, viols),
+    }
     return _finish(viols, mode, evaluations)
-
-
-# ======================================================================
-# PPA checker
-# ======================================================================
 
 
 def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
@@ -524,58 +373,17 @@ def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
     every probability lies in [0, 1], and nothing pops the bottom symbol."""
     bottom = machine.stack_alphabet.bottom
     viols: list = []
-
     for t in machine.transitions:
         if t.prob != 0 and t.op.kind == "pop" and t.top == bottom:
             viols.append(_pop_on_bottom(t, abs(t.prob)))
         if t.prob < -tol or t.prob > 1 + tol:
             dist = t.prob - 1 if t.prob > 1 else -t.prob
-            key = (t.source, t.read, t.top, t.target, t.move, 1)
-            viols.append(
-                (
-                    "range",
-                    key,
-                    Violation(
-                        "range",
-                        (
-                            ("state", t.source),
-                            ("read", t.read),
-                            ("top", t.top),
-                            ("target", t.target),
-                            ("move", t.move),
-                            ("prob", t.prob),
-                        ),
-                        dist,
-                    ),
-                )
-            )
-
-    sums = _Sums()
-    for t in machine.transitions:
-        if t.prob == 0:
-            continue
-        sums.add(
-            (t.source, t.read, t.top),
-            (t.target, t.op.sort_key(), t.move),
-            complex(t.prob),
-        )
-    evaluated = 0
-    for (q, a, b), total in sums.totals():
-        evaluated += 1
-        s = total.real
-        if abs(s - 1) > tol:
-            viols.append(
-                (
-                    "1",
-                    (q, a, b),
-                    Violation(
-                        "1",
-                        (("state", q), ("read", a), ("top", b)),
-                        _norm_residual(s),
-                    ),
-                )
-            )
-
+            key = (t.source, t.read, t.top, t.target, t.move)
+            viols.append(_violation("range", key, dist, t.prob))
+    norms = _column_norms(
+        [t for t in machine.transitions if t.prob != 0], lambda t: t.prob
+    )
+    evaluated = _norm_violations(norms, norms, lambda s: abs(s - 1) > tol, viols)
     return _finish(viols, "total", {"1": evaluated})
 
 
@@ -621,7 +429,6 @@ def audit_unitarity(
     word,
     depth: int = 10,
     tol: float = 1e-9,
-    cap: int = CONFIG_CAP,
 ) -> AuditReport:
     """Evolve every configuration reachable within ``depth`` steps and verify
     that images have unit norm and are pairwise orthogonal.
@@ -669,9 +476,9 @@ def audit_unitarity(
                 if succ not in seen:
                     seen[succ] = succ.view()
                     new.append(succ)
-            if len(seen) > cap:
+            if len(seen) > CONFIG_CAP:
                 raise StateSpaceOverflow(
-                    f"audit exceeded {cap} configurations"
+                    f"audit exceeded {CONFIG_CAP} configurations"
                 )
         frontier = new
         if not frontier:

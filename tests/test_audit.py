@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qpag import problem1
+from qpag import problem1, wellformed
 from qpag.errors import InvariantError, StateSpaceOverflow
 from qpag.wellformed import audit_unitarity
 
@@ -103,9 +103,10 @@ def test_depth_must_be_positive():
         audit_unitarity(problem1.build_machine(), "a#a#a", depth=0)
 
 
-def test_audit_cap_overflow():
+def test_audit_cap_overflow(monkeypatch):
+    monkeypatch.setattr(wellformed, "CONFIG_CAP", 16)
     with pytest.raises(StateSpaceOverflow):
-        audit_unitarity(TOTAL_MACHINES["splitter"](), "0000000000", depth=10, cap=16)
+        audit_unitarity(TOTAL_MACHINES["splitter"](), "0000000000", depth=10)
 
 
 @pytest.mark.parametrize("name", sorted(TOTAL_MACHINES))

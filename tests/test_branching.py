@@ -151,9 +151,10 @@ def test_forking_walker_doubles():
     assert counts == [2, 4, 8]
 
 
-def test_branch_cap_enforced():
+def test_branch_cap_enforced(monkeypatch):
+    monkeypatch.setattr(branching, "BRANCH_CAP", 4)
     with pytest.raises(StateSpaceOverflow):
-        run_qcpda(forking_walker(), "0101", max_steps=20, branch_cap=4)
+        run_qcpda(forking_walker(), "0101", max_steps=20)
 
 
 def test_branch_cap_trips_while_frontier_grows(monkeypatch):
@@ -170,8 +171,9 @@ def test_branch_cap_trips_while_frontier_grows(monkeypatch):
     run_qcpda(forking_walker(), "0101", max_steps=20)
     full = dict(stepped)
     stepped.clear()
+    monkeypatch.setattr(branching, "BRANCH_CAP", 4)
     with pytest.raises(StateSpaceOverflow, match=r"at step \d+$") as info:
-        run_qcpda(forking_walker(), "0101", max_steps=20, branch_cap=4)
+        run_qcpda(forking_walker(), "0101", max_steps=20)
     step = int(re.search(r"at step (\d+)$", str(info.value)).group(1))
     assert max(stepped) == step
     assert 0 < stepped[step] < full[step]
@@ -190,14 +192,6 @@ def test_run_qcpda_does_not_depend_on_table_order():
             ), (seed, word)
 
 
-def test_prune_prob_moves_mass_to_truncation():
-    # branch weights decay geometrically: a coarse threshold starts eating
-    # them after a couple of splits, and all of it lands in truncation_loss
-    res = run_qcpda(forking_walker(), "0101", max_steps=8, prune_prob=0.2)
-    assert res.truncation_loss > 0.0
-    assert res.total() == pytest.approx(1.0, abs=1e-9)
-
-
 def test_pop_on_bottom_raises():
     rows = []
     for read in _ALPHA.symbols:
@@ -208,12 +202,13 @@ def test_pop_on_bottom_raises():
         run_qcpda(m, "0")
 
 
-def test_fingerprint_merges_identical_branches():
+def test_fingerprint_merges_identical_branches(monkeypatch):
     # a step-t branch of the forking walker is determined by its landing
     # state, its push count and a sign, so merging keeps the frontier linear
     # in t even though the raw tree doubles; a cap far below 2^8 only
     # survives if equal fingerprints actually collapse
-    res = run_qcpda(forking_walker(), "0" * 8, max_steps=8, branch_cap=28)
+    monkeypatch.setattr(branching, "BRANCH_CAP", 28)
+    res = run_qcpda(forking_walker(), "0" * 8, max_steps=8)
     assert res.total() == pytest.approx(1.0, abs=1e-9)
     raw = dump_branches(forking_walker(), "0" * 8, max_steps=5, limit=64)
     assert [len(level["branches"]) for level in raw["levels"]] == [2, 4, 8, 16, 32]

@@ -152,11 +152,16 @@ def test_trace_depth_caps_entries():
     assert all(len(s.survivors) <= 3 for s in res.trace)
 
 
-def test_config_cap_overflow():
+def _cap_vectors(monkeypatch, cap):
+    monkeypatch.setattr(simulate, "evolve", partial(simulate.evolve, cap=cap))
+
+
+def test_config_cap_overflow(monkeypatch):
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "000000")
+    _cap_vectors(monkeypatch, 8)
     with pytest.raises(StateSpaceOverflow):
-        for _ in trajectory(m, tape, max_steps=20, config_cap=8):
+        for _ in trajectory(m, tape, max_steps=20):
             pass
 
 
@@ -178,8 +183,9 @@ def test_config_cap_trips_during_accumulation(monkeypatch):
     for _ in trajectory(m, tape, max_steps=20):
         per_step.append(calls - sum(per_step))
     calls = 0
+    _cap_vectors(monkeypatch, 8)
     with pytest.raises(StateSpaceOverflow, match=r"at step \d+$") as info:
-        for _ in trajectory(m, tape, max_steps=20, config_cap=8):
+        for _ in trajectory(m, tape, max_steps=20):
             pass
     step = int(re.search(r"at step (\d+)$", str(info.value)).group(1))
     in_failing_step = calls - sum(per_step[: step - 1])
@@ -389,11 +395,11 @@ def test_run_many_cell_table_stays_bounded():
 def test_run_many_overflow_names_the_step(monkeypatch):
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "00")
-    with pytest.raises(StateSpaceOverflow) as single:
-        for _ in trajectory(m, tape, default_max_steps(2), config_cap=8):
-            pass
     first = run(m, "0")
-    monkeypatch.setattr(simulate, "evolve", partial(simulate.evolve, cap=8))
+    _cap_vectors(monkeypatch, 8)
+    with pytest.raises(StateSpaceOverflow) as single:
+        for _ in trajectory(m, tape, default_max_steps(2)):
+            pass
     results = run_many(m, ["0", "00"])
     assert next(results) == first
     with pytest.raises(StateSpaceOverflow) as batch:

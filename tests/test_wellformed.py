@@ -16,7 +16,7 @@ from qpag.model import (
     TransitionQPAG,
     push,
 )
-from qpag.wellformed import check_ppa, check_qcpda, check_qpag
+from qpag.wellformed import audit_unitarity, check_ppa, check_qcpda, check_qpag
 
 from .corpus import TOTAL_MACHINES, coin_ppa, dpda_wcwr, mutants
 from .generators import random_qcpda
@@ -199,6 +199,186 @@ def test_declared_push_strings_widen_candidates():
     assert "3b" in got
 
 
+_GAMMA_ZA = StackAlphabet(symbols=("Z", "a"), bottom="Z")
+_H = 2**-0.5 + 0j
+
+
+def _same_column_push_extends():
+    # (q, 0, a) keeps its stack or pushes a: from the stacks Za and Zaa that
+    # the start column lays down, both rows reach (t, 2, Zaa)
+    rows = [
+        TransitionQPAG("s", "<", "Z", "q", push("a"), 1, _H),
+        TransitionQPAG("s", "<", "Z", "q", push("a", "a"), 1, _H),
+        TransitionQPAG("q", "0", "a", "t", EPSILON, 1, _H),
+        TransitionQPAG("q", "0", "a", "t", push("a"), 1, _H),
+    ]
+    return _tiny(rows, states=("s", "q", "t"), gamma=_GAMMA_ZA)
+
+
+def _same_column_head_shift():
+    # (b0, 0, Z) stays or advances: from heads 1 and 2, both reach
+    # (b1, 2, Z); the first three rows put b0 on both heads
+    rows = [
+        TransitionQPAG("s", "<", "Z", "b0", EPSILON, 1, _H),
+        TransitionQPAG("s", "<", "Z", "c", EPSILON, 1, _H),
+        TransitionQPAG("c", "0", "Z", "b0", EPSILON, 1, 1 + 0j),
+        TransitionQPAG("b0", "0", "Z", "b1", EPSILON, 0, _H),
+        TransitionQPAG("b0", "0", "Z", "b1", EPSILON, 1, _H),
+    ]
+    return _tiny(rows, states=("s", "b0", "b1", "c"), gamma=_GAMMA_ZA)
+
+
+@pytest.mark.parametrize(
+    "build, cid, state",
+    [(_same_column_push_extends, "3a", "q"), (_same_column_head_shift, "4", "b0")],
+)
+def test_rows_of_one_column_pair_like_any_other(build, cid, state):
+    # two rows of one column act on configurations that differ in stack or
+    # head; the audit sees their images overlap, so the checker must too
+    m = build()
+    audit = audit_unitarity(m, "00", depth=3)
+    assert [f.kind for f in audit.failures] == ["orthogonality"]
+    assert audit.failures[0].value == pytest.approx(0.5, abs=1e-12)
+    assert {c.state for c in audit.failures[0].configs} == {state}
+    rep = check_qpag(m)
+    assert [v.condition for v in rep.violations] == [cid]
+    v = rep.violations[0]
+    assert dict(v.witness)["state1"] == dict(v.witness)["state2"] == state
+    assert v.residual == pytest.approx(0.5, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# witnesses: field names, their order and rendered values
+# ----------------------------------------------------------------------
+
+_SHIFT_FIELDS = ("state1", "read1", "top1", "move1", "state2", "read2", "top2")
+
+
+@pytest.mark.parametrize(
+    "name, cid, witness, residual",
+    [
+        (
+            "scale-split-Z",
+            "1",
+            {"state": "q0", "read": "#", "top": "Z"},
+            1.56,
+        ),
+        (
+            "flip-q1_O0-qf_n0",
+            "2",
+            {"read": ">", "top": "Z", "state1": "q1_O0", "state2": "q1_O1"},
+            0.5,
+        ),
+        (
+            "retarget-3a",
+            "3a",
+            {
+                "read": "a",
+                "state1": "q2_I1",
+                "top1": "a",
+                "state2": "q0",
+                "top2": "Z",
+                "prefix": "",
+            },
+            1.0,
+        ),
+        (
+            "retarget-3b",
+            "3b",
+            {
+                "read": "a",
+                "state1": "q1_I0",
+                "top1": "a",
+                "state2": "q2_I1",
+                "top2": "b",
+                "op2": "epsilon",
+            },
+            1.0,
+        ),
+        (
+            "retarget-4",
+            "4",
+            {
+                "top": "Z",
+                "state1": "q1_O1",
+                "read1": "a",
+                "state2": "q1_I0",
+                "read2": "#",
+            },
+            1.0,
+        ),
+        (
+            "retarget-5a",
+            "5a",
+            dict(
+                zip(_SHIFT_FIELDS, ("q2_I1", "b", "a", 0, "q0", "a", "Z")),
+                move2=1,
+                prefix="",
+            ),
+            1.0,
+        ),
+        (
+            "retarget-5b",
+            "5b",
+            dict(
+                zip(_SHIFT_FIELDS, ("q1_I0", "a", "a", 1, "q2_I1", "c", "a")),
+                move2=0,
+                op2="epsilon",
+            ),
+            1.0,
+        ),
+        (
+            "pop-bottom",
+            "pop-on-z",
+            {
+                "state": "q1_I0",
+                "read": "a",
+                "top": "Z",
+                "target": "q1_I0",
+                "move": 1,
+            },
+            1.0,
+        ),
+    ],
+)
+def test_mutant_witness_pinned(name, cid, witness, residual):
+    by_name = {m.name: m.machine for m in mutants()}
+    rep = check_qpag(by_name[name])
+    v = next(v for v in rep.violations if v.condition == cid)
+    assert v.witness == tuple(witness.items())
+    assert v.residual == pytest.approx(residual, abs=1e-12)
+
+
+def test_push_op_and_prefix_witnesses_rendered():
+    # op2 renders a push as "push:<tokens>", prefix as its token string
+    gamma = StackAlphabet(symbols=("Z", "x", "y"), bottom="Z")
+    rows = [
+        TransitionQPAG("s0", "0", "x", "s2", POP, 1, 1 + 0j),
+        TransitionQPAG("s1", "0", "x", "s2", push("y", "x"), 1, 1 + 0j),
+        TransitionQPAG("s0", "1", "x", "s2", push("y"), 1, 1 + 0j),
+        TransitionQPAG("s2", "0", "x", "s1", EPSILON, 1, 1 + 0j),
+        TransitionQPAG("s0", "0", "y", "s1", push("y", "x"), 1, 1 + 0j),
+    ]
+    rep = check_qpag(_tiny(rows, states=("s0", "s1", "s2"), gamma=gamma))
+    got = {v.condition: v.witness for v in rep.violations}
+    assert got["3b"] == (
+        ("read", "0"),
+        ("state1", "s0"),
+        ("top1", "x"),
+        ("state2", "s1"),
+        ("top2", "x"),
+        ("op2", "push:yx"),
+    )
+    assert got["3a"] == (
+        ("read", "0"),
+        ("state1", "s2"),
+        ("top1", "x"),
+        ("state2", "s0"),
+        ("top2", "y"),
+        ("prefix", "y"),
+    )
+
+
 # ----------------------------------------------------------------------
 # scheduled-stack checker
 # ----------------------------------------------------------------------
@@ -350,6 +530,41 @@ def test_ppa_range_flagged():
     assert residuals == [
         pytest.approx(0.2, abs=1e-12),
         pytest.approx(0.2, abs=1e-12),
+    ]
+
+
+def test_ppa_witnesses_pinned():
+    m = _ppa_single(
+        [
+            TransitionPPA("p0", "a", "Z", "p0", EPSILON, 1, 1.2),
+            TransitionPPA("p0", "a", "Z", "p1", EPSILON, 0, -0.3),
+        ]
+    )
+    rep = check_ppa(m)
+    assert [(v.condition, v.witness) for v in rep.violations] == [
+        ("1", (("state", "p0"), ("read", "a"), ("top", "Z"))),
+        (
+            "range",
+            (
+                ("state", "p0"),
+                ("read", "a"),
+                ("top", "Z"),
+                ("target", "p0"),
+                ("move", 1),
+                ("prob", 1.2),
+            ),
+        ),
+        (
+            "range",
+            (
+                ("state", "p0"),
+                ("read", "a"),
+                ("top", "Z"),
+                ("target", "p1"),
+                ("move", 0),
+                ("prob", -0.3),
+            ),
+        ),
     ]
 
 
