@@ -11,6 +11,12 @@ matched against three lowered steps.
 
 Transitions into accepting or rejecting states skip the staging detour: the
 run ends there and no marker is needed.
+
+``equiv_check`` runs each side's words through one ``simulate.PrefixRuns``:
+the original on ``branching.BranchSteps``, the image on ``ImageSteps``,
+the kernel's stepper with a decoherence flag in each checkpoint. A word
+resumed from a shared prefix's checkpoint inherits the flag the prefix's
+steps left, so its row equals the one a fresh run gives.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .branching import run_qcpda
+# ``compiler.run_qcpda`` and ``compiler.trajectory`` stay bound:
+# perfbench/tracing.py wraps them by these names.
+from .branching import BranchSteps, run_qcpda  # noqa: F401
 from .errors import NonWellFormedInput
 from .model import (
     EPSILON,
@@ -28,9 +36,8 @@ from .model import (
     StackOp,
     TransitionQPAG,
     default_max_steps,
-    make_tape,
 )
-from .simulate import tally, trajectory
+from .simulate import KernelSteps, PrefixRuns, trajectory  # noqa: F401
 from .wellformed import check_qcpda
 
 
@@ -199,26 +206,38 @@ class EquivReport:
         }
 
 
-def _image_run(machine, word, budget):
-    """Run the lowered machine and check that components sharing a garbage
-    history also share a stack at every completed three-step block."""
-    tape = make_tape(machine, word)
-    decoherent = True
+class ImageSteps(KernelSteps):
+    """The stepper behind the image runs of ``equiv_check``: the kernel's
+    steps, with a checkpoint that also carries the decoherence flag, true
+    while components sharing a garbage history have shared a stack at
+    every completed three-step block so far."""
 
-    def checked():
-        nonlocal decoherent
-        for rec in trajectory(machine, tape, budget):
-            if rec.step % 3 == 0:
-                groups: dict = {}
-                # interned cells are equal exactly when their tapes are
-                for conf in rec.vector:
-                    groups.setdefault(conf.garbage, set()).add(conf.stack)
-                if any(len(stacks) > 1 for stacks in groups.values()):
-                    decoherent = False
-            yield rec
+    def start(self):
+        return super().start(), True
 
-    res = tally(machine, checked())
-    return res.p_acc, res.p_rej, res.p_non, decoherent
+    def step(self, point, tape, i):
+        inner, head = super().step(point[0], tape, i)
+        decoherent = point[1]
+        if decoherent and i % 3 == 0:
+            groups: dict = {}
+            # interned cells are equal exactly when their tapes are
+            for conf in inner[0]:
+                groups.setdefault(conf.garbage, set()).add(conf.stack)
+            decoherent = all(len(stacks) == 1 for stacks in groups.values())
+        return (inner, decoherent), head
+
+    def alive(self, point) -> bool:
+        return super().alive(point[0])
+
+    def result(self, point, steps: int):
+        res = super().result(point[0], steps)
+        return res.p_acc, res.p_rej, res.p_non, point[1]
+
+    def size(self, point) -> int:
+        return super().size(point[0])
+
+    def cells(self, point):
+        return super().cells(point[0])
 
 
 def equiv_check(
@@ -229,13 +248,17 @@ def equiv_check(
     tol: float = 1e-9,
 ) -> EquivReport:
     """Compare the two machines word by word, giving the lowered machine
-    three steps for every original step."""
+    three steps for every original step. Each side runs the words through
+    one ``PrefixRuns``, so consecutive words share the steps their common
+    prefix fixes."""
+    originals = PrefixRuns(BranchSteps(original))
+    images = PrefixRuns(ImageSteps(image))
     rows = []
     for word in words:
         word = tuple(word)
         budget = max_steps if max_steps is not None else default_max_steps(len(word))
-        orig = run_qcpda(original, word, max_steps=budget)
-        ia, ir, inon, deco = _image_run(image, word, 3 * budget)
+        orig = originals.run(word, budget)
+        ia, ir, inon, deco = images.run(word, 3 * budget)
         da = abs(orig.p_acc - ia)
         dr = abs(orig.p_rej - ir)
         ok = da <= tol and dr <= tol and deco

@@ -28,7 +28,6 @@ from typing import NamedTuple, Optional, Union
 from .errors import (
     EndmarkerInWord,
     InvariantError,
-    PopOnBottom,
     UnknownSymbol,
 )
 
@@ -89,21 +88,6 @@ POP = StackOp("pop")
 
 def push(*tokens: str) -> StackOp:
     return StackOp("push", tuple(tokens))
-
-
-def apply_stack_op(stack: tuple[str, ...], op: StackOp):
-    """Apply ``op`` to ``stack``; return (new stack, garbage delta).
-
-    Popping moves the removed top onto the garbage delta. Popping a stack
-    holding only the bottom symbol raises PopOnBottom.
-    """
-    if op.kind == "epsilon":
-        return stack, ()
-    if op.kind == "push":
-        return stack + op.payload, ()
-    if len(stack) <= 1:
-        raise PopOnBottom(f"pop on stack {join_tokens(stack)!r}")
-    return stack[:-1], (stack[-1],)
 
 
 def join_tokens(tokens) -> str:

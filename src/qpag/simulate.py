@@ -3,7 +3,7 @@ that every quantum engine shares.
 
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
-  in a table that belongs to one run or one ``run_many`` batch (``cons``),
+  in a table that belongs to one run or one ``PrefixRuns`` batch (``cons``),
   so equal tapes are the same object, a ``CellConfiguration`` hashes and
   compares in O(1), and a push, a pop or a garbage append costs O(1)
   whatever the depth. Cells point down to their parents only, so a run's
@@ -12,7 +12,8 @@ that every quantum engine shares.
   ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
   trace and ``wellformed.audit_unitarity``'s reports.
 * ``stack_after(table, stack, op)`` applies a stack operation to a cell
-  stack; ``classical.run_ppa`` keeps its stacks through it.
+  stack; ``classical.run_ppa`` and ``branching`` keep their stacks
+  through it.
   ``successor(table, conf, t)`` is the garbage-tape successor rule over
   cells: row ``t``'s stack operation and head move, with a popped symbol
   appended to the garbage tape. ``trajectory`` and
@@ -20,31 +21,55 @@ that every quantum engine shares.
 * ``evolve(psi, tape, columns, top, succ)`` is one unmeasured step of any
   sparse vector whose keys start with (state, head): expand every key
   through its column, accumulate, count parked and undefined-column mass,
-  and prune. ``trajectory`` (behind ``run`` and the image runs of
-  ``compiler.equiv_check``) and ``branching.qcpda_step`` step through it.
-* ``tally`` folds a trajectory into the four-mass ledger for ``run`` and
-  the image runs of ``compiler.equiv_check``.
-* ``run_many(machine, words)`` yields ``run``'s untraced result for each
-  word, in order; ``problem1.sweep`` runs through it. A step reads the
-  tape only at the heads of the vector entering it (the parked check
-  compares a head with the tape's length), and heads move 0 or 1, never
-  left. So two tapes that agree below position L give the same vectors
-  and the same running sums through every step whose entering heads all
-  stayed below L. ``PrefixRuns`` keeps one checkpoint per step of the
-  previous word: the vector after it, the four running sums added in
-  ``tally``'s order, its squared norm, and the largest head that entered
-  any step so far. The next word resumes from the last checkpoint whose
-  largest head lies below the common prefix of the two tapes; its result
-  is checkpoint ``min(budget, last)``, and a ``HALT_MASS`` stop, which
-  reads no tape, carries over. The sums are the very floats ``run``
-  computes, so the results are equal with ``==``. No tape is a proper
-  prefix of another, because a tape ends with the right endmarker and no
-  word holds one; so a checkpoint below the common prefix never saw a
-  parked check the two lengths decide differently. All words share one
+  and prune. ``trajectory`` (behind ``run``), the steppers below and
+  ``branching.qcpda_step`` step through it.
+* ``tally`` folds a trajectory into the four-mass ledger for ``run``.
+* ``PrefixRuns(stepper)`` is the one checkpoint-and-resume driver: it runs
+  one word after another, each resuming from the last step the previous
+  word's run shares with it. A stepper supplies ``start()``, checkpoint 0;
+  ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
+  with the largest head step ``i`` read; ``alive(point)``, whether another
+  step may follow; ``result(point, steps)``, the run's result at that
+  checkpoint; ``size(point)``, the entries a checkpoint holds, and
+  ``cap``, the most entries one may hold; and, for the cell table it keeps
+  in ``table``, ``cells(point)``, the cells a checkpoint holds. The
+  steppers are
+  ``KernelSteps`` behind ``run_many`` (the vector, the four running sums
+  added in ``tally``'s order, and the vector's squared norm),
+  ``compiler.ImageSteps`` behind the image half of
+  ``compiler.equiv_check`` (the same, and the decoherence flag), and
+  ``branching.BranchSteps`` behind ``branching.run_qcpda`` and the other
+  half (the merged branch frontier and the running p_acc, p_rej, p_non and
+  truncation sums).
+* Why resuming is exact: a step reads the tape only at the heads of what
+  enters it (the parked check compares a head with the tape's length),
+  and heads move 0 or 1, never left. So two tapes that agree below
+  position L give the same checkpoints through every step whose entering
+  heads all stayed below L. ``PrefixRuns`` keeps the checkpoints of the
+  previous word's first steps and the largest head that entered any step
+  so far; the next word resumes from the last kept checkpoint whose
+  largest head lies below the common prefix of the two tapes, and its
+  result is checkpoint ``min(budget, last)``. A stop the ``alive`` test
+  makes reads no tape, so it carries over. The checkpoints hold the very
+  floats a fresh run computes, so the results are equal with ``==``. No
+  tape is a proper prefix of another, because a tape ends with the right
+  endmarker and no word holds one; so a checkpoint below the common prefix
+  never saw a parked check the two lengths decide differently, and a tape
+  of length T shares at most T - 1 symbols with any other.
+* What ``PrefixRuns`` keeps: a run stops keeping checkpoints at the first
+  step whose largest head reaches T - 1, since only the same tape again
+  could resume there, and at the first checkpoint that would lift the
+  entries kept past the stepper's ``cap``; it steps on from a rolling
+  checkpoint. So the kept checkpoints together hold at most as much as one
+  live checkpoint may, and a single run holds at most twice that.
+  Dropping a checkpoint costs only recomputation. All words share one
   cell table. When it grows past twice its size after the last rebuild,
   it is rebuilt from the cells the kept checkpoints reach. So it never
   holds more than twice the cells reached at the last rebuild, and each
   rebuild follows at least as many new cells as it keeps.
+* ``run_many(machine, words)`` yields ``run``'s untraced result for each
+  word, in order, through ``PrefixRuns(KernelSteps(machine))``;
+  ``problem1.sweep`` runs through it.
 
 One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /
@@ -211,7 +236,7 @@ def _stack_top(conf: CellConfiguration) -> str:
     return conf.stack.symbol
 
 
-def evolve(psi, tape, columns, top, succ, cap: int = CONFIG_CAP):
+def evolve(psi, tape, columns, top, succ):
     """Apply one transition-table step to a sparse vector whose keys start
     with (state, head). ``top(key)`` is the stack top the key reads and
     ``succ(key, t)`` the key row ``t`` leads to.
@@ -219,10 +244,11 @@ def evolve(psi, tape, columns, top, succ, cap: int = CONFIG_CAP):
     Returns (new vector, parked mass, truncated mass): parked is the mass
     whose head is past the right endmarker, truncated the mass on undefined
     columns plus the amplitudes pruned below ``PRUNE_THRESHOLD``. Raises
-    StateSpaceOverflow as soon as the new vector holds more than ``cap``
-    keys.
+    StateSpaceOverflow as soon as the new vector holds more than
+    ``CONFIG_CAP`` keys, read when the call starts.
     """
     n = len(tape)
+    cap = CONFIG_CAP
     out: dict = {}
     parked = 0.0
     truncated = 0.0
@@ -313,77 +339,133 @@ def _common_prefix(a: tuple, b: tuple) -> int:
     return n
 
 
-class PrefixRuns:
-    """The checkpoint path behind ``run_many``: one ``run`` after another,
-    each resuming from the last step the previous word's run shares with it.
+class KernelSteps:
+    """The stepper behind ``run_many``: ``trajectory``'s loop, one step at a
+    time. A checkpoint is the vector after the step, the running (p_acc,
+    p_rej, parked, truncated) sums added in ``tally``'s order, and the
+    vector's squared norm."""
 
-    ``path[i]`` is checkpoint ``i``: the vector after step ``i`` with the
-    running (p_acc, p_rej, parked, truncated) sums and the vector's squared
-    norm. ``reach[i]`` is the largest head of any vector that entered steps
-    1..i, or -1 for ``i = 0``. ``table`` holds the cells of every run.
-    """
-
-    def __init__(self, machine: MachineQPAG, max_steps: Optional[int] = None):
+    def __init__(self, machine: MachineQPAG):
         self.machine = machine
-        self.max_steps = max_steps
         self.table: dict = {}
         self._succ = partial(successor, self.table)
+
+    def start(self):
+        psi = {start(self.machine, self.table): 1 + 0j}
+        return (psi, 0.0, 0.0, 0.0, 0.0, vector_norm_sq(psi))
+
+    def step(self, point, tape, i):
+        psi, acc, rej, parked, truncated, _ = point
+        read = max(conf[1] for conf in psi)
+        psi, d_parked, d_truncated = evolve(
+            psi, tape, self.machine.columns, _stack_top, self._succ
+        )
+        psi, d_acc, d_rej = measure(self.machine, psi)
+        point = (
+            psi,
+            acc + d_acc,
+            rej + d_rej,
+            parked + d_parked,
+            truncated + d_truncated,
+            vector_norm_sq(psi),
+        )
+        return point, read
+
+    def alive(self, point) -> bool:
+        return not point[5] < HALT_MASS
+
+    def result(self, point, steps: int) -> RunResult:
+        _, acc, rej, parked, truncated, norm = point
+        return RunResult(acc, rej, parked + norm, truncated, steps, None)
+
+    def size(self, point) -> int:
+        return len(point[0])
+
+    @property
+    def cap(self) -> int:
+        return CONFIG_CAP
+
+    def cells(self, point):
+        for conf in point[0]:
+            yield conf.stack
+            yield conf.garbage
+
+
+class PrefixRuns:
+    """The checkpoint-and-resume driver: one run after another of the
+    stepper's machine, each resuming from the last step the previous word's
+    run shares with it.
+
+    ``path[i]`` is the stepper's checkpoint ``i``, kept for the first
+    steps of the last run only. ``reach[i]`` is the largest head that any
+    of steps 1..i read, or -1 for ``i = 0``. ``held[i]`` is the entries
+    checkpoints 0..i hold together. ``table`` is the stepper's cell table,
+    which holds the cells of every run.
+    """
+
+    def __init__(self, stepper):
+        self.stepper = stepper
+        self.table: dict = stepper.table
         self.tape: tuple = ()
-        psi = {start(machine, self.table): 1 + 0j}
-        self.path = [(psi, 0.0, 0.0, 0.0, 0.0, vector_norm_sq(psi))]
+        self.path = [stepper.start()]
         self.reach = [-1]
+        self.held = [stepper.size(self.path[0])]
         self._table_limit = 2 * len(self.table)
 
-    def run(self, word) -> RunResult:
-        """``run(machine, word, max_steps)``, untraced."""
-        machine = self.machine
-        tape = make_tape(machine, word)
-        budget = self.max_steps
+    def run(self, word, max_steps: Optional[int] = None):
+        """The stepper's result for ``word`` after at most ``max_steps``
+        steps (``default_max_steps`` of the word's length if None)."""
+        stepper = self.stepper
+        tape = make_tape(stepper.machine, word)
+        budget = max_steps
         if budget is None:
             budget = default_max_steps(len(tape) - 2)
         path = self.path
         reach = self.reach
+        held = self.held
         # reach is nondecreasing: keep the checkpoints that read only the
         # shared prefix
         keep = bisect_left(reach, _common_prefix(self.tape, tape))
-        del path[keep:], reach[keep:]
+        del path[keep:], reach[keep:], held[keep:]
         self.tape = tape
-        psi, acc, rej, parked, truncated, norm = path[-1]
+        # another tape shares at most len(tape) - 1 symbols with this one,
+        # so it resumes only from a checkpoint whose reach is below that
+        shared = len(tape) - 1
+        cap = stepper.cap
+        point = path[-1]
         read = reach[-1]
         step = len(path)
-        columns = machine.columns
-        while step <= budget and not norm < HALT_MASS:
-            read = max(read, max(conf[1] for conf in psi))
+        while step <= budget and stepper.alive(point):
             try:
-                psi, d_parked, d_truncated = evolve(
-                    psi, tape, columns, _stack_top, self._succ
-                )
+                point, head = stepper.step(point, tape, step)
             except StateSpaceOverflow as exc:
                 raise StateSpaceOverflow(f"{exc} at step {step}") from None
-            psi, d_acc, d_rej = measure(machine, psi)
-            acc += d_acc
-            rej += d_rej
-            parked += d_parked
-            truncated += d_truncated
-            norm = vector_norm_sq(psi)
-            path.append((psi, acc, rej, parked, truncated, norm))
-            reach.append(read)
+            read = max(read, head)
+            # keep checkpoints while the path runs unbroken to this step
+            if len(path) == step and read < shared:
+                total = held[-1] + stepper.size(point)
+                if total <= cap:
+                    path.append(point)
+                    reach.append(read)
+                    held.append(total)
             step += 1
+        # point is checkpoint step - 1; an earlier one is kept
+        steps = min(budget, step - 1)
+        if steps < step - 1:
+            point = path[steps]
+        result = stepper.result(point, steps)
         if len(self.table) > self._table_limit:
             self._rebuild_table()
-        steps = min(budget, len(path) - 1)
-        _, acc, rej, parked, truncated, norm = path[steps]
-        return RunResult(acc, rej, parked + norm, truncated, steps, None)
+        return result
 
     def _rebuild_table(self):
-        """Keep only the cells the path's vectors reach."""
+        """Keep only the cells the path's checkpoints reach."""
         kept: dict = {}
-        for entry in self.path:
-            for conf in entry[0]:
-                for cell in (conf.stack, conf.garbage):
-                    while cell.depth and (cell.parent, cell.symbol) not in kept:
-                        kept[cell.parent, cell.symbol] = cell
-                        cell = cell.parent
+        for point in self.path:
+            for cell in self.stepper.cells(point):
+                while cell.depth and (cell.parent, cell.symbol) not in kept:
+                    kept[cell.parent, cell.symbol] = cell
+                    cell = cell.parent
         self.table.clear()
         self.table.update(kept)
         self._table_limit = 2 * len(kept)
@@ -395,9 +477,9 @@ def run_many(
     """Yield ``run(machine, word, max_steps)`` for each word, in order,
     sharing the steps that consecutive words' common tape prefix fixes.
     Words are read one at a time, as results are taken."""
-    runs = PrefixRuns(machine, max_steps)
+    runs = PrefixRuns(KernelSteps(machine))
     for word in words:
-        yield runs.run(word)
+        yield runs.run(word, max_steps)
 
 
 def run(

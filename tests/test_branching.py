@@ -19,7 +19,16 @@ from qpag.model import (
     make_tape,
     push,
 )
-from qpag.branching import dump_branches, initial_branch, qcpda_step, run_qcpda
+from qpag.branching import (
+    Branch,
+    BranchSteps,
+    StepDeltas,
+    dump_branches,
+    initial_branch,
+    qcpda_step,
+    run_qcpda,
+)
+from qpag.simulate import PrefixRuns
 from qpag.wellformed import check_qcpda
 
 from .generators import random_qcpda, words_up_to
@@ -212,6 +221,62 @@ def test_fingerprint_merges_identical_branches(monkeypatch):
     assert res.total() == pytest.approx(1.0, abs=1e-9)
     raw = dump_branches(forking_walker(), "0" * 8, max_steps=5, limit=64)
     assert [len(level["branches"]) for level in raw["levels"]] == [2, 4, 8, 16, 32]
+
+
+def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
+    # two children with one stack and equal amplitudes, their psi dicts
+    # filled in opposite orders, must merge into one branch
+    m = forking_walker()
+    parent = initial_branch(m)
+    psi = {("f0", 1): H + 0j, ("f1", 1): -H + 0j}
+    twins = tuple(
+        Branch(0.5, parent.cell, dict(items), 1, parent.table)
+        for items in (psi.items(), reversed(psi.items()))
+    )
+    assert list(twins[0].psi) != list(twins[1].psi)
+    monkeypatch.setattr(
+        branching, "qcpda_step", lambda *args: StepDeltas(twins, 0.0, 0.0, 0.0, 0.0)
+    )
+    (frontier, *_), _ = BranchSteps(m).step(
+        ((parent,), 0.0, 0.0, 0.0, 0.0), make_tape(m, "0"), 1
+    )
+    assert len(frontier) == 1
+    assert frontier[0].prob == 1.0
+    assert frontier[0].stack == ("Z",)
+
+
+def test_run_qcpda_batch_equals_fresh_runs():
+    words = words_up_to(4)
+    for seed in range(0, 40, 2):
+        m = random_qcpda(seed)
+        order = random.Random(seed).sample(words, len(words)) + words[::-1]
+        for budget in (0, 1, 8):
+            runs = PrefixRuns(BranchSteps(m))
+            got = [runs.run(w, budget) for w in order]
+            assert got == [run_qcpda(m, w, max_steps=budget) for w in order], (
+                seed,
+                budget,
+            )
+
+
+def test_single_word_run_keeps_a_bounded_path(monkeypatch):
+    # the halting walker reads one more cell each step: no checkpoint that
+    # read the last cell can serve another word, so none is kept
+    runs = PrefixRuns(BranchSteps(halting_walker()))
+    assert runs.run("0101") == run_qcpda(halting_walker(), "0101")
+    assert runs.reach[-1] < len(make_tape(halting_walker(), "0101")) - 1
+    # a forking walker that never moves reads cell 0 only, and its frontier
+    # grows each step: the kept frontiers together hold at most BRANCH_CAP
+    # branches, with the results of uncapped runs
+    m = forking_walker()
+    m = replace(m, transitions=tuple(replace(t, move=0) for t in m.transitions))
+    full = [run_qcpda(m, w, max_steps=20) for w in ("01", "00", "01")]
+    monkeypatch.setattr(branching, "BRANCH_CAP", 100)
+    runs = PrefixRuns(BranchSteps(m))
+    for word, expected in zip(("01", "00", "01"), full):
+        assert runs.run(word, 20) == expected
+        assert runs.held[-1] == sum(len(point[0]) for point in runs.path) <= 100
+        assert 1 < len(runs.path) < 21
 
 
 def test_parked_branches_retire_to_non_halting():

@@ -1,5 +1,7 @@
 """Lowering scheduled-stack machines onto the garbage-tape model."""
 
+import random
+
 import pytest
 
 from qpag.compiler import compile_qcpda, equiv_check
@@ -9,8 +11,10 @@ from qpag.model import (
     POP,
     InputAlphabet,
     MachineQCPDA,
+    MachineQPAG,
     StackAlphabet,
     TransitionQCPDA,
+    TransitionQPAG,
     make_tape,
     push,
 )
@@ -18,7 +22,7 @@ from qpag.simulate import run, trajectory
 from qpag.wellformed import check_qpag
 
 from .generators import random_qcpda, words_up_to
-from .test_branching import forking_walker, halting_walker, push_pop_walker
+from .test_branching import H, forking_walker, halting_walker, push_pop_walker
 
 
 def test_image_is_well_formed():
@@ -194,3 +198,68 @@ def test_equiv_report_json_round_trip():
     assert set(doc["rows"][0]) >= {
         "word", "p_acc_original", "p_acc_image", "delta_acc", "decoherent", "passed",
     }
+
+
+def test_equiv_check_batch_rows_equal_single_word_rows():
+    words = words_up_to(4)
+    for seed in range(20):
+        m = random_qcpda(seed)
+        image, _ = compile_qcpda(m)
+        rng = random.Random(seed)
+        orders = (
+            words,
+            rng.sample(words, len(words)),
+            [w for w in words for _ in (0, 1)] + words[::-1],
+        )
+        for budget in (0, 1, 7, 8):
+            single = {
+                w: equiv_check(m, image, [w], max_steps=budget).rows[0] for w in words
+            }
+            for order in orders:
+                rows = equiv_check(m, image, order, max_steps=budget).rows
+                assert list(rows) == [single[w] for w in order], (seed, budget)
+
+
+def split_on_one() -> MachineQPAG:
+    """s scans the word until its first 1, which splits it into p, which
+    pushes x, and q, which does not. One step later both accept. In between
+    they share the empty garbage tape but not the stack, so the image is
+    not decoherent exactly when the split lands on a three-step block
+    boundary: when the first 1 is the word's second symbol."""
+    alpha = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
+    gamma = StackAlphabet(symbols=("Z", "x"), bottom="Z")
+    rows = []
+    for top in gamma.symbols:
+        for read in alpha.symbols:
+            if read == "1":
+                rows.append(TransitionQPAG("s", read, top, "p", push("x"), 1, H + 0j))
+                rows.append(TransitionQPAG("s", read, top, "q", EPSILON, 1, H + 0j))
+            else:
+                rows.append(TransitionQPAG("s", read, top, "s", EPSILON, 1, 1 + 0j))
+            for q in ("p", "q"):
+                rows.append(TransitionQPAG(q, read, top, "a", EPSILON, 0, 1 + 0j))
+    return MachineQPAG(
+        states=("s", "p", "q", "a"),
+        input_alphabet=alpha,
+        stack_alphabet=gamma,
+        transitions=tuple(rows),
+        initial="s",
+        accepting=frozenset({"a"}),
+        rejecting=frozenset(),
+    )
+
+
+def test_decoherence_flag_resumes_with_the_shared_prefix():
+    # "010" resumes after "011" from the checkpoint of step 3, whose flag is
+    # already false; "0" resumes after "01" from the checkpoint of step 2,
+    # taken before the split, whose flag is still true
+    image = split_on_one()
+    words = ["01", "0", "011", "010", "00", "1", "10", "", "0100"]
+    batch = equiv_check(halting_walker(), image, words, max_steps=8).rows
+    single = [
+        equiv_check(halting_walker(), image, [w], max_steps=8).rows[0] for w in words
+    ]
+    assert list(batch) == single
+    assert [row.decoherent for row in batch] == [
+        False, True, False, False, True, True, True, True, False,
+    ]

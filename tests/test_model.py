@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from qpag.errors import (
     EndmarkerInWord,
     InvariantError,
-    PopOnBottom,
     UnknownSymbol,
 )
 from qpag.model import (
@@ -20,7 +19,6 @@ from qpag.model import (
     StackAlphabet,
     StackOp,
     TransitionQPAG,
-    apply_stack_op,
     default_max_steps,
     display_tape,
     join_tokens,
@@ -50,15 +48,6 @@ def test_stack_op_validation():
         StackOp("epsilon", ("x",))  # only push carries one
     with pytest.raises(InvariantError):
         StackOp("swap")
-
-
-def test_apply_stack_op():
-    stack = ("Z", "a")
-    assert apply_stack_op(stack, EPSILON) == (("Z", "a"), ())
-    assert apply_stack_op(stack, POP) == (("Z",), ("a",))
-    assert apply_stack_op(stack, push("b", "c")) == (("Z", "a", "b", "c"), ())
-    with pytest.raises(PopOnBottom):
-        apply_stack_op(("Z",), POP)
 
 
 def test_make_tape_and_display():

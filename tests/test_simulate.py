@@ -4,7 +4,6 @@ prefix-shared batches."""
 import random
 import re
 from dataclasses import replace
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +11,18 @@ from hypothesis import strategies as st
 
 from qpag import problem1, simulate
 from qpag.compiler import compile_qcpda
-from qpag.errors import StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
-from qpag.model import Configuration, default_max_steps, make_tape
-from qpag.simulate import PrefixRuns, run, run_many, trajectory
+from qpag.errors import PopOnBottom, StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
+from qpag.model import EPSILON, POP, Configuration, default_max_steps, make_tape, push
+from qpag.simulate import (
+    EMPTY,
+    KernelSteps,
+    PrefixRuns,
+    cons,
+    run,
+    run_many,
+    stack_after,
+    trajectory,
+)
 
 from .corpus import TOTAL_MACHINES
 from .generators import random_qcpda, words_up_to
@@ -146,6 +154,19 @@ def test_trace_contents_sorted_by_weight():
     assert set(row) == {"state", "head", "stack", "garbage", "amp"}
 
 
+def test_stack_after():
+    table: dict = {}
+    bottom = cons(table, EMPTY, "Z")
+    stack = cons(table, bottom, "a")
+    assert stack_after(table, stack, EPSILON) is stack
+    assert stack_after(table, stack, POP) is bottom
+    pushed = stack_after(table, stack, push("b", "c"))
+    assert pushed.tokens() == ("Z", "a", "b", "c")
+    assert pushed is cons(table, cons(table, stack, "b"), "c")
+    with pytest.raises(PopOnBottom):
+        stack_after(table, bottom, POP)
+
+
 def test_trace_depth_caps_entries():
     res = run(TOTAL_MACHINES["splitter"](), "0000", trace_depth=3)
     assert res.trace
@@ -153,7 +174,7 @@ def test_trace_depth_caps_entries():
 
 
 def _cap_vectors(monkeypatch, cap):
-    monkeypatch.setattr(simulate, "evolve", partial(simulate.evolve, cap=cap))
+    monkeypatch.setattr(simulate, "CONFIG_CAP", cap)
 
 
 def test_config_cap_overflow(monkeypatch):
@@ -375,7 +396,7 @@ def test_run_many_cell_table_stays_bounded():
         for s in range(1100)
     }
     assert len(words) >= 1000
-    runs = PrefixRuns(m)
+    runs = PrefixRuns(KernelSteps(m))
     peak = 0
     created = 0
     for i, w in enumerate(sorted(words)):
@@ -390,6 +411,20 @@ def test_run_many_cell_table_stays_bounded():
         peak = max(peak, len(reached))
         assert len(runs.table) <= 2 * peak
     assert created > 20 * peak
+
+
+def test_prefix_runs_keep_at_most_cap_entries(monkeypatch):
+    # mixstep dwells on cell 0 for its whole run, so every step could serve
+    # a later word; the kept vectors together hold at most CONFIG_CAP keys
+    m = TOTAL_MACHINES["mixstep"]()
+    words = ("0101", "0110", "0101", "1")
+    expected = [run(m, w) for w in words]
+    monkeypatch.setattr(simulate, "CONFIG_CAP", 10)
+    runs = PrefixRuns(KernelSteps(m))
+    for word, result in zip(words, expected):
+        assert runs.run(word) == result
+        assert runs.held[-1] == sum(len(point[0]) for point in runs.path) <= 10
+        assert len(runs.path) < result.steps
 
 
 def test_run_many_overflow_names_the_step(monkeypatch):
