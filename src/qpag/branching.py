@@ -25,9 +25,9 @@ determines the key-sorted tuple of triples and back: two branches merge
 exactly when the sorted tuples would match, in whatever order their
 vectors were filled.
 
-``run_qcpda`` steps the frontier through ``BranchSteps`` on
-``simulate.PrefixRuns``, one word per run; ``compiler.equiv_check`` runs
-all its words through one ``PrefixRuns``.
+``run_qcpda`` walks one word's frontier through ``BranchSteps`` on
+``simulate.walk``, holding only the live frontier; ``simulate.PrefixRuns``
+serves only ``compiler.equiv_check``'s batches of words.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StateSpaceOverflow
-from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape
-from .simulate import EMPTY, Cell, PrefixRuns, cons, evolve, stack_after
+from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape, run_bounds
+from .simulate import EMPTY, Cell, cons, evolve, stack_after, walk
 
 BRANCH_CAP = 10**5
 
@@ -151,9 +151,9 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
 
 
 class BranchSteps:
-    """The stepper behind ``run_qcpda``. A checkpoint is the merged branch
-    frontier after the step and the running (p_acc, p_rej, p_non,
-    truncated) sums."""
+    """The stepper behind ``run_qcpda`` and ``compiler.equiv_check``. A
+    checkpoint is the merged branch frontier after the step and the running
+    (p_acc, p_rej, p_non, truncated) sums."""
 
     def __init__(self, machine: MachineQCPDA):
         self.machine = machine
@@ -217,8 +217,15 @@ def run_qcpda(
     word,
     max_steps: Optional[int] = None,
 ) -> RunResult:
-    """Full run of the branch frontier with probability accounting."""
-    return PrefixRuns(BranchSteps(machine)).run(word, max_steps)
+    """Full run of the branch frontier with probability accounting,
+    holding only the live frontier."""
+    tape, budget = run_bounds(machine, word, max_steps)
+    stepper = BranchSteps(machine)
+    point = stepper.start()
+    steps = 0
+    for steps, point, _ in walk(stepper, tape, point, 1, budget):
+        pass
+    return stepper.result(point, steps)
 
 
 def dump_branches(

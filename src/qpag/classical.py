@@ -26,9 +26,8 @@ from .model import (
     HALT_MASS,
     MachinePPA,
     RunResult,
-    default_max_steps,
     join_tokens,
-    make_tape,
+    run_bounds,
 )
 from .simulate import EMPTY, cons, stack_after
 
@@ -43,9 +42,7 @@ def run_ppa(
     word,
     max_steps: Optional[int] = None,
 ) -> RunResult:
-    tape = make_tape(machine, word)
-    if max_steps is None:
-        max_steps = default_max_steps(len(tape) - 2)
+    tape, max_steps = run_bounds(machine, word, max_steps)
     n = len(tape)
     # degenerate case: the machine halts before reading anything
     if machine.initial in machine.accepting:
@@ -114,9 +111,7 @@ def run_dpda(
                 f"column (state={col_key[0]}, read={col_key[1]}, "
                 f"top={col_key[2]}) is not a single probability-1 transition"
             )
-    tape = make_tape(machine, word)
-    if max_steps is None:
-        max_steps = default_max_steps(len(tape) - 2)
+    tape, max_steps = run_bounds(machine, word, max_steps)
     n = len(tape)
     state = machine.initial
     head = 0

@@ -418,6 +418,15 @@ def make_tape(machine: Machine, word) -> tuple[str, ...]:
     return (alpha.left_end,) + word + (alpha.right_end,)
 
 
+def run_bounds(machine: Machine, word, max_steps: Optional[int]) -> tuple[tuple, int]:
+    """A run's tape (``make_tape``) and step budget: ``max_steps``, or
+    ``default_max_steps`` of the word's length if None."""
+    tape = make_tape(machine, word)
+    if max_steps is None:
+        max_steps = default_max_steps(len(tape) - 2)
+    return tape, max_steps
+
+
 def display_tape(machine: Machine, tape) -> str:
     return join_tokens(tuple(machine.input_alphabet.display(s) for s in tape))
 

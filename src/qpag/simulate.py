@@ -1,5 +1,5 @@
 """State-vector evolution for garbage-tape machines, and the step kernel
-that every quantum engine shares.
+and step loop that every quantum engine shares.
 
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
@@ -16,31 +16,36 @@ that every quantum engine shares.
   through it.
   ``successor(table, conf, t)`` is the garbage-tape successor rule over
   cells: row ``t``'s stack operation and head move, with a popped symbol
-  appended to the garbage tape. ``trajectory`` and
+  appended to the garbage tape. ``KernelSteps`` and
   ``wellformed.audit_unitarity`` build configurations through it.
 * ``evolve(psi, tape, columns, top, succ)`` is one unmeasured step of any
   sparse vector whose keys start with (state, head): expand every key
   through its column, accumulate, count parked and undefined-column mass,
-  and prune. ``trajectory`` (behind ``run``), the steppers below and
-  ``branching.qcpda_step`` step through it.
-* ``tally`` folds a trajectory into the four-mass ledger for ``run``.
-* ``PrefixRuns(stepper)`` is the one checkpoint-and-resume driver: it runs
-  one word after another, each resuming from the last step the previous
-  word's run shares with it. A stepper supplies ``start()``, checkpoint 0;
+  and prune. ``KernelSteps`` and ``branching.qcpda_step`` step through it.
+* ``walk(stepper, tape, point, first, budget)`` is the one step loop of
+  every quantum run. A stepper gives ``start()``, checkpoint 0;
   ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
-  with the largest head step ``i`` read; ``alive(point)``, whether another
-  step may follow; ``result(point, steps)``, the run's result at that
-  checkpoint; ``size(point)``, the entries a checkpoint holds, and
-  ``cap``, the most entries one may hold; and, for the cell table it keeps
-  in ``table``, ``cells(point)``, the cells a checkpoint holds. The
-  steppers are
-  ``KernelSteps`` behind ``run_many`` (the vector, the four running sums
-  added in ``tally``'s order, and the vector's squared norm),
-  ``compiler.ImageSteps`` behind the image half of
-  ``compiler.equiv_check`` (the same, and the decoherence flag), and
-  ``branching.BranchSteps`` behind ``branching.run_qcpda`` and the other
-  half (the merged branch frontier and the running p_acc, p_rej, p_non and
-  truncation sums).
+  and the largest head step ``i`` read; ``alive(point)``, whether another
+  step may follow; and ``result(point, steps)``. From ``point``,
+  checkpoint ``first - 1``, ``walk`` yields ``(i, checkpoint i, head
+  read)`` for each step ``i <= budget`` it takes while ``alive`` holds,
+  and names the step in a StateSpaceOverflow. The steppers:
+  ``KernelSteps`` behind ``run``, ``trajectory`` and ``run_many``;
+  ``compiler.ImageSteps``, its checkpoint and a decoherence flag, behind
+  the image half of ``compiler.equiv_check``; ``branching.BranchSteps``
+  behind ``branching.run_qcpda`` and the other half.
+* A ``KernelSteps`` checkpoint is the vector after the step, the running
+  (p_acc, p_rej, parked, truncated) sums, the vector's squared norm, and
+  the step's four deltas (acc, rej, parked, truncated), kept because a
+  difference of running sums is not the same float. ``run``'s ledger is
+  its last checkpoint's sums, its trace each checkpoint's vector and
+  deltas; ``trajectory`` yields each checkpoint as a ``StepRecord``.
+* ``PrefixRuns(stepper)`` is the one checkpoint-and-resume driver: it runs
+  one word after another through ``walk``, each resuming from the last
+  step the previous word's run shares with it. Its stepper also gives
+  ``size(point)`` and ``cap``, the entries a checkpoint holds and may
+  hold, and ``cells(point)``, the cells of its ``table`` a checkpoint
+  holds.
 * Why resuming is exact: a step reads the tape only at the heads of what
   enters it (the parked check compares a head with the tape's length),
   and heads move 0 or 1, never left. So two tapes that agree below
@@ -97,7 +102,7 @@ nor on hash seeds, and runs are deterministic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Optional
 
@@ -111,10 +116,9 @@ from .model import (
     RunResult,
     StateVector,
     StepSnapshot,
-    default_max_steps,
     initial_configuration,
     join_tokens,
-    make_tape,
+    run_bounds,
     vector_norm_sq,
 )
 
@@ -310,23 +314,20 @@ class StepRecord:
         return {conf.view(): amp for conf, amp in self.vector.items()}
 
 
-def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecord]:
-    """Yield one StepRecord per loop iteration until the live mass dies out
-    or the budget is exhausted."""
-    table: dict = {}
-    succ = partial(successor, table)
-    psi = {start(machine, table): 1 + 0j}
-    for i in range(1, max_steps + 1):
-        if vector_norm_sq(psi) < HALT_MASS:
+def walk(stepper, tape, point, first: int, budget: int):
+    """The step loop of every quantum run: from ``point``, the stepper's
+    checkpoint ``first - 1``, yield ``(i, checkpoint i, largest head step
+    i read)`` for i = first, first + 1, ... up to ``budget``, while the
+    stepper finds its last checkpoint alive. A StateSpaceOverflow raised
+    inside a step is raised again with the step's number."""
+    for i in range(first, budget + 1):
+        if not stepper.alive(point):
             return
         try:
-            psi, parked, truncated = evolve(
-                psi, tape, machine.columns, _stack_top, succ
-            )
+            point, read = stepper.step(point, tape, i)
         except StateSpaceOverflow as exc:
             raise StateSpaceOverflow(f"{exc} at step {i}") from None
-        psi, acc, rej = measure(machine, psi)
-        yield StepRecord(i, psi, acc, rej, parked, truncated)
+        yield i, point, read
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:
@@ -340,10 +341,8 @@ def _common_prefix(a: tuple, b: tuple) -> int:
 
 
 class KernelSteps:
-    """The stepper behind ``run_many``: ``trajectory``'s loop, one step at a
-    time. A checkpoint is the vector after the step, the running (p_acc,
-    p_rej, parked, truncated) sums added in ``tally``'s order, and the
-    vector's squared norm."""
+    """The stepper behind ``run``, ``trajectory`` and ``run_many``; the
+    module docstring gives its checkpoint."""
 
     def __init__(self, machine: MachineQPAG):
         self.machine = machine
@@ -352,10 +351,10 @@ class KernelSteps:
 
     def start(self):
         psi = {start(self.machine, self.table): 1 + 0j}
-        return (psi, 0.0, 0.0, 0.0, 0.0, vector_norm_sq(psi))
+        return (psi, 0.0, 0.0, 0.0, 0.0, vector_norm_sq(psi), 0.0, 0.0, 0.0, 0.0)
 
     def step(self, point, tape, i):
-        psi, acc, rej, parked, truncated, _ = point
+        psi, acc, rej, parked, truncated = point[:5]
         read = max(conf[1] for conf in psi)
         psi, d_parked, d_truncated = evolve(
             psi, tape, self.machine.columns, _stack_top, self._succ
@@ -368,6 +367,10 @@ class KernelSteps:
             parked + d_parked,
             truncated + d_truncated,
             vector_norm_sq(psi),
+            d_acc,
+            d_rej,
+            d_parked,
+            d_truncated,
         )
         return point, read
 
@@ -375,7 +378,7 @@ class KernelSteps:
         return not point[5] < HALT_MASS
 
     def result(self, point, steps: int) -> RunResult:
-        _, acc, rej, parked, truncated, norm = point
+        _, acc, rej, parked, truncated, norm = point[:6]
         return RunResult(acc, rej, parked + norm, truncated, steps, None)
 
     def size(self, point) -> int:
@@ -389,6 +392,19 @@ class KernelSteps:
         for conf in point[0]:
             yield conf.stack
             yield conf.garbage
+
+
+def _record(i: int, point) -> StepRecord:
+    """``KernelSteps`` checkpoint ``i`` as a StepRecord."""
+    return StepRecord(i, point[0], *point[6:])
+
+
+def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecord]:
+    """Yield one StepRecord per loop iteration until the live mass dies out
+    or the budget is exhausted."""
+    stepper = KernelSteps(machine)
+    for i, point, _ in walk(stepper, tape, stepper.start(), 1, max_steps):
+        yield _record(i, point)
 
 
 class PrefixRuns:
@@ -416,10 +432,7 @@ class PrefixRuns:
         """The stepper's result for ``word`` after at most ``max_steps``
         steps (``default_max_steps`` of the word's length if None)."""
         stepper = self.stepper
-        tape = make_tape(stepper.machine, word)
-        budget = max_steps
-        if budget is None:
-            budget = default_max_steps(len(tape) - 2)
+        tape, budget = run_bounds(stepper.machine, word, max_steps)
         path = self.path
         reach = self.reach
         held = self.held
@@ -432,26 +445,21 @@ class PrefixRuns:
         # so it resumes only from a checkpoint whose reach is below that
         shared = len(tape) - 1
         cap = stepper.cap
+        last = len(path) - 1
         point = path[-1]
         read = reach[-1]
-        step = len(path)
-        while step <= budget and stepper.alive(point):
-            try:
-                point, head = stepper.step(point, tape, step)
-            except StateSpaceOverflow as exc:
-                raise StateSpaceOverflow(f"{exc} at step {step}") from None
+        for last, point, head in walk(stepper, tape, point, last + 1, budget):
             read = max(read, head)
             # keep checkpoints while the path runs unbroken to this step
-            if len(path) == step and read < shared:
+            if len(path) == last and read < shared:
                 total = held[-1] + stepper.size(point)
                 if total <= cap:
                     path.append(point)
                     reach.append(read)
                     held.append(total)
-            step += 1
-        # point is checkpoint step - 1; an earlier one is kept
-        steps = min(budget, step - 1)
-        if steps < step - 1:
+        # point is checkpoint last; an earlier one is kept
+        steps = min(budget, last)
+        if steps < last:
             point = path[steps]
         result = stepper.result(point, steps)
         if len(self.table) > self._table_limit:
@@ -490,44 +498,24 @@ def run(
 ) -> RunResult:
     """Full run with probability accounting and optional per-step trace of
     the ``trace_depth`` largest surviving amplitudes."""
-    tape = make_tape(machine, word)
-    if max_steps is None:
-        max_steps = default_max_steps(len(tape) - 2)
-    return tally(machine, trajectory(machine, tape, max_steps), trace_depth)
-
-
-def tally(machine: MachineQPAG, records, trace_depth: int = 0) -> RunResult:
-    """Fold a trajectory's step records into the four-mass ledger."""
-    p_acc = 0.0
-    p_rej = 0.0
-    parked = 0.0
-    truncated = 0.0
+    tape, budget = run_bounds(machine, word, max_steps)
+    stepper = KernelSteps(machine)
+    point = stepper.start()
     steps = 0
-    final: StateVector = initial_vector(machine)
     snaps: list[StepSnapshot] = []
-    for rec in records:
-        steps = rec.step
-        p_acc += rec.acc_delta
-        p_rej += rec.rej_delta
-        parked += rec.parked_delta
-        truncated += rec.truncation_delta
-        final = rec.vector
+    for steps, point, _ in walk(stepper, tape, point, 1, budget):
         if trace_depth > 0:
+            rec = _record(steps, point)
             top = sorted(rec.psi.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
             snaps.append(
                 StepSnapshot(
-                    step=rec.step,
+                    step=steps,
                     survivors=tuple(top[:trace_depth]),
                     p_acc_delta=rec.acc_delta,
                     p_rej_delta=rec.rej_delta,
                 )
             )
-    p_non = parked + vector_norm_sq(final)
-    return RunResult(
-        p_acc=p_acc,
-        p_rej=p_rej,
-        p_non=p_non,
-        truncation_loss=truncated,
-        steps=steps,
-        trace=tuple(snaps) if trace_depth > 0 else None,
-    )
+    result = stepper.result(point, steps)
+    if trace_depth > 0:
+        result = replace(result, trace=tuple(snaps))
+    return result

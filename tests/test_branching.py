@@ -2,6 +2,7 @@
 
 import random
 import re
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -277,6 +278,33 @@ def test_single_word_run_keeps_a_bounded_path(monkeypatch):
         assert runs.run(word, 20) == expected
         assert runs.held[-1] == sum(len(point[0]) for point in runs.path) <= 100
         assert 1 < len(runs.path) < 21
+
+
+def test_single_word_run_frees_old_frontiers(monkeypatch):
+    # a single-word run holds the live frontier only: while step i runs, no
+    # branch stepped at step i - 1 (checkpoint i - 2) is alive. Checkpoint
+    # 0 is skipped, since BranchSteps holds it as its start. The forking
+    # walker that never moves reads cell 0 only, so a driver keeping
+    # checkpoints for later words would keep every one of them
+    m = forking_walker()
+    m = replace(m, transitions=tuple(replace(t, move=0) for t in m.transitions))
+    stepped: dict = {}
+    kept: dict = {}
+    real = branching.qcpda_step
+
+    def watching(machine, tape, branch):
+        step = branch.steps + 1
+        if step >= 3:
+            alive = sum(ref() is not None for ref in stepped[step - 1])
+            if alive:
+                kept[step] = alive
+        stepped.setdefault(step, []).append(weakref.ref(branch))
+        return real(machine, tape, branch)
+
+    monkeypatch.setattr(branching, "qcpda_step", watching)
+    res = run_qcpda(m, "01", max_steps=12)
+    assert res.steps == 12 and max(stepped) == 12
+    assert kept == {}
 
 
 def test_parked_branches_retire_to_non_halting():

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from qpag import problem1, simulate
 from qpag.compiler import compile_qcpda
 from qpag.errors import PopOnBottom, StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
-from qpag.model import EPSILON, POP, Configuration, default_max_steps, make_tape, push
+from qpag.model import (
+    EPSILON,
+    POP,
+    Configuration,
+    default_max_steps,
+    make_tape,
+    push,
+    vector_norm_sq,
+)
 from qpag.simulate import (
     EMPTY,
     KernelSteps,
@@ -289,6 +297,57 @@ def test_trajectory_step_records_conserve_mass():
     assert total_acc + total_rej + total_parked + total_trunc + live == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_run_and_trajectory_agree_bit_for_bit(monkeypatch):
+    # run's ledger is trajectory's deltas folded in step order, with ==, and
+    # each traced snapshot carries its record's deltas. Some images outgrow
+    # a small cap at the default budget: then both overflow at one step
+    _cap_vectors(monkeypatch, 5000)
+    p1 = problem1.build_machine()
+    cases = [
+        (
+            p1,
+            [
+                problem1.generate(n, cls, seed=n).tokens()
+                for n in (1, 3, 8)
+                for cls in (problem1.YES, problem1.NO)
+            ]
+            + ["ab#ba#cd", ""],
+        )
+    ]
+    cases += [(compile_qcpda(random_qcpda(seed))[0], words_up_to(3)) for seed in range(10)]
+    for m, words in cases:
+        for word in words:
+            tape = make_tape(m, word)
+            for budget in (0, 1, default_max_steps(len(tape) - 2)):
+                try:
+                    records = list(trajectory(m, tape, budget))
+                except StateSpaceOverflow as exc:
+                    with pytest.raises(StateSpaceOverflow, match=f"^{exc}$"):
+                        run(m, word, max_steps=budget)
+                    continue
+                acc = rej = parked = truncated = 0.0
+                for rec in records:
+                    acc += rec.acc_delta
+                    rej += rec.rej_delta
+                    parked += rec.parked_delta
+                    truncated += rec.truncation_delta
+                live = vector_norm_sq(records[-1].vector) if records else 1.0
+                steps = records[-1].step if records else 0
+                res = run(m, word, max_steps=budget)
+                assert (res.p_acc, res.p_rej, res.p_non, res.truncation_loss) == (
+                    acc,
+                    rej,
+                    parked + live,
+                    truncated,
+                ), (word, budget)
+                assert res.steps == steps
+                traced = run(m, word, max_steps=budget, trace_depth=2)
+                assert replace(traced, trace=None) == res
+                assert [(s.step, s.p_acc_delta, s.p_rej_delta) for s in traced.trace] == [
+                    (r.step, r.acc_delta, r.rej_delta) for r in records
+                ]
 
 
 def test_empty_word_runs():
