@@ -25,9 +25,10 @@ determines the key-sorted tuple of triples and back: two branches merge
 exactly when the sorted tuples would match, in whatever order their
 vectors were filled.
 
-``run_qcpda`` walks one word's frontier through ``BranchSteps`` on
-``simulate.walk``, holding only the live frontier; ``simulate.PrefixRuns``
-serves only ``compiler.equiv_check``'s batches of words.
+``run_qcpda`` walks one word's frontier through ``BranchSteps`` with
+``simulate.walk_to_end``, holding only the live frontier;
+``simulate.PrefixRuns`` serves only ``compiler.equiv_check``'s batches of
+words.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StateSpaceOverflow
-from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape, run_bounds
-from .simulate import EMPTY, Cell, cons, evolve, stack_after, walk
+from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape
+from .simulate import EMPTY, Cell, cons, evolve, stack_after, walk_to_end
 
 BRANCH_CAP = 10**5
 
@@ -219,12 +220,8 @@ def run_qcpda(
 ) -> RunResult:
     """Full run of the branch frontier with probability accounting,
     holding only the live frontier."""
-    tape, budget = run_bounds(machine, word, max_steps)
     stepper = BranchSteps(machine)
-    point = stepper.start()
-    steps = 0
-    for steps, point, _ in walk(stepper, tape, point, 1, budget):
-        pass
+    point, steps = walk_to_end(stepper, word, max_steps)
     return stepper.result(point, steps)
 
 

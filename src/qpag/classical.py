@@ -1,19 +1,27 @@
 """Classical runners: probabilistic pushdown and its deterministic special
-case.
+case, both stepping one ``PPASteps`` through ``simulate.walk``.
 
-The probabilistic runner tracks a distribution over (state, head, stack)
-triples. Stacks are cells interned in a table owned by the run
-(``simulate.stack_after``), so a push or a pop costs O(1) whatever the
-depth, and the distribution is walked in insertion order: every column
-lists its rows in canonical order, so no result depends on the order of
-the transition table. Halting mass moves to p_acc / p_rej the moment a
-halting state is entered; mass reaching an undefined column or a parked
-head leaks into p_non, with a warning per distinct undefined column.
+``PPASteps`` tracks a distribution over (state, head, stack) triples.
+Stacks are cells interned in the stepper's table (``simulate.stack_after``),
+so a push or a pop costs O(1) whatever the depth, and the distribution is
+walked in insertion order: every column lists its rows in canonical order,
+so no result depends on the order of the transition table. A checkpoint is
+the distribution after the step and the running (p_acc, p_rej, leaked)
+sums. Halting mass moves to p_acc / p_rej at the transition that enters a
+halting state, in column order; an initial halting state holds all the mass
+at checkpoint 0. Mass reaching an undefined column or a parked head leaks,
+and whatever is still live at the end lands in p_non with it. The stepper
+records each undefined column it meets, first met first, in ``undefined``;
+it warns about none of them. A step raises StateSpaceOverflow as soon as
+its distribution holds more than ``CONFIG_CAP`` keys, read when the step
+starts.
 
-``run_dpda`` insists on a single probability-1 transition per defined
-column and walks the unique path on a list stack. Outcomes: "accept",
-"reject", "block" (no applicable transition, or head past the endmarker),
-"loop" (step budget exhausted).
+``run_ppa`` walks the stepper and warns once per recorded column, also
+when the walk raises. ``run_dpda`` insists on a single probability-1
+transition per defined column, walks the same stepper and reads its
+outcome off the last checkpoint: "accept" or "reject" if that much mass
+halted, "block" if it leaked (no applicable transition, or head past the
+endmarker), "loop" if the step budget ran out first.
 """
 
 from __future__ import annotations
@@ -21,15 +29,9 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .errors import NotDeterministic, PopOnBottom
-from .model import (
-    HALT_MASS,
-    MachinePPA,
-    RunResult,
-    join_tokens,
-    run_bounds,
-)
-from .simulate import EMPTY, cons, stack_after
+from .errors import NotDeterministic, StateSpaceOverflow
+from .model import CONFIG_CAP, HALT_MASS, MachinePPA, RunResult
+from .simulate import EMPTY, cons, stack_after, walk_to_end
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -37,67 +39,85 @@ BLOCK = "block"
 LOOP = "loop"
 
 
-def run_ppa(
-    machine: MachinePPA,
-    word,
-    max_steps: Optional[int] = None,
-) -> RunResult:
-    tape, max_steps = run_bounds(machine, word, max_steps)
-    n = len(tape)
-    # degenerate case: the machine halts before reading anything
-    if machine.initial in machine.accepting:
-        return RunResult(1.0, 0.0, 0.0, 0.0, 0, None)
-    if machine.initial in machine.rejecting:
-        return RunResult(0.0, 1.0, 0.0, 0.0, 0, None)
-    table: dict = {}
-    bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
-    dist = {(machine.initial, 0, bottom): 1.0}
-    p_acc = 0.0
-    p_rej = 0.0
-    leaked = 0.0
-    warned = set()
-    steps = 0
-    for i in range(1, max_steps + 1):
-        if sum(dist.values()) < HALT_MASS:
-            break
+class PPASteps:
+    """The stepper behind ``run_ppa`` and ``run_dpda``; the module
+    docstring gives its checkpoint."""
+
+    def __init__(self, machine: MachinePPA):
+        self.machine = machine
+        self.table: dict = {}
+        self.undefined: dict = {}  # (state, read, top) -> None, first met first
+
+    def start(self):
+        machine = self.machine
+        if machine.initial in machine.accepting:
+            return {}, 1.0, 0.0, 0.0
+        if machine.initial in machine.rejecting:
+            return {}, 0.0, 1.0, 0.0
+        bottom = cons(self.table, EMPTY, machine.stack_alphabet.bottom)
+        return {(machine.initial, 0, bottom): 1.0}, 0.0, 0.0, 0.0
+
+    def step(self, point, tape, i):
+        dist, p_acc, p_rej, leaked = point
+        machine = self.machine
+        columns = machine.columns
+        accepting = machine.accepting
+        rejecting = machine.rejecting
+        table = self.table
+        cap = CONFIG_CAP
+        n = len(tape)
+        read = max(key[1] for key in dist)
         new: dict = {}
         for (state, head, stack), mass in dist.items():
             if head >= n:
                 leaked += mass
                 continue
             col_key = (state, tape[head], stack.symbol)
-            column = machine.columns.get(col_key)
+            column = columns.get(col_key)
             if column is None:
-                if col_key not in warned:
-                    warned.add(col_key)
-                    warnings.warn(
-                        f"undefined column (state={state}, read={tape[head]}, "
-                        f"top={stack.symbol}); mass leaks to p_non",
-                        stacklevel=2,
-                    )
+                self.undefined.setdefault(col_key)
                 leaked += mass
                 continue
             for t in column:
                 new_stack = stack_after(table, stack, t.op)
                 part = mass * t.prob
-                if t.target in machine.accepting:
+                if t.target in accepting:
                     p_acc += part
-                elif t.target in machine.rejecting:
+                elif t.target in rejecting:
                     p_rej += part
                 else:
                     succ = (t.target, head + t.move, new_stack)
                     new[succ] = new.get(succ, 0.0) + part
-        dist = new
-        steps = i
-    p_non = leaked + sum(dist.values())
-    return RunResult(
-        p_acc=p_acc,
-        p_rej=p_rej,
-        p_non=p_non,
-        truncation_loss=0.0,
-        steps=steps,
-        trace=None,
-    )
+                    if len(new) > cap:
+                        raise StateSpaceOverflow(
+                            f"distribution exceeded {cap} configurations"
+                        )
+        return (new, p_acc, p_rej, leaked), read
+
+    def alive(self, point) -> bool:
+        return not sum(point[0].values()) < HALT_MASS
+
+    def result(self, point, steps: int) -> RunResult:
+        dist, p_acc, p_rej, leaked = point
+        return RunResult(p_acc, p_rej, leaked + sum(dist.values()), 0.0, steps, None)
+
+
+def run_ppa(
+    machine: MachinePPA,
+    word,
+    max_steps: Optional[int] = None,
+) -> RunResult:
+    stepper = PPASteps(machine)
+    try:
+        point, steps = walk_to_end(stepper, word, max_steps)
+    finally:
+        for state, read, top in stepper.undefined:
+            warnings.warn(
+                f"undefined column (state={state}, read={read}, "
+                f"top={top}); mass leaks to p_non",
+                stacklevel=2,
+            )
+    return stepper.result(point, steps)
 
 
 def run_dpda(
@@ -111,32 +131,11 @@ def run_dpda(
                 f"column (state={col_key[0]}, read={col_key[1]}, "
                 f"top={col_key[2]}) is not a single probability-1 transition"
             )
-    tape, max_steps = run_bounds(machine, word, max_steps)
-    n = len(tape)
-    state = machine.initial
-    head = 0
-    stack = [machine.stack_alphabet.bottom]
-    for _ in range(max_steps):
-        if state in machine.accepting:
-            return ACCEPT
-        if state in machine.rejecting:
-            return REJECT
-        if head >= n:
-            return BLOCK
-        column = machine.columns.get((state, tape[head], stack[-1]))
-        if column is None:
-            return BLOCK
-        t = column[0]
-        if t.op.kind == "push":
-            stack.extend(t.op.payload)
-        elif t.op.kind == "pop":
-            if len(stack) <= 1:
-                raise PopOnBottom(f"pop on stack {join_tokens(stack)!r}")
-            stack.pop()
-        state = t.target
-        head += t.move
-    if state in machine.accepting:
+    (_, p_acc, p_rej, leaked), _ = walk_to_end(PPASteps(machine), word, max_steps)
+    if p_acc:
         return ACCEPT
-    if state in machine.rejecting:
+    if p_rej:
         return REJECT
+    if leaked:
+        return BLOCK
     return LOOP

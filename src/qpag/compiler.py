@@ -208,36 +208,27 @@ class EquivReport:
 
 class ImageSteps(KernelSteps):
     """The stepper behind the image runs of ``equiv_check``: the kernel's
-    steps, with a checkpoint that also carries the decoherence flag, true
-    while components sharing a garbage history have shared a stack at
-    every completed three-step block so far."""
+    steps, with a checkpoint that is the kernel's with the decoherence flag
+    appended, true while components sharing a garbage history have shared a
+    stack at every completed three-step block so far."""
 
     def start(self):
-        return super().start(), True
+        return super().start() + (True,)
 
     def step(self, point, tape, i):
-        inner, head = super().step(point[0], tape, i)
-        decoherent = point[1]
+        inner, head = super().step(point, tape, i)
+        decoherent = point[-1]
         if decoherent and i % 3 == 0:
             groups: dict = {}
             # interned cells are equal exactly when their tapes are
             for conf in inner[0]:
                 groups.setdefault(conf.garbage, set()).add(conf.stack)
             decoherent = all(len(stacks) == 1 for stacks in groups.values())
-        return (inner, decoherent), head
-
-    def alive(self, point) -> bool:
-        return super().alive(point[0])
+        return inner + (decoherent,), head
 
     def result(self, point, steps: int):
-        res = super().result(point[0], steps)
-        return res.p_acc, res.p_rej, res.p_non, point[1]
-
-    def size(self, point) -> int:
-        return super().size(point[0])
-
-    def cells(self, point):
-        return super().cells(point[0])
+        res = super().result(point, steps)
+        return res.p_acc, res.p_rej, res.p_non, point[-1]
 
 
 def equiv_check(

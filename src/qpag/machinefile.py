@@ -7,7 +7,8 @@ inputs produce byte-identical output.
 
 Layout: two-space indent; every object member and list item on its own
 line, except that a list of numbers alone (no bools) goes on one line as
-``[a, b]``; empty containers are ``{}`` and ``[]``. Strings and keys
+``[a, b]``; empty containers are ``{}`` and ``[]``. A nan or an infinity
+is a SchemaError, as JSON has no token for it. Strings and keys
 (``str(key)``) are encoded as ``json.dumps(s, ensure_ascii=False)`` encodes
 them, so non-ASCII text is written as is.
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring as _quote
+from math import isfinite
 
 from .errors import InvariantError, ParseError, SchemaError
 from .model import (
@@ -47,20 +49,30 @@ from .model import (
 def _float_repr(x: float) -> str:
     if x == 0:
         x = 0.0
+    elif not isfinite(x):
+        raise _non_finite(x)
     return repr(float(x))
 
 
 def _float_sig12(x: float) -> str:
     if x == 0:
         x = 0.0
+    elif not isfinite(x):
+        raise _non_finite(x)
     return format(float(x), ".12g")
+
+
+def _non_finite(x: float) -> SchemaError:
+    # JSON has no token for nan or an infinity
+    return SchemaError(f"cannot emit non-finite float {float(x)!r}")
 
 
 def emit_json(value, floats: str = "repr") -> str:
     """Render ``value`` as deterministic, indented JSON text.
 
     ``floats`` picks the float style: "repr" (exact round-trip, machine
-    files) or "sig12" (12 significant digits, reports).
+    files) or "sig12" (12 significant digits, reports). A nan or an
+    infinity anywhere in ``value`` raises SchemaError.
     """
     if floats == "repr":
         fmt = _float_repr

@@ -1,5 +1,5 @@
-"""State-vector evolution for garbage-tape machines, and the step kernel
-and step loop that every quantum engine shares.
+"""State-vector evolution for garbage-tape machines, the step kernel
+every quantum engine shares, and the step loop every run shares.
 
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
@@ -12,7 +12,7 @@ and step loop that every quantum engine shares.
   ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
   trace and ``wellformed.audit_unitarity``'s reports.
 * ``stack_after(table, stack, op)`` applies a stack operation to a cell
-  stack; ``classical.run_ppa`` and ``branching`` keep their stacks
+  stack; ``classical.PPASteps`` and ``branching`` keep their stacks
   through it.
   ``successor(table, conf, t)`` is the garbage-tape successor rule over
   cells: row ``t``'s stack operation and head move, with a popped symbol
@@ -23,17 +23,20 @@ and step loop that every quantum engine shares.
   through its column, accumulate, count parked and undefined-column mass,
   and prune. ``KernelSteps`` and ``branching.qcpda_step`` step through it.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
-  every quantum run. A stepper gives ``start()``, checkpoint 0;
-  ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
+  every run, quantum or classical. A stepper gives ``start()``,
+  checkpoint 0; ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
   and the largest head step ``i`` read; ``alive(point)``, whether another
   step may follow; and ``result(point, steps)``. From ``point``,
   checkpoint ``first - 1``, ``walk`` yields ``(i, checkpoint i, head
   read)`` for each step ``i <= budget`` it takes while ``alive`` holds,
-  and names the step in a StateSpaceOverflow. The steppers:
-  ``KernelSteps`` behind ``run``, ``trajectory`` and ``run_many``;
-  ``compiler.ImageSteps``, its checkpoint and a decoherence flag, behind
-  the image half of ``compiler.equiv_check``; ``branching.BranchSteps``
-  behind ``branching.run_qcpda`` and the other half.
+  and names the step in a StateSpaceOverflow. ``walk_to_end(stepper,
+  word, max_steps)`` walks one fresh run of a word to its end and returns
+  its last checkpoint and step count. The steppers: ``KernelSteps``
+  behind ``run``, ``trajectory`` and ``run_many``; ``compiler.ImageSteps``,
+  its checkpoint with a decoherence flag appended, behind the image half
+  of ``compiler.equiv_check``; ``branching.BranchSteps`` behind
+  ``branching.run_qcpda`` and the other half; ``classical.PPASteps``
+  behind ``classical.run_ppa`` and ``classical.run_dpda``.
 * A ``KernelSteps`` checkpoint is the vector after the step, the running
   (p_acc, p_rej, parked, truncated) sums, the vector's squared norm, and
   the step's four deltas (acc, rej, parked, truncated), kept because a
@@ -315,7 +318,7 @@ class StepRecord:
 
 
 def walk(stepper, tape, point, first: int, budget: int):
-    """The step loop of every quantum run: from ``point``, the stepper's
+    """The step loop of every run: from ``point``, the stepper's
     checkpoint ``first - 1``, yield ``(i, checkpoint i, largest head step
     i read)`` for i = first, first + 1, ... up to ``budget``, while the
     stepper finds its last checkpoint alive. A StateSpaceOverflow raised
@@ -328,6 +331,18 @@ def walk(stepper, tape, point, first: int, budget: int):
         except StateSpaceOverflow as exc:
             raise StateSpaceOverflow(f"{exc} at step {i}") from None
         yield i, point, read
+
+
+def walk_to_end(stepper, word, max_steps: Optional[int] = None):
+    """One fresh run of ``word`` on the stepper's machine, at most
+    ``max_steps`` steps (``default_max_steps`` of the word's length if
+    None). Returns (last checkpoint, steps taken)."""
+    tape, budget = run_bounds(stepper.machine, word, max_steps)
+    point = stepper.start()
+    steps = 0
+    for steps, point, _ in walk(stepper, tape, point, 1, budget):
+        pass
+    return point, steps
 
 
 def _common_prefix(a: tuple, b: tuple) -> int:

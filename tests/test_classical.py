@@ -5,8 +5,9 @@ from dataclasses import replace
 
 import pytest
 
+from qpag import classical
 from qpag.classical import ACCEPT, BLOCK, LOOP, REJECT, run_dpda, run_ppa
-from qpag.errors import NotDeterministic, PopOnBottom
+from qpag.errors import NotDeterministic, PopOnBottom, StateSpaceOverflow
 from qpag.model import (
     EPSILON,
     POP,
@@ -284,3 +285,19 @@ def test_pop_on_bottom_raises_in_both_runners():
         run_ppa(m, "aa")
     with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
         run_dpda(m, "aa")
+
+
+def test_ppa_distribution_cap_names_the_step(monkeypatch):
+    # every step pushes a or b with probability 1/2: 2**i stacks at step i
+    rows = [
+        TransitionPPA("p0", read, top, "p0", push(symbol), 0, 0.5)
+        for read in _ALPHA.symbols
+        for top in _GAMMA.symbols
+        for symbol in ("a", "b")
+    ]
+    m = _ppa(rows, ("p0",))
+    assert run_ppa(m, "a", max_steps=3).p_non == 1.0
+    monkeypatch.setattr(classical, "CONFIG_CAP", 8)
+    message = r"^distribution exceeded 8 configurations at step 4$"
+    with pytest.raises(StateSpaceOverflow, match=message):
+        run_ppa(m, "a")

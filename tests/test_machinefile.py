@@ -399,12 +399,14 @@ _TEXT = st.text(
     ),
     max_size=6,
 )
+# finite floats only: emit_json rejects nan and the infinities, which the
+# reference emitter wrote as bare tokens (test_emit_rejects_non_finite_floats)
 _NUMBERS = st.one_of(
     st.integers(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 10**400, -(10**400), 1e-320, float("nan"), float("-inf")]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 10**400, -(10**400), 1e-320, 5e-324, 1.7976931348623157e308]),
     st.builds(_Int, st.integers()),
-    st.builds(_Float, st.floats(allow_nan=True, allow_infinity=True)),
+    st.builds(_Float, st.floats(allow_nan=False, allow_infinity=False)),
 )
 _JSON_LIKE = st.recursive(
     st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT, st.builds(_Str, _TEXT)),
@@ -425,6 +427,26 @@ _JSON_LIKE = st.recursive(
 def test_emit_matches_reference(value):
     for floats in ("repr", "sig12"):
         assert emit_json(value, floats=floats) == reference_emit_json(value, floats=floats)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), _Float("nan")])
+@pytest.mark.parametrize(
+    "place",
+    [
+        lambda x: x,
+        lambda x: {"result": {"p_acc": 0.5, "p_non": x}},
+        lambda x: [{"amp": [0.5, x]}],
+        lambda x: {"amp": [1, 2.5, x]},
+        lambda x: [True, x],
+    ],
+    ids=["top", "nested", "nested-list", "number-list", "mixed-list"],
+)
+def test_emit_rejects_non_finite_floats(bad, place):
+    # JSON has no nan or infinity: a bare token would break every reader
+    for floats in ("repr", "sig12"):
+        with pytest.raises(SchemaError) as caught:
+            emit_json(place(bad), floats=floats)
+        assert str(caught.value) == f"cannot emit non-finite float {float(bad)!r}"
 
 
 def test_emit_matches_reference_on_machines_and_reports():
