@@ -41,7 +41,7 @@ from .model import (
     make_tape,
     push,
 )
-from .simulate import initial_vector, measure, run, run_many, trajectory
+from .simulate import measure, run, run_many, trajectory
 from .wellformed import (
     AuditReport,
     Violation,
@@ -99,7 +99,6 @@ __all__ = [
     "dump_branches",
     "emit_json",
     "equiv_check",
-    "initial_vector",
     "machine_to_doc",
     "make_tape",
     "measure",

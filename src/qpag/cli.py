@@ -2,14 +2,16 @@
 
 Every subcommand prints one JSON document to stdout (floats rendered at 12
 significant digits so output is byte-stable across runs) and diagnostics to
-stderr. Exit codes: 0 success, 1 a check / audit / equivalence / sweep
-reported failure, 2 usage or input errors.
+stderr: ``error: ...`` when a command fails, and ``warning: ...`` for each
+warning a ``ppa`` run gives. Exit codes: 0 success, 1 a check / audit /
+equivalence / sweep reported failure, 2 usage or input errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .branching import run_qcpda
 from .classical import run_ppa
@@ -82,7 +84,15 @@ def _cmd_run(args) -> int:
     elif isinstance(machine, MachineQCPDA):
         result = run_qcpda(machine, word, max_steps=args.max_steps)
     else:
-        result = run_ppa(machine, word, max_steps=args.max_steps)
+        # run_ppa warns once per undefined column; report each on stderr,
+        # also when the run then raises
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                result = run_ppa(machine, word, max_steps=args.max_steps)
+            finally:
+                for warning in caught:
+                    print(f"warning: {warning.message}", file=sys.stderr)
     doc = {
         "word": ",".join(word) if args.tokens else "".join(word),
         "tape": display_tape(machine, make_tape(machine, word)),

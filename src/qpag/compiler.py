@@ -57,6 +57,15 @@ class CompileMap:
         }
 
 
+def _fresh(name: str, used: set) -> str:
+    """``name`` with primes appended until it is not in ``used``; the result
+    is added to ``used``."""
+    while name in used:
+        name += "'"
+    used.add(name)
+    return name
+
+
 def compile_qcpda(
     machine: MachineQCPDA, tol: float = 1e-9
 ) -> tuple[MachineQPAG, CompileMap]:
@@ -82,10 +91,7 @@ def compile_qcpda(
     label_rows = []
     for op_key in sorted({sigma[q].sort_key() for q in reached}):
         op = StackOp(op_key[0], tuple(op_key[1]))
-        token = "l:" + op.describe()
-        while token in used_stack:
-            token += "'"
-        used_stack.add(token)
+        token = _fresh("l:" + op.describe(), used_stack)
         labels[op_key] = token
         label_rows.append((op.describe(), token))
 
@@ -95,14 +101,8 @@ def compile_qcpda(
     stage_b: dict = {}
     aux_rows = []
     for q in reached:
-        a_name = q + "@a"
-        while a_name in used_states:
-            a_name += "'"
-        used_states.add(a_name)
-        b_name = q + "@b"
-        while b_name in used_states:
-            b_name += "'"
-        used_states.add(b_name)
+        a_name = _fresh(q + "@a", used_states)
+        b_name = _fresh(q + "@b", used_states)
         stage_a[q] = a_name
         stage_b[q] = b_name
         aux_rows.append((q, a_name, b_name))

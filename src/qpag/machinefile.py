@@ -12,6 +12,16 @@ is a SchemaError, as JSON has no token for it. Strings and keys
 (``str(key)``) are encoded as ``json.dumps(s, ensure_ascii=False)`` encodes
 them, so non-ASCII text is written as is.
 
+The three kinds (qpag, qcpda, ppa) share one reader and one writer, run
+off two tables. ``_ROW_FIELDS`` (and ``_ALPHABET_FIELDS`` for the two
+alphabets) maps each dataclass field to its key in the file and its value
+reader and writer; a transition row's keys follow the field order of its
+transition class, so every kind writes ``from, read, top, to, [op], move,
+amp|prob``. ``_KINDS`` maps each kind to its machine class, its top-level
+keys, the reader and writer of its own top-level field (``push_strings``
+for qpag, ``sigma`` for qcpda) and its row reader and writer, all laid out
+once at import.
+
 The parser is strict: unknown, missing and repeated keys are errors. Each
 ``SchemaError`` names the path of the offending value, such as
 ``transitions[17].amp[1]``. Paths through a list or an object's entries
@@ -22,8 +32,10 @@ row or item path.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from json.encoder import encode_basestring as _quote
 from math import isfinite
+from typing import Callable, NamedTuple
 
 from .errors import InvariantError, ParseError, SchemaError
 from .model import (
@@ -148,7 +160,7 @@ def _emit(value, fmt, nl, out):
 # that hold an index are formatted only on error: _items hands each item
 # the empty path and prefixes "path[index]" to the message of the one it
 # rejects (_amp does the same for its two entries), and the fields of a
-# transition row are named relative to the row (".amp").
+# transition row or an alphabet are named relative to the object (".amp").
 
 
 def _unique_keys(pairs):
@@ -163,22 +175,16 @@ def _unique_keys(pairs):
     return doc
 
 
-def _need(doc, key, path):
-    if key not in doc:
-        raise SchemaError(f"{path}: missing field {key!r}")
-    return doc[key]
-
-
 def _fields(*required, optional=()):
     """The keys of one kind of object: the required ones, in the order a
     missing one is reported, and the set of every allowed key."""
     return required, frozenset(required + optional)
 
 
-def _check_keys(doc, path, fields):
+def _check_keys(doc, path, keys_of):
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: expected an object")
-    required, allowed = fields
+    required, allowed = keys_of
     keys = doc.keys()
     if keys == allowed:
         return
@@ -271,49 +277,124 @@ def _op_to_doc(op: StackOp):
     return {"op": op.kind}
 
 
-_INPUT_ALPHABET_FIELDS = _fields("symbols", "left_end", "right_end")
-_STACK_ALPHABET_FIELDS = _fields("symbols", "bottom")
+# ======================================================================
+# Schema tables
+# ======================================================================
+
+# Dataclass field -> (key in the file, value reader, value writer), for the
+# fields of the two alphabets and of the three transition classes. A writer
+# of None writes the value as it is.
+_ALPHABET_FIELDS = {
+    "symbols": ("symbols", _string_list, list),
+    "left_end": ("left_end", _string, None),
+    "right_end": ("right_end", _string, None),
+    "bottom": ("bottom", _string, None),
+}
+_ROW_FIELDS = {
+    "source": ("from", _string, None),
+    "read": ("read", _string, None),
+    "top": ("top", _string, None),
+    "target": ("to", _string, None),
+    "op": ("op", _op_from_doc, _op_to_doc),
+    "move": ("move", _move, None),
+    "amp": ("amp", _amp, lambda amp: [amp.real, amp.imag]),
+    "prob": ("prob", _number, None),
+}
 
 
-def _alphabets_from_doc(doc, path):
-    ia = _need(doc, "input_alphabet", path)
-    _check_keys(ia, f"{path}.input_alphabet", _INPUT_ALPHABET_FIELDS)
-    input_alphabet = InputAlphabet(
-        symbols=_string_list(ia["symbols"], f"{path}.input_alphabet.symbols"),
-        left_end=_string(ia["left_end"], f"{path}.input_alphabet.left_end"),
-        right_end=_string(ia["right_end"], f"{path}.input_alphabet.right_end"),
-    )
-    sa = _need(doc, "stack_alphabet", path)
-    _check_keys(sa, f"{path}.stack_alphabet", _STACK_ALPHABET_FIELDS)
-    stack_alphabet = StackAlphabet(
-        symbols=_string_list(sa["symbols"], f"{path}.stack_alphabet.symbols"),
-        bottom=_string(sa["bottom"], f"{path}.stack_alphabet.bottom"),
-    )
-    return input_alphabet, stack_alphabet
+def _schema(cls, table):
+    """The reader and the writer of the objects of dataclass ``cls``: one
+    key per field, in field order, laid out once. The reader checks the
+    keys, reads each field under its path relative to the object (".amp"),
+    puts ``path`` in front of the message of the field it rejects, and
+    calls ``cls`` once with the values in field order."""
+    layout = tuple((f.name,) + table[f.name] for f in fields(cls))
+    allowed = _fields(*(key for _, key, _, _ in layout))
+    reads = tuple((key, check, "." + key) for _, key, check, _ in layout)
+
+    def read(doc, path):
+        _check_keys(doc, path, allowed)
+        try:
+            return cls(*[check(doc[key], where) for key, check, where in reads])
+        except SchemaError as e:
+            raise SchemaError(f"{path}{e}") from None
+
+    def write(obj):
+        doc = {}
+        for name, key, _, put in layout:
+            value = getattr(obj, name)
+            doc[key] = value if put is None else put(value)
+        return doc
+
+    return read, write
 
 
-_COMMON_FIELDS = (
-    "kind",
-    "states",
-    "input_alphabet",
-    "stack_alphabet",
-    "initial",
-    "accepting",
-    "rejecting",
-    "transitions",
+_read_input_alphabet, _write_input_alphabet = _schema(InputAlphabet, _ALPHABET_FIELDS)
+_read_stack_alphabet, _write_stack_alphabet = _schema(StackAlphabet, _ALPHABET_FIELDS)
+
+
+# The top-level field of one kind alone: its reader returns the machine's
+# constructor keywords, its writer the entries of the document.
+
+
+def _read_push_strings(doc):
+    if "push_strings" not in doc:
+        return {}
+    raw = doc["push_strings"]
+    if not isinstance(raw, list):
+        raise SchemaError("push_strings: expected a list")
+    return {"declared_push_strings": tuple(_items(enumerate(raw), "push_strings", _tokens))}
+
+
+def _write_push_strings(machine):
+    declared = machine.declared_push_strings
+    return {"push_strings": [tokens_doc(p) for p in declared]} if declared else {}
+
+
+def _read_sigma(doc):
+    raw = doc["sigma"]
+    if not isinstance(raw, dict):
+        raise SchemaError("sigma: expected an object mapping state to op")
+    return {"sigma": tuple(zip(raw, _items(raw.items(), "sigma", _op_from_doc)))}
+
+
+def _write_sigma(machine):
+    return {"sigma": {q: _op_to_doc(op) for q, op in machine.sigma}}
+
+
+class _Kind(NamedTuple):
+    machine: type
+    keys: tuple  # the top-level keys, as _fields gives them
+    read_own: Callable
+    write_own: Callable
+    read_row: Callable
+    write_row: Callable
+
+
+# The top-level keys of every kind, in the order a missing one is reported.
+_TOP_FIELDS = (
+    "kind", "states", "input_alphabet", "stack_alphabet",
+    "initial", "accepting", "rejecting", "transitions",
 )
 
 
-def _transitions(doc, build):
-    """The rows of ``doc``, each made by ``build(row, "")``, which names
-    the row's fields relative to the row (".amp")."""
-    if not isinstance(doc, list):
-        raise SchemaError("transitions: expected a list of transitions")
-    return tuple(_items(enumerate(doc), "transitions", build))
+def _kind(machine, row, read_own, write_own, required=(), optional=()):
+    keys = _fields(*_TOP_FIELDS, *required, optional=optional)
+    return _Kind(machine, keys, read_own, write_own, *_schema(row, _ROW_FIELDS))
+
+
+_KINDS = {
+    "qpag": _kind(
+        MachineQPAG, TransitionQPAG, _read_push_strings, _write_push_strings,
+        optional=("push_strings",),
+    ),
+    "qcpda": _kind(MachineQCPDA, TransitionQCPDA, _read_sigma, _write_sigma, ("sigma",)),
+    "ppa": _kind(MachinePPA, TransitionPPA, lambda doc: {}, lambda machine: {}),
+}
 
 
 # ======================================================================
-# Parse
+# Parse and serialize
 # ======================================================================
 
 
@@ -325,168 +406,49 @@ def parse_machine(text: str):
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")
-    kind = _string(_need(doc, "kind", "top level"), "kind")
-    if kind == "qpag":
-        return _parse_qpag(doc)
-    if kind == "qcpda":
-        return _parse_qcpda(doc)
-    if kind == "ppa":
-        return _parse_ppa(doc)
-    raise SchemaError(f"kind: unknown machine kind {kind!r}")
-
-
-_QPAG_FIELDS = _fields(*_COMMON_FIELDS, optional=("push_strings",))
-_QPAG_ROW = _fields("from", "read", "top", "to", "op", "move", "amp")
-
-
-def _parse_qpag(doc):
-    _check_keys(doc, "top level", _QPAG_FIELDS)
-    input_alphabet, stack_alphabet = _alphabets_from_doc(doc, "top level")
-
-    def build(row, path):
-        _check_keys(row, path, _QPAG_ROW)
-        return TransitionQPAG(
-            source=_string(row["from"], ".from"),
-            read=_string(row["read"], ".read"),
-            top=_string(row["top"], ".top"),
-            target=_string(row["to"], ".to"),
-            op=_op_from_doc(row["op"], ".op"),
-            move=_move(row["move"], ".move"),
-            amp=_amp(row["amp"], ".amp"),
-        )
-
-    declared = ()
-    if "push_strings" in doc:
-        raw = doc["push_strings"]
-        if not isinstance(raw, list):
-            raise SchemaError("push_strings: expected a list")
-        declared = tuple(_items(enumerate(raw), "push_strings", _tokens))
-    return MachineQPAG(
-        states=_string_list(doc["states"], "states"),
+    if "kind" not in doc:
+        raise SchemaError("top level: missing field 'kind'")
+    kind = _string(doc["kind"], "kind")
+    if kind not in _KINDS:
+        raise SchemaError(f"kind: unknown machine kind {kind!r}")
+    spec = _KINDS[kind]
+    _check_keys(doc, "top level", spec.keys)
+    input_alphabet = _read_input_alphabet(doc["input_alphabet"], "top level.input_alphabet")
+    stack_alphabet = _read_stack_alphabet(doc["stack_alphabet"], "top level.stack_alphabet")
+    own = spec.read_own(doc)
+    states = _string_list(doc["states"], "states")
+    rows = doc["transitions"]
+    if not isinstance(rows, list):
+        raise SchemaError("transitions: expected a list of transitions")
+    return spec.machine(
+        states=states,
         input_alphabet=input_alphabet,
         stack_alphabet=stack_alphabet,
-        transitions=_transitions(doc["transitions"], build),
+        transitions=tuple(_items(enumerate(rows), "transitions", spec.read_row)),
         initial=_string(doc["initial"], "initial"),
         accepting=frozenset(_string_list(doc["accepting"], "accepting")),
         rejecting=frozenset(_string_list(doc["rejecting"], "rejecting")),
-        declared_push_strings=declared,
+        **own,
     )
-
-
-_QCPDA_FIELDS = _fields(*_COMMON_FIELDS, "sigma")
-_QCPDA_ROW = _fields("from", "read", "top", "to", "move", "amp")
-
-
-def _parse_qcpda(doc):
-    _check_keys(doc, "top level", _QCPDA_FIELDS)
-    input_alphabet, stack_alphabet = _alphabets_from_doc(doc, "top level")
-
-    def build(row, path):
-        _check_keys(row, path, _QCPDA_ROW)
-        return TransitionQCPDA(
-            source=_string(row["from"], ".from"),
-            read=_string(row["read"], ".read"),
-            top=_string(row["top"], ".top"),
-            target=_string(row["to"], ".to"),
-            move=_move(row["move"], ".move"),
-            amp=_amp(row["amp"], ".amp"),
-        )
-
-    sigma_doc = doc["sigma"]
-    if not isinstance(sigma_doc, dict):
-        raise SchemaError("sigma: expected an object mapping state to op")
-    sigma = tuple(zip(sigma_doc, _items(sigma_doc.items(), "sigma", _op_from_doc)))
-    return MachineQCPDA(
-        states=_string_list(doc["states"], "states"),
-        input_alphabet=input_alphabet,
-        stack_alphabet=stack_alphabet,
-        transitions=_transitions(doc["transitions"], build),
-        sigma=sigma,
-        initial=_string(doc["initial"], "initial"),
-        accepting=frozenset(_string_list(doc["accepting"], "accepting")),
-        rejecting=frozenset(_string_list(doc["rejecting"], "rejecting")),
-    )
-
-
-_PPA_FIELDS = _fields(*_COMMON_FIELDS)
-_PPA_ROW = _fields("from", "read", "top", "to", "op", "move", "prob")
-
-
-def _parse_ppa(doc):
-    _check_keys(doc, "top level", _PPA_FIELDS)
-    input_alphabet, stack_alphabet = _alphabets_from_doc(doc, "top level")
-
-    def build(row, path):
-        _check_keys(row, path, _PPA_ROW)
-        return TransitionPPA(
-            source=_string(row["from"], ".from"),
-            read=_string(row["read"], ".read"),
-            top=_string(row["top"], ".top"),
-            target=_string(row["to"], ".to"),
-            op=_op_from_doc(row["op"], ".op"),
-            move=_move(row["move"], ".move"),
-            prob=_number(row["prob"], ".prob"),
-        )
-
-    return MachinePPA(
-        states=_string_list(doc["states"], "states"),
-        input_alphabet=input_alphabet,
-        stack_alphabet=stack_alphabet,
-        transitions=_transitions(doc["transitions"], build),
-        initial=_string(doc["initial"], "initial"),
-        accepting=frozenset(_string_list(doc["accepting"], "accepting")),
-        rejecting=frozenset(_string_list(doc["rejecting"], "rejecting")),
-    )
-
-
-# ======================================================================
-# Serialize
-# ======================================================================
 
 
 def machine_to_doc(machine):
-    if isinstance(machine, MachineQPAG):
-        kind = "qpag"
-    elif isinstance(machine, MachineQCPDA):
-        kind = "qcpda"
-    elif isinstance(machine, MachinePPA):
-        kind = "ppa"
+    for kind, spec in _KINDS.items():
+        if isinstance(machine, spec.machine):
+            break
     else:
         raise SchemaError(f"not a machine: {type(machine).__name__}")
-    doc = {
+    return {
         "kind": kind,
         "states": list(machine.states),
-        "input_alphabet": {
-            "symbols": list(machine.input_alphabet.symbols),
-            "left_end": machine.input_alphabet.left_end,
-            "right_end": machine.input_alphabet.right_end,
-        },
-        "stack_alphabet": {
-            "symbols": list(machine.stack_alphabet.symbols),
-            "bottom": machine.stack_alphabet.bottom,
-        },
+        "input_alphabet": _write_input_alphabet(machine.input_alphabet),
+        "stack_alphabet": _write_stack_alphabet(machine.stack_alphabet),
         "initial": machine.initial,
         "accepting": sorted(machine.accepting),
         "rejecting": sorted(machine.rejecting),
+        **spec.write_own(machine),
+        "transitions": [spec.write_row(t) for t in machine.transitions],
     }
-    if kind == "qpag" and machine.declared_push_strings:
-        doc["push_strings"] = [tokens_doc(p) for p in machine.declared_push_strings]
-    if kind == "qcpda":
-        doc["sigma"] = {q: _op_to_doc(op) for q, op in machine.sigma}
-    doc["transitions"] = [_transition_to_doc(kind, t) for t in machine.transitions]
-    return doc
-
-
-def _transition_to_doc(kind, t):
-    row = {"from": t.source, "read": t.read, "top": t.top, "to": t.target}
-    if kind != "qcpda":
-        row["op"] = _op_to_doc(t.op)
-    row["move"] = t.move
-    if kind == "ppa":
-        row["prob"] = t.prob
-    else:
-        row["amp"] = [t.amp.real, t.amp.imag]
-    return row
 
 
 def serialize_machine(machine) -> str:

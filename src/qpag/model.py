@@ -126,11 +126,6 @@ class InputAlphabet:
         if self.left_end == self.right_end:
             raise InvariantError("endmarkers must be distinct")
 
-    @property
-    def word_symbols(self) -> tuple[str, ...]:
-        ends = (self.left_end, self.right_end)
-        return tuple(s for s in self.symbols if s not in ends)
-
     def display(self, symbol: str) -> str:
         if symbol == self.left_end:
             return LEFT_DISPLAY
@@ -150,10 +145,6 @@ class StackAlphabet:
         _check_symbols(self.symbols, "stack alphabet")
         if self.bottom not in self.symbols:
             raise InvariantError("bottom symbol must be a stack symbol")
-
-    @property
-    def pushable(self) -> tuple[str, ...]:
-        return tuple(s for s in self.symbols if s != self.bottom)
 
 
 def _check_symbols(symbols, what):
@@ -359,11 +350,6 @@ class MachineQCPDA(_Machine):
     def sigma_map(self) -> dict[str, StackOp]:
         return dict(self.sigma)
 
-    @cached_property
-    def push_strings(self) -> tuple[tuple[str, ...], ...]:
-        found = {op.payload for _, op in self.sigma if op.kind == "push"}
-        return tuple(sorted(found))
-
 
 @dataclass(frozen=True)
 class MachinePPA(_Machine):
@@ -433,10 +419,6 @@ def display_tape(machine: Machine, tape) -> str:
 
 # Sparse state vector: configuration -> amplitude.
 StateVector = dict
-
-
-def initial_configuration(machine: Machine) -> Configuration:
-    return Configuration(machine.initial, 0, (machine.stack_alphabet.bottom,), ())
 
 
 def vector_norm_sq(psi: StateVector) -> float:

@@ -119,7 +119,6 @@ from .model import (
     RunResult,
     StateVector,
     StepSnapshot,
-    initial_configuration,
     join_tokens,
     run_bounds,
     vector_norm_sq,
@@ -194,13 +193,11 @@ class CellConfiguration(NamedTuple):
 
 
 def start(machine: MachineQPAG, table: dict) -> CellConfiguration:
-    """``initial_configuration`` with its tapes interned in ``table``."""
+    """The initial configuration (the initial state, head 0, the stack
+    holding the bottom symbol, an empty garbage tape), its tapes interned
+    in ``table``."""
     bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
     return CellConfiguration(machine.initial, 0, bottom, EMPTY)
-
-
-def initial_vector(machine: MachineQPAG) -> StateVector:
-    return {initial_configuration(machine): 1 + 0j}
 
 
 def stack_after(table: dict, stack: Cell, op) -> Cell:

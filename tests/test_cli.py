@@ -4,11 +4,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 from qpag.cli import main
 from qpag.machinefile import parse_machine, serialize_machine
+from qpag.model import (
+    EPSILON,
+    POP,
+    InputAlphabet,
+    MachinePPA,
+    StackAlphabet,
+    TransitionPPA,
+    push,
+)
 from qpag import problem1
 
 from .corpus import coin_ppa, dpda_wcwr, mutants
@@ -290,3 +300,65 @@ def test_random_qcpda_through_cli(tmp_path, capsys):
     path.write_text(serialize_machine(random_qcpda(2)), encoding="utf-8")
     assert main(["check", str(path)]) == 0
     assert _json_out(capsys)["passed"] is True
+
+
+def _leaky_dpda():
+    """``dpda_wcwr`` without its accepting row: a matched word such as
+    "aca" meets the undefined column (q_match, >, Z)."""
+    m = dpda_wcwr()
+    rows = tuple(
+        t for t in m.transitions if (t.source, t.read, t.top) != ("q_match", ">", "Z")
+    )
+    return replace(m, transitions=rows)
+
+
+_LEAK_WARNING = "warning: undefined column (state=q_match, read=>, top=Z); mass leaks to p_non\n"
+
+
+def test_run_ppa_warnings_under_warnings_as_errors(tmp_path):
+    # the command reports run_ppa's warnings itself, so a child started
+    # with every warning an error still exits 0 with its report
+    path = tmp_path / "leaky.json"
+    path.write_text(serialize_machine(_leaky_dpda()), encoding="utf-8")
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qpag", "run", str(path), "--input", "aca"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert done.returncode == 0
+    doc = json.loads(done.stdout)
+    assert doc["tape"] == "¢aca$"
+    assert doc["result"]["p_non"] == 1.0
+    assert doc["result"]["p_acc"] == doc["result"]["p_rej"] == 0
+    assert done.stderr.decode() == _LEAK_WARNING
+
+
+def test_run_ppa_warnings_before_pop_on_bottom(tmp_path, capsys):
+    # on "ab", p2 meets the undefined column (p2, a, A) at step 3, then p3
+    # pops Z at step 4: the warning is still reported, before the error
+    alpha = InputAlphabet(symbols=("<", "a", "b", ">"), left_end="<", right_end=">")
+    gamma = StackAlphabet(symbols=("Z", "A"), bottom="Z")
+    machine = MachinePPA(
+        states=("p0", "p1", "p2", "p3"),
+        input_alphabet=alpha,
+        stack_alphabet=gamma,
+        transitions=(
+            TransitionPPA("p0", "<", "Z", "p1", push("A"), 1, 1.0),
+            TransitionPPA("p1", "a", "A", "p2", EPSILON, 0, 0.5),
+            TransitionPPA("p1", "a", "A", "p3", EPSILON, 1, 0.5),
+            TransitionPPA("p3", "b", "A", "p3", POP, 0, 1.0),
+            TransitionPPA("p3", "b", "Z", "p3", POP, 0, 1.0),
+        ),
+        initial="p0",
+        accepting=frozenset(),
+        rejecting=frozenset(),
+    )
+    path = tmp_path / "split.json"
+    path.write_text(serialize_machine(machine), encoding="utf-8")
+    assert main(["run", str(path), "--input", "ab"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "warning: undefined column (state=p2, read=a, top=A); mass leaks to p_non\n"
+        "error: pop on stack 'Z'\n"
+    )

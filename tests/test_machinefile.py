@@ -517,10 +517,32 @@ def test_multichar_tokens_as_lists():
     assert parse_machine(serialize_machine(m)) == m
 
 
-# Documents to fuzz: the built-in machine and a lowered image.
+def test_roundtrip_declared_push_strings():
+    # multi-character tokens, and declared strings that no row pushes
+    doc = _doc()
+    doc["stack_alphabet"] = {"symbols": ["Z", "mark", "x"], "bottom": "Z"}
+    doc["transitions"][0]["op"] = {"op": "push", "string": ["mark"]}
+    doc["push_strings"] = [["mark"], ["mark", "x"], "x"]
+    m = parse_machine(json.dumps(doc))
+    assert m.declared_push_strings == (("mark",), ("mark", "x"), ("x",))
+    assert m.push_strings == (("mark",),)
+    written = machine_to_doc(m)
+    assert list(written)[-2:] == ["push_strings", "transitions"]
+    assert written["push_strings"] == [["mark"], ["mark", "x"], "x"]
+    text = serialize_machine(m)
+    again = parse_machine(text)
+    assert again == m
+    assert serialize_machine(again) == text
+
+
+# Documents to fuzz, one or more of each kind: the built-in machine and a
+# lowered image (qpag), a scheduled-stack machine (its sigma) and a
+# deterministic pushdown machine (its prob rows).
 _FUZZ_DOCS = (
     machine_to_doc(problem1.build_machine()),
     machine_to_doc(compile_qcpda(random_qcpda(4))[0]),
+    machine_to_doc(random_qcpda(4)),
+    machine_to_doc(dpda_wcwr()),
 )
 
 _LEAVES = st.one_of(
