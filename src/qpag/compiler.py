@@ -32,29 +32,30 @@ from .model import (
     EPSILON,
     MachineQCPDA,
     MachineQPAG,
+    Record,
     StackAlphabet,
     StackOp,
     TransitionQPAG,
     default_max_steps,
+    records,
+    rendered,
 )
 from .simulate import KernelSteps, PrefixRuns, trajectory  # noqa: F401
 from .wellformed import check_qcpda
 
 
+def _aux_states_doc(aux_states):
+    return {q: [a, b] for q, a, b in aux_states}
+
+
 @dataclass(frozen=True)
-class CompileMap:
-    aux_states: tuple[tuple[str, str, str], ...]  # (target, stage_a, stage_b)
-    labels: tuple[tuple[str, str], ...]  # (operation description, marker)
+class CompileMap(Record):
+    # (target, stage_a, stage_b)
+    aux_states: tuple[tuple[str, str, str], ...] = rendered(_aux_states_doc)
+    # (operation description, marker)
+    labels: tuple[tuple[str, str], ...] = rendered(dict)
     original_transitions: int
     image_transitions: int
-
-    def to_json_dict(self):
-        return {
-            "aux_states": {q: [a, b] for q, a, b in self.aux_states},
-            "labels": dict(self.labels),
-            "original_transitions": self.original_transitions,
-            "image_transitions": self.image_transitions,
-        }
 
 
 def _fresh(name: str, used: set) -> str:
@@ -165,7 +166,7 @@ def compile_qcpda(
 
 
 @dataclass(frozen=True)
-class WordComparison:
+class WordComparison(Record):
     word: str
     p_acc_original: float
     p_rej_original: float
@@ -178,32 +179,11 @@ class WordComparison:
     decoherent: bool
     passed: bool
 
-    def to_json_dict(self):
-        return {
-            "word": self.word,
-            "p_acc_original": self.p_acc_original,
-            "p_rej_original": self.p_rej_original,
-            "p_non_original": self.p_non_original,
-            "p_acc_image": self.p_acc_image,
-            "p_rej_image": self.p_rej_image,
-            "p_non_image": self.p_non_image,
-            "delta_acc": self.delta_acc,
-            "delta_rej": self.delta_rej,
-            "decoherent": self.decoherent,
-            "passed": self.passed,
-        }
-
 
 @dataclass(frozen=True)
-class EquivReport:
+class EquivReport(Record):
     passed: bool
-    rows: tuple[WordComparison, ...]
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
+    rows: tuple[WordComparison, ...] = rendered(records)
 
 
 class ImageSteps(KernelSteps):

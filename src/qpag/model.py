@@ -15,14 +15,22 @@ Symbols are text tokens. The input alphabet reserves two tokens as the left
 and right endmarker (spelled ``<`` / ``>`` in files, shown as ``¢`` / ``$``
 in traces); the stack alphabet reserves one token as the bottom symbol,
 which lives at stack position 0 and nowhere else.
+
+Every report dataclass (run results here, and the reports of
+``wellformed``, ``compiler`` and ``problem1``) derives from ``Record``,
+whose one ``to_json_dict`` writes the dataclass fields in field order under
+their own names. A field's value goes out as it is, unless the field is
+declared with ``rendered(fn)``; then ``fn(value)`` goes out: ``records``
+for a tuple of records (or None), ``dict`` or ``list`` for a tuple of pairs
+or of strings, or a function of the record's module for a shape of its own.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 from typing import NamedTuple, Optional, Union
 
 from .errors import (
@@ -199,7 +207,7 @@ class TransitionPPA:
 # ======================================================================
 
 
-def _check_common(m, kind):
+def _check_common(m, row_class):
     if not m.states:
         raise InvariantError("machine has no states")
     if len(set(m.states)) != len(m.states):
@@ -214,6 +222,8 @@ def _check_common(m, kind):
         raise InvariantError("accepting and rejecting sets overlap")
     seen = set()
     for t in m.transitions:
+        if not isinstance(t, row_class):
+            raise InvariantError(f"transition is not a {row_class.__name__}: {t}")
         if t.source not in states or t.target not in states:
             raise InvariantError(f"transition endpoint missing from states: {t}")
         if t.read not in m.input_alphabet.symbols:
@@ -229,7 +239,7 @@ def _check_common(m, kind):
         if key in seen:
             raise InvariantError(f"duplicate transition tuple {key}")
         seen.add(key)
-        if kind == "ppa":
+        if row_class is TransitionPPA:
             if not math.isfinite(t.prob):
                 raise InvariantError("probability must be finite")
         else:
@@ -296,7 +306,7 @@ class MachineQPAG(_Machine):
     declared_push_strings: tuple[tuple[str, ...], ...] = ()
 
     def __post_init__(self):
-        _check_common(self, "qpag")
+        _check_common(self, TransitionQPAG)
         inferred = set(self.push_strings)
         declared = set(self.declared_push_strings)
         for p in declared:
@@ -331,7 +341,7 @@ class MachineQCPDA(_Machine):
     rejecting: frozenset[str]
 
     def __post_init__(self):
-        _check_common(self, "qcpda")
+        _check_common(self, TransitionQCPDA)
         object.__setattr__(
             self, "sigma", tuple(sorted(self.sigma, key=lambda row: row[0]))
         )
@@ -364,7 +374,7 @@ class MachinePPA(_Machine):
     _weight = "prob"
 
     def __post_init__(self):
-        _check_common(self, "ppa")
+        _check_common(self, TransitionPPA)
 
 
 Machine = Union[MachineQPAG, MachineQCPDA, MachinePPA]
@@ -427,53 +437,65 @@ def vector_norm_sq(psi: StateVector) -> float:
 
 
 # ======================================================================
+# Report records
+# ======================================================================
+
+
+def rendered(fn, **kwargs):
+    """A record field whose JSON value is ``fn(value)``; ``kwargs`` go to
+    ``dataclasses.field`` (a default)."""
+    return field(metadata={"render": fn}, **kwargs)
+
+
+def records(rs):
+    """JSON value of a tuple of records, or of None."""
+    return None if rs is None else [r.to_json_dict() for r in rs]
+
+
+@cache
+def _layout(cls):
+    """(name, renderer or None) per field of a record class, in field order."""
+    return tuple((f.name, f.metadata.get("render")) for f in fields(cls))
+
+
+class Record:
+    """Base of the report dataclasses: one JSON writer for all of them."""
+
+    def to_json_dict(self):
+        doc = {}
+        for name, render in _layout(type(self)):
+            value = getattr(self, name)
+            doc[name] = value if render is None else render(value)
+        return doc
+
+
+# ======================================================================
 # Run results
 # ======================================================================
 
 
+def _survivors_doc(survivors):
+    return [{**c.to_json_dict(), "amp": [a.real, a.imag]} for c, a in survivors]
+
+
 @dataclass(frozen=True)
-class StepSnapshot:
+class StepSnapshot(Record):
     """Top surviving amplitudes after one step's measurement."""
 
     step: int
-    survivors: tuple[tuple[Configuration, complex], ...]
+    survivors: tuple[tuple[Configuration, complex], ...] = rendered(_survivors_doc)
     p_acc_delta: float
     p_rej_delta: float
 
-    def to_json_dict(self):
-        rows = []
-        for c, a in self.survivors:
-            row = c.to_json_dict()
-            row["amp"] = [a.real, a.imag]
-            rows.append(row)
-        return {
-            "step": self.step,
-            "survivors": rows,
-            "p_acc_delta": self.p_acc_delta,
-            "p_rej_delta": self.p_rej_delta,
-        }
-
 
 @dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     p_acc: float
     p_rej: float
     p_non: float
     truncation_loss: float
     steps: int
-    trace: Optional[tuple[StepSnapshot, ...]] = None
+    trace: Optional[tuple[StepSnapshot, ...]] = rendered(records, default=None)
 
     def total(self) -> float:
         return self.p_acc + self.p_rej + self.p_non + self.truncation_loss
-
-    def to_json_dict(self):
-        return {
-            "p_acc": self.p_acc,
-            "p_rej": self.p_rej,
-            "p_non": self.p_non,
-            "truncation_loss": self.truncation_loss,
-            "steps": self.steps,
-            "trace": None
-            if self.trace is None
-            else [s.to_json_dict() for s in self.trace],
-        }

@@ -29,9 +29,12 @@ from .model import (
     POP,
     InputAlphabet,
     MachineQPAG,
+    Record,
     StackAlphabet,
     TransitionQPAG,
     push,
+    records,
+    rendered,
 )
 # ``problem1.run`` stays bound: perfbench/tracing.py wraps it by that name.
 from .simulate import run, run_many  # noqa: F401
@@ -205,39 +208,21 @@ def generate(n: int, cls: str, seed: int) -> Instance:
 
 
 @dataclass(frozen=True)
-class SweepFailure:
+class SweepFailure(Record):
     word: str
     expected: str
     p_acc: float
     p_rej: float
     deviation: float
 
-    def to_json_dict(self):
-        return {
-            "word": self.word,
-            "expected": self.expected,
-            "p_acc": self.p_acc,
-            "p_rej": self.p_rej,
-            "deviation": self.deviation,
-        }
-
 
 @dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     n: int
     mode: str
     checked: int
-    failures: tuple[SweepFailure, ...]
+    failures: tuple[SweepFailure, ...] = rendered(records)
     max_deviation: float
-
-    def to_json_dict(self):
-        return {
-            "n": self.n,
-            "mode": self.mode,
-            "checked": self.checked,
-            "failures": [f.to_json_dict() for f in self.failures],
-            "max_deviation": self.max_deviation,
-        }
 
 
 EXHAUSTIVE_CAP = 10**6

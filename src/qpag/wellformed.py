@@ -40,7 +40,7 @@ bit-identical across transition reorderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 from .errors import InvariantError, StateSpaceOverflow
@@ -51,41 +51,29 @@ from .model import (
     MachinePPA,
     MachineQCPDA,
     MachineQPAG,
+    Record,
     StackOp,
     make_tape,
+    records,
+    rendered,
     tokens_doc,
 )
 from .simulate import CellConfiguration, start, successor
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     condition: str
-    witness: tuple[tuple[str, object], ...]
+    witness: tuple[tuple[str, object], ...] = rendered(dict)
     residual: float
-
-    def to_json_dict(self):
-        return {
-            "condition": self.condition,
-            "witness": dict(self.witness),
-            "residual": self.residual,
-        }
 
 
 @dataclass(frozen=True)
-class WfReport:
+class WfReport(Record):
     passed: bool
     mode: str
-    violations: tuple[Violation, ...]
-    evaluations: dict[str, int] = field(default_factory=dict)
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "violations": [v.to_json_dict() for v in self.violations],
-            "evaluations": dict(self.evaluations),
-        }
+    violations: tuple[Violation, ...] = rendered(records)
+    evaluations: dict[str, int] = rendered(dict, default_factory=dict)
 
 
 def _op_desc(op_key) -> str:
@@ -393,35 +381,19 @@ def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
 
 
 @dataclass(frozen=True)
-class AuditFailure:
+class AuditFailure(Record):
     kind: str  # "norm" or "orthogonality"
-    configs: tuple[Configuration, ...]
+    configs: tuple[Configuration, ...] = rendered(records)
     value: float
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "configs": [c.to_json_dict() for c in self.configs],
-            "value": self.value,
-        }
 
 
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Record):
     passed: bool
     examined: int
     stepped: int
-    warnings: tuple[str, ...]
-    failures: tuple[AuditFailure, ...]
-
-    def to_json_dict(self):
-        return {
-            "passed": self.passed,
-            "examined": self.examined,
-            "stepped": self.stepped,
-            "warnings": list(self.warnings),
-            "failures": [f.to_json_dict() for f in self.failures],
-        }
+    warnings: tuple[str, ...] = rendered(list)
+    failures: tuple[AuditFailure, ...] = rendered(records)
 
 
 def audit_unitarity(

@@ -260,6 +260,11 @@ def _sweep_doc(n, mode, checked):
 def test_stdout_byte_stable_across_processes(tmp_path):
     path = tmp_path / "builtin.json"
     path.write_text(serialize_machine(problem1.build_machine()), encoding="utf-8")
+    broken = tmp_path / "broken.json"
+    by_name = {m.name: m for m in mutants()}
+    broken.write_text(serialize_machine(by_name["scale-split-a"].machine), encoding="utf-8")
+    walker = tmp_path / "walker.json"
+    walker.write_text(serialize_machine(halting_walker()), encoding="utf-8")
     # sweep reports pinned to what per-word runs gave before batching
     pinned = {
         ("problem1", "sweep", "-n", "2", "--exhaustive"): _sweep_doc(
@@ -274,6 +279,9 @@ def test_stdout_byte_stable_across_processes(tmp_path):
         ["run", str(path), "--input", "ab#ba#ab", "--trace"],
         ["problem1", "gen", "-n", "2", "--class", "no"],
         *map(list, pinned),
+        # a failing audit, whose report lists its failures' configurations
+        ["audit", str(broken), "--input", "aa#aa#aa", "--depth", "6"],
+        ["compile", str(walker), "-o", str(tmp_path / "image.json"), "--equiv-words", "0,01,1"],
     ):
         first = _cli(args, hash_seed=1)
         second = _cli(args, hash_seed=2)
@@ -282,6 +290,10 @@ def test_stdout_byte_stable_across_processes(tmp_path):
         assert first.returncode == second.returncode
         if tuple(args) in pinned:
             assert first.stdout == pinned[tuple(args)]
+        if args[0] == "audit":
+            assert first.returncode == 1 and b'"configs"' in first.stdout
+        if args[0] == "compile":
+            assert b'"aux_states"' in first.stdout and b'"rows"' in first.stdout
 
 
 def test_compiled_file_byte_stable(tmp_path):

@@ -1,6 +1,8 @@
 """Core type and validation behaviour."""
 
 import math
+from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,8 @@ from qpag.model import (
     MachineQPAG,
     StackAlphabet,
     StackOp,
+    TransitionPPA,
+    TransitionQCPDA,
     TransitionQPAG,
     default_max_steps,
     display_tape,
@@ -28,7 +32,8 @@ from qpag.model import (
     vector_norm_sq,
 )
 
-from .corpus import cycle3, pushcycle
+from .corpus import coin_ppa, cycle3, pushcycle
+from .generators import random_qcpda
 
 
 def test_stack_op_kinds():
@@ -131,13 +136,46 @@ def test_declared_push_strings():
     base = pushcycle()
     assert base.push_strings == (("x",), ("y",))
     assert base.push_string_universe == frozenset({("x",), ("y",)})
-    from dataclasses import replace
-
     declared = replace(base, declared_push_strings=(("x",), ("y",), ("x", "y")))
     assert declared.push_strings == (("x",), ("y",))  # inferred stays as-is
     assert ("x", "y") in declared.push_string_universe
     with pytest.raises(InvariantError):
         replace(base, declared_push_strings=(("x",),))  # missing ("y",)
+
+
+_OWN_ROWS = {
+    TransitionQPAG: cycle3,
+    TransitionQCPDA: lambda: random_qcpda(0),
+    TransitionPPA: coin_ppa,
+}
+
+
+def _rows_as(row_class, rows):
+    """The same (source, read, top, target, move) rows as ``row_class``."""
+    out = []
+    for t in rows:
+        weight = t.prob if isinstance(t, TransitionPPA) else t.amp
+        kw = dict(source=t.source, read=t.read, top=t.top, target=t.target, move=t.move)
+        if row_class is not TransitionQCPDA:
+            kw["op"] = getattr(t, "op", EPSILON)
+        if row_class is TransitionPPA:
+            kw["prob"] = abs(weight)
+        else:
+            kw["amp"] = complex(weight)
+        out.append(row_class(**kw))
+    return tuple(out)
+
+
+@pytest.mark.parametrize(
+    "own, foreign",
+    list(permutations(_OWN_ROWS, 2)),
+    ids=lambda c: c.__name__,
+)
+def test_rows_of_another_machine_kind_rejected(own, foreign):
+    machine = _OWN_ROWS[own]()
+    assert replace(machine, transitions=_rows_as(own, machine.transitions)) == machine
+    with pytest.raises(InvariantError, match=f"not a {own.__name__}"):
+        replace(machine, transitions=_rows_as(foreign, machine.transitions))
 
 
 def test_configuration_shape():
