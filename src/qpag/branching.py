@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StateSpaceOverflow
-from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape
+from .model import HALT_MASS, PRUNE_THRESHOLD, MachineQCPDA, RunResult, make_tape
 from .simulate import EMPTY, Cell, cons, evolve, stack_after, walk_to_end
 
 BRANCH_CAP = 10**5
@@ -105,23 +105,30 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
     """
     stack = branch.cell
     top = stack.symbol
-    pruned, parked, truncated = evolve(
+    out, parked, truncated, _ = evolve(
         branch.psi, tape, machine.columns, lambda key: top, _move
     )
 
-    # measurement outcomes: accept, reject, or the scheduled stack operation
+    # prune, then split by measurement outcome: accept, reject, or the
+    # scheduled stack operation. Pruned mass joins the undefined-column
+    # mass in one running sum, in the vector's order.
     accepting = machine.accepting
     rejecting = machine.rejecting
     sigma = machine.sigma_map
+    threshold = PRUNE_THRESHOLD
     acc = 0.0
     rej = 0.0
     classes: dict = {}
-    for key, amp in pruned.items():
+    for key, amp in out.items():
+        size = abs(amp)
+        if size < threshold:
+            truncated += size**2
+            continue
         state = key[0]
         if state in accepting:
-            acc += abs(amp) ** 2
+            acc += size**2
         elif state in rejecting:
-            rej += abs(amp) ** 2
+            rej += size**2
         else:
             classes.setdefault(sigma[state], {})[key] = amp
 

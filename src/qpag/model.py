@@ -432,8 +432,14 @@ StateVector = dict
 
 
 def vector_norm_sq(psi: StateVector) -> float:
-    """Squared norm, summed in the vector's insertion order."""
-    return sum(abs(a) ** 2 for a in psi.values())
+    """Squared norm, summed left to right in the vector's insertion order
+    with plain float additions, as the step kernel sums it. ``sum()`` is
+    not used: from CPython 3.12 it compensates float sums, which would
+    give another float on some vectors."""
+    total = 0.0
+    for amp in psi.values():
+        total += abs(amp) ** 2
+    return total
 
 
 # ======================================================================

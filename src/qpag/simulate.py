@@ -18,10 +18,15 @@ every quantum engine shares, and the step loop every run shares.
   cells: row ``t``'s stack operation and head move, with a popped symbol
   appended to the garbage tape. ``KernelSteps`` and
   ``wellformed.audit_unitarity`` build configurations through it.
-* ``evolve(psi, tape, columns, top, succ)`` is one unmeasured step of any
-  sparse vector whose keys start with (state, head): expand every key
-  through its column, accumulate, count parked and undefined-column mass,
-  and prune. ``KernelSteps`` and ``branching.qcpda_step`` step through it.
+* A step makes two passes over its data. ``evolve(psi, tape, columns,
+  top, succ)`` is the first, one unmeasured step of any sparse vector
+  whose keys start with (state, head): expand every key through its
+  column, accumulate, count parked and undefined-column mass, and find the
+  largest head read. ``measure(machine, psi)`` is the kernel's second:
+  prune, drain accepting and rejecting mass, keep the survivors and sum
+  their squared norm. ``KernelSteps`` steps through both;
+  ``branching.qcpda_step`` through ``evolve``, then a second pass of its
+  own that prunes and splits the survivors by scheduled stack operation.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
   every run, quantum or classical. A stepper gives ``start()``,
   checkpoint 0; ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
@@ -92,7 +97,12 @@ Bookkeeping rules, all of which keep
 * a live configuration whose column is undefined (no rows of nonzero
   amplitude) contributes its mass to ``truncation_loss`` (the table is only
   a fragment of a unitary there);
-* amplitudes below ``PRUNE_THRESHOLD`` are dropped into ``truncation_loss``;
+* amplitudes below ``PRUNE_THRESHOLD`` are dropped into ``truncation_loss``.
+  In ``KernelSteps`` a step's truncated mass is (undefined-column mass) +
+  (pruned mass), each a running sum in vector order; ``qcpda_step`` keeps
+  one running sum, pruned mass after undefined. The two orders give
+  different floats only in a step with undefined-column mass and at least
+  two pruned amplitudes;
 * the run stops when the live mass falls below ``HALT_MASS`` or the step
   budget runs out, and whatever is still live lands in ``p_non``.
 
@@ -243,57 +253,80 @@ def _stack_top(conf: CellConfiguration) -> str:
 def evolve(psi, tape, columns, top, succ):
     """Apply one transition-table step to a sparse vector whose keys start
     with (state, head). ``top(key)`` is the stack top the key reads and
-    ``succ(key, t)`` the key row ``t`` leads to.
+    ``succ(key, t)`` the key row ``t`` leads to. This is the first of a
+    step's two passes: it expands and accumulates, and prunes nothing.
 
-    Returns (new vector, parked mass, truncated mass): parked is the mass
-    whose head is past the right endmarker, truncated the mass on undefined
-    columns plus the amplitudes pruned below ``PRUNE_THRESHOLD``. Raises
-    StateSpaceOverflow as soon as the new vector holds more than
+    Returns (new vector, parked mass, undefined mass, largest head read):
+    parked is the mass whose head is past the right endmarker, undefined
+    the mass on undefined columns, each summed in ``psi``'s order, and the
+    largest head is taken over every key of ``psi``, parked ones included
+    (-1 if ``psi`` is empty). The caller prunes the new vector and counts
+    the pruned mass, with the undefined mass, as the step's truncated mass.
+    Raises StateSpaceOverflow as soon as the new vector holds more than
     ``CONFIG_CAP`` keys, read when the call starts.
     """
     n = len(tape)
     cap = CONFIG_CAP
     out: dict = {}
+    get = out.get
     parked = 0.0
-    truncated = 0.0
+    undefined = 0.0
+    read = -1
     for key, amp in psi.items():
         head = key[1]
+        if head > read:
+            read = head
         if head >= n:
             parked += abs(amp) ** 2
             continue
         column = columns.get((key[0], tape[head], top(key)))
         if column is None:
-            truncated += abs(amp) ** 2
+            undefined += abs(amp) ** 2
             continue
         for t in column:
             nxt = succ(key, t)
-            out[nxt] = out.get(nxt, 0j) + amp * t.amp
+            out[nxt] = get(nxt, 0j) + amp * t.amp
             if len(out) > cap:
                 raise StateSpaceOverflow(
                     f"state vector exceeded {cap} configurations"
                 )
-    pruned: dict = {}
-    for key, amp in out.items():
-        if abs(amp) < PRUNE_THRESHOLD:
-            truncated += abs(amp) ** 2
-        else:
-            pruned[key] = amp
-    return pruned, parked, truncated
+    return out, parked, undefined, read
 
 
 def measure(machine: MachineQPAG, psi: StateVector):
-    """Project out halting mass. Returns (survivors, acc_delta, rej_delta)."""
+    """The second pass of a kernel step: prune, project out halting mass
+    and take the survivors' norm, all in one walk over ``psi`` in its
+    order.
+
+    Returns (survivors, acc, rej, pruned, norm): the configurations that
+    are neither pruned nor halting, with their amplitudes; the squared mass
+    drained into accepting and into rejecting states; the squared mass of
+    the amplitudes below ``PRUNE_THRESHOLD``, which are dropped whatever
+    their state; and the survivors' squared norm, summed left to right in
+    their order as ``model.vector_norm_sq`` sums it.
+    """
+    accepting = machine.accepting
+    rejecting = machine.rejecting
+    threshold = PRUNE_THRESHOLD
     acc = 0.0
     rej = 0.0
+    pruned = 0.0
+    norm = 0.0
     rest: StateVector = {}
     for conf, amp in psi.items():
-        if conf.state in machine.accepting:
-            acc += abs(amp) ** 2
-        elif conf.state in machine.rejecting:
-            rej += abs(amp) ** 2
+        size = abs(amp)
+        if size < threshold:
+            pruned += size**2
+            continue
+        state = conf[0]
+        if state in accepting:
+            acc += size**2
+        elif state in rejecting:
+            rej += size**2
         else:
             rest[conf] = amp
-    return rest, acc, rej
+            norm += size**2
+    return rest, acc, rej, pruned, norm
 
 
 @dataclass(frozen=True)
@@ -367,18 +400,18 @@ class KernelSteps:
 
     def step(self, point, tape, i):
         psi, acc, rej, parked, truncated = point[:5]
-        read = max(conf[1] for conf in psi)
-        psi, d_parked, d_truncated = evolve(
+        psi, d_parked, d_undefined, read = evolve(
             psi, tape, self.machine.columns, _stack_top, self._succ
         )
-        psi, d_acc, d_rej = measure(self.machine, psi)
+        psi, d_acc, d_rej, d_pruned, norm = measure(self.machine, psi)
+        d_truncated = d_undefined + d_pruned
         point = (
             psi,
             acc + d_acc,
             rej + d_rej,
             parked + d_parked,
             truncated + d_truncated,
-            vector_norm_sq(psi),
+            norm,
             d_acc,
             d_rej,
             d_parked,

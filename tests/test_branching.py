@@ -9,11 +9,13 @@ from dataclasses import replace
 import pytest
 
 from qpag import branching
+from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import PopOnBottom, StateSpaceOverflow
 from qpag.model import (
     EPSILON,
     POP,
     InputAlphabet,
+    PRUNE_THRESHOLD,
     MachineQCPDA,
     StackAlphabet,
     TransitionQCPDA,
@@ -29,7 +31,7 @@ from qpag.branching import (
     qcpda_step,
     run_qcpda,
 )
-from qpag.simulate import PrefixRuns
+from qpag.simulate import PrefixRuns, stack_after
 from qpag.wellformed import check_qcpda
 
 from .generators import random_qcpda, words_up_to
@@ -342,3 +344,98 @@ def test_words_helper_is_exhaustive():
     ws = words_up_to(4)
     assert len(ws) == 31  # 1 + 2 + 4 + 8 + 16
     assert len(set(ws)) == 31
+
+
+def _unfolded_qcpda_step(machine, tape, branch, pruned):
+    """``qcpda_step`` with its pruning as a separate copy between the
+    expansion and the measurement, kept as the oracle for the step that
+    prunes inside its measurement loop. Counts pruned amplitudes into
+    ``pruned``."""
+    stack = branch.cell
+    top = stack.symbol
+    n = len(tape)
+    out: dict = {}
+    parked = 0.0
+    truncated = 0.0
+    for key, amp in branch.psi.items():
+        head = key[1]
+        if head >= n:
+            parked += abs(amp) ** 2
+            continue
+        column = machine.columns.get((key[0], tape[head], top))
+        if column is None:
+            truncated += abs(amp) ** 2
+            continue
+        for t in column:
+            nxt = (t.target, key[1] + t.move)
+            out[nxt] = out.get(nxt, 0j) + amp * t.amp
+    kept: dict = {}
+    for key, amp in out.items():
+        if abs(amp) < PRUNE_THRESHOLD:
+            truncated += abs(amp) ** 2
+            pruned.append(abs(amp))
+        else:
+            kept[key] = amp
+
+    acc = 0.0
+    rej = 0.0
+    classes: dict = {}
+    for key, amp in kept.items():
+        state = key[0]
+        if state in machine.accepting:
+            acc += abs(amp) ** 2
+        elif state in machine.rejecting:
+            rej += abs(amp) ** 2
+        else:
+            classes.setdefault(machine.sigma_map[state], {})[key] = amp
+
+    children = []
+    table = branch.table
+    for op, vec in classes.items():
+        mass = sum(abs(amp) ** 2 for amp in vec.values())
+        if mass <= 0:
+            continue
+        scale = mass**-0.5
+        children.append(
+            Branch(
+                prob=branch.prob * mass,
+                cell=stack_after(table, stack, op),
+                psi={key: amp * scale for key, amp in vec.items()},
+                steps=branch.steps + 1,
+                table=table,
+            )
+        )
+
+    return StepDeltas(
+        children=tuple(children),
+        acc=branch.prob * acc,
+        rej=branch.prob * rej,
+        parked=branch.prob * parked,
+        truncated=branch.prob * truncated,
+    )
+
+
+def test_folded_pruning_matches_unfolded_step(monkeypatch):
+    # run_qcpda and equiv_check reports are == whether qcpda_step prunes in
+    # its measurement loop or in a copy before it; seed 8 prunes
+    words = words_up_to(3)
+    machines = [random_qcpda(seed) for seed in range(20)]
+
+    def reports():
+        out = []
+        for m in machines:
+            out.append([run_qcpda(m, w, max_steps=12) for w in words])
+            out.append(equiv_check(m, compile_qcpda(m)[0], words, max_steps=8))
+        return out
+
+    folded = reports()
+    pruned = []
+    monkeypatch.setattr(
+        branching,
+        "qcpda_step",
+        lambda machine, tape, branch: _unfolded_qcpda_step(
+            machine, tape, branch, pruned
+        ),
+    )
+    assert reports() == folded
+    assert pruned

@@ -4,6 +4,7 @@ prefix-shared batches."""
 import random
 import re
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +15,14 @@ from qpag.compiler import compile_qcpda
 from qpag.errors import PopOnBottom, StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
 from qpag.model import (
     EPSILON,
+    HALT_MASS,
     POP,
+    PRUNE_THRESHOLD,
     Configuration,
     default_max_steps,
     make_tape,
     push,
+    run_bounds,
     vector_norm_sq,
 )
 from qpag.simulate import (
@@ -512,3 +516,98 @@ def test_run_many_rejects_a_bad_word_after_the_good_ones():
         next(results)
     # words are read one at a time, as results are taken
     assert list(words) == ["b#b#b"]
+
+
+def _multipass_step(machine, succ, point, tape):
+    """The kernel step as separate passes, kept as the oracle for
+    ``KernelSteps.step``: a max over the heads, an expansion, a pruning
+    copy, a measuring copy and a norm. The step's truncated mass is the
+    undefined-column mass plus the pruned mass, each summed on its own.
+    Returns (checkpoint, largest head read, pruned mass)."""
+    psi, acc, rej, parked, truncated = point[:5]
+    read = max(conf[1] for conf in psi)
+    n = len(tape)
+    out = {}
+    d_parked = 0.0
+    undefined = 0.0
+    for key, amp in psi.items():
+        head = key[1]
+        if head >= n:
+            d_parked += abs(amp) ** 2
+            continue
+        column = machine.columns.get((key[0], tape[head], key.stack.symbol))
+        if column is None:
+            undefined += abs(amp) ** 2
+            continue
+        for t in column:
+            nxt = succ(key, t)
+            out[nxt] = out.get(nxt, 0j) + amp * t.amp
+    kept = {}
+    d_pruned = 0.0
+    for key, amp in out.items():
+        if abs(amp) < PRUNE_THRESHOLD:
+            d_pruned += abs(amp) ** 2
+        else:
+            kept[key] = amp
+    d_acc = 0.0
+    d_rej = 0.0
+    rest = {}
+    for conf, amp in kept.items():
+        if conf.state in machine.accepting:
+            d_acc += abs(amp) ** 2
+        elif conf.state in machine.rejecting:
+            d_rej += abs(amp) ** 2
+        else:
+            rest[conf] = amp
+    d_truncated = undefined + d_pruned
+    point = (
+        rest,
+        acc + d_acc,
+        rej + d_rej,
+        parked + d_parked,
+        truncated + d_truncated,
+        vector_norm_sq(rest),
+        d_acc,
+        d_rej,
+        d_parked,
+        d_truncated,
+    )
+    return point, read, d_pruned
+
+
+def test_kernel_step_matches_multipass_oracle():
+    # every checkpoint of the two-pass kernel, vector order included, is
+    # the multi-pass oracle's with ==, and so is the head each step read.
+    # Of these machines only halfstep prunes, on words of two or more
+    # symbols, where its cancellations leave residues near 1e-17
+    m = problem1.build_machine()
+    cases = [
+        (m, [problem1.generate(n, cls, seed=s).tokens() for s in range(3)], None)
+        for n in (64, 128)
+        for cls in (problem1.YES, problem1.NO)
+    ]
+    cases += [
+        (compile_qcpda(random_qcpda(seed))[0], words_up_to(3), 30)
+        for seed in range(20)
+    ]
+    cases += [(build(), words_up_to(3), None) for build in TOTAL_MACHINES.values()]
+    pruned_steps = 0
+    for machine, words, max_steps in cases:
+        for word in words:
+            tape, budget = run_bounds(machine, word, max_steps)
+            stepper = KernelSteps(machine)
+            first = stepper.start()
+            steps = list(simulate.walk(stepper, tape, first, 1, budget))
+            succ = partial(simulate.successor, stepper.table)
+            point = first
+            for i, kernel, read in steps:
+                assert not point[5] < HALT_MASS
+                point, oracle_read, d_pruned = _multipass_step(
+                    machine, succ, point, tape
+                )
+                assert list(kernel[0].items()) == list(point[0].items()), (word, i)
+                assert kernel[1:] == point[1:], (word, i)
+                assert read == oracle_read, (word, i)
+                pruned_steps += d_pruned > 0
+            assert len(steps) == budget or point[5] < HALT_MASS, word
+    assert pruned_steps > 0
