@@ -5,7 +5,10 @@ The stack here is classical: measuring which stack operation fired after a
 step collapses the superposition into one classical branch per operation
 outcome (plus accept and reject). A branch carries a probability, a stack,
 and a unit-norm amplitude vector over (state, head) pairs; children are
-renormalized after measurement.
+renormalized after measurement. ``qcpda_step`` is the kernel's step,
+``simulate.evolve`` then ``simulate.measure``, with ``measure``'s survivors
+split by scheduled stack operation, so its ledger follows the kernel's
+rules, and the largest head it read is ``evolve``'s.
 
 A branch's stack is an interned cell (``simulate.cons``,
 ``simulate.stack_after``) in the cell table of its run, which the branch
@@ -37,8 +40,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import StateSpaceOverflow
-from .model import HALT_MASS, PRUNE_THRESHOLD, MachineQCPDA, RunResult, make_tape
-from .simulate import EMPTY, Cell, cons, evolve, stack_after, walk_to_end
+from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape
+from .simulate import EMPTY, Cell, cons, evolve, measure, stack_after, walk_to_end
 
 BRANCH_CAP = 10**5
 
@@ -74,6 +77,7 @@ class StepDeltas:
     rej: float
     parked: float
     truncated: float
+    read: int  # the largest head the step read, from ``evolve``
 
 
 def initial_branch(machine: MachineQCPDA) -> Branch:
@@ -95,49 +99,34 @@ def _move(key, t):
 
 
 def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
-    """Advance one branch by one step and measure.
+    """Advance one branch by one step and measure: ``evolve``, then the
+    kernel's ``measure``, then split its survivors by scheduled stack
+    operation.
 
     Returns the classical children (one per stack-operation outcome with
-    surviving mass, in the order the outcomes first occur) plus this
-    branch's contributions to the probability ledgers, already scaled by
-    the branch probability. The children's stacks are interned in the
-    branch's table.
+    surviving mass, in the order the outcomes first occur), this branch's
+    contributions to the probability ledgers, already scaled by the branch
+    probability, and the largest head the step read. The truncated mass is
+    (undefined-column mass) + (pruned mass), as in the kernel. The
+    children's stacks are interned in the branch's table.
     """
     stack = branch.cell
     top = stack.symbol
-    out, parked, truncated, _ = evolve(
+    out, parked, undefined, read = evolve(
         branch.psi, tape, machine.columns, lambda key: top, _move
     )
+    rest, acc, rej, pruned, _ = measure(machine, out)
 
-    # prune, then split by measurement outcome: accept, reject, or the
-    # scheduled stack operation. Pruned mass joins the undefined-column
-    # mass in one running sum, in the vector's order.
-    accepting = machine.accepting
-    rejecting = machine.rejecting
     sigma = machine.sigma_map
-    threshold = PRUNE_THRESHOLD
-    acc = 0.0
-    rej = 0.0
     classes: dict = {}
-    for key, amp in out.items():
-        size = abs(amp)
-        if size < threshold:
-            truncated += size**2
-            continue
-        state = key[0]
-        if state in accepting:
-            acc += size**2
-        elif state in rejecting:
-            rej += size**2
-        else:
-            classes.setdefault(sigma[state], {})[key] = amp
+    for key, amp in rest.items():
+        classes.setdefault(sigma[key[0]], {})[key] = amp
 
     children = []
     table = branch.table
     for op, vec in classes.items():
+        # every survivor has |amp| >= PRUNE_THRESHOLD, so mass > 0
         mass = sum(abs(amp) ** 2 for amp in vec.values())
-        if mass <= 0:
-            continue
         scale = mass**-0.5
         children.append(
             Branch(
@@ -154,7 +143,8 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
         acc=branch.prob * acc,
         rej=branch.prob * rej,
         parked=branch.prob * parked,
-        truncated=branch.prob * truncated,
+        truncated=branch.prob * (undefined + pruned),
+        read=read,
     )
 
 
@@ -180,8 +170,8 @@ class BranchSteps:
             if branch.prob < HALT_MASS:
                 p_non += branch.prob
                 continue
-            read = max(read, max(key[1] for key in branch.psi))
             deltas = qcpda_step(machine, tape, branch)
+            read = max(read, deltas.read)
             p_acc += deltas.acc
             p_rej += deltas.rej
             p_non += deltas.parked

@@ -24,9 +24,9 @@ every quantum engine shares, and the step loop every run shares.
   column, accumulate, count parked and undefined-column mass, and find the
   largest head read. ``measure(machine, psi)`` is the kernel's second:
   prune, drain accepting and rejecting mass, keep the survivors and sum
-  their squared norm. ``KernelSteps`` steps through both;
-  ``branching.qcpda_step`` through ``evolve``, then a second pass of its
-  own that prunes and splits the survivors by scheduled stack operation.
+  their squared norm. ``KernelSteps`` and ``branching.qcpda_step`` both
+  step through the two; ``qcpda_step`` then splits ``measure``'s
+  survivors by scheduled stack operation.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
   every run, quantum or classical. A stepper gives ``start()``,
   checkpoint 0; ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
@@ -97,12 +97,9 @@ Bookkeeping rules, all of which keep
 * a live configuration whose column is undefined (no rows of nonzero
   amplitude) contributes its mass to ``truncation_loss`` (the table is only
   a fragment of a unitary there);
-* amplitudes below ``PRUNE_THRESHOLD`` are dropped into ``truncation_loss``.
-  In ``KernelSteps`` a step's truncated mass is (undefined-column mass) +
-  (pruned mass), each a running sum in vector order; ``qcpda_step`` keeps
-  one running sum, pruned mass after undefined. The two orders give
-  different floats only in a step with undefined-column mass and at least
-  two pruned amplitudes;
+* amplitudes below ``PRUNE_THRESHOLD`` are dropped into ``truncation_loss``,
+  whatever their state. A step's truncated mass is (undefined-column mass)
+  + (pruned mass), each a running sum in vector order;
 * the run stops when the live mass falls below ``HALT_MASS`` or the step
   budget runs out, and whatever is still live lands in ``p_non``.
 
@@ -260,8 +257,9 @@ def evolve(psi, tape, columns, top, succ):
     parked is the mass whose head is past the right endmarker, undefined
     the mass on undefined columns, each summed in ``psi``'s order, and the
     largest head is taken over every key of ``psi``, parked ones included
-    (-1 if ``psi`` is empty). The caller prunes the new vector and counts
-    the pruned mass, with the undefined mass, as the step's truncated mass.
+    (-1 if ``psi`` is empty). The caller passes the new vector to
+    ``measure`` and counts (undefined mass) + (pruned mass) as the step's
+    truncated mass.
     Raises StateSpaceOverflow as soon as the new vector holds more than
     ``CONFIG_CAP`` keys, read when the call starts.
     """

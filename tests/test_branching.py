@@ -238,7 +238,9 @@ def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
     )
     assert list(twins[0].psi) != list(twins[1].psi)
     monkeypatch.setattr(
-        branching, "qcpda_step", lambda *args: StepDeltas(twins, 0.0, 0.0, 0.0, 0.0)
+        branching,
+        "qcpda_step",
+        lambda *args: StepDeltas(twins, 0.0, 0.0, 0.0, 0.0, 0),
     )
     (frontier, *_), _ = BranchSteps(m).step(
         ((parent,), 0.0, 0.0, 0.0, 0.0), make_tape(m, "0"), 1
@@ -348,9 +350,10 @@ def test_words_helper_is_exhaustive():
 
 def _unfolded_qcpda_step(machine, tape, branch, pruned):
     """``qcpda_step`` with its pruning as a separate copy between the
-    expansion and the measurement, kept as the oracle for the step that
-    prunes inside its measurement loop. Counts pruned amplitudes into
-    ``pruned``."""
+    expansion and the measurement, and its largest head read taken over
+    the branch's vector, kept as the oracle for the step that prunes and
+    measures through ``simulate.measure`` and reads its head off
+    ``evolve``. Counts pruned amplitudes into ``pruned``."""
     stack = branch.cell
     top = stack.symbol
     n = len(tape)
@@ -412,22 +415,33 @@ def _unfolded_qcpda_step(machine, tape, branch, pruned):
         rej=branch.prob * rej,
         parked=branch.prob * parked,
         truncated=branch.prob * truncated,
+        read=max(key[1] for key in branch.psi),
     )
 
 
 def test_folded_pruning_matches_unfolded_step(monkeypatch):
-    # run_qcpda and equiv_check reports are == whether qcpda_step prunes in
-    # its measurement loop or in a copy before it; seed 8 prunes
+    # run_qcpda and equiv_check reports, and the head each BranchSteps step
+    # reads, are == whether qcpda_step measures through simulate.measure or
+    # through a copy that prunes before it measures; seed 8 prunes
     words = words_up_to(3)
     machines = [random_qcpda(seed) for seed in range(20)]
+    reads: list = []
+    real_step = BranchSteps.step
+
+    def recording(self, point, tape, i):
+        point, read = real_step(self, point, tape, i)
+        reads.append(read)
+        return point, read
 
     def reports():
+        reads.clear()
         out = []
         for m in machines:
             out.append([run_qcpda(m, w, max_steps=12) for w in words])
             out.append(equiv_check(m, compile_qcpda(m)[0], words, max_steps=8))
-        return out
+        return out, list(reads)
 
+    monkeypatch.setattr(BranchSteps, "step", recording)
     folded = reports()
     pruned = []
     monkeypatch.setattr(

@@ -374,3 +374,10 @@ def test_run_ppa_warnings_before_pop_on_bottom(tmp_path, capsys):
         "warning: undefined column (state=p2, read=a, top=A); mass leaks to p_non\n"
         "error: pop on stack 'Z'\n"
     )
+
+
+def test_run_rejects_a_negative_step_budget(builtin_file, capsys):
+    assert main(["run", builtin_file, "--input", "a#a#a", "--max-steps", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: step budget must be nonnegative, got -1\n"

@@ -11,14 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpag import problem1, simulate
-from qpag.compiler import compile_qcpda
-from qpag.errors import PopOnBottom, StateSpaceOverflow, UnknownSymbol, EndmarkerInWord
+from qpag.branching import run_qcpda
+from qpag.classical import run_ppa
+from qpag.compiler import compile_qcpda, equiv_check
+from qpag.errors import (
+    EndmarkerInWord,
+    InvariantError,
+    PopOnBottom,
+    StateSpaceOverflow,
+    UnknownSymbol,
+)
 from qpag.model import (
     EPSILON,
     HALT_MASS,
     POP,
     PRUNE_THRESHOLD,
     Configuration,
+    InputAlphabet,
+    MachineQCPDA,
+    MachineQPAG,
+    StackAlphabet,
+    TransitionQCPDA,
+    TransitionQPAG,
     default_max_steps,
     make_tape,
     push,
@@ -36,7 +50,7 @@ from qpag.simulate import (
     trajectory,
 )
 
-from .corpus import TOTAL_MACHINES
+from .corpus import TOTAL_MACHINES, coin_ppa
 from .generators import random_qcpda, words_up_to
 from .reference import ref_run_qpag
 
@@ -372,6 +386,70 @@ def test_amplitudes_can_interfere_destructively():
     res = run(TOTAL_MACHINES["halfstep"](), "00")
     assert res.total() == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= res.p_acc <= 1.0
+
+
+def test_cancelled_halting_amplitude_is_pruned_in_both_engines():
+    # s reaches p1, p2 and p3 with amplitude 1/2 each, and they reach the
+    # accepting acc with 0.2, 0.4 and -0.6: acc's amplitude cancels to
+    # 0.1 + 0.2 - 0.3, about 5.6e-17, below PRUNE_THRESHOLD. Its mass is
+    # pruned, not accepted, in the vector engine and the branching engine
+    # alike; a measure that drained halting mass before pruning would
+    # report these truncated masses as p_acc
+    alpha = InputAlphabet(symbols=("<", "0", ">"), left_end="<", right_end=">")
+    gamma = StackAlphabet(symbols=("Z",), bottom="Z")
+    states = ("s", "p1", "p2", "p3", "acc")
+    rows = [
+        ("s", "p1", 0.5),
+        ("s", "p2", 0.5),
+        ("s", "p3", 0.5),
+        ("p1", "acc", 0.2),
+        ("p2", "acc", 0.4),
+        ("p3", "acc", -0.6),
+    ]
+    common = dict(
+        states=states,
+        input_alphabet=alpha,
+        stack_alphabet=gamma,
+        initial="s",
+        accepting=frozenset({"acc"}),
+        rejecting=frozenset(),
+    )
+    qpag = MachineQPAG(
+        transitions=tuple(
+            TransitionQPAG(q, "<", "Z", r, EPSILON, 0, amp + 0j) for q, r, amp in rows
+        ),
+        **common,
+    )
+    qcpda = MachineQCPDA(
+        transitions=tuple(
+            TransitionQCPDA(q, "<", "Z", r, 0, amp + 0j) for q, r, amp in rows
+        ),
+        sigma=tuple((q, EPSILON) for q in states[:-1]),
+        **common,
+    )
+    got = [
+        (res.p_acc, res.truncation_loss, res.steps)
+        for res in (run(qpag, "0"), run_qcpda(qcpda, "0"))
+    ]
+    # the branch renormalizes its vector to unit norm after step 1 and
+    # carries probability 3/4, so its residue differs
+    assert got == [(0.0, 3.0814879110195774e-33, 2), (0.0, 2.311115933264683e-33, 2)]
+
+
+def test_negative_step_budget_is_rejected():
+    m = TOTAL_MACHINES["halfstep"]()
+    q = random_qcpda(0)
+    calls = [
+        lambda: run(m, "0", max_steps=-1),
+        lambda: list(run_many(m, ["0", "00"], max_steps=-1)),
+        lambda: run_qcpda(q, "0", max_steps=-1),
+        lambda: equiv_check(q, compile_qcpda(q)[0], ["0"], max_steps=-1),
+        lambda: run_ppa(coin_ppa(), "a", max_steps=-1),
+    ]
+    for call in calls:
+        with pytest.raises(InvariantError, match="step budget must be nonnegative"):
+            call()
+    assert run(m, "0", max_steps=0).steps == 0
 
 
 def test_phase_preserved_in_trace():
