@@ -31,7 +31,8 @@ vectors were filled.
 ``run_qcpda`` walks one word's frontier through ``BranchSteps`` with
 ``simulate.walk_to_end``, holding only the live frontier;
 ``simulate.PrefixRuns`` serves only ``compiler.equiv_check``'s batches of
-words.
+words. ``dump_branches`` walks the unmerged tree through ``TreeSteps``, so
+it is under the entry budget too.
 """
 
 from __future__ import annotations
@@ -39,11 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import StateSpaceOverflow
-from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape
-from .simulate import EMPTY, Cell, cons, evolve, measure, stack_after, walk_to_end
-
-BRANCH_CAP = 10**5
+from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape, over_budget, plain_sum, room
+from .simulate import EMPTY, Cell, cons, evolve, measure, stack_after, walk, walk_to_end
 
 
 @dataclass(frozen=True)
@@ -108,25 +106,31 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
     contributions to the probability ledgers, already scaled by the branch
     probability, and the largest head the step read. The truncated mass is
     (undefined-column mass) + (pruned mass), as in the kernel. The
-    children's stacks are interned in the branch's table.
+    children's stacks are interned in the branch's table. ``evolve`` holds
+    the branch's own step to the entry budget.
     """
     stack = branch.cell
     top = stack.symbol
+    table = branch.table
+    limit = room(len(branch.psi) + len(table))
     out, parked, undefined, read = evolve(
-        branch.psi, tape, machine.columns, lambda key: top, _move
+        branch.psi, tape, machine.columns, lambda key: top, _move, limit
     )
     rest, acc, rej, pruned, _ = measure(machine, out)
 
+    # op -> [vector, squared mass summed left to right in survivor order]
     sigma = machine.sigma_map
     classes: dict = {}
     for key, amp in rest.items():
-        classes.setdefault(sigma[key[0]], {})[key] = amp
+        split = classes.get(sigma[key[0]])
+        if split is None:
+            split = classes[sigma[key[0]]] = [{}, 0.0]
+        split[0][key] = amp
+        split[1] += abs(amp) ** 2
 
     children = []
-    table = branch.table
-    for op, vec in classes.items():
+    for op, (vec, mass) in classes.items():
         # every survivor has |amp| >= PRUNE_THRESHOLD, so mass > 0
-        mass = sum(abs(amp) ** 2 for amp in vec.values())
         scale = mass**-0.5
         children.append(
             Branch(
@@ -151,7 +155,13 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
 class BranchSteps:
     """The stepper behind ``run_qcpda`` and ``compiler.equiv_check``. A
     checkpoint is the merged branch frontier after the step and the running
-    (p_acc, p_rej, p_non, truncated) sums."""
+    (p_acc, p_rej, p_non, truncated) sums. Its entries are the keys of its
+    branch vectors; a step raises ``model.over_budget()`` as soon as the
+    frontier it started from, the merged children so far and the cells in
+    the table when it began pass the entry budget."""
+
+    # the merge key of a child
+    fingerprint = staticmethod(Branch.fingerprint)
 
     def __init__(self, machine: MachineQCPDA):
         self.machine = machine
@@ -164,6 +174,9 @@ class BranchSteps:
     def step(self, point, tape, i):
         frontier, p_acc, p_rej, p_non, truncated = point
         machine = self.machine
+        fingerprint = self.fingerprint
+        limit = room(self.size(point) + len(self.table))
+        entries = 0
         read = -1
         merged: dict = {}
         for branch in frontier:
@@ -177,14 +190,13 @@ class BranchSteps:
             p_non += deltas.parked
             truncated += deltas.truncated
             for child in deltas.children:
-                fp = child.fingerprint()
+                fp = fingerprint(child)
                 old = merged.get(fp)
                 if old is None:
                     merged[fp] = child
-                    if len(merged) > BRANCH_CAP:
-                        raise StateSpaceOverflow(
-                            f"branch frontier exceeded {BRANCH_CAP}"
-                        )
+                    entries += len(child.psi)
+                    if entries > limit:
+                        raise over_budget()
                 else:
                     merged[fp] = Branch(
                         old.prob + child.prob, old.cell, old.psi, old.steps, old.table
@@ -196,18 +208,22 @@ class BranchSteps:
 
     def result(self, point, steps: int) -> RunResult:
         frontier, p_acc, p_rej, p_non, truncated = point
-        p_non += sum(branch.prob for branch in frontier)
+        p_non += plain_sum(branch.prob for branch in frontier)
         return RunResult(p_acc, p_rej, p_non, truncated, steps, None)
 
     def size(self, point) -> int:
-        return len(point[0])
-
-    @property
-    def cap(self) -> int:
-        return BRANCH_CAP
+        return sum(len(branch.psi) for branch in point[0])
 
     def cells(self, point):
         return (branch.cell for branch in point[0])
+
+
+class TreeSteps(BranchSteps):
+    """``BranchSteps`` that merges no two children: its frontier is the
+    whole branch tree's level, for ``dump_branches``."""
+
+    # a child's own identity, unique while the step's frontier holds it
+    fingerprint = staticmethod(id)
 
 
 def run_qcpda(
@@ -228,17 +244,13 @@ def dump_branches(
     max_steps: int,
     limit: int = 8,
 ) -> dict:
-    """Depth-limited branch tree as a JSON-ready dict, for debugging."""
-    tape = make_tape(machine, word)
-    frontier = [initial_branch(machine)]
+    """Depth-limited branch tree as a JSON-ready dict, for debugging: the
+    ``limit`` most probable branches of each level of the unmerged tree,
+    walked through ``TreeSteps`` and so under the entry budget."""
+    stepper = TreeSteps(machine)
     levels = []
-    for i in range(1, max_steps + 1):
-        children = []
-        for branch in frontier:
-            if branch.prob < HALT_MASS:
-                continue
-            children.extend(qcpda_step(machine, tape, branch).children)
-        frontier = children
+    tape = make_tape(machine, word)
+    for i, (frontier, *_), _ in walk(stepper, tape, stepper.start(), 1, max_steps):
         levels.append(
             {
                 "step": i,
@@ -257,6 +269,4 @@ def dump_branches(
                 ],
             }
         )
-        if not frontier:
-            break
     return {"word": "".join(word) if not isinstance(word, str) else word, "levels": levels}

@@ -12,9 +12,9 @@ halting state, in column order; an initial halting state holds all the mass
 at checkpoint 0. Mass reaching an undefined column or a parked head leaks,
 and whatever is still live at the end lands in p_non with it. The stepper
 records each undefined column it meets, first met first, in ``undefined``;
-it warns about none of them. A step raises StateSpaceOverflow as soon as
-its distribution holds more than ``CONFIG_CAP`` keys, read when the step
-starts.
+it warns about none of them. A step raises ``model.over_budget()`` as soon
+as the distribution it started from, the keys of its new one and the cells
+in its table when it began pass the entry budget.
 
 ``run_ppa`` walks the stepper and warns once per recorded column, also
 when the walk raises. ``run_dpda`` insists on a single probability-1
@@ -29,8 +29,8 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .errors import NotDeterministic, StateSpaceOverflow
-from .model import CONFIG_CAP, HALT_MASS, MachinePPA, RunResult
+from .errors import NotDeterministic
+from .model import HALT_MASS, MachinePPA, RunResult, over_budget, plain_sum, room
 from .simulate import EMPTY, cons, stack_after, walk_to_end
 
 ACCEPT = "accept"
@@ -64,7 +64,7 @@ class PPASteps:
         accepting = machine.accepting
         rejecting = machine.rejecting
         table = self.table
-        cap = CONFIG_CAP
+        limit = room(len(dist) + len(table))
         n = len(tape)
         read = max(key[1] for key in dist)
         new: dict = {}
@@ -88,18 +88,16 @@ class PPASteps:
                 else:
                     succ = (t.target, head + t.move, new_stack)
                     new[succ] = new.get(succ, 0.0) + part
-                    if len(new) > cap:
-                        raise StateSpaceOverflow(
-                            f"distribution exceeded {cap} configurations"
-                        )
+                    if len(new) > limit:
+                        raise over_budget()
         return (new, p_acc, p_rej, leaked), read
 
     def alive(self, point) -> bool:
-        return not sum(point[0].values()) < HALT_MASS
+        return not plain_sum(point[0].values()) < HALT_MASS
 
     def result(self, point, steps: int) -> RunResult:
         dist, p_acc, p_rej, leaked = point
-        return RunResult(p_acc, p_rej, leaked + sum(dist.values()), 0.0, steps, None)
+        return RunResult(p_acc, p_rej, leaked + plain_sum(dist.values()), 0.0, steps, None)
 
 
 def run_ppa(

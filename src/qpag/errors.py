@@ -26,7 +26,7 @@ class NotDeterministic(MachineError):
 
 
 class StateSpaceOverflow(MachineError):
-    """A simulation or audit exceeded its configuration / branch cap."""
+    """A run or an audit held more live entries than ``model.ENTRY_BUDGET``."""
 
 
 class NonWellFormedInput(MachineError):

@@ -33,11 +33,7 @@ from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import NamedTuple, Optional, Union
 
-from .errors import (
-    EndmarkerInWord,
-    InvariantError,
-    UnknownSymbol,
-)
+from .errors import EndmarkerInWord, InvariantError, StateSpaceOverflow, UnknownSymbol
 
 # Magnitude slack for single amplitudes and vector norms.
 AMP_MAG_TOL = 1e-9
@@ -45,8 +41,15 @@ AMP_MAG_TOL = 1e-9
 PRUNE_THRESHOLD = 1e-12
 # Non-halting mass below this ends a run early.
 HALT_MASS = 1e-12
-# Hard cap on live configurations in a run or audit.
-CONFIG_CAP = 10**6
+# The live entries one step of a run, or one level of an audit, may hold:
+# the keys of the checkpoint it started from (a state vector, a PPA
+# distribution or a frontier's branch vectors, or the configurations an
+# audit has met), the keys it has made so far, and the cells of the run's
+# interned table when it began. A counted entry costs at most about 210
+# bytes of peak RSS (CPython 3.11, uncounted kernel survivors included), so
+# 400,000 entries hold a run within about 85 MB of the interpreter's base.
+# CHANGES.md records the measurements.
+ENTRY_BUDGET = 400_000
 
 LEFT_DISPLAY = "¢"
 RIGHT_DISPLAY = "$"
@@ -426,6 +429,23 @@ def run_bounds(machine: Machine, word, max_steps: Optional[int]) -> tuple[tuple,
     return tape, max_steps
 
 
+def room(held: int, step: Optional[int] = None) -> int:
+    """How many more entries ``ENTRY_BUDGET`` allows beside ``held``, the
+    entries a step starts from. Raises ``over_budget(step)`` if ``held``
+    already passes it."""
+    left = ENTRY_BUDGET - held
+    if left < 0:
+        raise over_budget(step)
+    return left
+
+
+def over_budget(step: Optional[int] = None) -> StateSpaceOverflow:
+    """The one overflow error: live entries passed ``ENTRY_BUDGET`` (at
+    ``step``, if given; ``simulate.walk`` names the step of a run)."""
+    message = f"live entries exceeded {ENTRY_BUDGET}"
+    return StateSpaceOverflow(message if step is None else f"{message} at step {step}")
+
+
 def display_tape(machine: Machine, tape) -> str:
     return join_tokens(tuple(machine.input_alphabet.display(s) for s in tape))
 
@@ -434,15 +454,21 @@ def display_tape(machine: Machine, tape) -> str:
 StateVector = dict
 
 
-def vector_norm_sq(psi: StateVector) -> float:
-    """Squared norm, summed left to right in the vector's insertion order
-    with plain float additions, as the step kernel sums it. ``sum()`` is
-    not used: from CPython 3.12 it compensates float sums, which would
-    give another float on some vectors."""
+def plain_sum(values) -> float:
+    """``values`` summed left to right with plain float additions, as the
+    step kernel sums. ``sum()`` is not used: from CPython 3.12 it
+    compensates float sums, which would give another float on some
+    inputs."""
     total = 0.0
-    for amp in psi.values():
-        total += abs(amp) ** 2
+    for value in values:
+        total += value
     return total
+
+
+def vector_norm_sq(psi: StateVector) -> float:
+    """Squared norm, summed in the vector's insertion order by
+    ``plain_sum``."""
+    return plain_sum(abs(amp) ** 2 for amp in psi.values())
 
 
 # ======================================================================

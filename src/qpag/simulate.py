@@ -19,7 +19,7 @@ every quantum engine shares, and the step loop every run shares.
   appended to the garbage tape. ``KernelSteps`` and
   ``wellformed.audit_unitarity`` build configurations through it.
 * A step makes two passes over its data. ``evolve(psi, tape, columns,
-  top, succ)`` is the first, one unmeasured step of any sparse vector
+  top, succ, limit)`` is the first, one unmeasured step of any sparse vector
   whose keys start with (state, head): expand every key through its
   column, accumulate, count parked and undefined-column mass, and find the
   largest head read. ``measure(machine, psi)`` is the kernel's second:
@@ -40,7 +40,8 @@ every quantum engine shares, and the step loop every run shares.
   behind ``run``, ``trajectory`` and ``run_many``; ``compiler.ImageSteps``,
   its checkpoint with a decoherence flag appended, behind the image half
   of ``compiler.equiv_check``; ``branching.BranchSteps`` behind
-  ``branching.run_qcpda`` and the other half; ``classical.PPASteps``
+  ``branching.run_qcpda`` and the other half, and its unmerged
+  ``TreeSteps`` behind ``branching.dump_branches``; ``classical.PPASteps``
   behind ``classical.run_ppa`` and ``classical.run_dpda``.
 * A ``KernelSteps`` checkpoint is the vector after the step, the running
   (p_acc, p_rej, parked, truncated) sums, the vector's squared norm, and
@@ -51,9 +52,14 @@ every quantum engine shares, and the step loop every run shares.
 * ``PrefixRuns(stepper)`` is the one checkpoint-and-resume driver: it runs
   one word after another through ``walk``, each resuming from the last
   step the previous word's run shares with it. Its stepper also gives
-  ``size(point)`` and ``cap``, the entries a checkpoint holds and may
-  hold, and ``cells(point)``, the cells of its ``table`` a checkpoint
-  holds.
+  ``size(point)``, the entries a checkpoint holds, and ``cells(point)``,
+  the cells of its ``table`` a checkpoint holds.
+* The entry budget: every stepper counts its live entries in one unit
+  (``model.ENTRY_BUDGET``): the keys of its vectors or distribution and
+  the cells of its table. A step raises ``model.over_budget()`` as soon as
+  the checkpoint it started from, plus the keys it has made so far, plus
+  the cells in the table when it began, pass the budget; ``evolve`` does
+  that count for the kernel with one comparison per row.
 * Why resuming is exact: a step reads the tape only at the heads of what
   enters it (the parked check compares a head with the tape's length),
   and heads move 0 or 1, never left. So two tapes that agree below
@@ -72,9 +78,9 @@ every quantum engine shares, and the step loop every run shares.
 * What ``PrefixRuns`` keeps: a run stops keeping checkpoints at the first
   step whose largest head reaches T - 1, since only the same tape again
   could resume there, and at the first checkpoint that would lift the
-  entries kept past the stepper's ``cap``; it steps on from a rolling
-  checkpoint. So the kept checkpoints together hold at most as much as one
-  live checkpoint may, and a single run holds at most twice that.
+  entries kept past ``ENTRY_BUDGET``; it steps on from a rolling
+  checkpoint. So the kept checkpoints together hold at most the budget,
+  and a batch holds at most twice what a single run may.
   Dropping a checkpoint costs only recomputation. All words share one
   cell table. When it grows past twice its size after the last rebuild,
   it is rebuilt from the cells the kept checkpoints reach. So it never
@@ -116,9 +122,9 @@ from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from typing import Iterator, NamedTuple, Optional
 
-from .errors import PopOnBottom, StateSpaceOverflow
+from . import model
+from .errors import InvariantError, PopOnBottom, StateSpaceOverflow
 from .model import (
-    CONFIG_CAP,
     HALT_MASS,
     PRUNE_THRESHOLD,
     Configuration,
@@ -127,6 +133,8 @@ from .model import (
     StateVector,
     StepSnapshot,
     join_tokens,
+    over_budget,
+    room,
     run_bounds,
     vector_norm_sq,
 )
@@ -247,7 +255,7 @@ def _stack_top(conf: CellConfiguration) -> str:
     return conf.stack.symbol
 
 
-def evolve(psi, tape, columns, top, succ):
+def evolve(psi, tape, columns, top, succ, limit):
     """Apply one transition-table step to a sparse vector whose keys start
     with (state, head). ``top(key)`` is the stack top the key reads and
     ``succ(key, t)`` the key row ``t`` leads to. This is the first of a
@@ -260,11 +268,11 @@ def evolve(psi, tape, columns, top, succ):
     (-1 if ``psi`` is empty). The caller passes the new vector to
     ``measure`` and counts (undefined mass) + (pruned mass) as the step's
     truncated mass.
-    Raises StateSpaceOverflow as soon as the new vector holds more than
-    ``CONFIG_CAP`` keys, read when the call starts.
+    Raises ``model.over_budget()`` as soon as the new vector holds more
+    than ``limit`` keys: the caller passes ``model.room`` of the entries it
+    holds, so the step trips when (held + new keys) pass ``ENTRY_BUDGET``.
     """
     n = len(tape)
-    cap = CONFIG_CAP
     out: dict = {}
     get = out.get
     parked = 0.0
@@ -284,10 +292,8 @@ def evolve(psi, tape, columns, top, succ):
         for t in column:
             nxt = succ(key, t)
             out[nxt] = get(nxt, 0j) + amp * t.amp
-            if len(out) > cap:
-                raise StateSpaceOverflow(
-                    f"state vector exceeded {cap} configurations"
-                )
+            if len(out) > limit:
+                raise over_budget()
     return out, parked, undefined, read
 
 
@@ -398,8 +404,9 @@ class KernelSteps:
 
     def step(self, point, tape, i):
         psi, acc, rej, parked, truncated = point[:5]
+        limit = room(len(psi) + len(self.table))
         psi, d_parked, d_undefined, read = evolve(
-            psi, tape, self.machine.columns, _stack_top, self._succ
+            psi, tape, self.machine.columns, _stack_top, self._succ, limit
         )
         psi, d_acc, d_rej, d_pruned, norm = measure(self.machine, psi)
         d_truncated = d_undefined + d_pruned
@@ -426,10 +433,6 @@ class KernelSteps:
 
     def size(self, point) -> int:
         return len(point[0])
-
-    @property
-    def cap(self) -> int:
-        return CONFIG_CAP
 
     def cells(self, point):
         for conf in point[0]:
@@ -487,7 +490,6 @@ class PrefixRuns:
         # another tape shares at most len(tape) - 1 symbols with this one,
         # so it resumes only from a checkpoint whose reach is below that
         shared = len(tape) - 1
-        cap = stepper.cap
         last = len(path) - 1
         point = path[-1]
         read = reach[-1]
@@ -496,7 +498,7 @@ class PrefixRuns:
             # keep checkpoints while the path runs unbroken to this step
             if len(path) == last and read < shared:
                 total = held[-1] + stepper.size(point)
-                if total <= cap:
+                if total <= model.ENTRY_BUDGET:
                     path.append(point)
                     reach.append(read)
                     held.append(total)
@@ -540,7 +542,10 @@ def run(
     trace_depth: int = 0,
 ) -> RunResult:
     """Full run with probability accounting and optional per-step trace of
-    the ``trace_depth`` largest surviving amplitudes."""
+    the ``trace_depth`` largest surviving amplitudes. A negative
+    ``trace_depth`` raises InvariantError."""
+    if trace_depth < 0:
+        raise InvariantError(f"trace depth must be nonnegative, got {trace_depth}")
     tape, budget = run_bounds(machine, word, max_steps)
     stepper = KernelSteps(machine)
     point = stepper.start()

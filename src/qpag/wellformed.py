@@ -43,9 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import InvariantError, StateSpaceOverflow
+from .errors import InvariantError
 from .model import (
-    CONFIG_CAP,
     POP,
     Configuration,
     MachinePPA,
@@ -54,9 +53,12 @@ from .model import (
     Record,
     StackOp,
     make_tape,
+    over_budget,
     records,
     rendered,
+    room,
     tokens_doc,
+    vector_norm_sq,
 )
 from .simulate import CellConfiguration, start, successor
 
@@ -411,6 +413,9 @@ def audit_unitarity(
     their defined fragment. An empty machine passes vacuously with a warning.
     Norms and overlaps are summed over each column's rows in canonical order,
     so the report does not depend on the order of the transition table.
+    Level ``l`` is step ``l + 1`` of the entry budget: it raises
+    StateSpaceOverflow as soon as the configurations met so far and the
+    cells in the table when the level began pass ``model.ENTRY_BUDGET``.
     """
     if depth < 1:
         raise InvariantError("audit depth must be at least 1")
@@ -425,6 +430,9 @@ def audit_unitarity(
     vecs: dict[CellConfiguration, dict[CellConfiguration, complex]] = {}
     # levels 0..depth-1 expand the frontier; level depth only takes images
     for level in range(depth + 1):
+        # a level is a step: it starts from the configurations met so far
+        # and makes the ones it meets first
+        limit = room(len(seen) + len(table), level + 1)
         new = []
         for c in sorted(frontier, key=seen.__getitem__):
             if c.head >= n:
@@ -448,10 +456,8 @@ def audit_unitarity(
                 if succ not in seen:
                     seen[succ] = succ.view()
                     new.append(succ)
-            if len(seen) > CONFIG_CAP:
-                raise StateSpaceOverflow(
-                    f"audit exceeded {CONFIG_CAP} configurations"
-                )
+            if len(new) > limit:
+                raise over_budget(level + 1)
         frontier = new
         if not frontier:
             break
@@ -460,7 +466,7 @@ def audit_unitarity(
 
     failures = []
     for c, vec in images:
-        norm = sum(abs(a) ** 2 for a in vec.values()) ** 0.5
+        norm = vector_norm_sq(vec) ** 0.5
         if abs(norm - 1) > tol:
             failures.append(AuditFailure("norm", (seen[c],), norm))
 

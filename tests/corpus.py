@@ -189,7 +189,7 @@ def mixstep() -> MachineQPAG:
 
 def splitter() -> MachineQPAG:
     """Each step pushes x or y in superposition; configurations double every
-    step, which exercises the configuration cap."""
+    step, which exercises the entry budget."""
     gamma = StackAlphabet(symbols=("Z", "x", "y"), bottom="Z")
     rows = lambda read, top: [
         ("g0", "g0", push("x"), 1, H),

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qpag import problem1, wellformed
+from qpag import model, problem1
 from qpag.errors import InvariantError, StateSpaceOverflow
 from qpag.wellformed import audit_unitarity
 
@@ -104,8 +104,8 @@ def test_depth_must_be_positive():
 
 
 def test_audit_cap_overflow(monkeypatch):
-    monkeypatch.setattr(wellformed, "CONFIG_CAP", 16)
-    with pytest.raises(StateSpaceOverflow):
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 16)
+    with pytest.raises(StateSpaceOverflow, match=r"^live entries exceeded 16 at step \d+$"):
         audit_unitarity(TOTAL_MACHINES["splitter"](), "0000000000", depth=10)
 
 

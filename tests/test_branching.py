@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from qpag import branching
+from qpag import branching, model
 from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import PopOnBottom, StateSpaceOverflow
 from qpag.model import (
@@ -164,14 +164,16 @@ def test_forking_walker_doubles():
 
 
 def test_branch_cap_enforced(monkeypatch):
-    monkeypatch.setattr(branching, "BRANCH_CAP", 4)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 4)
     with pytest.raises(StateSpaceOverflow):
         run_qcpda(forking_walker(), "0101", max_steps=20)
 
 
 def test_branch_cap_trips_while_frontier_grows(monkeypatch):
-    # the cap must stop a step while its merged frontier grows: the failing
-    # step steps fewer branches than the uncapped run does at that step
+    # the budget must stop a step while its merged frontier grows: the
+    # failing step steps fewer branches than the uncapped run does at that
+    # step. Step 2 starts from 2 entries and 2 cells, so a budget of 4
+    # stops it at its first child
     stepped = Counter()
     real = branching.qcpda_step
 
@@ -183,11 +185,11 @@ def test_branch_cap_trips_while_frontier_grows(monkeypatch):
     run_qcpda(forking_walker(), "0101", max_steps=20)
     full = dict(stepped)
     stepped.clear()
-    monkeypatch.setattr(branching, "BRANCH_CAP", 4)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 4)
     with pytest.raises(StateSpaceOverflow, match=r"at step \d+$") as info:
         run_qcpda(forking_walker(), "0101", max_steps=20)
     step = int(re.search(r"at step (\d+)$", str(info.value)).group(1))
-    assert max(stepped) == step
+    assert max(stepped) == step == 2
     assert 0 < stepped[step] < full[step]
 
 
@@ -217,13 +219,16 @@ def test_pop_on_bottom_raises():
 def test_fingerprint_merges_identical_branches(monkeypatch):
     # a step-t branch of the forking walker is determined by its landing
     # state, its push count and a sign, so merging keeps the frontier linear
-    # in t even though the raw tree doubles; a cap far below 2^8 only
-    # survives if equal fingerprints actually collapse
-    monkeypatch.setattr(branching, "BRANCH_CAP", 28)
+    # in t even though the raw tree doubles. The merged run holds at most
+    # 31 + 27 = 58 entries in a step, the tree 38 + 64 at step 6, so a
+    # budget of 58 only survives if equal fingerprints actually collapse
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 58)
     res = run_qcpda(forking_walker(), "0" * 8, max_steps=8)
     assert res.total() == pytest.approx(1.0, abs=1e-9)
     raw = dump_branches(forking_walker(), "0" * 8, max_steps=5, limit=64)
     assert [len(level["branches"]) for level in raw["levels"]] == [2, 4, 8, 16, 32]
+    with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 58 at step 6$"):
+        dump_branches(forking_walker(), "0" * 8, max_steps=8)
 
 
 def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
@@ -271,16 +276,18 @@ def test_single_word_run_keeps_a_bounded_path(monkeypatch):
     assert runs.run("0101") == run_qcpda(halting_walker(), "0101")
     assert runs.reach[-1] < len(make_tape(halting_walker(), "0101")) - 1
     # a forking walker that never moves reads cell 0 only, and its frontier
-    # grows each step: the kept frontiers together hold at most BRANCH_CAP
-    # branches, with the results of uncapped runs
+    # grows each step: the kept frontiers together hold at most ENTRY_BUDGET
+    # entries, with the results of uncapped runs. A step holds at most
+    # 91 + 75 = 166 entries, so no run overflows a budget of 200
     m = forking_walker()
     m = replace(m, transitions=tuple(replace(t, move=0) for t in m.transitions))
     full = [run_qcpda(m, w, max_steps=20) for w in ("01", "00", "01")]
-    monkeypatch.setattr(branching, "BRANCH_CAP", 100)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 200)
     runs = PrefixRuns(BranchSteps(m))
     for word, expected in zip(("01", "00", "01"), full):
         assert runs.run(word, 20) == expected
-        assert runs.held[-1] == sum(len(point[0]) for point in runs.path) <= 100
+        entries = sum(len(b.psi) for point in runs.path for b in point[0])
+        assert runs.held[-1] == entries <= 200
         assert 1 < len(runs.path) < 21
 
 
@@ -453,3 +460,13 @@ def test_folded_pruning_matches_unfolded_step(monkeypatch):
     )
     assert reports() == folded
     assert pruned
+
+
+def test_result_sums_live_probability_left_to_right():
+    # plain left-to-right adds give 1.0; a compensated sum (CPython 3.12's
+    # sum()) would give 1.0000000000000002
+    m = forking_walker()
+    first = initial_branch(m)
+    frontier = tuple(replace(first, prob=prob) for prob in (1.0, 1e-16, 1e-16))
+    point = (frontier, 0.0, 0.0, 0.0, 0.0)
+    assert BranchSteps(m).result(point, 3).p_non == 1.0

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from qpag import classical
-from qpag.classical import ACCEPT, BLOCK, LOOP, REJECT, run_dpda, run_ppa
+from qpag import model
+from qpag.classical import ACCEPT, BLOCK, LOOP, REJECT, PPASteps, run_dpda, run_ppa
 from qpag.errors import NotDeterministic, PopOnBottom, StateSpaceOverflow
 from qpag.model import (
     EPSILON,
@@ -288,7 +288,9 @@ def test_pop_on_bottom_raises_in_both_runners():
 
 
 def test_ppa_distribution_cap_names_the_step(monkeypatch):
-    # every step pushes a or b with probability 1/2: 2**i stacks at step i
+    # every step pushes a or b with probability 1/2: 2**i stacks at step i,
+    # on 2**(i + 1) - 1 cells. Step 3 holds 4 + 7 + 8 = 19 entries, step 4
+    # 8 + 15 + 16
     rows = [
         TransitionPPA("p0", read, top, "p0", push(symbol), 0, 0.5)
         for read in _ALPHA.symbols
@@ -297,7 +299,17 @@ def test_ppa_distribution_cap_names_the_step(monkeypatch):
     ]
     m = _ppa(rows, ("p0",))
     assert run_ppa(m, "a", max_steps=3).p_non == 1.0
-    monkeypatch.setattr(classical, "CONFIG_CAP", 8)
-    message = r"^distribution exceeded 8 configurations at step 4$"
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 19)
+    message = r"^live entries exceeded 19 at step 4$"
     with pytest.raises(StateSpaceOverflow, match=message):
         run_ppa(m, "a")
+
+
+def test_result_sums_live_mass_left_to_right():
+    # plain left-to-right adds give 1.0; a compensated sum (CPython 3.12's
+    # sum()) would give 1.0000000000000002
+    stepper = PPASteps(coin_ppa())
+    ((state, _, stack),) = stepper.start()[0]
+    masses = (1.0, 1e-16, 1e-16)
+    dist = {(state, head, stack): mass for head, mass in enumerate(masses)}
+    assert stepper.result((dist, 0.0, 0.0, 0.0), 3).p_non == 1.0

@@ -381,3 +381,10 @@ def test_run_rejects_a_negative_step_budget(builtin_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: step budget must be nonnegative, got -1\n"
+
+
+def test_run_rejects_a_negative_trace_depth(builtin_file, capsys):
+    assert main(["run", builtin_file, "--input", "a#a#a", "--trace", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trace depth must be nonnegative, got -3\n"

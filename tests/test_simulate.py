@@ -1,5 +1,5 @@
-"""Vector engine: conservation, closed forms, trace output, caps, and
-prefix-shared batches."""
+"""Vector engine: conservation, closed forms, trace output, the entry
+budget, and prefix-shared batches."""
 
 import random
 import re
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpag import problem1, simulate
+from qpag import model, problem1, simulate
 from qpag.branching import run_qcpda
 from qpag.classical import run_ppa
 from qpag.compiler import compile_qcpda, equiv_check
@@ -200,7 +200,7 @@ def test_trace_depth_caps_entries():
 
 
 def _cap_vectors(monkeypatch, cap):
-    monkeypatch.setattr(simulate, "CONFIG_CAP", cap)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", cap)
 
 
 def test_config_cap_overflow(monkeypatch):
@@ -213,8 +213,10 @@ def test_config_cap_overflow(monkeypatch):
 
 
 def test_config_cap_trips_during_accumulation(monkeypatch):
-    # the cap must stop a step while its vector grows, not after the whole
-    # step has been built: count the successors the failing step computed
+    # the budget must stop a step while its vector grows, not after the
+    # whole step has been built: count the successors the failing step
+    # computed. Step 4 starts from 8 keys and 15 cells and makes 16 keys,
+    # so a budget of 30 stops it at its eighth new key
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "000000")
     calls = 0
@@ -230,12 +232,13 @@ def test_config_cap_trips_during_accumulation(monkeypatch):
     for _ in trajectory(m, tape, max_steps=20):
         per_step.append(calls - sum(per_step))
     calls = 0
-    _cap_vectors(monkeypatch, 8)
+    _cap_vectors(monkeypatch, 30)
     with pytest.raises(StateSpaceOverflow, match=r"at step \d+$") as info:
         for _ in trajectory(m, tape, max_steps=20):
             pass
     step = int(re.search(r"at step (\d+)$", str(info.value)).group(1))
     in_failing_step = calls - sum(per_step[: step - 1])
+    assert step == 4
     assert 0 < in_failing_step < per_step[step - 1]
 
 
@@ -452,6 +455,13 @@ def test_negative_step_budget_is_rejected():
     assert run(m, "0", max_steps=0).steps == 0
 
 
+def test_negative_trace_depth_is_rejected():
+    m = TOTAL_MACHINES["halfstep"]()
+    with pytest.raises(InvariantError, match="^trace depth must be nonnegative, got -3$"):
+        run(m, "0", trace_depth=-3)
+    assert run(m, "0", trace_depth=0).trace is None
+
+
 def test_phase_preserved_in_trace():
     res = run(TOTAL_MACHINES["phase1"](), "0", trace_depth=2)
     amps = [a for s in res.trace for _, a in s.survivors]
@@ -556,11 +566,12 @@ def test_run_many_cell_table_stays_bounded():
 
 def test_prefix_runs_keep_at_most_cap_entries(monkeypatch):
     # mixstep dwells on cell 0 for its whole run, so every step could serve
-    # a later word; the kept vectors together hold at most CONFIG_CAP keys
+    # a later word; the kept vectors together hold at most ENTRY_BUDGET
+    # keys. A step holds at most 4 entries, so no run overflows
     m = TOTAL_MACHINES["mixstep"]()
     words = ("0101", "0110", "0101", "1")
     expected = [run(m, w) for w in words]
-    monkeypatch.setattr(simulate, "CONFIG_CAP", 10)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 10)
     runs = PrefixRuns(KernelSteps(m))
     for word, result in zip(words, expected):
         assert runs.run(word) == result
@@ -572,7 +583,9 @@ def test_run_many_overflow_names_the_step(monkeypatch):
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "00")
     first = run(m, "0")
-    _cap_vectors(monkeypatch, 8)
+    # "0" holds at most 23 entries in a step; "00"'s step 4 starts from 8
+    # keys and 15 cells and makes 16 keys, in a fresh run and in the batch
+    _cap_vectors(monkeypatch, 30)
     with pytest.raises(StateSpaceOverflow) as single:
         for _ in trajectory(m, tape, default_max_steps(2)):
             pass
