@@ -3,20 +3,21 @@ target state.
 
 The stack here is classical: measuring which stack operation fired after a
 step collapses the superposition into one classical branch per operation
-outcome (plus accept and reject). A branch carries a probability, a stack,
-and a unit-norm amplitude vector over (state, head) pairs; children are
-renormalized after measurement. ``qcpda_step`` is the kernel's step,
-``simulate.evolve`` then ``simulate.measure``, with ``measure``'s survivors
-split by scheduled stack operation, so its ledger follows the kernel's
-rules, and the largest head it read is ``evolve``'s.
+outcome (plus accept and reject). A branch is a plain record of three
+fields: its probability, its stack, and a unit-norm amplitude vector over
+(state, head) pairs; children are renormalized after measurement.
+``qcpda_step`` is the kernel's step, ``simulate.evolve`` then
+``simulate.measure``, with ``measure``'s survivors split by scheduled stack
+operation, so its ledger follows the kernel's rules, and the largest head
+it read is ``evolve``'s.
 
 A branch's stack is an interned cell (``simulate.cons``,
-``simulate.stack_after``) in the cell table of its run, which the branch
-carries; ``Branch.stack`` is its plain-tuple view. Vectors, measurement
-classes and the frontier are walked in insertion order and never sorted:
-every column lists its rows in canonical order, so that order, and with it
-every sum, depends on neither the order of the transition table nor hash
-seeds.
+``simulate.stack_after``) in the cell table of its run, which
+``BranchSteps.table`` owns and passes to each step; ``Branch.stack`` is the
+cell's plain-tuple view. Vectors, measurement classes and the frontier are
+walked in insertion order and never sorted: every column lists its rows in
+canonical order, so that order, and with it every sum, depends on neither
+the order of the transition table nor hash seeds.
 
 Branches with equal stacks and equal amplitude vectors (compared after
 rounding to 10 decimal places) are merged by summing probabilities, which
@@ -37,20 +38,16 @@ it is under the entry budget too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .model import HALT_MASS, MachineQCPDA, RunResult, make_tape, over_budget, plain_sum, room
+from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, room, run_bounds
 from .simulate import EMPTY, Cell, cons, evolve, measure, stack_after, walk, walk_to_end
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     prob: float
-    cell: Cell  # the stack, interned in ``table``
+    cell: Cell  # the stack, interned in the run's table
     psi: dict  # (state, head) -> amplitude, unit norm
-    steps: int
-    table: dict = field(compare=False, repr=False)
 
     @property
     def stack(self) -> tuple[str, ...]:
@@ -68,8 +65,7 @@ class Branch:
         )
 
 
-@dataclass(frozen=True)
-class StepDeltas:
+class StepDeltas(NamedTuple):
     children: tuple[Branch, ...]
     acc: float
     rej: float
@@ -78,16 +74,10 @@ class StepDeltas:
     read: int  # the largest head the step read, from ``evolve``
 
 
-def initial_branch(machine: MachineQCPDA) -> Branch:
-    """The branch a run starts from, with a cell table of its own."""
-    table: dict = {}
-    return Branch(
-        prob=1.0,
-        cell=cons(table, EMPTY, machine.stack_alphabet.bottom),
-        psi={(machine.initial, 0): 1 + 0j},
-        steps=0,
-        table=table,
-    )
+def initial_branch(machine: MachineQCPDA, table: dict) -> Branch:
+    """The branch a run starts from, its stack interned in ``table``."""
+    bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
+    return Branch(1.0, bottom, {(machine.initial, 0): 1 + 0j})
 
 
 def _move(key, t):
@@ -96,7 +86,7 @@ def _move(key, t):
     return (t.target, key[1] + t.move)
 
 
-def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
+def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> StepDeltas:
     """Advance one branch by one step and measure: ``evolve``, then the
     kernel's ``measure``, then split its survivors by scheduled stack
     operation.
@@ -106,12 +96,12 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
     contributions to the probability ledgers, already scaled by the branch
     probability, and the largest head the step read. The truncated mass is
     (undefined-column mass) + (pruned mass), as in the kernel. The
-    children's stacks are interned in the branch's table. ``evolve`` holds
-    the branch's own step to the entry budget.
+    children's stacks are interned in ``table``, the run's cell table.
+    ``evolve`` holds the branch's own step to the entry budget.
     """
     stack = branch.cell
     top = stack.symbol
-    table = branch.table
+    prob = branch.prob
     limit = room(len(branch.psi) + len(table))
     out, parked, undefined, read = evolve(
         branch.psi, tape, machine.columns, lambda key: top, _move, limit
@@ -132,22 +122,16 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
     for op, (vec, mass) in classes.items():
         # every survivor has |amp| >= PRUNE_THRESHOLD, so mass > 0
         scale = mass**-0.5
-        children.append(
-            Branch(
-                prob=branch.prob * mass,
-                cell=stack_after(table, stack, op),
-                psi={key: amp * scale for key, amp in vec.items()},
-                steps=branch.steps + 1,
-                table=table,
-            )
-        )
+        for key in vec:
+            vec[key] *= scale
+        children.append(Branch(prob * mass, stack_after(table, stack, op), vec))
 
     return StepDeltas(
         children=tuple(children),
-        acc=branch.prob * acc,
-        rej=branch.prob * rej,
-        parked=branch.prob * parked,
-        truncated=branch.prob * (undefined + pruned),
+        acc=prob * acc,
+        rej=prob * rej,
+        parked=prob * parked,
+        truncated=prob * (undefined + pruned),
         read=read,
     )
 
@@ -155,21 +139,21 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch) -> StepDeltas:
 class BranchSteps:
     """The stepper behind ``run_qcpda`` and ``compiler.equiv_check``. A
     checkpoint is the merged branch frontier after the step and the running
-    (p_acc, p_rej, p_non, truncated) sums. Its entries are the keys of its
-    branch vectors; a step raises ``model.over_budget()`` as soon as the
-    frontier it started from, the merged children so far and the cells in
-    the table when it began pass the entry budget."""
+    (p_acc, p_rej, p_non, truncated) sums. ``table`` is the run's cell
+    table. Its entries are the keys of its branch vectors; a step raises
+    ``model.over_budget()`` as soon as the frontier it started from, the
+    merged children so far and the cells in the table when it began pass
+    the entry budget."""
 
     # the merge key of a child
     fingerprint = staticmethod(Branch.fingerprint)
 
     def __init__(self, machine: MachineQCPDA):
         self.machine = machine
-        self._first = initial_branch(machine)
-        self.table = self._first.table
+        self.table: dict = {}
 
     def start(self):
-        return ((self._first,), 0.0, 0.0, 0.0, 0.0)
+        return ((initial_branch(self.machine, self.table),), 0.0, 0.0, 0.0, 0.0)
 
     def step(self, point, tape, i):
         frontier, p_acc, p_rej, p_non, truncated = point
@@ -183,7 +167,7 @@ class BranchSteps:
             if branch.prob < HALT_MASS:
                 p_non += branch.prob
                 continue
-            deltas = qcpda_step(machine, tape, branch)
+            deltas = qcpda_step(machine, tape, branch, self.table)
             read = max(read, deltas.read)
             p_acc += deltas.acc
             p_rej += deltas.rej
@@ -198,9 +182,7 @@ class BranchSteps:
                     if entries > limit:
                         raise over_budget()
                 else:
-                    merged[fp] = Branch(
-                        old.prob + child.prob, old.cell, old.psi, old.steps, old.table
-                    )
+                    merged[fp] = Branch(old.prob + child.prob, old.cell, old.psi)
         return (tuple(merged.values()), p_acc, p_rej, p_non, truncated), read
 
     def alive(self, point) -> bool:
@@ -249,8 +231,8 @@ def dump_branches(
     walked through ``TreeSteps`` and so under the entry budget."""
     stepper = TreeSteps(machine)
     levels = []
-    tape = make_tape(machine, word)
-    for i, (frontier, *_), _ in walk(stepper, tape, stepper.start(), 1, max_steps):
+    tape, budget = run_bounds(machine, word, max_steps)
+    for i, (frontier, *_), _ in walk(stepper, tape, stepper.start(), 1, budget):
         levels.append(
             {
                 "step": i,
@@ -269,4 +251,4 @@ def dump_branches(
                 ],
             }
         )
-    return {"word": "".join(word) if not isinstance(word, str) else word, "levels": levels}
+    return {"word": "".join(word), "levels": levels}

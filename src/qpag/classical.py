@@ -66,9 +66,11 @@ class PPASteps:
         table = self.table
         limit = room(len(dist) + len(table))
         n = len(tape)
-        read = max(key[1] for key in dist)
+        read = -1
         new: dict = {}
         for (state, head, stack), mass in dist.items():
+            if head > read:
+                read = head
             if head >= n:
                 leaked += mass
                 continue

@@ -36,12 +36,17 @@ from .model import (
     StackAlphabet,
     StackOp,
     TransitionQPAG,
-    default_max_steps,
     records,
     rendered,
+    run_bounds,
 )
 from .simulate import KernelSteps, PrefixRuns, trajectory  # noqa: F401
 from .wellformed import check_qcpda
+
+# the column-check tolerance a machine must meet to be lowered
+CHECK_TOL = 1e-9
+# the largest |delta p_acc| and |delta p_rej| a passing equivalence row shows
+EQUIV_TOL = 1e-9
 
 
 def _aux_states_doc(aux_states):
@@ -67,10 +72,8 @@ def _fresh(name: str, used: set) -> str:
     return name
 
 
-def compile_qcpda(
-    machine: MachineQCPDA, tol: float = 1e-9
-) -> tuple[MachineQPAG, CompileMap]:
-    report = check_qcpda(machine, mode="partial", tol=tol)
+def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
+    report = check_qcpda(machine, mode="partial", tol=CHECK_TOL)
     if not report.passed:
         raise NonWellFormedInput(
             "input machine fails its column checks; refusing to lower it",
@@ -216,23 +219,23 @@ def equiv_check(
     image: MachineQPAG,
     words,
     max_steps: Optional[int] = None,
-    tol: float = 1e-9,
 ) -> EquivReport:
     """Compare the two machines word by word, giving the lowered machine
-    three steps for every original step. Each side runs the words through
-    one ``PrefixRuns``, so consecutive words share the steps their common
-    prefix fixes."""
+    three steps for every original step. A word passes when its two
+    ledgers agree within ``EQUIV_TOL`` and the image run stays decoherent.
+    Each side runs the words through one ``PrefixRuns``, so consecutive
+    words share the steps their common prefix fixes."""
     originals = PrefixRuns(BranchSteps(original))
     images = PrefixRuns(ImageSteps(image))
     rows = []
     for word in words:
         word = tuple(word)
-        budget = max_steps if max_steps is not None else default_max_steps(len(word))
+        _, budget = run_bounds(original, word, max_steps)
         orig = originals.run(word, budget)
         ia, ir, inon, deco = images.run(word, 3 * budget)
         da = abs(orig.p_acc - ia)
         dr = abs(orig.p_rej - ir)
-        ok = da <= tol and dr <= tol and deco
+        ok = da <= EQUIV_TOL and dr <= EQUIV_TOL and deco
         rows.append(
             WordComparison(
                 word="".join(word),

@@ -420,13 +420,18 @@ def make_tape(machine: Machine, word) -> tuple[str, ...]:
 def run_bounds(machine: Machine, word, max_steps: Optional[int]) -> tuple[tuple, int]:
     """A run's tape (``make_tape``) and step budget: ``max_steps``, or
     ``default_max_steps`` of the word's length if None. A negative budget
-    raises InvariantError."""
+    raises InvariantError (``step_budget``)."""
     tape = make_tape(machine, word)
     if max_steps is None:
-        max_steps = default_max_steps(len(tape) - 2)
-    elif max_steps < 0:
+        return tape, default_max_steps(len(tape) - 2)
+    return tape, step_budget(max_steps)
+
+
+def step_budget(max_steps: int) -> int:
+    """``max_steps``; InvariantError if it is negative."""
+    if max_steps < 0:
         raise InvariantError(f"step budget must be nonnegative, got {max_steps}")
-    return tape, max_steps
+    return max_steps
 
 
 def room(held: int, step: Optional[int] = None) -> int:

@@ -136,6 +136,7 @@ from .model import (
     over_budget,
     room,
     run_bounds,
+    step_budget,
     vector_norm_sq,
 )
 
@@ -447,9 +448,11 @@ def _record(i: int, point) -> StepRecord:
 
 def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecord]:
     """Yield one StepRecord per loop iteration until the live mass dies out
-    or the budget is exhausted."""
+    or the budget is exhausted. A negative ``max_steps`` raises
+    InvariantError when the first record is taken."""
     stepper = KernelSteps(machine)
-    for i, point, _ in walk(stepper, tape, stepper.start(), 1, max_steps):
+    budget = step_budget(max_steps)
+    for i, point, _ in walk(stepper, tape, stepper.start(), 1, budget):
         yield _record(i, point)
 
 

@@ -434,7 +434,7 @@ def audit_unitarity(
         # and makes the ones it meets first
         limit = room(len(seen) + len(table), level + 1)
         new = []
-        for c in sorted(frontier, key=seen.__getitem__):
+        for c in frontier:
             if c.head >= n:
                 continue
             top = c.stack.symbol

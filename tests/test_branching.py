@@ -1,8 +1,8 @@
 """Branch-tree engine for machines that schedule stack moves per state."""
 
+import gc
 import random
 import re
-import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -122,18 +122,20 @@ def test_walker_single_branch_line():
 def test_scheduled_ops_touch_stack():
     m = push_pop_walker()
     tape = make_tape(m, "01")
-    b = initial_branch(m)
-    deltas = qcpda_step(m, tape, b)
+    table: dict = {}
+    b = initial_branch(m, table)
+    deltas = qcpda_step(m, tape, b, table)
     assert len(deltas.children) == 1
     child = deltas.children[0]
     assert child.stack == ("Z", "x")  # landed in e1, which pushes
-    deltas2 = qcpda_step(m, tape, child)
+    deltas2 = qcpda_step(m, tape, child, table)
     assert deltas2.children[0].stack == ("Z",)  # landed in e0, which pops
 
 
 def test_branch_children_renormalized():
     tape = make_tape(halting_walker(), "00")
-    deltas = qcpda_step(halting_walker(), tape, initial_branch(halting_walker()))
+    table: dict = {}
+    deltas = qcpda_step(halting_walker(), tape, initial_branch(halting_walker(), table), table)
     for child in deltas.children:
         norm = sum(abs(a) ** 2 for a in child.psi.values())
         assert norm == pytest.approx(1.0, abs=1e-12)
@@ -175,12 +177,19 @@ def test_branch_cap_trips_while_frontier_grows(monkeypatch):
     # step. Step 2 starts from 2 entries and 2 cells, so a budget of 4
     # stops it at its first child
     stepped = Counter()
+    at = [0]  # the step BranchSteps.step is taking
+    real_step = BranchSteps.step
     real = branching.qcpda_step
 
-    def counting(machine, tape, branch):
-        stepped[branch.steps + 1] += 1
-        return real(machine, tape, branch)
+    def stepping(self, point, tape, i):
+        at[0] = i
+        return real_step(self, point, tape, i)
 
+    def counting(*args):
+        stepped[at[0]] += 1
+        return real(*args)
+
+    monkeypatch.setattr(BranchSteps, "step", stepping)
     monkeypatch.setattr(branching, "qcpda_step", counting)
     run_qcpda(forking_walker(), "0101", max_steps=20)
     full = dict(stepped)
@@ -235,10 +244,10 @@ def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
     # two children with one stack and equal amplitudes, their psi dicts
     # filled in opposite orders, must merge into one branch
     m = forking_walker()
-    parent = initial_branch(m)
+    parent = initial_branch(m, {})
     psi = {("f0", 1): H + 0j, ("f1", 1): -H + 0j}
     twins = tuple(
-        Branch(0.5, parent.cell, dict(items), 1, parent.table)
+        Branch(0.5, parent.cell, dict(items))
         for items in (psi.items(), reversed(psi.items()))
     )
     assert list(twins[0].psi) != list(twins[1].psi)
@@ -291,28 +300,35 @@ def test_single_word_run_keeps_a_bounded_path(monkeypatch):
         assert 1 < len(runs.path) < 21
 
 
+def _live_branches() -> list:
+    return [obj for obj in gc.get_objects() if type(obj) is Branch]
+
+
 def test_single_word_run_frees_old_frontiers(monkeypatch):
-    # a single-word run holds the live frontier only: while step i runs, no
-    # branch stepped at step i - 1 (checkpoint i - 2) is alive. Checkpoint
-    # 0 is skipped, since BranchSteps holds it as its start. The forking
-    # walker that never moves reads cell 0 only, so a driver keeping
-    # checkpoints for later words would keep every one of them
+    # a single-word run holds the live frontier only: when step i starts,
+    # the branches alive are those of checkpoint i - 1, the frontier it
+    # steps, and no branch of checkpoint i - 2 or earlier. Branches alive
+    # before the run are held, so their ids stay theirs. The forking walker
+    # that never moves reads cell 0 only, so a driver keeping checkpoints
+    # for later words would keep every one of them
     m = forking_walker()
     m = replace(m, transitions=tuple(replace(t, move=0) for t in m.transitions))
-    stepped: dict = {}
+    before = _live_branches()
+    old = {id(b) for b in before}
+    stepped: list = []
     kept: dict = {}
-    real = branching.qcpda_step
+    real_step = BranchSteps.step
 
-    def watching(machine, tape, branch):
-        step = branch.steps + 1
-        if step >= 3:
-            alive = sum(ref() is not None for ref in stepped[step - 1])
-            if alive:
-                kept[step] = alive
-        stepped.setdefault(step, []).append(weakref.ref(branch))
-        return real(machine, tape, branch)
+    def watching(self, point, tape, i):
+        live = {id(b) for b in _live_branches()} - old
+        frontier = {id(b) for b in point[0]}
+        assert frontier <= live  # the probe sees the frontier it steps
+        if live - frontier:
+            kept[i] = len(live - frontier)
+        stepped.append(i)
+        return real_step(self, point, tape, i)
 
-    monkeypatch.setattr(branching, "qcpda_step", watching)
+    monkeypatch.setattr(BranchSteps, "step", watching)
     res = run_qcpda(m, "01", max_steps=12)
     assert res.steps == 12 and max(stepped) == 12
     assert kept == {}
@@ -355,7 +371,7 @@ def test_words_helper_is_exhaustive():
     assert len(set(ws)) == 31
 
 
-def _unfolded_qcpda_step(machine, tape, branch, pruned):
+def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
     """``qcpda_step`` with its pruning as a separate copy between the
     expansion and the measurement, and its largest head read taken over
     the branch's vector, kept as the oracle for the step that prunes and
@@ -400,7 +416,6 @@ def _unfolded_qcpda_step(machine, tape, branch, pruned):
             classes.setdefault(machine.sigma_map[state], {})[key] = amp
 
     children = []
-    table = branch.table
     for op, vec in classes.items():
         mass = sum(abs(amp) ** 2 for amp in vec.values())
         if mass <= 0:
@@ -411,8 +426,6 @@ def _unfolded_qcpda_step(machine, tape, branch, pruned):
                 prob=branch.prob * mass,
                 cell=stack_after(table, stack, op),
                 psi={key: amp * scale for key, amp in vec.items()},
-                steps=branch.steps + 1,
-                table=table,
             )
         )
 
@@ -454,8 +467,8 @@ def test_folded_pruning_matches_unfolded_step(monkeypatch):
     monkeypatch.setattr(
         branching,
         "qcpda_step",
-        lambda machine, tape, branch: _unfolded_qcpda_step(
-            machine, tape, branch, pruned
+        lambda machine, tape, branch, table: _unfolded_qcpda_step(
+            machine, tape, branch, table, pruned
         ),
     )
     assert reports() == folded
@@ -466,7 +479,7 @@ def test_result_sums_live_probability_left_to_right():
     # plain left-to-right adds give 1.0; a compensated sum (CPython 3.12's
     # sum()) would give 1.0000000000000002
     m = forking_walker()
-    first = initial_branch(m)
-    frontier = tuple(replace(first, prob=prob) for prob in (1.0, 1e-16, 1e-16))
+    first = initial_branch(m, {})
+    frontier = tuple(first._replace(prob=prob) for prob in (1.0, 1e-16, 1e-16))
     point = (frontier, 0.0, 0.0, 0.0, 0.0)
     assert BranchSteps(m).result(point, 3).p_non == 1.0

@@ -229,12 +229,17 @@ def test_a_branch_step_holds_its_own_vector_to_the_budget(monkeypatch):
     # the first branch holds one key on one cell; its step makes two keys
     m = forking_walker()
     tape = make_tape(m, "0")
-    expected = qcpda_step(m, tape, initial_branch(m))
+
+    def first_step():
+        table: dict = {}
+        return qcpda_step(m, tape, initial_branch(m, table), table)
+
+    expected = first_step()
     monkeypatch.setattr(model, "ENTRY_BUDGET", 4)
-    assert qcpda_step(m, tape, initial_branch(m)).acc == expected.acc
+    assert first_step().acc == expected.acc
     monkeypatch.setattr(model, "ENTRY_BUDGET", 3)
     with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 3$"):
-        qcpda_step(m, tape, initial_branch(m))
+        first_step()
 
 
 _GATE = """

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpag import model, problem1, simulate
-from qpag.branching import run_qcpda
+from qpag.branching import dump_branches, run_qcpda
 from qpag.classical import run_ppa
 from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import (
@@ -448,6 +448,8 @@ def test_negative_step_budget_is_rejected():
         lambda: run_qcpda(q, "0", max_steps=-1),
         lambda: equiv_check(q, compile_qcpda(q)[0], ["0"], max_steps=-1),
         lambda: run_ppa(coin_ppa(), "a", max_steps=-1),
+        lambda: dump_branches(q, "01", max_steps=-1),
+        lambda: list(trajectory(m, make_tape(m, "0"), -1)),
     ]
     for call in calls:
         with pytest.raises(InvariantError, match="step budget must be nonnegative"):
