@@ -18,7 +18,8 @@ in its table when it began pass the entry budget.
 
 ``run_ppa`` walks the stepper and warns once per recorded column, also
 when the walk raises. ``run_dpda`` insists on a single probability-1
-transition per defined column, walks the same stepper and reads its
+transition per defined column (``MachinePPA.nondeterministic_column``,
+scanned once per machine), walks the same stepper and reads its
 outcome off the last checkpoint: "accept" or "reject" if that much mass
 halted, "block" if it leaked (no applicable transition, or head past the
 endmarker), "loop" if the step budget ran out first.
@@ -125,12 +126,12 @@ def run_dpda(
     word,
     max_steps: Optional[int] = None,
 ) -> str:
-    for col_key, column in machine.columns.items():
-        if len(column) != 1 or abs(column[0].prob - 1) > 1e-9:
-            raise NotDeterministic(
-                f"column (state={col_key[0]}, read={col_key[1]}, "
-                f"top={col_key[2]}) is not a single probability-1 transition"
-            )
+    col_key = machine.nondeterministic_column
+    if col_key is not None:
+        raise NotDeterministic(
+            f"column (state={col_key[0]}, read={col_key[1]}, "
+            f"top={col_key[2]}) is not a single probability-1 transition"
+        )
     (_, p_acc, p_rej, leaked), _ = walk_to_end(PPASteps(machine), word, max_steps)
     if p_acc:
         return ACCEPT

@@ -149,10 +149,9 @@ def _cmd_problem1(args) -> int:
         )
         return 0
     # sweep
-    samples = None if args.exhaustive else args.samples
-    if not args.exhaustive and samples is None:
+    if not args.exhaustive and args.samples is None:
         raise SchemaError("sweep needs --exhaustive or --samples C")
-    report = problem1.sweep(args.n, samples=samples, seed=args.seed)
+    report = problem1.sweep(args.n, samples=args.samples, seed=args.seed)
     _emit(report.to_json_dict())
     return 0 if not report.failures else CHECK_FAILED
 
@@ -220,8 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = p1.add_parser("sweep", help="check instances of one size")
     s.add_argument("-n", type=int, required=True)
-    s.add_argument("--exhaustive", action="store_true")
-    s.add_argument("--samples", type=int, default=None)
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--exhaustive", action="store_true")
+    mode.add_argument("--samples", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=_cmd_problem1)
 

@@ -379,6 +379,15 @@ class MachinePPA(_Machine):
     def __post_init__(self):
         _check_common(self, TransitionPPA)
 
+    @cached_property
+    def nondeterministic_column(self) -> Optional[tuple[str, str, str]]:
+        """The first column, in ``columns`` order, that is not a single
+        row of probability 1 (within 1e-9), or None if every column is."""
+        for key, column in self.columns.items():
+            if len(column) != 1 or abs(column[0].prob - 1) > 1e-9:
+                return key
+        return None
+
 
 Machine = Union[MachineQPAG, MachineQCPDA, MachinePPA]
 

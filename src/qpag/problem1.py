@@ -227,12 +227,114 @@ class SweepReport(Record):
 
 EXHAUSTIVE_CAP = 10**6
 
+# The transpositions (a b) and (b c); together they generate every
+# relabelling of the segment letters.
+_TRANSPOSITIONS = ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})
+
 
 def _instances_exhaustive(n: int):
     for w1 in itertools.product(SEGMENT_ALPHABET, repeat=n):
         for w2 in itertools.product(SEGMENT_ALPHABET, repeat=n):
             for w3 in itertools.product(THIRD_ALPHABET, repeat=n):
                 yield Instance("".join(w1), "".join(w2), "".join(w3))
+
+
+def _symmetric(machine: MachineQPAG) -> bool:
+    """True when relabelling the letters a, b, c leaves the machine's runs
+    unchanged, float for float.
+
+    A transposition acts on the read symbol, the stack top and push
+    payloads, and fixes every other symbol. The machine passes when, for
+    both transpositions, the alphabets map onto themselves with the
+    endmarkers and the bottom symbol fixed, and the relabelled column
+    index equals the index: every column's image column exists and lists
+    the images of its rows in the same canonical order. ``evolve`` and ``measure`` never order by symbol, so a run on
+    a relabelled instance then does the same float operations in the same
+    order as the run on the instance, and their ``RunResult``s are ``==``.
+    """
+    alpha = machine.input_alphabet
+    stack = machine.stack_alphabet
+    fixed = (alpha.left_end, alpha.right_end, stack.bottom)
+    for pi in _TRANSPOSITIONS:
+        if _relabelled(pi, fixed) != fixed:
+            return False
+        for symbols in (alpha.symbols, stack.symbols):
+            if set(_relabelled(pi, symbols)) != set(symbols):
+                return False
+
+    def relabelled_columns(pi):
+        return {
+            (q, *_relabelled(pi, (read, top))): [
+                (t.target, t.op.kind, _relabelled(pi, t.op.payload), t.move, t.amp) for t in rows
+            ]
+            for (q, read, top), rows in machine.columns.items()
+        }
+
+    plain = relabelled_columns({})
+    return all(relabelled_columns(pi) == plain for pi in _TRANSPOSITIONS)
+
+
+def _relabelled(pi, symbols) -> tuple[str, ...]:
+    """``symbols`` with each one ``pi`` names replaced by its image."""
+    return tuple(map(pi.get, symbols, symbols))
+
+
+def _representatives(n: int):
+    """(instance, orbit size) for one instance per orbit of the
+    relabellings of a, b, c: the instance whose letters a, b, c first
+    appear in that order across w1 w2 w3 (``d`` is fixed). It is the
+    first of its orbit in ``_instances_exhaustive``'s order, and the
+    representatives come in that order too. An orbit holds 6 instances
+    when two or more of a, b, c occur, else 3."""
+
+    def grow(word, seen):
+        if len(word) == 3 * n:
+            yield Instance(word[:n], word[n : 2 * n], word[2 * n :]), 6 if seen > 1 else 3
+            return
+        # a letter seen already, or the next unseen one
+        for k in range(min(seen + 1, len(SEGMENT_ALPHABET))):
+            yield from grow(word + SEGMENT_ALPHABET[k], max(seen, k + 1))
+        if len(word) >= 2 * n:
+            yield from grow(word + "d", seen)
+
+    return grow("", 0)
+
+
+def _orbit(inst: Instance) -> list[Instance]:
+    """Every relabelling of ``inst``'s letters a, b, c, once each, in
+    ``_instances_exhaustive``'s order."""
+    members = set()
+    for perm in itertools.permutations(SEGMENT_ALPHABET):
+        table = str.maketrans("".join(SEGMENT_ALPHABET), "".join(perm))
+        members.add(Instance(*(w.translate(table) for w in (inst.w1, inst.w2, inst.w3))))
+    return sorted(members, key=lambda m: (m.w1, m.w2, m.w3))
+
+
+def _graded(inst: Instance, result) -> tuple[str, float]:
+    """The instance's class and its run's deviation: the distance of that
+    class's outcome probability from 1."""
+    expected = classify(inst)
+    good = result.p_acc if expected == YES else result.p_rej
+    return expected, abs(1 - good)
+
+
+def _failure(inst: Instance, expected: str, result, dev: float) -> SweepFailure:
+    return SweepFailure(
+        word=inst.word(),
+        expected=expected,
+        p_acc=result.p_acc,
+        p_rej=result.p_rej,
+        deviation=dev,
+    )
+
+
+def _orbit_failures(machine: MachineQPAG, inst: Instance, tol: float):
+    """The failures among ``inst``'s orbit, each member run on its own."""
+    orbit = _orbit(inst)
+    for member, result in zip(orbit, run_many(machine, (m.tokens() for m in orbit))):
+        expected, dev = _graded(member, result)
+        if dev > tol:
+            yield _failure(member, expected, result, dev)
 
 
 def sweep(
@@ -246,13 +348,25 @@ def sweep(
     (``samples is None``) or against ``samples`` random instances.
 
     Deviation per instance: distance of the expected outcome's probability
-    from 1. Exhaustive mode enumerates all 36**n triples, so n is capped
-    where that count passes a million. Candidates are generated one at a
-    time and run through ``run_many``, so consecutive words share the steps
-    their common prefix fixes.
+    from 1; an instance fails when it passes ``tol``, which must be a
+    nonnegative number. Exhaustive mode covers all 36**n triples, so n is
+    capped where that count passes a million. Candidates are generated
+    one at a time and run through ``run_many``, so consecutive words share
+    the steps their common prefix fixes.
+
+    When the machine treats the letters a, b, c alike (``_symmetric``, as
+    the built-in machine does), exhaustive mode runs one representative
+    per orbit of their relabellings and counts the orbit toward
+    ``checked``. That is exact: a relabelled instance's run is ``==`` its
+    representative's, and ``classify`` is unchanged by relabelling, since
+    it counts mismatches. A failing representative's orbit is run member
+    by member, and failures are listed per instance in enumeration order,
+    so the report equals the one per-instance runs give.
     """
     if n < 1:
         raise InvariantError("n must be at least 1")
+    if not tol >= 0:
+        raise InvariantError(f"tolerance must be a nonnegative number, got {tol!r}")
     if machine is None:
         machine = build_machine()
     if samples is None:
@@ -262,7 +376,10 @@ def sweep(
                 f"exhaustive sweep at n={n} means {total} candidates; "
                 f"cap is {EXHAUSTIVE_CAP}, use sampling"
             )
-        candidates = _instances_exhaustive(n)
+        if _symmetric(machine):
+            candidates = _representatives(n)
+        else:
+            candidates = ((inst, 1) for inst in _instances_exhaustive(n))
         mode = "exhaustive"
     else:
         if samples < 1:
@@ -275,7 +392,7 @@ def sweep(
                     "".join(rng.choice(SEGMENT_ALPHABET) for _ in range(n)),
                     "".join(rng.choice(SEGMENT_ALPHABET) for _ in range(n)),
                     "".join(rng.choice(THIRD_ALPHABET) for _ in range(n)),
-                )
+                ), 1
 
         candidates = _sampled()
         mode = "sample"
@@ -284,24 +401,21 @@ def sweep(
     failures = []
     max_dev = 0.0
     candidates, words = itertools.tee(candidates)
-    results = run_many(machine, (inst.tokens() for inst in words))
-    for inst, result in zip(candidates, results):
-        expected = classify(inst)
-        good = result.p_acc if expected == YES else result.p_rej
-        dev = abs(1 - good)
+    results = run_many(machine, (inst.tokens() for inst, _ in words))
+    for (inst, weight), result in zip(candidates, results):
+        expected, dev = _graded(inst, result)
         if dev > max_dev:
             max_dev = dev
         if dev > tol:
-            failures.append(
-                SweepFailure(
-                    word=inst.word(),
-                    expected=expected,
-                    p_acc=result.p_acc,
-                    p_rej=result.p_rej,
-                    deviation=dev,
-                )
-            )
-        checked += 1
+            if weight == 1:
+                failures.append(_failure(inst, expected, result, dev))
+            else:
+                failures.extend(_orbit_failures(machine, inst, tol))
+        checked += weight
+    if mode == "exhaustive":
+        # words of one n hold "#" at the same places, so word order is
+        # enumeration order
+        failures.sort(key=lambda f: f.word)
     return SweepReport(
         n=n,
         mode=mode,

@@ -84,6 +84,18 @@ def test_dpda_requires_weight_one_rows():
         run_dpda(m, "a")
 
 
+def test_determinism_scan_runs_once_per_machine():
+    m = dpda_wcwr()
+    assert run_dpda(m, "aca") == ACCEPT
+    # the scan's answer is kept on the machine for later runs
+    assert vars(m)["nondeterministic_column"] is None
+    assert run_dpda(m, "ab") == REJECT
+    coin = coin_ppa()
+    with pytest.raises(NotDeterministic, match=r"column \(state=c0, read=<, top=Z\)"):
+        run_dpda(coin, "a")
+    assert vars(coin)["nondeterministic_column"] == ("c0", "<", "Z")
+
+
 def test_dpda_block_on_undefined_column():
     rows = [TransitionPPA("d0", "<", "Z", "d1", EPSILON, 1, 1.0)]
     m = _ppa(rows, ("d0", "d1"))

@@ -238,6 +238,13 @@ def test_problem1_sweep_needs_a_mode(capsys):
     assert main(["problem1", "sweep", "-n", "1"]) == 2
 
 
+def test_problem1_sweep_takes_one_mode(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["problem1", "sweep", "-n", "1", "--exhaustive", "--samples", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
 def _cli(args, hash_seed=None):
     env = None
     if hash_seed is not None:

@@ -1,16 +1,19 @@
 """Built-in recognizer for the two-way mirrored comparison language."""
 
 import itertools
+import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpag import problem1
+from qpag import problem1, simulate
 from qpag.errors import InvariantError, LengthMismatch
-from qpag.model import POP, push
-from qpag.simulate import run
+from qpag.model import POP, make_tape, push
+from qpag.simulate import run, run_many
 
+from .corpus import mutants
 from .reference import ref_classify
 
 
@@ -211,3 +214,135 @@ def test_sweep_report_json_keys():
     rep = problem1.sweep(1)
     doc = rep.to_json_dict()
     assert set(doc) == {"n", "mode", "checked", "failures", "max_deviation"}
+
+
+def _per_instance_report(n, machine, tol=1e-9):
+    """The exhaustive report with every instance run on its own."""
+    insts = list(problem1._instances_exhaustive(n))
+    failures = []
+    max_dev = 0.0
+    for inst, res in zip(insts, run_many(machine, (i.tokens() for i in insts))):
+        expected = problem1.classify(inst)
+        dev = abs(1 - (res.p_acc if expected == problem1.YES else res.p_rej))
+        max_dev = max(max_dev, dev)
+        if dev > tol:
+            failures.append(
+                problem1.SweepFailure(
+                    word=inst.word(),
+                    expected=expected,
+                    p_acc=res.p_acc,
+                    p_rej=res.p_rej,
+                    deviation=dev,
+                )
+            )
+    return problem1.SweepReport(
+        n=n,
+        mode="exhaustive",
+        checked=len(insts),
+        failures=tuple(failures),
+        max_deviation=max_dev,
+    )
+
+
+def _relabel(inst, perm):
+    table = str.maketrans("abc", "".join(perm))
+    return problem1.Instance(*(w.translate(table) for w in (inst.w1, inst.w2, inst.w3)))
+
+
+def _scaled_push_b():
+    """The built-in machine with one push(b) row's amplitude changed, so
+    b is no longer treated like a and c."""
+    m = problem1.build_machine()
+    rows = tuple(
+        replace(t, amp=0.6 + 0j) if (t.source, t.read, t.top) == ("q0", "b", "Z") else t
+        for t in m.transitions
+    )
+    return replace(m, transitions=rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sweep_equals_per_instance_report(n):
+    assert problem1.sweep(n) == _per_instance_report(n, problem1.build_machine())
+
+
+@pytest.mark.parametrize("mutant", mutants(), ids=lambda mu: mu.name)
+def test_sweep_equals_per_instance_report_on_mutants(mutant):
+    for n in (1, 2):
+        assert problem1.sweep(n, machine=mutant.machine) == _per_instance_report(n, mutant.machine)
+
+
+def test_symmetry_check():
+    assert problem1._symmetric(problem1.build_machine())
+    assert not problem1._symmetric(_scaled_push_b())
+    by_name = {mu.name: mu.machine for mu in mutants()}
+    # a changed row on fixed symbols keeps the symmetry; one on b breaks it
+    assert problem1._symmetric(by_name["flip-q1_O0-qf_acc"])
+    assert not problem1._symmetric(by_name["scale-split-b"])
+
+
+def test_sweep_of_an_asymmetric_copy_runs_per_instance():
+    m = _scaled_push_b()
+    for n in (1, 2):
+        rep = problem1.sweep(n, machine=m)
+        assert rep.failures
+        assert rep == _per_instance_report(n, m)
+
+
+def test_representatives_cover_each_orbit_once():
+    for n, count in ((1, 7), (2, 218), (3, 7780)):
+        reps = list(problem1._representatives(n))
+        assert len(reps) == count
+        order = {inst: i for i, inst in enumerate(problem1._instances_exhaustive(n))}
+        assert [order[inst] for inst, _ in reps] == sorted(order[inst] for inst, _ in reps)
+        covered = set()
+        for inst, size in reps:
+            orbit = problem1._orbit(inst)
+            assert len(orbit) == size and orbit[0] == inst
+            assert covered.isdisjoint(orbit)
+            covered.update(orbit)
+        assert covered == set(order)
+
+
+def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
+    # the sweep runs one representative per orbit, and run_many makes one
+    # step per node of their tapes' prefix trie, root excluded
+    m = problem1.build_machine()
+    tapes = [make_tape(m, inst.tokens()) for inst, _ in problem1._representatives(2)]
+    nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
+    steps = 0
+    real = simulate.measure
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "measure", counting)
+    report = problem1.sweep(2, machine=m)
+    assert report.checked == 1296 and not report.failures
+    assert steps == len(nodes) == 530
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_relabelled_instances_run_alike(data):
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    w1 = data.draw(st.text(alphabet="abc", min_size=n, max_size=n))
+    w2 = data.draw(st.text(alphabet="abc", min_size=n, max_size=n))
+    w3 = data.draw(st.text(alphabet="abcd", min_size=n, max_size=n))
+    inst = problem1.Instance(w1, w2, w3)
+    m = problem1.build_machine()
+    want = run(m, inst.word())
+    for perm in itertools.permutations("abc"):
+        other = _relabel(inst, perm)
+        assert run(m, other.word()) == want
+        assert problem1.classify(other) == problem1.classify(inst)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf])
+def test_sweep_rejects_a_bad_tolerance(tol):
+    broken = {mu.name: mu.machine for mu in mutants()}["flip-q1_O0-qf_acc"]
+    with pytest.raises(InvariantError):
+        problem1.sweep(1, tol=tol, machine=broken)
+    with pytest.raises(InvariantError):
+        problem1.sweep(1, samples=3, tol=tol, machine=broken)

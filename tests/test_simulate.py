@@ -512,7 +512,8 @@ def test_run_many_shares_every_common_prefix(monkeypatch):
     # problem1 heads all move right every step, so the shared run makes
     # one step per node of the tapes' prefix trie, root excluded
     m = problem1.build_machine()
-    tapes = [make_tape(m, inst.tokens()) for inst in problem1._instances_exhaustive(2)]
+    words = [inst.tokens() for inst in problem1._instances_exhaustive(2)]
+    tapes = [make_tape(m, word) for word in words]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
     steps = 0
     real = simulate.measure
@@ -523,8 +524,8 @@ def test_run_many_shares_every_common_prefix(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simulate, "measure", counting)
-    report = problem1.sweep(2, machine=m)
-    assert report.checked == 1296 and not report.failures
+    results = list(run_many(m, words))
+    assert len(results) == 1296
     assert steps == len(nodes) == 3127
 
 
