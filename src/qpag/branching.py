@@ -41,7 +41,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, room, run_bounds
-from .simulate import EMPTY, Cell, cons, evolve, measure, stack_after, walk, walk_to_end
+from .simulate import EMPTY, Cell, cons, evolve, head_of, measure, stack_after, walk, walk_to_end
 
 
 class Branch(NamedTuple):
@@ -198,6 +198,13 @@ class BranchSteps:
 
     def cells(self, point):
         return (branch.cell for branch in point[0])
+
+    def lowest(self, point) -> int:
+        return min((min(map(head_of, b.psi)) for b in point[0]), default=-1)
+
+    def key(self, point):
+        frontier, *sums = point
+        return (*sums, tuple((b.prob, b.cell, tuple(b.psi.items())) for b in frontier))
 
 
 class TreeSteps(BranchSteps):

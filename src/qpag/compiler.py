@@ -16,7 +16,9 @@ run ends there and no marker is needed.
 the original on ``branching.BranchSteps``, the image on ``ImageSteps``,
 the kernel's stepper with a decoherence flag in each checkpoint. A word
 resumed from a shared prefix's checkpoint inherits the flag the prefix's
-steps left, so its row equals the one a fresh run gives.
+steps left, so its row equals the one a fresh run gives; the flag is
+part of an image checkpoint's key, so a word that takes an earlier word's
+result takes the flag that word's run left.
 """
 
 from __future__ import annotations
@@ -213,6 +215,9 @@ class ImageSteps(KernelSteps):
         res = super().result(point, steps)
         return res.p_acc, res.p_rej, res.p_non, point[-1]
 
+    def key(self, point):
+        return super().key(point) + (point[-1],)
+
 
 def equiv_check(
     original: MachineQCPDA,
@@ -224,7 +229,8 @@ def equiv_check(
     three steps for every original step. A word passes when its two
     ledgers agree within ``EQUIV_TOL`` and the image run stays decoherent.
     Each side runs the words through one ``PrefixRuns``, so consecutive
-    words share the steps their common prefix fixes."""
+    words share the steps their common prefix fixes, and a word whose run
+    meets an earlier word's keyed checkpoint takes that word's result."""
     originals = PrefixRuns(BranchSteps(original))
     images = PrefixRuns(ImageSteps(image))
     rows = []

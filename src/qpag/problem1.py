@@ -240,6 +240,17 @@ def _instances_exhaustive(n: int):
 
 
 def _symmetric(machine: MachineQPAG) -> bool:
+    """``_relabelling_invariant(machine)``, checked once per machine: the
+    verdict is kept in the machine's ``__dict__``, where
+    ``cached_property`` keeps its column index."""
+    kept = vars(machine)
+    verdict = kept.get("_problem1_symmetric")
+    if verdict is None:
+        verdict = kept["_problem1_symmetric"] = _relabelling_invariant(machine)
+    return verdict
+
+
+def _relabelling_invariant(machine: MachineQPAG) -> bool:
     """True when relabelling the letters a, b, c leaves the machine's runs
     unchanged, float for float.
 
@@ -352,7 +363,11 @@ def sweep(
     nonnegative number. Exhaustive mode covers all 36**n triples, so n is
     capped where that count passes a million. Candidates are generated
     one at a time and run through ``run_many``, so consecutive words share
-    the steps their common prefix fixes.
+    the steps their common prefix fixes, and a word whose run converges to
+    an earlier word's with the same w3 to read takes that word's result.
+    Runs do converge: the branch pair comparing w1 with reversed w2 pops
+    w1 onto the garbage tape whatever w2 is, so after the second ``#`` the
+    vector depends only on w1 and the parity of the differences.
 
     When the machine treats the letters a, b, c alike (``_symmetric``, as
     the built-in machine does), exhaustive mode runs one representative

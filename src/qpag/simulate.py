@@ -51,9 +51,14 @@ every quantum engine shares, and the step loop every run shares.
   deltas; ``trajectory`` yields each checkpoint as a ``StepRecord``.
 * ``PrefixRuns(stepper)`` is the one checkpoint-and-resume driver: it runs
   one word after another through ``walk``, each resuming from the last
-  step the previous word's run shares with it. Its stepper also gives
-  ``size(point)``, the entries a checkpoint holds, and ``cells(point)``,
-  the cells of its ``table`` a checkpoint holds.
+  step the previous word's run shares with it, and ending where it meets
+  a checkpoint an earlier word's run keyed, with the same unread tape.
+  Its stepper also gives ``size(point)``, the entries a checkpoint holds;
+  ``cells(point)``, the cells of its ``table`` a checkpoint holds;
+  ``lowest(point)``, the smallest head among a checkpoint's entries (-1
+  if it holds none); and ``key(point)``, everything of a checkpoint that
+  ``step``, ``alive`` and ``result`` read, as a hashable value, its
+  vectors' items in insertion order.
 * The entry budget: every stepper counts its live entries in one unit
   (``model.ENTRY_BUDGET``): the keys of its vectors or distribution and
   the cells of its table. A step raises ``model.over_budget()`` as soon as
@@ -75,17 +80,40 @@ every quantum engine shares, and the step loop every run shares.
   endmarker and no word holds one; so a checkpoint below the common prefix
   never saw a parked check the two lengths decide differently, and a tape
   of length T shares at most T - 1 symbols with any other.
+* Why a suffix is shared exactly: by the same argument, the rest of a run
+  from checkpoint i reads only ``tape[h:]``, where h is the checkpoint's
+  smallest head, and the tape's length, which h and ``tape[h:]`` fix. So
+  the key ``(i, budget, tape[h:], stepper.key(checkpoint i))`` fixes the
+  result: every float of the rest of the run is summed in the order the
+  key's items give. Each word takes one key: at the first step it computes
+  whose checkpoint has its smallest head at or past L, the common prefix
+  of its tape and the previous word's. If an earlier word stored that key,
+  the word takes that word's result and stops; otherwise it stores its own
+  result under the key when its run ends. In a lexicographic stream a word
+  and an earlier word whose run converged to the same checkpoint take
+  their keys at the same step, so they meet. Floats compare with ``==``,
+  under which 0.0 and -0.0 are equal; a signed zero never reaches a
+  result, since every ledger term is a square, a norm or a probability.
+  A key does not fix the entry budget's count, which includes the shared
+  table's cells, so whether a word overflows already depends on the words
+  before it; a word that takes a stored result steps no further, so it
+  cannot overflow after its key.
 * What ``PrefixRuns`` keeps: a run stops keeping checkpoints at the first
   step whose largest head reaches T - 1, since only the same tape again
   could resume there, and at the first checkpoint that would lift the
   entries kept past ``ENTRY_BUDGET``; it steps on from a rolling
   checkpoint. So the kept checkpoints together hold at most the budget,
-  and a batch holds at most twice what a single run may.
-  Dropping a checkpoint costs only recomputation. All words share one
+  and a batch holds at most twice what a single run may. The memo of keys
+  counts beside them: its keys' checkpoints' entries and the kept ones
+  together stay within ``ENTRY_BUDGET``, and the memo is dropped whole
+  when a new key or kept checkpoint would lift them past it. Dropping a
+  checkpoint or a key costs only recomputation. All words share one
   cell table. When it grows past twice its size after the last rebuild,
-  it is rebuilt from the cells the kept checkpoints reach. So it never
-  holds more than twice the cells reached at the last rebuild, and each
-  rebuild follows at least as many new cells as it keeps.
+  it is rebuilt from the cells the kept checkpoints reach, and the memo,
+  whose keys may hold cells the table drops, is dropped with it. So the
+  table never holds more than twice the cells reached at the last
+  rebuild, and each rebuild follows at least as many new cells as it
+  keeps.
 * ``run_many(machine, words)`` yields ``run``'s untraced result for each
   word, in order, through ``PrefixRuns(KernelSteps(machine))``;
   ``problem1.sweep`` runs through it.
@@ -120,6 +148,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from . import model
@@ -254,6 +283,11 @@ def successor(table: dict, conf: CellConfiguration, t) -> CellConfiguration:
 
 def _stack_top(conf: CellConfiguration) -> str:
     return conf.stack.symbol
+
+
+# the head of a vector key: (state, head, ...) in the kernel, (state, head)
+# in a branch
+head_of = itemgetter(1)
 
 
 def evolve(psi, tape, columns, top, succ, limit):
@@ -440,6 +474,12 @@ class KernelSteps:
             yield conf.stack
             yield conf.garbage
 
+    def lowest(self, point) -> int:
+        return min(map(head_of, point[0]), default=-1)
+
+    def key(self, point):
+        return (*point[1:6], tuple(point[0].items()))
+
 
 def _record(i: int, point) -> StepRecord:
     """``KernelSteps`` checkpoint ``i`` as a StepRecord."""
@@ -459,13 +499,16 @@ def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecor
 class PrefixRuns:
     """The checkpoint-and-resume driver: one run after another of the
     stepper's machine, each resuming from the last step the previous word's
-    run shares with it.
+    run shares with it, and ending early where it reaches a checkpoint an
+    earlier word's run keyed with the same unread tape.
 
     ``path[i]`` is the stepper's checkpoint ``i``, kept for the first
     steps of the last run only. ``reach[i]`` is the largest head that any
     of steps 1..i read, or -1 for ``i = 0``. ``held[i]`` is the entries
-    checkpoints 0..i hold together. ``table`` is the stepper's cell table,
-    which holds the cells of every run.
+    checkpoints 0..i hold together. ``memo`` maps a key (the module
+    docstring gives it) to its run's result, and ``memo_held`` is the
+    entries its keys' checkpoints hold. ``table`` is the stepper's cell
+    table, which holds the cells of every run.
     """
 
     def __init__(self, stepper):
@@ -475,6 +518,8 @@ class PrefixRuns:
         self.path = [stepper.start()]
         self.reach = [-1]
         self.held = [stepper.size(self.path[0])]
+        self.memo: dict = {}
+        self.memo_held = 0
         self._table_limit = 2 * len(self.table)
 
     def run(self, word, max_steps: Optional[int] = None):
@@ -485,9 +530,10 @@ class PrefixRuns:
         path = self.path
         reach = self.reach
         held = self.held
+        common = _common_prefix(self.tape, tape)
         # reach is nondecreasing: keep the checkpoints that read only the
         # shared prefix
-        keep = bisect_left(reach, _common_prefix(self.tape, tape))
+        keep = bisect_left(reach, common)
         del path[keep:], reach[keep:], held[keep:]
         self.tape = tape
         # another tape shares at most len(tape) - 1 symbols with this one,
@@ -496,26 +542,53 @@ class PrefixRuns:
         last = len(path) - 1
         point = path[-1]
         read = reach[-1]
+        key = result = None
         for last, point, head in walk(stepper, tape, point, last + 1, budget):
             read = max(read, head)
             # keep checkpoints while the path runs unbroken to this step
             if len(path) == last and read < shared:
                 total = held[-1] + stepper.size(point)
                 if total <= model.ENTRY_BUDGET:
+                    self._make_room(total)
                     path.append(point)
                     reach.append(read)
                     held.append(total)
-        # point is checkpoint last; an earlier one is kept
-        steps = min(budget, last)
-        if steps < last:
-            point = path[steps]
-        result = stepper.result(point, steps)
+            # key the first checkpoint whose heads all lie at or past the
+            # common prefix; its heads are at most head + 1
+            if key is None and head >= common - 1:
+                low = stepper.lowest(point)
+                if low >= common:
+                    key = (last, budget, tape[low:], stepper.key(point))
+                    key_size = stepper.size(point)
+                    result = self.memo.get(key)
+                    if result is not None:
+                        break
+        if result is None:
+            # point is checkpoint last; an earlier one is kept
+            steps = min(budget, last)
+            if steps < last:
+                point = path[steps]
+            result = stepper.result(point, steps)
+            if key is not None:
+                total = held[-1] + key_size
+                if total <= model.ENTRY_BUDGET:
+                    self._make_room(total)
+                    self.memo[key] = result
+                    self.memo_held += key_size
         if len(self.table) > self._table_limit:
             self._rebuild_table()
         return result
 
+    def _make_room(self, entries: int):
+        """Drop the memo if it and ``entries`` held beside it would pass
+        ``ENTRY_BUDGET``."""
+        if entries + self.memo_held > model.ENTRY_BUDGET:
+            self.memo.clear()
+            self.memo_held = 0
+
     def _rebuild_table(self):
-        """Keep only the cells the path's checkpoints reach."""
+        """Keep only the cells the path's checkpoints reach, and drop the
+        memo, whose keys may hold cells the table no longer does."""
         kept: dict = {}
         for point in self.path:
             for cell in self.stepper.cells(point):
@@ -525,14 +598,17 @@ class PrefixRuns:
         self.table.clear()
         self.table.update(kept)
         self._table_limit = 2 * len(kept)
+        self.memo.clear()
+        self.memo_held = 0
 
 
 def run_many(
     machine: MachineQPAG, words, max_steps: Optional[int] = None
 ) -> Iterator[RunResult]:
     """Yield ``run(machine, word, max_steps)`` for each word, in order,
-    sharing the steps that consecutive words' common tape prefix fixes.
-    Words are read one at a time, as results are taken."""
+    sharing the steps that consecutive words' common tape prefix fixes and
+    the rest of a run whose keyed checkpoint an earlier word met (see
+    ``PrefixRuns``). Words are read one at a time, as results are taken."""
     runs = PrefixRuns(KernelSteps(machine))
     for word in words:
         yield runs.run(word, max_steps)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qpag import model, simulate
+from qpag import model, problem1, simulate
 from qpag.branching import (
     BranchSteps,
     TreeSteps,
@@ -37,7 +37,7 @@ from qpag.model import (
     push,
     run_bounds,
 )
-from qpag.simulate import KernelSteps, run
+from qpag.simulate import KernelSteps, PrefixRuns, run
 from qpag.wellformed import audit_unitarity
 
 from .corpus import TOTAL_MACHINES
@@ -147,6 +147,36 @@ def _check_budgets(monkeypatch, totals, call, floor=0):
             message = f"^live entries exceeded {budget} at step {step}$"
             with pytest.raises(StateSpaceOverflow, match=message):
                 call()
+
+
+def _memo_drops(machine, words, want):
+    """Run ``words`` through one batch, checking each result against
+    ``want`` and the path and memo against the entry budget. Returns how
+    often the memo shrank."""
+    runs = PrefixRuns(KernelSteps(machine))
+    drops = 0
+    for word, result in zip(words, want):
+        before = len(runs.memo)
+        assert runs.run(word) == result
+        drops += len(runs.memo) < before
+        # a KernelSteps key ends with its checkpoint's vector items
+        assert runs.memo_held == sum(len(key[3][-1]) for key in runs.memo)
+        assert runs.held[-1] + runs.memo_held <= model.ENTRY_BUDGET
+    return drops
+
+
+def test_prefix_runs_drop_the_memo_at_the_budget(monkeypatch):
+    # problem1's words meet earlier words' keyed checkpoints. At 40 entries
+    # the kept path and every key do not fit together, so the memo is
+    # dropped and begun again, never held past the budget; uncapped, only
+    # the table rebuilds drop it. No step holds 40 entries
+    m = problem1.build_machine()
+    words = [inst.tokens() for n in (1, 2) for inst in problem1._instances_exhaustive(n)]
+    want = [run(m, w) for w in words]
+    uncapped = _memo_drops(m, words, want)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 40)
+    capped = _memo_drops(m, words, want)
+    assert (uncapped, capped) == (6, 214)
 
 
 def _doubling_ppa() -> MachinePPA:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from qpag.compiler import compile_qcpda, equiv_check
+from qpag.compiler import ImageSteps, compile_qcpda, equiv_check
 from qpag.errors import NonWellFormedInput
 from qpag.model import (
     EPSILON,
@@ -201,8 +201,10 @@ def test_equiv_report_json_round_trip():
 
 
 def test_equiv_check_batch_rows_equal_single_word_rows():
+    # seeds 52, 81 and 151 have words that take an earlier word's result,
+    # on the image side, on both sides and on the original side
     words = words_up_to(4)
-    for seed in range(20):
+    for seed in (*range(20), 52, 81, 151):
         m = random_qcpda(seed)
         image, _ = compile_qcpda(m)
         rng = random.Random(seed)
@@ -263,3 +265,13 @@ def test_decoherence_flag_resumes_with_the_shared_prefix():
     assert [row.decoherent for row in batch] == [
         False, True, False, False, True, True, True, True, False,
     ]
+
+
+def test_image_key_holds_the_decoherence_flag():
+    # two image checkpoints that differ only in the flag give different
+    # rows, so a word that reaches one must not take the other's result
+    stepper = ImageSteps(split_on_one())
+    point = stepper.start()
+    flipped = point[:-1] + (not point[-1],)
+    assert stepper.key(point) != stepper.key(flipped)
+    assert stepper.result(point, 0) != stepper.result(flipped, 0)

@@ -50,7 +50,7 @@ from qpag.simulate import (
     trajectory,
 )
 
-from .corpus import TOTAL_MACHINES, coin_ppa
+from .corpus import TOTAL_MACHINES, H, coin_ppa
 from .generators import random_qcpda, words_up_to
 from .reference import ref_run_qpag
 
@@ -483,7 +483,12 @@ def test_run_many_equals_run_on_problem1_up_to_n2():
         for inst in problem1._instances_exhaustive(n)
     ]
     assert len(words) == 1332
-    assert list(run_many(m, words)) == [run(m, w) for w in words]
+    single = {w: run(m, w) for w in words}
+    # in enumeration order, reversed and shuffled, words meet earlier
+    # words' keyed checkpoints at different steps
+    shuffled = random.Random(17).sample(words, len(words))
+    for order in (words, words[::-1], shuffled):
+        assert list(run_many(m, order)) == [single[w] for w in order]
 
 
 def test_run_many_equals_run_on_compiled_images():
@@ -503,14 +508,61 @@ def test_run_many_equals_run_on_compiled_images():
                 assert got == [single[w] for w in order], (seed, budget)
 
 
+def _scanner(rows) -> MachineQPAG:
+    """A machine over 0 and 1 that never touches its stack: p moves right
+    over both endmarkers, and ``rows`` (source, read, target, move, amp)
+    give the rest. State a accepts and r rejects."""
+    rows = [("p", "<", "p", 1, 1), ("p", ">", "p", 1, 1), *rows]
+    return MachineQPAG(
+        states=("a", "p", "r", "w"),
+        input_alphabet=InputAlphabet(
+            symbols=("<", "0", "1", ">"), left_end="<", right_end=">"
+        ),
+        stack_alphabet=StackAlphabet(symbols=("Z",), bottom="Z"),
+        transitions=tuple(
+            TransitionQPAG(src, read, "Z", tgt, EPSILON, move, complex(amp))
+            for src, read, tgt, move, amp in rows
+        ),
+        initial="p",
+        accepting=frozenset({"a"}),
+        rejecting=frozenset({"r"}),
+    )
+
+
+# p reads a 1 in one step and a 0 in two, through w
+_WAITER = [("p", "0", "w", 0, 1), ("w", "0", "p", 1, 1), ("p", "1", "p", 1, 1)]
+# p reads a 0 by sending half its mass to accept, a 1 by sending it to reject
+_LEAKER = [
+    ("p", "0", "a", 1, H),
+    ("p", "0", "p", 1, H),
+    ("p", "1", "r", 1, H),
+    ("p", "1", "p", 1, H),
+]
+
+
+@pytest.mark.parametrize("rows", [_WAITER, _LEAKER], ids=["waiter", "leaker"])
+def test_run_many_keys_the_step_and_the_ledger(rows):
+    # "01" and "11" each take their key on the vector p@2 with the unread
+    # tape "1>": the waiter reaches it at step 3 and step 2, the leaker
+    # with p_acc 0.5 and with p_rej 0.5, so neither may take the other's
+    # result
+    m = _scanner(rows)
+    words = ["00", "01", "10", "11"]
+    want = [run(m, w) for w in words]
+    assert want[1] != want[3]
+    assert list(run_many(m, words)) == want
+
+
 def test_run_many_of_nothing_yields_nothing():
     assert list(run_many(problem1.build_machine(), [])) == []
     assert list(run_many(problem1.build_machine(), iter(()))) == []
 
 
 def test_run_many_shares_every_common_prefix(monkeypatch):
-    # problem1 heads all move right every step, so the shared run makes
-    # one step per node of the tapes' prefix trie, root excluded
+    # problem1 heads all move right every step, so prefix sharing alone
+    # makes one step per node of the tapes' prefix trie, root excluded;
+    # a word whose run meets an earlier word's keyed checkpoint with the
+    # same unread tape stops there, so the batch makes fewer
     m = problem1.build_machine()
     words = [inst.tokens() for inst in problem1._instances_exhaustive(2)]
     tapes = [make_tape(m, word) for word in words]
@@ -526,7 +578,8 @@ def test_run_many_shares_every_common_prefix(monkeypatch):
     monkeypatch.setattr(simulate, "measure", counting)
     results = list(run_many(m, words))
     assert len(results) == 1296
-    assert steps == len(nodes) == 3127
+    assert steps == 1684
+    assert steps <= len(nodes) == 3127
 
 
 def _reached_cells(path):
