@@ -31,7 +31,7 @@ import warnings
 from typing import Optional
 
 from .errors import NotDeterministic
-from .model import HALT_MASS, MachinePPA, RunResult, over_budget, plain_sum, room
+from .model import HALT_MASS, MachinePPA, RunResult, column_text, over_budget, plain_sum, room
 from .simulate import EMPTY, cons, stack_after, walk_to_end
 
 ACCEPT = "accept"
@@ -112,11 +112,9 @@ def run_ppa(
     try:
         point, steps = walk_to_end(stepper, word, max_steps)
     finally:
-        for state, read, top in stepper.undefined:
+        for col_key in stepper.undefined:
             warnings.warn(
-                f"undefined column (state={state}, read={read}, "
-                f"top={top}); mass leaks to p_non",
-                stacklevel=2,
+                f"undefined {column_text(col_key)}; mass leaks to p_non", stacklevel=2
             )
     return stepper.result(point, steps)
 
@@ -129,8 +127,7 @@ def run_dpda(
     col_key = machine.nondeterministic_column
     if col_key is not None:
         raise NotDeterministic(
-            f"column (state={col_key[0]}, read={col_key[1]}, "
-            f"top={col_key[2]}) is not a single probability-1 transition"
+            f"{column_text(col_key)} is not a single probability-1 transition"
         )
     (_, p_acc, p_rej, leaked), _ = walk_to_end(PPASteps(machine), word, max_steps)
     if p_acc:

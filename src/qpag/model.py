@@ -41,14 +41,14 @@ AMP_MAG_TOL = 1e-9
 PRUNE_THRESHOLD = 1e-12
 # Non-halting mass below this ends a run early.
 HALT_MASS = 1e-12
-# The live entries one step of a run, or one level of an audit, may hold:
-# the keys of the checkpoint it started from (a state vector, a PPA
-# distribution or a frontier's branch vectors, or the configurations an
-# audit has met), the keys it has made so far, and the cells of the run's
-# interned table when it began. A counted entry costs at most about 210
-# bytes of peak RSS (CPython 3.11, uncounted kernel survivors included), so
-# 400,000 entries hold a run within about 85 MB of the interpreter's base.
-# CHANGES.md records the measurements.
+# The live entries one step of a run may hold: the keys of the checkpoint
+# it started from (a state vector, a PPA distribution or a frontier's
+# branch vectors, or the configurations an audit has met), the keys it has
+# made so far, and the cells of the run's interned table when it began. A
+# counted entry costs at most about 210 bytes of peak RSS (CPython 3.11,
+# uncounted kernel survivors included), so 400,000 entries hold a run
+# within about 85 MB of the interpreter's base. CHANGES.md records the
+# measurements.
 ENTRY_BUDGET = 400_000
 
 LEFT_DISPLAY = "¢"
@@ -443,21 +443,26 @@ def step_budget(max_steps: int) -> int:
     return max_steps
 
 
-def room(held: int, step: Optional[int] = None) -> int:
+def room(held: int) -> int:
     """How many more entries ``ENTRY_BUDGET`` allows beside ``held``, the
-    entries a step starts from. Raises ``over_budget(step)`` if ``held``
+    entries a step starts from. Raises ``over_budget()`` if ``held``
     already passes it."""
     left = ENTRY_BUDGET - held
     if left < 0:
-        raise over_budget(step)
+        raise over_budget()
     return left
 
 
-def over_budget(step: Optional[int] = None) -> StateSpaceOverflow:
-    """The one overflow error: live entries passed ``ENTRY_BUDGET`` (at
-    ``step``, if given; ``simulate.walk`` names the step of a run)."""
-    message = f"live entries exceeded {ENTRY_BUDGET}"
-    return StateSpaceOverflow(message if step is None else f"{message} at step {step}")
+def over_budget() -> StateSpaceOverflow:
+    """The one overflow error: live entries passed ``ENTRY_BUDGET``.
+    ``simulate.walk`` names the step it was raised in."""
+    return StateSpaceOverflow(f"live entries exceeded {ENTRY_BUDGET}")
+
+
+def column_text(key) -> str:
+    """A (state, read, top) column key as warnings and errors spell it."""
+    state, read, top = key
+    return f"column (state={state}, read={read}, top={top})"
 
 
 def display_tape(machine: Machine, tape) -> str:

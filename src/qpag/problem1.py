@@ -199,12 +199,15 @@ def generate(n: int, cls: str, seed: int) -> Instance:
         raise InvariantError("n must be at least 1")
     rng = random.Random(f"problem1|{n}|{cls}|{seed}")
     while True:
-        w1 = "".join(rng.choice(SEGMENT_ALPHABET) for _ in range(n))
-        w2 = "".join(rng.choice(SEGMENT_ALPHABET) for _ in range(n))
-        w3 = "".join(rng.choice(THIRD_ALPHABET) for _ in range(n))
-        inst = Instance(w1, w2, w3)
+        inst = _draw(rng, n)
         if classify(inst) == cls:
             return inst
+
+
+def _draw(rng: random.Random, n: int) -> Instance:
+    """One uniform instance of segment length ``n``: w1, then w2, then w3."""
+    alphabets = (SEGMENT_ALPHABET, SEGMENT_ALPHABET, THIRD_ALPHABET)
+    return Instance(*("".join(rng.choice(a) for _ in range(n)) for a in alphabets))
 
 
 @dataclass(frozen=True)
@@ -400,16 +403,7 @@ def sweep(
         if samples < 1:
             raise InvariantError("sample count must be positive")
         rng = random.Random(f"sweep|{n}|{seed}")
-
-        def _sampled():
-            for _ in range(samples):
-                yield Instance(
-                    "".join(rng.choice(SEGMENT_ALPHABET) for _ in range(n)),
-                    "".join(rng.choice(SEGMENT_ALPHABET) for _ in range(n)),
-                    "".join(rng.choice(THIRD_ALPHABET) for _ in range(n)),
-                ), 1
-
-        candidates = _sampled()
+        candidates = ((_draw(rng, n), 1) for _ in range(samples))
         mode = "sample"
 
     checked = 0

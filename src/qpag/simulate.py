@@ -17,7 +17,7 @@ every quantum engine shares, and the step loop every run shares.
   ``successor(table, conf, t)`` is the garbage-tape successor rule over
   cells: row ``t``'s stack operation and head move, with a popped symbol
   appended to the garbage tape. ``KernelSteps`` and
-  ``wellformed.audit_unitarity`` build configurations through it.
+  ``wellformed.AuditSteps`` build configurations through it.
 * A step makes two passes over its data. ``evolve(psi, tape, columns,
   top, succ, limit)`` is the first, one unmeasured step of any sparse vector
   whose keys start with (state, head): expand every key through its
@@ -28,21 +28,26 @@ every quantum engine shares, and the step loop every run shares.
   step through the two; ``qcpda_step`` then splits ``measure``'s
   survivors by scheduled stack operation.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
-  every run, quantum or classical. A stepper gives ``start()``,
-  checkpoint 0; ``step(point, tape, i)``, checkpoint ``i`` from checkpoint ``i - 1``
-  and the largest head step ``i`` read; ``alive(point)``, whether another
-  step may follow; and ``result(point, steps)``. From ``point``,
-  checkpoint ``first - 1``, ``walk`` yields ``(i, checkpoint i, head
-  read)`` for each step ``i <= budget`` it takes while ``alive`` holds,
-  and names the step in a StateSpaceOverflow. ``walk_to_end(stepper,
-  word, max_steps)`` walks one fresh run of a word to its end and returns
-  its last checkpoint and step count. The steppers: ``KernelSteps``
-  behind ``run``, ``trajectory`` and ``run_many``; ``compiler.ImageSteps``,
-  its checkpoint with a decoherence flag appended, behind the image half
-  of ``compiler.equiv_check``; ``branching.BranchSteps`` behind
+  every run, quantum or classical, and of the unitarity audit. A stepper
+  gives ``start()``, checkpoint 0; ``step(point, tape, i)``, checkpoint
+  ``i`` from checkpoint ``i - 1`` and the largest head step ``i`` read;
+  ``alive(point)``, whether another step may follow; and ``result(point,
+  steps)``. From ``point``, checkpoint ``first - 1``, ``walk`` yields
+  ``(i, checkpoint i, head read)`` for each step ``i <= budget`` it takes
+  while ``alive`` holds, and names the step in a StateSpaceOverflow: it
+  is the only code that names the step of an overflow.
+  ``walk_to_end(stepper, word, max_steps)`` walks one fresh run of a word
+  to its end and returns its last checkpoint and step count. The
+  steppers: ``KernelSteps`` behind ``run``, ``trajectory`` and
+  ``run_many``; ``compiler.ImageSteps``, its checkpoint with a
+  decoherence flag appended, behind the image half of
+  ``compiler.equiv_check``; ``branching.BranchSteps`` behind
   ``branching.run_qcpda`` and the other half, and its unmerged
   ``TreeSteps`` behind ``branching.dump_branches``; ``classical.PPASteps``
-  behind ``classical.run_ppa`` and ``classical.run_dpda``.
+  behind ``classical.run_ppa`` and ``classical.run_dpda``; and
+  ``wellformed.AuditSteps``, whose checkpoint is the configurations first
+  met at the step, behind ``wellformed.audit_unitarity``, which builds its
+  report from what the stepper keeps rather than from a ``result``.
 * A ``KernelSteps`` checkpoint is the vector after the step, the running
   (p_acc, p_rej, parked, truncated) sums, the vector's squared norm, and
   the step's four deltas (acc, rej, parked, truncated), kept because a
@@ -61,10 +66,12 @@ every quantum engine shares, and the step loop every run shares.
   vectors' items in insertion order.
 * The entry budget: every stepper counts its live entries in one unit
   (``model.ENTRY_BUDGET``): the keys of its vectors or distribution and
-  the cells of its table. A step raises ``model.over_budget()`` as soon as
-  the checkpoint it started from, plus the keys it has made so far, plus
-  the cells in the table when it began, pass the budget; ``evolve`` does
-  that count for the kernel with one comparison per row.
+  the cells of its table. A step raises ``model.over_budget()``, and
+  ``walk`` adds the step, as soon as the checkpoint it started from, plus
+  the keys it has made so far, plus the cells in the table when it began,
+  pass the budget; ``evolve`` does that count for the kernel with one
+  comparison per row. ``AuditSteps`` counts every configuration met so
+  far in place of its checkpoint.
 * Why resuming is exact: a step reads the tape only at the heads of what
   enters it (the parked check compares a head with the tape's length),
   and heads move 0 or 1, never left. So two tapes that agree below

@@ -11,9 +11,11 @@ Two layers:
   every column of Q x Sigma x Gamma to have norm exactly 1.
 
 * ``audit_unitarity``: a direct numerical check on a concrete tape. It
-  enumerates configurations reachable within a step budget, applies one
-  evolution step to each, and verifies image norms and pairwise image
-  orthogonality. This catches anything the literal column conditions miss.
+  walks ``AuditSteps`` through ``simulate.walk_to_end``, which meets the
+  configurations reachable within a step budget and takes the image of
+  each under one evolution step, then verifies image norms and pairwise
+  image orthogonality. This catches anything the literal column conditions
+  miss.
 
 Condition ids: "1" column norm, "2" same-column-index orthogonality,
 "3a"/"3b" same-head different-stack orthogonality (push-extends vs pop-reveals),
@@ -52,7 +54,7 @@ from .model import (
     MachineQPAG,
     Record,
     StackOp,
-    make_tape,
+    column_text,
     over_budget,
     records,
     rendered,
@@ -60,7 +62,7 @@ from .model import (
     tokens_doc,
     vector_norm_sq,
 )
-from .simulate import CellConfiguration, start, successor
+from .simulate import CellConfiguration, start, successor, walk_to_end
 
 
 @dataclass(frozen=True)
@@ -398,6 +400,72 @@ class AuditReport(Record):
     failures: tuple[AuditFailure, ...] = rendered(records)
 
 
+class AuditSteps:
+    """The stepper behind ``audit_unitarity``. Checkpoint i is the list of
+    configurations first met at step i. A step takes the image of each
+    configuration in its frontier and, while ``i <= depth``, meets their
+    successors. The stepper keeps every configuration met (``seen``, each
+    with its plain-tuple view, the sort key), their images (``images``) and
+    the undefined columns, first met first (``undefined``).
+
+    The audit expands images itself rather than through ``simulate.evolve``:
+    ``evolve`` sums the images of different configurations into one vector,
+    but the audit needs each image apart. Calling ``evolve`` once per
+    configuration measured 15 to 25 % slower, and once per step with keys
+    tagged by their source about 12 % slower."""
+
+    def __init__(self, machine: MachineQPAG, depth: int):
+        self.machine = machine
+        self.depth = depth
+        self.table: dict = {}
+        self.seen: dict[CellConfiguration, Configuration] = {}
+        self.images: dict[CellConfiguration, dict[CellConfiguration, complex]] = {}
+        self.undefined: dict = {}  # (state, read, top) -> None, first met first
+
+    def start(self):
+        first = start(self.machine, self.table)
+        self.seen[first] = first.view()
+        return [first]
+
+    def step(self, frontier, tape, i):
+        seen = self.seen
+        table = self.table
+        columns = self.machine.columns
+        n = len(tape)
+        # a step starts from the configurations met so far and makes the
+        # ones it meets first
+        limit = room(len(seen) + len(table))
+        meet = i <= self.depth
+        read = -1
+        new = []
+        for c in frontier:
+            if c.head > read:
+                read = c.head
+            if c.head >= n:
+                continue
+            col_key = (c.state, tape[c.head], c.stack.symbol)
+            col = columns.get(col_key)
+            if col is None:
+                self.undefined.setdefault(col_key)
+                continue
+            vec: dict[CellConfiguration, complex] = {}
+            for t in col:
+                succ = successor(table, c, t)
+                vec[succ] = vec.get(succ, 0j) + t.amp
+            self.images[c] = vec
+            if meet:
+                for succ in vec:
+                    if succ not in seen:
+                        seen[succ] = succ.view()
+                        new.append(succ)
+                if len(new) > limit:
+                    raise over_budget()
+        return new, read
+
+    def alive(self, frontier) -> bool:
+        return bool(frontier)
+
+
 def audit_unitarity(
     machine: MachineQPAG,
     word,
@@ -413,56 +481,17 @@ def audit_unitarity(
     their defined fragment. An empty machine passes vacuously with a warning.
     Norms and overlaps are summed over each column's rows in canonical order,
     so the report does not depend on the order of the transition table.
-    Level ``l`` is step ``l + 1`` of the entry budget: it raises
-    StateSpaceOverflow as soon as the configurations met so far and the
-    cells in the table when the level began pass ``model.ENTRY_BUDGET``.
+    ``AuditSteps`` walks ``depth + 1`` steps through ``simulate.walk_to_end``;
+    a step raises StateSpaceOverflow as soon as the configurations met so
+    far and the cells in the table when the step began pass
+    ``model.ENTRY_BUDGET``.
     """
     if depth < 1:
         raise InvariantError("audit depth must be at least 1")
-    tape = make_tape(machine, word)
-    n = len(tape)
-    table: dict = {}
-    first = start(machine, table)
-    # every configuration met so far -> its plain-tuple view, the sort key
-    seen = {first: first.view()}
-    frontier = [first]
-    warn = set()
-    vecs: dict[CellConfiguration, dict[CellConfiguration, complex]] = {}
-    # levels 0..depth-1 expand the frontier; level depth only takes images
-    for level in range(depth + 1):
-        # a level is a step: it starts from the configurations met so far
-        # and makes the ones it meets first
-        limit = room(len(seen) + len(table), level + 1)
-        new = []
-        for c in frontier:
-            if c.head >= n:
-                continue
-            top = c.stack.symbol
-            col = machine.columns.get((c.state, tape[c.head], top))
-            if col is None:
-                warn.add(
-                    f"undefined column (state={c.state}, read={tape[c.head]}, "
-                    f"top={top})"
-                )
-                continue
-            vec: dict[CellConfiguration, complex] = {}
-            for t in col:
-                succ = successor(table, c, t)
-                vec[succ] = vec.get(succ, 0j) + t.amp
-            vecs[c] = vec
-            if level == depth:
-                continue
-            for succ in vec:
-                if succ not in seen:
-                    seen[succ] = succ.view()
-                    new.append(succ)
-            if len(new) > limit:
-                raise over_budget(level + 1)
-        frontier = new
-        if not frontier:
-            break
-
-    images = sorted(vecs.items(), key=lambda item: seen[item[0]])
+    stepper = AuditSteps(machine, depth)
+    walk_to_end(stepper, word, depth + 1)
+    seen = stepper.seen
+    images = sorted(stepper.images.items(), key=lambda item: seen[item[0]])
 
     failures = []
     for c, vec in images:
@@ -476,9 +505,8 @@ def audit_unitarity(
             by_target.setdefault(tgt, []).append((i, a))
     overlaps: dict[tuple[int, int], complex] = {}
     for entries in by_target.values():
-        for x in range(len(entries)):
-            for y in range(x + 1, len(entries)):
-                (i, ai), (j, aj) = entries[x], entries[y]
+        for x, (i, ai) in enumerate(entries):
+            for j, aj in entries[x + 1 :]:
                 overlaps[(i, j)] = overlaps.get((i, j), 0j) + ai.conjugate() * aj
     for (i, j) in sorted(overlaps):
         v = abs(overlaps[(i, j)])
@@ -486,6 +514,7 @@ def audit_unitarity(
             witnesses = (seen[images[i][0]], seen[images[j][0]])
             failures.append(AuditFailure("orthogonality", witnesses, v))
 
+    warn = {f"undefined {column_text(col_key)}" for col_key in stepper.undefined}
     if not machine.transitions:
         warn.add("machine has no transitions; audit is vacuous")
 

@@ -1,15 +1,19 @@
 """Reachable-basis unitarity audits cross-checked against a dense matrix."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qpag import model, problem1
+from qpag import model, problem1, simulate
+from qpag.compiler import compile_qcpda
 from qpag.errors import InvariantError, StateSpaceOverflow
+from qpag.machinefile import emit_json
 from qpag.wellformed import audit_unitarity
 
 from .corpus import TOTAL_MACHINES, mutants
+from .generators import random_qcpda, words_up_to
 from .reference import ref_step_matrix
 
 
@@ -134,3 +138,52 @@ def test_dense_matrix_catches_mutant():
     sources, _targets, mat = ref_step_matrix(mut.machine, "aa#aa#aa", 6)
     gram = mat.conj().T @ mat
     assert not np.allclose(gram, np.eye(len(sources)), atol=1e-9)
+
+
+def _pinned_audits():
+    """The mutant reports, then the reports of the total machines and of
+    compiled scheduled-stack images, each as its sig12 JSON document."""
+    mutant_reports = [
+        audit_unitarity(mut.machine, word, depth=depth)
+        for mut in mutants()
+        for word, depth in (("aa#aa#aa", 6), ("a#a#a", 8), ("ab#ba#ab", 8))
+    ]
+    others = [
+        audit_unitarity(TOTAL_MACHINES[name](), word, depth=6)
+        for name in sorted(TOTAL_MACHINES)
+        for word in ("0101", "0000", "", "1")
+    ]
+    for seed in range(10):
+        image = compile_qcpda(random_qcpda(seed))[0]
+        others += [audit_unitarity(image, word, depth=24) for word in words_up_to(2)]
+    return mutant_reports, others
+
+
+def test_audit_reports_stay_pinned():
+    # every report byte for byte, norms and overlaps to 12 digits
+    mutant_reports, others = _pinned_audits()
+    assert len(mutant_reports) == 66
+    assert sum(not rep.passed for rep in mutant_reports) == 21
+    digest = hashlib.sha256()
+    for rep in mutant_reports + others:
+        digest.update(emit_json(rep.to_json_dict(), floats="sig12").encode())
+    assert digest.hexdigest() == (
+        "7289ac3494c1665187482912c1e36ef06321c06b8d8ae0e50f3fd916925356f0"
+    )
+
+
+def test_audit_steps_through_walk(monkeypatch):
+    walk = simulate.walk
+    steps = []
+
+    def spy(*args):
+        for item in walk(*args):
+            steps.append(item[0])
+            yield item
+
+    monkeypatch.setattr(simulate, "walk", spy)
+    depth = 6
+    rep = audit_unitarity(problem1.build_machine(), "ab#ba#ab", depth=depth)
+    assert rep.passed
+    assert steps == list(range(1, len(steps) + 1))
+    assert 0 < len(steps) <= depth + 1

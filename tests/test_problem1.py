@@ -171,6 +171,21 @@ def test_generate_is_deterministic_and_classified():
     assert problem1.generate(3, "yes", seed=8) != a
 
 
+@pytest.mark.parametrize(
+    "n, cls, seed, want",
+    [
+        (1, "yes", 0, ("b", "b", "a")),
+        (2, "no", 1, ("cc", "aa", "bb")),
+        (3, "yes", 7, ("bbc", "abc", "cab")),
+        (4, "yes", 123, ("baca", "caab", "cddb")),
+        (5, "no", 42, ("acccb", "bcbcc", "cbdcd")),
+    ],
+)
+def test_generate_draws_stay_pinned(n, cls, seed, want):
+    # the seeded draws w1, w2, w3 are part of the CLI's output
+    assert problem1.generate(n, cls, seed) == problem1.Instance(*want)
+
+
 def test_generate_rejects_bad_args():
     with pytest.raises(InvariantError):
         problem1.generate(0, "yes", seed=1)
