@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
+from .errors import InvariantError
 from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, room, run_bounds
 from .simulate import EMPTY, Cell, cons, evolve, head_of, measure, stack_after, walk, walk_to_end
 
@@ -235,7 +236,10 @@ def dump_branches(
 ) -> dict:
     """Depth-limited branch tree as a JSON-ready dict, for debugging: the
     ``limit`` most probable branches of each level of the unmerged tree,
-    walked through ``TreeSteps`` and so under the entry budget."""
+    walked through ``TreeSteps`` and so under the entry budget. A negative
+    ``limit`` raises InvariantError."""
+    if limit < 0:
+        raise InvariantError(f"branch limit must be nonnegative, got {limit}")
     stepper = TreeSteps(machine)
     levels = []
     tape, budget = run_bounds(machine, word, max_steps)

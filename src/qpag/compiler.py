@@ -32,12 +32,14 @@ from .branching import BranchSteps, run_qcpda  # noqa: F401
 from .errors import NonWellFormedInput
 from .model import (
     EPSILON,
+    POP,
     MachineQCPDA,
     MachineQPAG,
     Record,
     StackAlphabet,
     StackOp,
     TransitionQPAG,
+    push,
     records,
     rendered,
     run_bounds,
@@ -83,72 +85,46 @@ def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
         )
 
     sigma = machine.sigma_map
-    reached = sorted(
-        {
-            t.target
-            for t in machine.transitions
-            if not machine.is_halting(t.target)
-        }
-    )
-
-    # fresh marker symbols, one per stack operation that actually fires
+    targets = {t.target for t in machine.transitions}
+    reached = sorted(q for q in targets if not machine.is_halting(q))
+    # fresh names: one marker per stack operation that actually fires, then
+    # one staging pair per reached target
     used_stack = set(machine.stack_alphabet.symbols)
-    labels: dict = {}
-    label_rows = []
-    for op_key in sorted({sigma[q].sort_key() for q in reached}):
-        op = StackOp(op_key[0], tuple(op_key[1]))
-        token = _fresh("l:" + op.describe(), used_stack)
-        labels[op_key] = token
-        label_rows.append((op.describe(), token))
-
-    # fresh staging states, two per reached target
+    markers = {
+        op: _fresh("l:" + op.describe(), used_stack)
+        for op in sorted({sigma[q] for q in reached}, key=StackOp.sort_key)
+    }
     used_states = set(machine.states)
-    stage_a: dict = {}
-    stage_b: dict = {}
-    aux_rows = []
-    for q in reached:
-        a_name = _fresh(q + "@a", used_states)
-        b_name = _fresh(q + "@b", used_states)
-        stage_a[q] = a_name
-        stage_b[q] = b_name
-        aux_rows.append((q, a_name, b_name))
+    stages = {
+        q: (_fresh(q + "@a", used_states), _fresh(q + "@b", used_states))
+        for q in reached
+    }
 
     transitions = []
     for t in machine.transitions:
-        if machine.is_halting(t.target):
-            transitions.append(
-                TransitionQPAG(t.source, t.read, t.top, t.target, EPSILON, t.move, t.amp)
-            )
-        else:
-            transitions.append(
-                TransitionQPAG(
-                    t.source, t.read, t.top, stage_a[t.target], sigma[t.target], t.move, t.amp
-                )
-            )
-    for q in reached:
-        marker = labels[sigma[q].sort_key()]
-        push_marker = StackOp("push", (marker,))
-        for read in machine.input_alphabet.symbols:
-            for top in machine.stack_alphabet.symbols:
-                transitions.append(
-                    TransitionQPAG(
-                        stage_a[q], read, top, stage_b[q], push_marker, 0, 1 + 0j
-                    )
-                )
-        for read in machine.input_alphabet.symbols:
-            transitions.append(
-                TransitionQPAG(
-                    stage_b[q], read, marker, q, StackOp("pop"), 0, 1 + 0j
-                )
-            )
+        target, op = (
+            (stages[t.target][0], sigma[t.target])
+            if t.target in stages
+            else (t.target, EPSILON)
+        )
+        transitions.append(
+            TransitionQPAG(t.source, t.read, t.top, target, op, t.move, t.amp)
+        )
+    reads = machine.input_alphabet.symbols
+    for q, (a, b) in stages.items():
+        marker = markers[sigma[q]]
+        transitions += [
+            TransitionQPAG(a, read, top, b, push(marker), 0, 1 + 0j)
+            for read in reads
+            for top in machine.stack_alphabet.symbols
+        ]
+        transitions += [TransitionQPAG(b, read, marker, q, POP, 0, 1 + 0j) for read in reads]
 
     image = MachineQPAG(
-        states=machine.states
-        + tuple(x for q in reached for x in (stage_a[q], stage_b[q])),
+        states=machine.states + tuple(x for pair in stages.values() for x in pair),
         input_alphabet=machine.input_alphabet,
         stack_alphabet=StackAlphabet(
-            symbols=machine.stack_alphabet.symbols
-            + tuple(token for _, token in label_rows),
+            symbols=machine.stack_alphabet.symbols + tuple(markers.values()),
             bottom=machine.stack_alphabet.bottom,
         ),
         transitions=tuple(transitions),
@@ -157,8 +133,8 @@ def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
         rejecting=machine.rejecting,
     )
     cmap = CompileMap(
-        aux_states=tuple(aux_rows),
-        labels=tuple(label_rows),
+        aux_states=tuple((q, a, b) for q, (a, b) in stages.items()),
+        labels=tuple((op.describe(), marker) for op, marker in markers.items()),
         original_transitions=len(machine.transitions),
         image_transitions=len(transitions),
     )

@@ -443,6 +443,14 @@ def step_budget(max_steps: int) -> int:
     return max_steps
 
 
+def check_tolerance(tol: float) -> None:
+    """InvariantError unless ``tol`` is a nonnegative number. A NaN
+    tolerance is refused: every ``> tol`` comparison with it is false, so
+    it would pass any machine."""
+    if not tol >= 0:
+        raise InvariantError(f"tolerance must be a nonnegative number, got {tol!r}")
+
+
 def room(held: int) -> int:
     """How many more entries ``ENTRY_BUDGET`` allows beside ``held``, the
     entries a step starts from. Raises ``over_budget()`` if ``held``

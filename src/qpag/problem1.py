@@ -32,6 +32,7 @@ from .model import (
     Record,
     StackAlphabet,
     TransitionQPAG,
+    check_tolerance,
     push,
     records,
     rendered,
@@ -342,15 +343,6 @@ def _failure(inst: Instance, expected: str, result, dev: float) -> SweepFailure:
     )
 
 
-def _orbit_failures(machine: MachineQPAG, inst: Instance, tol: float):
-    """The failures among ``inst``'s orbit, each member run on its own."""
-    orbit = _orbit(inst)
-    for member, result in zip(orbit, run_many(machine, (m.tokens() for m in orbit))):
-        expected, dev = _graded(member, result)
-        if dev > tol:
-            yield _failure(member, expected, result, dev)
-
-
 def sweep(
     n: int,
     samples: Optional[int] = None,
@@ -377,14 +369,14 @@ def sweep(
     per orbit of their relabellings and counts the orbit toward
     ``checked``. That is exact: a relabelled instance's run is ``==`` its
     representative's, and ``classify`` is unchanged by relabelling, since
-    it counts mismatches. A failing representative's orbit is run member
-    by member, and failures are listed per instance in enumeration order,
-    so the report equals the one per-instance runs give.
+    it counts mismatches. So a failing representative's result is
+    reported for each member of its orbit; failures are listed per
+    instance in enumeration order, and the report equals the one
+    per-instance runs give.
     """
     if n < 1:
         raise InvariantError("n must be at least 1")
-    if not tol >= 0:
-        raise InvariantError(f"tolerance must be a nonnegative number, got {tol!r}")
+    check_tolerance(tol)
     if machine is None:
         machine = build_machine()
     if samples is None:
@@ -416,10 +408,8 @@ def sweep(
         if dev > max_dev:
             max_dev = dev
         if dev > tol:
-            if weight == 1:
-                failures.append(_failure(inst, expected, result, dev))
-            else:
-                failures.extend(_orbit_failures(machine, inst, tol))
+            members = _orbit(inst) if weight > 1 else (inst,)
+            failures.extend(_failure(m, expected, result, dev) for m in members)
         checked += weight
     if mode == "exhaustive":
         # words of one n hold "#" at the same places, so word order is

@@ -54,6 +54,7 @@ from .model import (
     MachineQPAG,
     Record,
     StackOp,
+    check_tolerance,
     column_text,
     over_budget,
     records,
@@ -311,6 +312,7 @@ def _shifted_pop_terms(pops, others):
 def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -> WfReport:
     """Column conditions for the garbage-tape machine."""
     _check_mode(mode)
+    check_tolerance(tol)
     trans = [t for t in machine.transitions if t.amp != 0]
     g_set = machine.push_string_universe
     bottom = machine.stack_alphabet.bottom
@@ -344,6 +346,7 @@ def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9)
     that would schedule a pop on the bottom symbol.
     """
     _check_mode(mode)
+    check_tolerance(tol)
     trans = [t for t in machine.transitions if t.amp != 0]
     bottom = machine.stack_alphabet.bottom
     sigma = machine.sigma_map
@@ -363,6 +366,7 @@ def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9)
 def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
     """Row stochasticity: every defined column's probabilities sum to 1,
     every probability lies in [0, 1], and nothing pops the bottom symbol."""
+    check_tolerance(tol)
     bottom = machine.stack_alphabet.bottom
     viols: list = []
     for t in machine.transitions:
@@ -488,6 +492,7 @@ def audit_unitarity(
     """
     if depth < 1:
         raise InvariantError("audit depth must be at least 1")
+    check_tolerance(tol)
     stepper = AuditSteps(machine, depth)
     walk_to_end(stepper, word, depth + 1)
     seen = stepper.seen

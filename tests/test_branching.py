@@ -10,7 +10,7 @@ import pytest
 
 from qpag import branching, model
 from qpag.compiler import compile_qcpda, equiv_check
-from qpag.errors import PopOnBottom, StateSpaceOverflow
+from qpag.errors import InvariantError, PopOnBottom, StateSpaceOverflow
 from qpag.model import (
     EPSILON,
     POP,
@@ -163,6 +163,12 @@ def test_forking_walker_doubles():
     doc = dump_branches(forking_walker(), "0101", max_steps=3)
     counts = [len(level["branches"]) for level in doc["levels"]]
     assert counts == [2, 4, 8]
+
+
+def test_dump_branches_rejects_a_negative_limit():
+    # a negative slice bound would silently drop the least probable branches
+    with pytest.raises(InvariantError, match="branch limit must be nonnegative"):
+        dump_branches(forking_walker(), "0101", max_steps=3, limit=-1)
 
 
 def test_branch_cap_enforced(monkeypatch):

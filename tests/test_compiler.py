@@ -1,11 +1,13 @@
 """Lowering scheduled-stack machines onto the garbage-tape model."""
 
+import hashlib
 import random
 
 import pytest
 
 from qpag.compiler import ImageSteps, compile_qcpda, equiv_check
 from qpag.errors import NonWellFormedInput
+from qpag.machinefile import emit_json, serialize_machine
 from qpag.model import (
     EPSILON,
     POP,
@@ -275,3 +277,36 @@ def test_image_key_holds_the_decoherence_flag():
     flipped = point[:-1] + (not point[-1],)
     assert stepper.key(point) != stepper.key(flipped)
     assert stepper.result(point, 0) != stepper.result(flipped, 0)
+
+
+def _primed_machine():
+    """The machine of ``test_name_collisions_get_primed``: its state
+    ``w0@a`` and stack symbol ``l:epsilon`` force primed fresh names."""
+    alpha = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
+    gamma = StackAlphabet(symbols=("Z", "l:epsilon"), bottom="Z")
+    return MachineQCPDA(
+        states=("w0", "w0@a"),
+        input_alphabet=alpha,
+        stack_alphabet=gamma,
+        transitions=tuple(
+            TransitionQCPDA("w0", read, top, "w0", 1, 1 + 0j)
+            for read in alpha.symbols
+            for top in gamma.symbols
+        ),
+        sigma=(("w0", EPSILON),),
+        initial="w0",
+        accepting=frozenset({"w0@a"}),
+        rejecting=frozenset(),
+    )
+
+
+def test_lowering_stays_pinned():
+    # every image file and compile map byte for byte, fresh-name order included
+    digest = hashlib.sha256()
+    for m in [random_qcpda(seed) for seed in range(200)] + [_primed_machine()]:
+        image, cmap = compile_qcpda(m)
+        digest.update(serialize_machine(image).encode())
+        digest.update(emit_json(cmap.to_json_dict()).encode())
+    assert digest.hexdigest() == (
+        "dab6e874e9deefcde23e1a0a30056d93295d06cba795cd64f28c7cadc050efb3"
+    )

@@ -1,18 +1,22 @@
 """Column checkers: pinned residuals, mutant detection, evaluation counts."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
 from qpag import problem1
+from qpag.errors import InvariantError
 from qpag.model import (
     EPSILON,
     POP,
     InputAlphabet,
     MachinePPA,
+    MachineQCPDA,
     MachineQPAG,
     StackAlphabet,
     TransitionPPA,
+    TransitionQCPDA,
     TransitionQPAG,
     push,
 )
@@ -390,16 +394,15 @@ def test_random_qcpda_passes_partial(seed):
     assert rep.passed, rep.violations
 
 
-def test_qcpda_cross_state_orthogonality_flagged():
-    from qpag.model import MachineQCPDA, TransitionQCPDA
-
+def _mixing_qcpda():
+    """Two states mixed by a real matrix whose columns are not orthogonal."""
     trans = []
     for read in _ALPHA.symbols:
         trans.append(TransitionQCPDA("a0", read, "Z", "a0", 1, 0.6 + 0j))
         trans.append(TransitionQCPDA("a0", read, "Z", "a1", 1, 0.8 + 0j))
         trans.append(TransitionQCPDA("a1", read, "Z", "a0", 1, 0.8 + 0j))
         trans.append(TransitionQCPDA("a1", read, "Z", "a1", 1, 0.6 + 0j))
-    m = MachineQCPDA(
+    return MachineQCPDA(
         states=("a0", "a1"),
         input_alphabet=_ALPHA,
         stack_alphabet=_GAMMA,
@@ -409,7 +412,10 @@ def test_qcpda_cross_state_orthogonality_flagged():
         accepting=frozenset(),
         rejecting=frozenset(),
     )
-    rep = check_qcpda(m)
+
+
+def test_qcpda_cross_state_orthogonality_flagged():
+    rep = check_qcpda(_mixing_qcpda())
     assert not rep.passed
     assert {v.condition for v in rep.violations} == {"2"}
     # 0.6*0.8 + 0.8*0.6
@@ -417,8 +423,6 @@ def test_qcpda_cross_state_orthogonality_flagged():
 
 
 def test_qcpda_head_shift_includes_diagonal():
-    from qpag.model import MachineQCPDA, TransitionQCPDA
-
     # one source state feeding the same target with both head moves: the
     # word "00" lines the two columns up, so even the same (state, read)
     # pair must satisfy the shift product
@@ -449,8 +453,6 @@ def test_qcpda_head_shift_includes_diagonal():
 
 
 def test_qcpda_pop_on_bottom_flagged():
-    from qpag.model import MachineQCPDA, TransitionQCPDA
-
     trans = tuple(
         TransitionQCPDA("c0", read, "Z", "c0", 1, 1 + 0j)
         for read in _ALPHA.symbols
@@ -572,3 +574,33 @@ def test_ppa_pop_on_bottom_flagged():
     m = _ppa_single([TransitionPPA("p0", "a", "Z", "p1", POP, 1, 1.0)])
     rep = check_ppa(m)
     assert "pop-on-z" in {v.condition for v in rep.violations}
+
+
+def _broken_checks():
+    """A check of each kind, at a given tolerance, on a machine that fails it."""
+    by_name = {mu.name: mu.machine for mu in mutants()}
+    ppa = _ppa_single(
+        [
+            TransitionPPA("p0", "a", "Z", "p0", EPSILON, 1, 0.5),
+            TransitionPPA("p0", "a", "Z", "p1", EPSILON, 1, 0.6),
+        ]
+    )
+    return [
+        pytest.param(lambda tol: check_qpag(by_name["scale-split-Z"], tol=tol), id="qpag"),
+        pytest.param(lambda tol: check_qcpda(_mixing_qcpda(), tol=tol), id="qcpda"),
+        pytest.param(lambda tol: check_ppa(ppa, tol=tol), id="ppa"),
+        pytest.param(
+            lambda tol: audit_unitarity(by_name["dup-start"], "a#a#a", depth=8, tol=tol),
+            id="audit",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf])
+@pytest.mark.parametrize("check", _broken_checks())
+def test_checks_reject_a_bad_tolerance(check, tol):
+    # every ``> tol`` comparison is false when tol is NaN, so a NaN
+    # tolerance would pass these machines, which fail at the default
+    assert not check(1e-9).passed
+    with pytest.raises(InvariantError, match="tolerance must be a nonnegative number"):
+        check(tol)
