@@ -79,6 +79,8 @@ def _cmd_audit(args) -> int:
 def _cmd_run(args) -> int:
     machine = _load(args.file)
     word = _word(args)
+    if args.trace and not isinstance(machine, MachineQPAG):
+        raise SchemaError("--trace requires a qpag machine file")
     if isinstance(machine, MachineQPAG):
         result = run(machine, word, max_steps=args.max_steps, trace_depth=args.trace)
     elif isinstance(machine, MachineQCPDA):
@@ -188,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         const=16,
         default=0,
-        help="record the K largest amplitudes per step (default 16)",
+        help="record the K largest amplitudes per step (default 16); "
+        "qpag files only",
     )
     p.add_argument("--tokens", action="store_true", help="input is comma-separated tokens")
     p.set_defaults(fn=_cmd_run)

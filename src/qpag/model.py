@@ -137,6 +137,12 @@ class InputAlphabet:
         if self.left_end == self.right_end:
             raise InvariantError("endmarkers must be distinct")
 
+    @cached_property
+    def word_symbols(self) -> frozenset[str]:
+        """The symbols a word may hold: every input symbol but the two
+        endmarkers."""
+        return frozenset(self.symbols) - {self.left_end, self.right_end}
+
     def display(self, symbol: str) -> str:
         if symbol == self.left_end:
             return LEFT_DISPLAY
@@ -415,9 +421,16 @@ class Configuration(NamedTuple):
 
 
 def make_tape(machine: Machine, word) -> tuple[str, ...]:
-    """Wrap a word in endmarkers: tape = left, word..., right."""
+    """Wrap a word in endmarkers: tape = left, word..., right. A word that
+    holds an endmarker or a symbol outside the input alphabet raises
+    EndmarkerInWord or UnknownSymbol for the first such token."""
     alpha = machine.input_alphabet
     word = tuple(word)
+    try:
+        if alpha.word_symbols.issuperset(word):
+            return (alpha.left_end, *word, alpha.right_end)
+    except TypeError:  # an unhashable token, which the loop names
+        pass
     for s in word:
         if s in (alpha.left_end, alpha.right_end):
             raise EndmarkerInWord(f"word contains endmarker token {s!r}")

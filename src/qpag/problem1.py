@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from operator import ne
 from typing import Optional
 
 from .errors import InvariantError, LengthMismatch
@@ -38,7 +39,7 @@ from .model import (
     rendered,
 )
 # ``problem1.run`` stays bound: perfbench/tracing.py wraps it by that name.
-from .simulate import run, run_many  # noqa: F401
+from .simulate import KernelSteps, PrefixRuns, run  # noqa: F401
 
 SEGMENT_ALPHABET = ("a", "b", "c")
 THIRD_ALPHABET = ("a", "b", "c", "d")
@@ -90,9 +91,20 @@ class Instance:
 
 def classify(inst: Instance) -> str:
     """"yes" when exactly one pair is even-distinct, "no" otherwise."""
-    first = even_distinct(inst.w1, inst.w2[::-1])
-    second = even_distinct(inst.w1, inst.w3[::-1])
-    return YES if first != second else NO
+    return _class_of(_odd(inst.w1, inst.w2), _odd(inst.w1, inst.w3))
+
+
+def _odd(u, v) -> int:
+    """1 when ``u`` and ``reverse(v)``, of one length, differ in an odd
+    number of positions, else 0."""
+    return sum(map(ne, u, reversed(v))) & 1
+
+
+def _class_of(odd1: int, odd2: int) -> str:
+    """The class of an instance whose pairs (w1, reverse(w2)) and (w1,
+    reverse(w3)) have mismatch parities ``odd1`` and ``odd2``: "yes" when
+    exactly one pair is even-distinct."""
+    return YES if odd1 != odd2 else NO
 
 
 def build_machine() -> MachineQPAG:
@@ -295,24 +307,57 @@ def _relabelled(pi, symbols) -> tuple[str, ...]:
 
 
 def _representatives(n: int):
-    """(instance, orbit size) for one instance per orbit of the
+    """(tokens, odd1, odd2, orbit size) for one instance per orbit of the
     relabellings of a, b, c: the instance whose letters a, b, c first
-    appear in that order across w1 w2 w3 (``d`` is fixed). It is the
-    first of its orbit in ``_instances_exhaustive``'s order, and the
-    representatives come in that order too. An orbit holds 6 instances
-    when two or more of a, b, c occur, else 3."""
+    appear in that order across w1 w2 w3 (``d`` is fixed). ``tokens`` is
+    its word as a tuple, ``odd1`` and ``odd2`` its pairs' mismatch
+    parities (``_odd``). It is the first of its orbit in
+    ``_instances_exhaustive``'s order, and the representatives come in
+    that order too. An orbit holds 6 instances when two or more of a, b, c
+    occur, else 3."""
+    firsts = _segments(SEGMENT_ALPHABET, n)
+    thirds = _segments(THIRD_ALPHABET, n)
+    for w1, seen1 in firsts[0]:
+        for w2, seen2 in firsts[seen1]:
+            head = (*w1, SEPARATOR, *w2, SEPARATOR)
+            odd1 = _odd(w1, w2)
+            for w3, seen3 in thirds[seen2]:
+                yield head + w3, odd1, _odd(w1, w3), 6 if seen3 > 1 else 3
 
-    def grow(word, seen):
-        if len(word) == 3 * n:
-            yield Instance(word[:n], word[n : 2 * n], word[2 * n :]), 6 if seen > 1 else 3
-            return
-        # a letter seen already, or the next unseen one
-        for k in range(min(seen + 1, len(SEGMENT_ALPHABET))):
-            yield from grow(word + SEGMENT_ALPHABET[k], max(seen, k + 1))
-        if len(word) >= 2 * n:
-            yield from grow(word + "d", seen)
 
-    return grow("", 0)
+def _segments(alphabet, n: int) -> list[list]:
+    """Entry ``met`` (0..3) lists, in lexicographic order, the length-``n``
+    segments over ``alphabet`` (tuples) that may follow words in which the
+    first ``met`` of the letters a, b, c have appeared: those in which no
+    letter of a, b, c appears before every letter ahead of it has. Each
+    comes with the count of letters met after it."""
+    out = []
+    for met in range(len(SEGMENT_ALPHABET) + 1):
+        kept = []
+        for seg in itertools.product(alphabet, repeat=n):
+            seen = met
+            for ch in seg:
+                k = SEGMENT_ALPHABET.index(ch) if ch in SEGMENT_ALPHABET else -1
+                # a letter met already, or the next one
+                if k > seen:
+                    break
+                seen = max(seen, k + 1)
+            else:
+                kept.append((seg, seen))
+        out.append(kept)
+    return out
+
+
+def _each(instances):
+    """(tokens, odd1, odd2, 1) for each instance, as ``_representatives``
+    gives a representative with its orbit size."""
+    for inst in instances:
+        yield inst.tokens(), _odd(inst.w1, inst.w2), _odd(inst.w1, inst.w3), 1
+
+
+def _instance(tokens) -> Instance:
+    """The instance whose word is ``tokens``."""
+    return Instance(*"".join(tokens).split(SEPARATOR))
 
 
 def _orbit(inst: Instance) -> list[Instance]:
@@ -323,24 +368,6 @@ def _orbit(inst: Instance) -> list[Instance]:
         table = str.maketrans("".join(SEGMENT_ALPHABET), "".join(perm))
         members.add(Instance(*(w.translate(table) for w in (inst.w1, inst.w2, inst.w3))))
     return sorted(members, key=lambda m: (m.w1, m.w2, m.w3))
-
-
-def _graded(inst: Instance, result) -> tuple[str, float]:
-    """The instance's class and its run's deviation: the distance of that
-    class's outcome probability from 1."""
-    expected = classify(inst)
-    good = result.p_acc if expected == YES else result.p_rej
-    return expected, abs(1 - good)
-
-
-def _failure(inst: Instance, expected: str, result, dev: float) -> SweepFailure:
-    return SweepFailure(
-        word=inst.word(),
-        expected=expected,
-        p_acc=result.p_acc,
-        p_rej=result.p_rej,
-        deviation=dev,
-    )
 
 
 def sweep(
@@ -356,13 +383,17 @@ def sweep(
     Deviation per instance: distance of the expected outcome's probability
     from 1; an instance fails when it passes ``tol``, which must be a
     nonnegative number. Exhaustive mode covers all 36**n triples, so n is
-    capped where that count passes a million. Candidates are generated
-    one at a time and run through ``run_many``, so consecutive words share
-    the steps their common prefix fixes, and a word whose run converges to
-    an earlier word's with the same w3 to read takes that word's result.
+    capped where that count passes a million. Candidates come one at a
+    time, each as its word's token tuple and its two mismatch parities,
+    and run through one ``PrefixRuns``, so consecutive words share the
+    steps their common prefix fixes, and a word whose run converges to an
+    earlier word's with the same w3 to read takes that word's result.
     Runs do converge: the branch pair comparing w1 with reversed w2 pops
     w1 onto the garbage tape whatever w2 is, so after the second ``#`` the
-    vector depends only on w1 and the parity of the differences.
+    vector depends only on w1 and the parity of the differences. A
+    candidate is graded from its parities (``_class_of``, as ``classify``
+    grades an instance), and an ``Instance`` is built only for a failing
+    one, so a passing candidate costs little beyond its run's steps.
 
     When the machine treats the letters a, b, c alike (``_symmetric``, as
     the built-in machine does), exhaustive mode runs one representative
@@ -389,27 +420,37 @@ def sweep(
         if _symmetric(machine):
             candidates = _representatives(n)
         else:
-            candidates = ((inst, 1) for inst in _instances_exhaustive(n))
+            candidates = _each(_instances_exhaustive(n))
         mode = "exhaustive"
     else:
         if samples < 1:
             raise InvariantError("sample count must be positive")
         rng = random.Random(f"sweep|{n}|{seed}")
-        candidates = ((_draw(rng, n), 1) for _ in range(samples))
+        candidates = _each(_draw(rng, n) for _ in range(samples))
         mode = "sample"
 
     checked = 0
     failures = []
     max_dev = 0.0
-    candidates, words = itertools.tee(candidates)
-    results = run_many(machine, (inst.tokens() for inst, _ in words))
-    for (inst, weight), result in zip(candidates, results):
-        expected, dev = _graded(inst, result)
+    run_word = PrefixRuns(KernelSteps(machine)).run
+    for tokens, odd1, odd2, weight in candidates:
+        result = run_word(tokens)
+        expected = _class_of(odd1, odd2)
+        dev = abs(1 - (result.p_acc if expected == YES else result.p_rej))
         if dev > max_dev:
             max_dev = dev
         if dev > tol:
-            members = _orbit(inst) if weight > 1 else (inst,)
-            failures.extend(_failure(m, expected, result, dev) for m in members)
+            inst = _instance(tokens)
+            for member in _orbit(inst) if weight > 1 else (inst,):
+                failures.append(
+                    SweepFailure(
+                        word=member.word(),
+                        expected=expected,
+                        p_acc=result.p_acc,
+                        p_rej=result.p_rej,
+                        deviation=dev,
+                    )
+                )
         checked += weight
     if mode == "exhaustive":
         # words of one n hold "#" at the same places, so word order is
@@ -427,8 +468,6 @@ def sweep(
 def expected_amplitudes(inst: Instance) -> tuple[complex, complex]:
     """Closed-form (accept, reject) amplitudes from the two difference
     parities; the four-way mix sends equal parities to reject."""
-    p1 = sum(1 for x, y in zip(inst.w1, inst.w2[::-1]) if x != y)
-    p2 = sum(1 for x, y in zip(inst.w1, inst.w3[::-1]) if x != y)
-    s1 = (-1) ** p1
-    s2 = (-1) ** p2
+    s1 = (-1) ** _odd(inst.w1, inst.w2)
+    s2 = (-1) ** _odd(inst.w1, inst.w3)
     return complex((s1 - s2) / 2), complex((s1 + s2) / 2)

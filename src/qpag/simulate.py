@@ -123,7 +123,7 @@ every quantum engine shares, and the step loop every run shares.
   keeps.
 * ``run_many(machine, words)`` yields ``run``'s untraced result for each
   word, in order, through ``PrefixRuns(KernelSteps(machine))``;
-  ``problem1.sweep`` runs through it.
+  ``problem1.sweep`` runs its words through one such ``PrefixRuns``.
 
 One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /

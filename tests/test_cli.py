@@ -125,6 +125,23 @@ def test_run_token_input(tmp_path, capsys):
     assert doc["result"]["p_acc"] == pytest.approx(1 - 2.0**-4, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("0,<,q", "word contains endmarker token '<'"),
+        ("0,q,>", "word contains unknown symbol 'q'"),
+        ("0,01,>", "word contains unknown symbol '01'"),
+    ],
+)
+def test_run_names_the_first_bad_token(word, message, tmp_path, capsys):
+    path = tmp_path / "walker.json"
+    path.write_text(serialize_machine(halting_walker()), encoding="utf-8")
+    assert main(["run", str(path), "--input", word, "--tokens"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_run_trace_included(builtin_file, capsys):
     assert main(["run", builtin_file, "--input", "a#a#a", "--trace", "4"]) == 0
     doc = _json_out(capsys)
@@ -395,6 +412,22 @@ def test_run_rejects_a_negative_trace_depth(builtin_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: trace depth must be nonnegative, got -3\n"
+
+
+@pytest.mark.parametrize("kind", ["qcpda", "ppa"])
+@pytest.mark.parametrize("trace", [["--trace"], ["--trace", "3"], ["--trace", "-5"]], ids=["bare", "3", "-5"])
+def test_run_rejects_a_trace_on_other_kinds(kind, trace, tmp_path, capsys):
+    # only the quantum kernel records a trace; other kinds used to print
+    # "trace": null and exit 0
+    machine, word = {"qcpda": (halting_walker(), "00"), "ppa": (coin_ppa(), "a")}[kind]
+    path = tmp_path / f"{kind}.json"
+    path.write_text(serialize_machine(machine), encoding="utf-8")
+    assert main(["run", str(path), "--input", word, *trace]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace requires a qpag machine file\n"
+    assert main(["run", str(path), "--input", word, "--trace", "0"]) == 0
+    assert _json_out(capsys)["result"]["trace"] is None
 
 
 @pytest.mark.parametrize(

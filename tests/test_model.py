@@ -65,6 +65,46 @@ def test_make_tape_and_display():
         make_tape(m, ("<",))
 
 
+def _multi_character_machine() -> MachineQPAG:
+    """A two-state machine whose input tokens are several characters long."""
+    return MachineQPAG(
+        states=("s", "t"),
+        input_alphabet=InputAlphabet(symbols=("<<", "ab", "c", ">>"), left_end="<<", right_end=">>"),
+        stack_alphabet=StackAlphabet(symbols=("Z",), bottom="Z"),
+        transitions=(TransitionQPAG("s", "ab", "Z", "t", EPSILON, 1, 1),),
+        initial="s",
+        accepting=frozenset({"t"}),
+        rejecting=frozenset(),
+    )
+
+
+@pytest.mark.parametrize(
+    "machine, word, error, message",
+    [
+        (cycle3, ("0", "<", "q"), EndmarkerInWord, "word contains endmarker token '<'"),
+        (cycle3, ("0", "q", ">"), UnknownSymbol, "word contains unknown symbol 'q'"),
+        (cycle3, "01>0", EndmarkerInWord, "word contains endmarker token '>'"),
+        (cycle3, ("1", ["0"]), UnknownSymbol, "word contains unknown symbol ['0']"),
+        (_multi_character_machine, ("ab", "zz", ">>"), UnknownSymbol, "word contains unknown symbol 'zz'"),
+        (_multi_character_machine, ("c", ">>", "zz"), EndmarkerInWord, "word contains endmarker token '>>'"),
+        (_multi_character_machine, ("<<",), EndmarkerInWord, "word contains endmarker token '<<'"),
+        # a word given as one string is split into characters
+        (_multi_character_machine, "ab", UnknownSymbol, "word contains unknown symbol 'a'"),
+    ],
+    ids=["endmarker-first", "unknown-first", "string", "unhashable", "multi-unknown-first", "multi-endmarker-first", "multi-left-end", "multi-as-string"],
+)
+def test_make_tape_names_the_first_offending_token(machine, word, error, message):
+    with pytest.raises(error) as caught:
+        make_tape(machine(), word)
+    assert str(caught.value) == message
+
+
+def test_make_tape_takes_multi_character_tokens():
+    m = _multi_character_machine()
+    assert make_tape(m, ("ab", "c", "ab")) == ("<<", "ab", "c", "ab", ">>")
+    assert make_tape(m, ()) == ("<<", ">>")
+
+
 def test_default_max_steps():
     assert default_max_steps(0) == 30
     assert default_max_steps(5) == 80

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -234,10 +235,23 @@ def test_sweep_report_json_keys():
 def _per_instance_report(n, machine, tol=1e-9):
     """The exhaustive report with every instance run on its own."""
     insts = list(problem1._instances_exhaustive(n))
+    results = run_many(machine, (i.tokens() for i in insts))
+    return _report(n, "exhaustive", insts, results, tol)
+
+
+def _per_sample_report(n, samples, seed, machine, tol=1e-9):
+    """The sampled report with each instance of the sweep's ``_draw``
+    stream run on its own, in draw order."""
+    rng = random.Random(f"sweep|{n}|{seed}")
+    insts = [problem1._draw(rng, n) for _ in range(samples)]
+    return _report(n, "sample", insts, (run(machine, i.word()) for i in insts), tol)
+
+
+def _report(n, mode, insts, results, tol):
     failures = []
     max_dev = 0.0
-    for inst, res in zip(insts, run_many(machine, (i.tokens() for i in insts))):
-        expected = problem1.classify(inst)
+    for inst, res in zip(insts, results):
+        expected = ref_classify(inst.w1, inst.w2, inst.w3)
         dev = abs(1 - (res.p_acc if expected == problem1.YES else res.p_rej))
         max_dev = max(max_dev, dev)
         if dev > tol:
@@ -252,7 +266,7 @@ def _per_instance_report(n, machine, tol=1e-9):
             )
     return problem1.SweepReport(
         n=n,
-        mode="exhaustive",
+        mode=mode,
         checked=len(insts),
         failures=tuple(failures),
         max_deviation=max_dev,
@@ -284,6 +298,16 @@ def test_sweep_equals_per_instance_report(n):
 def test_sweep_equals_per_instance_report_on_mutants(mutant):
     for n in (1, 2):
         assert problem1.sweep(n, machine=mutant.machine) == _per_instance_report(n, mutant.machine)
+
+
+@pytest.mark.parametrize("machine", ["builtin", "flip-q1_O0-qf_acc"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_sweep_sampled_equals_per_instance_report(n, machine):
+    m = problem1.build_machine() if machine == "builtin" else {mu.name: mu.machine for mu in mutants()}[machine]
+    for seed in (0, 1, 2):
+        rep = problem1.sweep(n, samples=50, seed=seed, machine=m)
+        assert rep == _per_sample_report(n, 50, seed, m)
+        assert rep.failures if machine != "builtin" else not rep.failures
 
 
 def test_symmetry_check():
@@ -355,7 +379,7 @@ def test_sweep_of_an_asymmetric_copy_runs_per_instance():
 
 def test_representatives_cover_each_orbit_once():
     for n, count in ((1, 7), (2, 218), (3, 7780)):
-        reps = list(problem1._representatives(n))
+        reps = [(problem1._instance(tokens), size) for tokens, _, _, size in problem1._representatives(n)]
         assert len(reps) == count
         order = {inst: i for i, inst in enumerate(problem1._instances_exhaustive(n))}
         assert [order[inst] for inst, _ in reps] == sorted(order[inst] for inst, _ in reps)
@@ -368,13 +392,32 @@ def test_representatives_cover_each_orbit_once():
         assert covered == set(order)
 
 
+@pytest.mark.parametrize("n, count", [(1, 7), (2, 218), (3, 7780), (4, 279944)])
+def test_representative_counts(n, count):
+    sizes = [size for _, _, _, size in problem1._representatives(n)]
+    assert len(sizes) == count
+    assert sum(sizes) == 36**n
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_representatives_carry_their_tokens_and_parities(n):
+    for tokens, odd1, odd2, _ in problem1._representatives(n):
+        inst = problem1._instance(tokens)
+        assert inst.tokens() == tokens
+        assert (odd1, odd2) == (
+            int(not problem1.even_distinct(inst.w1, inst.w2[::-1])),
+            int(not problem1.even_distinct(inst.w1, inst.w3[::-1])),
+        )
+        assert problem1._class_of(odd1, odd2) == problem1.classify(inst) == ref_classify(inst.w1, inst.w2, inst.w3)
+
+
 def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
     # the sweep runs one representative per orbit; prefix sharing alone
     # makes one step per node of their tapes' prefix trie, root excluded,
     # and a representative whose run meets an earlier one's keyed
     # checkpoint with the same unread tape stops there
     m = problem1.build_machine()
-    tapes = [make_tape(m, inst.tokens()) for inst, _ in problem1._representatives(2)]
+    tapes = [make_tape(m, tokens) for tokens, _, _, _ in problem1._representatives(2)]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
     steps = 0
     real = simulate.measure
