@@ -31,9 +31,9 @@ vectors were filled.
 
 ``run_qcpda`` walks one word's frontier through ``BranchSteps`` with
 ``simulate.walk_to_end``, holding only the live frontier;
-``simulate.PrefixRuns`` serves only ``compiler.equiv_check``'s batches of
-words. ``dump_branches`` walks the unmerged tree through ``TreeSteps``, so
-it is under the entry budget too.
+``simulate.run_batch`` over the same stepper serves only
+``compiler.equiv_check``'s batches of words. ``dump_branches`` walks the
+unmerged tree through ``TreeSteps``, so it is under the entry budget too.
 """
 
 from __future__ import annotations

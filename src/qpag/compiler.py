@@ -12,13 +12,11 @@ matched against three lowered steps.
 Transitions into accepting or rejecting states skip the staging detour: the
 run ends there and no marker is needed.
 
-``equiv_check`` runs each side's words through one ``simulate.PrefixRuns``:
-the original on ``branching.BranchSteps``, the image on ``ImageSteps``,
-the kernel's stepper with a decoherence flag in each checkpoint. A word
-resumed from a shared prefix's checkpoint inherits the flag the prefix's
-steps left, so its row equals the one a fresh run gives; the flag is
-part of an image checkpoint's key, so a word that takes an earlier word's
-result takes the flag that word's run left.
+``equiv_check`` runs each side's words as one ``simulate.run_batch``: the
+original on ``branching.BranchSteps``, the image on ``ImageSteps``, the
+kernel's stepper with a decoherence flag in each checkpoint. The flag is
+part of an image checkpoint's key, so two image runs merge only when
+their flags agree, and each row takes the flag its own run leaves.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from .model import (
     rendered,
     run_bounds,
 )
-from .simulate import KernelSteps, PrefixRuns, trajectory  # noqa: F401
+from .simulate import KernelSteps, run_batch, trajectory  # noqa: F401
 from .wellformed import check_qcpda
 
 # the column-check tolerance a machine must meet to be lowered
@@ -204,17 +202,14 @@ def equiv_check(
     """Compare the two machines word by word, giving the lowered machine
     three steps for every original step. A word passes when its two
     ledgers agree within ``EQUIV_TOL`` and the image run stays decoherent.
-    Each side runs the words through one ``PrefixRuns``, so consecutive
-    words share the steps their common prefix fixes, and a word whose run
-    meets an earlier word's keyed checkpoint takes that word's result."""
-    originals = PrefixRuns(BranchSteps(original))
-    images = PrefixRuns(ImageSteps(image))
+    Each side runs all the words as one ``simulate.run_batch``."""
+    words = [tuple(word) for word in words]
+    originals = [run_bounds(original, word, max_steps) for word in words]
+    images = [run_bounds(image, word, 3 * budget) for word, (_, budget) in zip(words, originals)]
     rows = []
-    for word in words:
-        word = tuple(word)
-        _, budget = run_bounds(original, word, max_steps)
-        orig = originals.run(word, budget)
-        ia, ir, inon, deco = images.run(word, 3 * budget)
+    for word, orig, (ia, ir, inon, deco) in zip(
+        words, run_batch(BranchSteps(original), originals), run_batch(ImageSteps(image), images)
+    ):
         da = abs(orig.p_acc - ia)
         dr = abs(orig.p_rej - ir)
         ok = da <= EQUIV_TOL and dr <= EQUIV_TOL and deco

@@ -44,7 +44,9 @@ HALT_MASS = 1e-12
 # The live entries one step of a run may hold: the keys of the checkpoint
 # it started from (a state vector, a PPA distribution or a frontier's
 # branch vectors, or the configurations an audit has met), the keys it has
-# made so far, and the cells of the run's interned table when it began. A
+# made so far, and the cells of the run's interned table when it began.
+# In a ``simulate.run_batch`` batch each step counts so, with the batch's
+# one table, and a layer counts the entries its nodes hold together. A
 # counted entry costs at most about 210 bytes of peak RSS (CPython 3.11,
 # uncounted kernel survivors included), so 400,000 entries hold a run
 # within about 85 MB of the interpreter's base. CHANGES.md records the

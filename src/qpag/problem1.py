@@ -37,9 +37,10 @@ from .model import (
     push,
     records,
     rendered,
+    run_bounds,
 )
 # ``problem1.run`` stays bound: perfbench/tracing.py wraps it by that name.
-from .simulate import KernelSteps, PrefixRuns, run  # noqa: F401
+from .simulate import KernelSteps, run, run_batch
 
 SEGMENT_ALPHABET = ("a", "b", "c")
 THIRD_ALPHABET = ("a", "b", "c", "d")
@@ -383,17 +384,18 @@ def sweep(
     Deviation per instance: distance of the expected outcome's probability
     from 1; an instance fails when it passes ``tol``, which must be a
     nonnegative number. Exhaustive mode covers all 36**n triples, so n is
-    capped where that count passes a million. Candidates come one at a
-    time, each as its word's token tuple and its two mismatch parities,
-    and run through one ``PrefixRuns``, so consecutive words share the
-    steps their common prefix fixes, and a word whose run converges to an
-    earlier word's with the same w3 to read takes that word's result.
-    Runs do converge: the branch pair comparing w1 with reversed w2 pops
-    w1 onto the garbage tape whatever w2 is, so after the second ``#`` the
-    vector depends only on w1 and the parity of the differences. A
-    candidate is graded from its parities (``_class_of``, as ``classify``
-    grades an instance), and an ``Instance`` is built only for a failing
-    one, so a passing candidate costs little beyond its run's steps.
+    capped where that count passes a million. A candidate is its word's
+    token tuple with its two mismatch parities. Exhaustive mode runs all
+    its candidates as one ``simulate.run_batch``, so words share the steps
+    their common prefix fixes, and runs that meet merge. Runs do meet: the
+    branch pair comparing w1 with reversed w2 pops w1 onto the garbage
+    tape whatever w2 is, so after the second ``#`` the vector depends only
+    on w1 and the parity of the differences. Sampled mode runs each draw
+    through ``run`` as it is drawn, so its memory does not grow with the
+    sample count. A candidate is graded from its parities (``_class_of``,
+    as ``classify`` grades an instance), and an ``Instance`` is built only
+    for a failing one, so a passing candidate costs little beyond its
+    run's steps.
 
     When the machine treats the letters a, b, c alike (``_symmetric``, as
     the built-in machine does), exhaustive mode runs one representative
@@ -417,24 +419,23 @@ def sweep(
                 f"exhaustive sweep at n={n} means {total} candidates; "
                 f"cap is {EXHAUSTIVE_CAP}, use sampling"
             )
-        if _symmetric(machine):
-            candidates = _representatives(n)
-        else:
-            candidates = _each(_instances_exhaustive(n))
+        symmetric = _symmetric(machine)
+        candidates = list(_representatives(n) if symmetric else _each(_instances_exhaustive(n)))
+        bounds = [run_bounds(machine, tokens, None) for tokens, *_ in candidates]
+        graded = zip(candidates, run_batch(KernelSteps(machine), bounds))
         mode = "exhaustive"
     else:
         if samples < 1:
             raise InvariantError("sample count must be positive")
         rng = random.Random(f"sweep|{n}|{seed}")
         candidates = _each(_draw(rng, n) for _ in range(samples))
+        graded = ((c, run(machine, c[0])) for c in candidates)
         mode = "sample"
 
     checked = 0
     failures = []
     max_dev = 0.0
-    run_word = PrefixRuns(KernelSteps(machine)).run
-    for tokens, odd1, odd2, weight in candidates:
-        result = run_word(tokens)
+    for (tokens, odd1, odd2, weight), result in graded:
         expected = _class_of(odd1, odd2)
         dev = abs(1 - (result.p_acc if expected == YES else result.p_rej))
         if dev > max_dev:

@@ -3,7 +3,7 @@ every quantum engine shares, and the step loop every run shares.
 
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
-  in a table that belongs to one run or one ``PrefixRuns`` batch (``cons``),
+  in a table that belongs to one run or one ``run_batch`` batch (``cons``),
   so equal tapes are the same object, a ``CellConfiguration`` hashes and
   compares in O(1), and a push, a pop or a garbage append costs O(1)
   whatever the depth. Cells point down to their parents only, so a run's
@@ -39,8 +39,8 @@ every quantum engine shares, and the step loop every run shares.
   ``walk_to_end(stepper, word, max_steps)`` walks one fresh run of a word
   to its end and returns its last checkpoint and step count. The
   steppers: ``KernelSteps`` behind ``run``, ``trajectory`` and
-  ``run_many``; ``compiler.ImageSteps``, its checkpoint with a
-  decoherence flag appended, behind the image half of
+  ``problem1.sweep``'s batches; ``compiler.ImageSteps``, its checkpoint
+  with a decoherence flag appended, behind the image half of
   ``compiler.equiv_check``; ``branching.BranchSteps`` behind
   ``branching.run_qcpda`` and the other half, and its unmerged
   ``TreeSteps`` behind ``branching.dump_branches``; ``classical.PPASteps``
@@ -54,76 +54,58 @@ every quantum engine shares, and the step loop every run shares.
   difference of running sums is not the same float. ``run``'s ledger is
   its last checkpoint's sums, its trace each checkpoint's vector and
   deltas; ``trajectory`` yields each checkpoint as a ``StepRecord``.
-* ``PrefixRuns(stepper)`` is the one checkpoint-and-resume driver: it runs
-  one word after another through ``walk``, each resuming from the last
-  step the previous word's run shares with it, and ending where it meets
-  a checkpoint an earlier word's run keyed, with the same unread tape.
-  Its stepper also gives ``size(point)``, the entries a checkpoint holds;
+* ``run_batch(stepper, runs)`` is the one batch driver: it takes (tape,
+  step budget) pairs and returns the stepper's result for each. Its
+  stepper also gives ``size(point)``, the entries a checkpoint holds;
   ``cells(point)``, the cells of its ``table`` a checkpoint holds;
   ``lowest(point)``, the smallest head among a checkpoint's entries (-1
   if it holds none); and ``key(point)``, everything of a checkpoint that
   ``step``, ``alive`` and ``result`` read, as a hashable value, its
-  vectors' items in insertion order.
-* The entry budget: every stepper counts its live entries in one unit
-  (``model.ENTRY_BUDGET``): the keys of its vectors or distribution and
-  the cells of its table. A step raises ``model.over_budget()``, and
-  ``walk`` adds the step, as soon as the checkpoint it started from, plus
-  the keys it has made so far, plus the cells in the table when it began,
-  pass the budget; ``evolve`` does that count for the kernel with one
-  comparison per row. ``AuditSteps`` counts every configuration met so
-  far in place of its checkpoint.
-* Why resuming is exact: a step reads the tape only at the heads of what
+  vectors' items in insertion order. The runs advance together, one layer
+  per tape position. A node of a layer is a checkpoint, its step and its
+  members, the indices of the runs that reach it; the first layer is the
+  start checkpoint with every run. At position k each node's members are
+  grouped by (tape[k], budget), and each group steps through ``walk`` on
+  its first member's tape until a step has read position k; on the
+  group's last position, the right endmarker, it steps to the end
+  instead. A group whose run has ended gives its members the result.
+  The others become the next layer's nodes, two groups merging into one
+  node when their keys ``(budget, step, tape[low:k + 1],
+  stepper.key(checkpoint))`` are equal, ``low`` being the checkpoint's
+  smallest head.
+* Why merging is exact: a step reads the tape only at the heads of what
   enters it (the parked check compares a head with the tape's length),
-  and heads move 0 or 1, never left. So two tapes that agree below
-  position L give the same checkpoints through every step whose entering
-  heads all stayed below L. ``PrefixRuns`` keeps the checkpoints of the
-  previous word's first steps and the largest head that entered any step
-  so far; the next word resumes from the last kept checkpoint whose
-  largest head lies below the common prefix of the two tapes, and its
-  result is checkpoint ``min(budget, last)``. A stop the ``alive`` test
-  makes reads no tape, so it carries over. The checkpoints hold the very
-  floats a fresh run computes, so the results are equal with ``==``. No
-  tape is a proper prefix of another, because a tape ends with the right
-  endmarker and no word holds one; so a checkpoint below the common prefix
-  never saw a parked check the two lengths decide differently, and a tape
-  of length T shares at most T - 1 symbols with any other.
-* Why a suffix is shared exactly: by the same argument, the rest of a run
-  from checkpoint i reads only ``tape[h:]``, where h is the checkpoint's
-  smallest head, and the tape's length, which h and ``tape[h:]`` fix. So
-  the key ``(i, budget, tape[h:], stepper.key(checkpoint i))`` fixes the
-  result: every float of the rest of the run is summed in the order the
-  key's items give. Each word takes one key: at the first step it computes
-  whose checkpoint has its smallest head at or past L, the common prefix
-  of its tape and the previous word's. If an earlier word stored that key,
-  the word takes that word's result and stops; otherwise it stores its own
-  result under the key when its run ends. In a lexicographic stream a word
-  and an earlier word whose run converged to the same checkpoint take
-  their keys at the same step, so they meet. Floats compare with ``==``,
-  under which 0.0 and -0.0 are equal; a signed zero never reaches a
-  result, since every ledger term is a square, a norm or a probability.
-  A key does not fix the entry budget's count, which includes the shared
-  table's cells, so whether a word overflows already depends on the words
-  before it; a word that takes a stored result steps no further, so it
-  cannot overflow after its key.
-* What ``PrefixRuns`` keeps: a run stops keeping checkpoints at the first
-  step whose largest head reaches T - 1, since only the same tape again
-  could resume there, and at the first checkpoint that would lift the
-  entries kept past ``ENTRY_BUDGET``; it steps on from a rolling
-  checkpoint. So the kept checkpoints together hold at most the budget,
-  and a batch holds at most twice what a single run may. The memo of keys
-  counts beside them: its keys' checkpoints' entries and the kept ones
-  together stay within ``ENTRY_BUDGET``, and the memo is dropped whole
-  when a new key or kept checkpoint would lift them past it. Dropping a
-  checkpoint or a key costs only recomputation. All words share one
-  cell table. When it grows past twice its size after the last rebuild,
-  it is rebuilt from the cells the kept checkpoints reach, and the memo,
-  whose keys may hold cells the table drops, is dropped with it. So the
-  table never holds more than twice the cells reached at the last
-  rebuild, and each rebuild follows at least as many new cells as it
-  keeps.
+  and heads move 0 or 1, never left, so after a step that read at most
+  position k every head is at most k + 1. Take a node at layer k: its
+  heads are at most k, and its members' tapes agree from its smallest
+  head ``low`` through k - 1; a group's also agree at k. So each step of
+  the group's walk reads only positions ``low`` through k, where the
+  members agree, and every head stays at most k until a step reads k,
+  where the walk stops. The parked check decides alike for every member
+  too: no word holds an endmarker, so a member whose tape ends at k ends
+  the tapes of its whole group there, and the others' tapes are longer
+  than k + 1. So the walk yields, float for float, the checkpoints each
+  member's fresh run computes. A merge keeps this: a key fixes the step,
+  the budget and all a checkpoint gives ``step``, ``alive`` and
+  ``result``, and the tape from ``low`` through k, all that the rest of
+  the run reads below k + 1; positions from k + 1 on are grouped by the
+  next layers. Each result is then the one a fresh run gives, with
+  ``==``. Floats compare with ``==``, under which 0.0 and -0.0 are equal;
+  a signed zero never reaches a result, since every ledger term is a
+  square, a norm or a probability.
+* A batch's entry budget: each step counts its entries as in a single
+  run, with the batch's one cell table in place of a run's, and a layer
+  raises ``StateSpaceOverflow`` ("... at tape position k") as soon as the
+  entries its nodes hold together pass ``ENTRY_BUDGET``. Between layers,
+  once runs have ended since the table's last rebuild and it has grown
+  past twice the cells it kept then (the start's at first), it is rebuilt
+  from the cells the live layer's checkpoints reach, which drops the
+  ended runs' cells. A one-run batch is never rebuilt before its run
+  ends, and a step's own check trips before the layer's whenever a single
+  node passes the budget, so it overflows at the step, and with the
+  message, of a fresh run.
 * ``run_many(machine, words)`` yields ``run``'s untraced result for each
-  word, in order, through ``PrefixRuns(KernelSteps(machine))``;
-  ``problem1.sweep`` runs its words through one such ``PrefixRuns``.
+  word, in order, reading one word at a time.
 
 One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /
@@ -152,7 +134,6 @@ nor on hash seeds, and runs are deterministic.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from operator import itemgetter
@@ -421,19 +402,9 @@ def walk_to_end(stepper, word, max_steps: Optional[int] = None):
     return point, steps
 
 
-def _common_prefix(a: tuple, b: tuple) -> int:
-    """How many leading symbols the tapes share."""
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return n
-
-
 class KernelSteps:
-    """The stepper behind ``run``, ``trajectory`` and ``run_many``; the
-    module docstring gives its checkpoint."""
+    """The stepper behind ``run``, ``trajectory`` and ``problem1.sweep``'s
+    batches; the module docstring gives its checkpoint."""
 
     def __init__(self, machine: MachineQPAG):
         self.machine = machine
@@ -503,122 +474,88 @@ def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecor
         yield _record(i, point)
 
 
-class PrefixRuns:
-    """The checkpoint-and-resume driver: one run after another of the
-    stepper's machine, each resuming from the last step the previous word's
-    run shares with it, and ending early where it reaches a checkpoint an
-    earlier word's run keyed with the same unread tape.
+def run_batch(stepper, runs) -> list:
+    """The stepper's result for each run, a (tape, step budget) pair as
+    ``model.run_bounds`` gives it, in input order: each ``==`` a fresh
+    ``walk_to_end`` of the tape's word. A tape ends with the only right
+    endmarker it holds. The runs advance together, one layer of nodes per
+    tape position, and runs whose checkpoints meet are merged (the module
+    docstring gives the rules and why merging is exact)."""
+    results = [None] * len(runs)
+    layer = [(stepper.start(), 0, list(range(len(runs))))]
+    table = stepper.table
+    limit = 2 * len(table)
+    live_at_rebuild = len(runs)
+    k = 0
+    while layer:
+        layer = _advance(stepper, layer, k, runs, results)
+        live = sum(len(members) for _, _, members in layer)
+        if live < live_at_rebuild and len(table) > limit:
+            limit = 2 * _keep_reached(stepper, layer)
+            live_at_rebuild = live
+        k += 1
+    return results
 
-    ``path[i]`` is the stepper's checkpoint ``i``, kept for the first
-    steps of the last run only. ``reach[i]`` is the largest head that any
-    of steps 1..i read, or -1 for ``i = 0``. ``held[i]`` is the entries
-    checkpoints 0..i hold together. ``memo`` maps a key (the module
-    docstring gives it) to its run's result, and ``memo_held`` is the
-    entries its keys' checkpoints hold. ``table`` is the stepper's cell
-    table, which holds the cells of every run.
-    """
 
-    def __init__(self, stepper):
-        self.stepper = stepper
-        self.table: dict = stepper.table
-        self.tape: tuple = ()
-        self.path = [stepper.start()]
-        self.reach = [-1]
-        self.held = [stepper.size(self.path[0])]
-        self.memo: dict = {}
-        self.memo_held = 0
-        self._table_limit = 2 * len(self.table)
+def _advance(stepper, layer, k, runs, results) -> list:
+    """The layer after ``layer``, whose nodes' runs have read only tape
+    positions below ``k``: each node's members are grouped by (symbol at
+    ``k``, budget) and each group walked past position ``k``. A group
+    whose run ends sets its members' results; the others are merged by
+    key into the next layer's nodes."""
+    nodes: dict = {}
+    held = 0
+    for point, step, members in layer:
+        groups: dict = {}
+        for m in members:
+            tape, budget = runs[m]
+            groups.setdefault((tape[k], budget), []).append(m)
+        for (_, budget), group in groups.items():
+            tape = runs[group[0]][0]
+            last = k == len(tape) - 1
+            here, i = point, step
+            for i, here, read in walk(stepper, tape, point, step + 1, budget):
+                if read >= k and not last:
+                    break
+            else:
+                result = stepper.result(here, i)
+                for m in group:
+                    results[m] = result
+                continue
+            key = (budget, i, tape[stepper.lowest(here) : k + 1], stepper.key(here))
+            node = nodes.get(key)
+            if node is not None:
+                node[2].extend(group)
+                continue
+            nodes[key] = (here, i, group)
+            held += stepper.size(here)
+            if held > model.ENTRY_BUDGET:
+                raise StateSpaceOverflow(f"{over_budget()} at tape position {k}")
+    return list(nodes.values())
 
-    def run(self, word, max_steps: Optional[int] = None):
-        """The stepper's result for ``word`` after at most ``max_steps``
-        steps (``default_max_steps`` of the word's length if None)."""
-        stepper = self.stepper
-        tape, budget = run_bounds(stepper.machine, word, max_steps)
-        path = self.path
-        reach = self.reach
-        held = self.held
-        common = _common_prefix(self.tape, tape)
-        # reach is nondecreasing: keep the checkpoints that read only the
-        # shared prefix
-        keep = bisect_left(reach, common)
-        del path[keep:], reach[keep:], held[keep:]
-        self.tape = tape
-        # another tape shares at most len(tape) - 1 symbols with this one,
-        # so it resumes only from a checkpoint whose reach is below that
-        shared = len(tape) - 1
-        last = len(path) - 1
-        point = path[-1]
-        read = reach[-1]
-        key = result = None
-        for last, point, head in walk(stepper, tape, point, last + 1, budget):
-            read = max(read, head)
-            # keep checkpoints while the path runs unbroken to this step
-            if len(path) == last and read < shared:
-                total = held[-1] + stepper.size(point)
-                if total <= model.ENTRY_BUDGET:
-                    self._make_room(total)
-                    path.append(point)
-                    reach.append(read)
-                    held.append(total)
-            # key the first checkpoint whose heads all lie at or past the
-            # common prefix; its heads are at most head + 1
-            if key is None and head >= common - 1:
-                low = stepper.lowest(point)
-                if low >= common:
-                    key = (last, budget, tape[low:], stepper.key(point))
-                    key_size = stepper.size(point)
-                    result = self.memo.get(key)
-                    if result is not None:
-                        break
-        if result is None:
-            # point is checkpoint last; an earlier one is kept
-            steps = min(budget, last)
-            if steps < last:
-                point = path[steps]
-            result = stepper.result(point, steps)
-            if key is not None:
-                total = held[-1] + key_size
-                if total <= model.ENTRY_BUDGET:
-                    self._make_room(total)
-                    self.memo[key] = result
-                    self.memo_held += key_size
-        if len(self.table) > self._table_limit:
-            self._rebuild_table()
-        return result
 
-    def _make_room(self, entries: int):
-        """Drop the memo if it and ``entries`` held beside it would pass
-        ``ENTRY_BUDGET``."""
-        if entries + self.memo_held > model.ENTRY_BUDGET:
-            self.memo.clear()
-            self.memo_held = 0
-
-    def _rebuild_table(self):
-        """Keep only the cells the path's checkpoints reach, and drop the
-        memo, whose keys may hold cells the table no longer does."""
-        kept: dict = {}
-        for point in self.path:
-            for cell in self.stepper.cells(point):
-                while cell.depth and (cell.parent, cell.symbol) not in kept:
-                    kept[cell.parent, cell.symbol] = cell
-                    cell = cell.parent
-        self.table.clear()
-        self.table.update(kept)
-        self._table_limit = 2 * len(kept)
-        self.memo.clear()
-        self.memo_held = 0
+def _keep_reached(stepper, layer) -> int:
+    """Drop from the stepper's cell table every cell that no checkpoint of
+    ``layer`` reaches. Returns how many cells it keeps."""
+    kept: dict = {}
+    for point, _, _ in layer:
+        for cell in stepper.cells(point):
+            while cell.depth and (cell.parent, cell.symbol) not in kept:
+                kept[cell.parent, cell.symbol] = cell
+                cell = cell.parent
+    stepper.table.clear()
+    stepper.table.update(kept)
+    return len(kept)
 
 
 def run_many(
     machine: MachineQPAG, words, max_steps: Optional[int] = None
 ) -> Iterator[RunResult]:
-    """Yield ``run(machine, word, max_steps)`` for each word, in order,
-    sharing the steps that consecutive words' common tape prefix fixes and
-    the rest of a run whose keyed checkpoint an earlier word met (see
-    ``PrefixRuns``). Words are read one at a time, as results are taken."""
-    runs = PrefixRuns(KernelSteps(machine))
+    """Yield ``run(machine, word, max_steps)`` for each word, in order.
+    Words are read one at a time, as results are taken; ``run_batch``
+    runs a batch of words together."""
     for word in words:
-        yield runs.run(word, max_steps)
+        yield run(machine, word, max_steps)
 
 
 def run(

@@ -21,6 +21,7 @@ from qpag.model import (
     TransitionQCPDA,
     make_tape,
     push,
+    run_bounds,
 )
 from qpag.branching import (
     Branch,
@@ -31,7 +32,7 @@ from qpag.branching import (
     qcpda_step,
     run_qcpda,
 )
-from qpag.simulate import PrefixRuns, stack_after
+from qpag.simulate import run_batch, stack_after
 from qpag.wellformed import check_qcpda
 
 from .generators import random_qcpda, words_up_to
@@ -276,34 +277,45 @@ def test_run_qcpda_batch_equals_fresh_runs():
         m = random_qcpda(seed)
         order = random.Random(seed).sample(words, len(words)) + words[::-1]
         for budget in (0, 1, 8):
-            runs = PrefixRuns(BranchSteps(m))
-            got = [runs.run(w, budget) for w in order]
+            got = run_batch(BranchSteps(m), [run_bounds(m, w, budget) for w in order])
             assert got == [run_qcpda(m, w, max_steps=budget) for w in order], (
                 seed,
                 budget,
             )
 
 
+class _CountingSteps(BranchSteps):
+    """``BranchSteps`` that records how many entries each checkpoint it
+    steps from holds."""
+
+    def __init__(self, machine):
+        super().__init__(machine)
+        self.sizes = []
+
+    def step(self, point, tape, i):
+        self.sizes.append(self.size(point))
+        return super().step(point, tape, i)
+
+
 def test_single_word_run_keeps_a_bounded_path(monkeypatch):
-    # the halting walker reads one more cell each step: no checkpoint that
-    # read the last cell can serve another word, so none is kept
-    runs = PrefixRuns(BranchSteps(halting_walker()))
-    assert runs.run("0101") == run_qcpda(halting_walker(), "0101")
-    assert runs.reach[-1] < len(make_tape(halting_walker(), "0101")) - 1
+    # a one-word batch takes the steps of a fresh run, no more: the halting
+    # walker reads one more cell each step, so each layer takes one step
+    stepper = _CountingSteps(halting_walker())
+    want = run_qcpda(halting_walker(), "0101")
+    assert run_batch(stepper, [run_bounds(halting_walker(), "0101", None)]) == [want]
+    assert len(stepper.sizes) == want.steps
     # a forking walker that never moves reads cell 0 only, and its frontier
-    # grows each step: the kept frontiers together hold at most ENTRY_BUDGET
-    # entries, with the results of uncapped runs. A step holds at most
+    # grows each step: a batch of its words walks once, from the start to
+    # its budget, with the results of uncapped runs. A step holds at most
     # 91 + 75 = 166 entries, so no run overflows a budget of 200
     m = forking_walker()
     m = replace(m, transitions=tuple(replace(t, move=0) for t in m.transitions))
-    full = [run_qcpda(m, w, max_steps=20) for w in ("01", "00", "01")]
+    words = ("01", "00", "01")
+    full = [run_qcpda(m, w, max_steps=20) for w in words]
     monkeypatch.setattr(model, "ENTRY_BUDGET", 200)
-    runs = PrefixRuns(BranchSteps(m))
-    for word, expected in zip(("01", "00", "01"), full):
-        assert runs.run(word, 20) == expected
-        entries = sum(len(b.psi) for point in runs.path for b in point[0])
-        assert runs.held[-1] == entries <= 200
-        assert 1 < len(runs.path) < 21
+    stepper = _CountingSteps(m)
+    assert run_batch(stepper, [run_bounds(m, w, 20) for w in words]) == full
+    assert len(stepper.sizes) == 20
 
 
 def _live_branches() -> list:

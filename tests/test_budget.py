@@ -31,17 +31,19 @@ from qpag.errors import StateSpaceOverflow
 from qpag.model import (
     InputAlphabet,
     MachinePPA,
+    MachineQPAG,
     StackAlphabet,
     TransitionPPA,
+    TransitionQPAG,
     make_tape,
     push,
     run_bounds,
 )
-from qpag.simulate import KernelSteps, PrefixRuns, run
+from qpag.simulate import KernelSteps, run, run_batch
 from qpag.wellformed import audit_unitarity
 
-from .corpus import TOTAL_MACHINES
-from .generators import random_qcpda
+from .corpus import TOTAL_MACHINES, H
+from .generators import random_qcpda, words_up_to
 from .test_branching import forking_walker
 
 
@@ -149,36 +151,6 @@ def _check_budgets(monkeypatch, totals, call, floor=0):
                 call()
 
 
-def _memo_drops(machine, words, want):
-    """Run ``words`` through one batch, checking each result against
-    ``want`` and the path and memo against the entry budget. Returns how
-    often the memo shrank."""
-    runs = PrefixRuns(KernelSteps(machine))
-    drops = 0
-    for word, result in zip(words, want):
-        before = len(runs.memo)
-        assert runs.run(word) == result
-        drops += len(runs.memo) < before
-        # a KernelSteps key ends with its checkpoint's vector items
-        assert runs.memo_held == sum(len(key[3][-1]) for key in runs.memo)
-        assert runs.held[-1] + runs.memo_held <= model.ENTRY_BUDGET
-    return drops
-
-
-def test_prefix_runs_drop_the_memo_at_the_budget(monkeypatch):
-    # problem1's words meet earlier words' keyed checkpoints. At 40 entries
-    # the kept path and every key do not fit together, so the memo is
-    # dropped and begun again, never held past the budget; uncapped, only
-    # the table rebuilds drop it. No step holds 40 entries
-    m = problem1.build_machine()
-    words = [inst.tokens() for n in (1, 2) for inst in problem1._instances_exhaustive(n)]
-    want = [run(m, w) for w in words]
-    uncapped = _memo_drops(m, words, want)
-    monkeypatch.setattr(model, "ENTRY_BUDGET", 40)
-    capped = _memo_drops(m, words, want)
-    assert (uncapped, capped) == (6, 214)
-
-
 def _doubling_ppa() -> MachinePPA:
     """Pushes a or b with probability 1/2 each step, and advances on 1."""
     alpha = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
@@ -211,6 +183,72 @@ def _doubling_ppa() -> MachinePPA:
 def test_run_trips_where_the_counts_pass_the_budget(monkeypatch, machine, word):
     totals = _vector_totals(monkeypatch, KernelSteps(machine), word)
     _check_budgets(monkeypatch, totals, lambda: run(machine, word))
+
+
+def _shedder() -> MachineQPAG:
+    """Each step pushes y on half the mass and moves on, and pushes x on
+    the other half and accepts: every step leaves a cell that no live
+    configuration holds."""
+    alpha = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
+    gamma = StackAlphabet(symbols=("Z", "x", "y"), bottom="Z")
+    return MachineQPAG(
+        states=("p", "a"),
+        input_alphabet=alpha,
+        stack_alphabet=gamma,
+        transitions=tuple(
+            TransitionQPAG("p", read, top, target, push(symbol), 1, H + 0j)
+            for read in alpha.symbols
+            for top in gamma.symbols
+            for target, symbol in (("p", "y"), ("a", "x"))
+        ),
+        initial="p",
+        accepting=frozenset({"a"}),
+        rejecting=frozenset(),
+    )
+
+
+@pytest.mark.parametrize(
+    "steps, machine, word, max_steps",
+    [
+        (KernelSteps, _shedder(), "000000", None),
+        (KernelSteps, TOTAL_MACHINES["splitter"](), "0000", None),
+        (KernelSteps, TOTAL_MACHINES["pushcycle"](), "0101", None),
+        (KernelSteps, compile_qcpda(random_qcpda(1))[0], "0", None),
+        (BranchSteps, forking_walker(), "0101", 12),
+        (BranchSteps, random_qcpda(1), "01", 12),
+    ],
+    ids=["shedder", "splitter", "pushcycle", "image", "forking", "qcpda"],
+)
+def test_a_one_word_batch_trips_as_a_fresh_run(monkeypatch, steps, machine, word, max_steps):
+    # the cases of the run and run_qcpda tests above, and the shedder, whose
+    # table holds as many cells no live configuration holds as cells it
+    # does: a batch of one word counts the table a fresh run counts, so it
+    # raises at the same step with the same message, or finishes with the
+    # same result
+    if steps is KernelSteps:
+        totals = _vector_totals(monkeypatch, KernelSteps(machine), word, max_steps)
+    else:
+        totals = _branch_totals(BranchSteps(machine), word, max_steps)
+    bounds = run_bounds(machine, word, max_steps)
+    _check_budgets(monkeypatch, totals, lambda: run_batch(steps(machine), [bounds])[0])
+
+
+def test_a_batch_layer_trips_where_its_nodes_pass_the_budget(monkeypatch):
+    # halfstep's runs on the 16 words of length 4 never merge, and a node
+    # holds 2 entries per tape position its run has read: the layer past
+    # position 3 holds 8 nodes of 6 entries, the next 16 of 8. A run alone
+    # holds at most 25 entries in a step, with the table's one cell
+    m = TOTAL_MACHINES["halfstep"]()
+    words = [w for w in words_up_to(4) if len(w) == 4]
+    runs = [run_bounds(m, w, None) for w in words]
+    assert max(max(_vector_totals(monkeypatch, KernelSteps(m), w)) for w in words) == 25
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 100)
+    alone = [run(m, w) for w in words]
+    assert [run_batch(KernelSteps(m), [r])[0] for r in runs] == alone
+    with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 100 at tape position 4$"):
+        run_batch(KernelSteps(m), runs)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 128)
+    assert run_batch(KernelSteps(m), runs) == alone
 
 
 def test_equiv_check_image_trips_where_the_counts_pass_the_budget(monkeypatch):

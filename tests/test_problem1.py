@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from qpag import problem1, simulate
 from qpag.errors import InvariantError, LengthMismatch
-from qpag.model import POP, make_tape, push
-from qpag.simulate import run, run_many
+from qpag.model import POP, make_tape, push, run_bounds
+from qpag.simulate import KernelSteps, run, run_batch, run_many
 
 from .corpus import mutants
 from .reference import ref_classify
@@ -366,7 +366,8 @@ def test_run_many_equals_run_on_mutants(mutant):
         for n in (1, 2)
         for inst in problem1._instances_exhaustive(n)
     ]
-    assert list(run_many(m, words)) == [run(m, w) for w in words]
+    got = run_batch(KernelSteps(m), [run_bounds(m, w, None) for w in words])
+    assert got == [run(m, w) for w in words]
 
 
 def test_sweep_of_an_asymmetric_copy_runs_per_instance():
@@ -412,10 +413,10 @@ def test_representatives_carry_their_tokens_and_parities(n):
 
 
 def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
-    # the sweep runs one representative per orbit; prefix sharing alone
-    # makes one step per node of their tapes' prefix trie, root excluded,
-    # and a representative whose run meets an earlier one's keyed
-    # checkpoint with the same unread tape stops there
+    # the sweep runs one representative per orbit, in one batch: a group
+    # steps once per tape position, so the batch makes at most one step per
+    # node of their tapes' prefix trie, root excluded, and groups whose
+    # runs meet merge
     m = problem1.build_machine()
     tapes = [make_tape(m, tokens) for tokens, _, _, _ in problem1._representatives(2)]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
@@ -430,7 +431,7 @@ def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
     monkeypatch.setattr(simulate, "measure", counting)
     report = problem1.sweep(2, machine=m)
     assert report.checked == 1296 and not report.failures
-    assert steps == 296
+    assert steps == 82
     assert steps <= len(nodes) == 530
 
 

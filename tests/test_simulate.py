@@ -1,5 +1,5 @@
 """Vector engine: conservation, closed forms, trace output, the entry
-budget, and prefix-shared batches."""
+budget, and batches run layer by layer."""
 
 import random
 import re
@@ -42,9 +42,9 @@ from qpag.model import (
 from qpag.simulate import (
     EMPTY,
     KernelSteps,
-    PrefixRuns,
     cons,
     run,
+    run_batch,
     run_many,
     stack_after,
     trajectory,
@@ -471,8 +471,13 @@ def test_phase_preserved_in_trace():
 
 
 # ----------------------------------------------------------------------
-# run_many: prefix-shared batches
+# run_batch: batches run layer by layer
 # ----------------------------------------------------------------------
+
+
+def _batch(machine, words, max_steps=None):
+    """``run_batch`` of the kernel's stepper over ``words``."""
+    return run_batch(KernelSteps(machine), [run_bounds(machine, w, max_steps) for w in words])
 
 
 def test_run_many_equals_run_on_problem1_up_to_n2():
@@ -484,11 +489,11 @@ def test_run_many_equals_run_on_problem1_up_to_n2():
     ]
     assert len(words) == 1332
     single = {w: run(m, w) for w in words}
-    # in enumeration order, reversed and shuffled, words meet earlier
-    # words' keyed checkpoints at different steps
+    # the order of a batch decides its nodes' order and which member's
+    # tape a group walks on, never a result
     shuffled = random.Random(17).sample(words, len(words))
     for order in (words, words[::-1], shuffled):
-        assert list(run_many(m, order)) == [single[w] for w in order]
+        assert _batch(m, order) == [single[w] for w in order]
 
 
 def test_run_many_equals_run_on_compiled_images():
@@ -504,7 +509,7 @@ def test_run_many_equals_run_on_compiled_images():
         for budget in (0, 1, 7, 24):
             single = {w: run(image, w, max_steps=budget) for w in words}
             for order in orders:
-                got = list(run_many(image, order, max_steps=budget))
+                got = _batch(image, order, max_steps=budget)
                 assert got == [single[w] for w in order], (seed, budget)
 
 
@@ -542,27 +547,59 @@ _LEAKER = [
 
 @pytest.mark.parametrize("rows", [_WAITER, _LEAKER], ids=["waiter", "leaker"])
 def test_run_many_keys_the_step_and_the_ledger(rows):
-    # "01" and "11" each take their key on the vector p@2 with the unread
-    # tape "1>": the waiter reaches it at step 3 and step 2, the leaker
-    # with p_acc 0.5 and with p_rej 0.5, so neither may take the other's
-    # result
+    # after reading position 1, "01" and "11" both hold the vector p@2, so
+    # their keys hold the same tape slice (none) and the same vector: the
+    # waiter reaches it at step 3 and step 2, the leaker with p_acc 0.5 and
+    # with p_rej 0.5, so neither may take the other's result
     m = _scanner(rows)
     words = ["00", "01", "10", "11"]
     want = [run(m, w) for w in words]
     assert want[1] != want[3]
-    assert list(run_many(m, words)) == want
+    assert _batch(m, words) == want
+
+
+# p dwells on the first symbol, sending a little of its mass to accept or
+# reject each step, so its runs outlast every default budget
+_DWELLER = [
+    ("p", "0", "p", 0, 0.9),
+    ("p", "0", "a", 0, 0.19**0.5),
+    ("p", "1", "p", 0, 0.9),
+    ("p", "1", "r", 0, 0.19**0.5),
+]
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [_scanner(_DWELLER), TOTAL_MACHINES["halfstep"]()],
+    ids=["dweller", "halfstep"],
+)
+def test_run_batch_groups_mixed_lengths_by_budget(machine):
+    # words of each length have their own default budget. The dweller's
+    # runs all stop on their budget while reading position 1, so "0" and
+    # "00" may not share a walk there; halfstep's m0 component stands
+    # still, so lagging mass sits on the right endmarker after other mass
+    # has parked, and a group's run must step on to its end with the whole
+    # tape known
+    words = words_up_to(4)
+    want = [run(machine, w) for w in words]
+    # "0" and "00" run to their budgets
+    assert words[1:4:2] == [("0",), ("0", "0")]
+    assert (want[1].steps, want[3].steps) == (40, 50)
+    assert _batch(machine, words) == want
+    assert _batch(machine, words[::-1]) == want[::-1]
 
 
 def test_run_many_of_nothing_yields_nothing():
     assert list(run_many(problem1.build_machine(), [])) == []
     assert list(run_many(problem1.build_machine(), iter(()))) == []
+    assert run_batch(KernelSteps(problem1.build_machine()), []) == []
 
 
 def test_run_many_shares_every_common_prefix(monkeypatch):
-    # problem1 heads all move right every step, so prefix sharing alone
-    # makes one step per node of the tapes' prefix trie, root excluded;
-    # a word whose run meets an earlier word's keyed checkpoint with the
-    # same unread tape stops there, so the batch makes fewer
+    # problem1 heads all move right every step, so a batch steps each group
+    # once per tape position; groups whose runs meet merge, so the batch
+    # makes fewer steps than the tapes' prefix trie has nodes, root
+    # excluded
     m = problem1.build_machine()
     words = [inst.tokens() for inst in problem1._instances_exhaustive(2)]
     tapes = [make_tape(m, word) for word in words]
@@ -576,15 +613,15 @@ def test_run_many_shares_every_common_prefix(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simulate, "measure", counting)
-    results = list(run_many(m, words))
+    results = _batch(m, words)
     assert len(results) == 1296
-    assert steps == 1684
+    assert steps == 373
     assert steps <= len(nodes) == 3127
 
 
-def _reached_cells(path):
+def _reached_cells(points):
     cells = set()
-    for entry in path:
+    for entry in points:
         for conf in entry[0]:
             for cell in (conf.stack, conf.garbage):
                 while cell.depth and cell not in cells:
@@ -593,46 +630,58 @@ def _reached_cells(path):
     return cells
 
 
-def test_run_many_cell_table_stays_bounded():
-    # distinct n = 16 words share little: without the rebuild the table
-    # would keep every cell of every run
-    m = problem1.build_machine()
-    rng = random.Random(4)
-    words = {
-        problem1.generate(16, rng.choice((problem1.YES, problem1.NO)), seed=s).word()
-        for s in range(1100)
-    }
-    assert len(words) >= 1000
-    runs = PrefixRuns(KernelSteps(m))
+def _stacker() -> MachineQPAG:
+    """Pushes each symbol it reads, then pushes x on the right endmarker
+    without moving until its step budget runs out: each run ends holding
+    cells of its own."""
+    rows = [("<", EPSILON, 1)]
+    rows += [(read, push(read), 1) for read in ("0", "1")]
+    rows += [(">", push("x"), 0)]
+    gamma = StackAlphabet(symbols=("Z", "0", "1", "x"), bottom="Z")
+    return MachineQPAG(
+        states=("s",),
+        input_alphabet=InputAlphabet(
+            symbols=("<", "0", "1", ">"), left_end="<", right_end=">"
+        ),
+        stack_alphabet=gamma,
+        transitions=tuple(
+            TransitionQPAG("s", read, top, "s", op, move, 1 + 0j)
+            for read, op, move in rows
+            for top in gamma.symbols
+        ),
+        initial="s",
+        accepting=frozenset(),
+        rejecting=frozenset(),
+    )
+
+
+def test_run_many_cell_table_stays_bounded(monkeypatch):
+    # words of each length end at their own layer, each holding cells no
+    # other run reaches: without the rebuild the table would keep every
+    # cell of every ended run. Between layers it holds at most twice the
+    # cells a layer has reached
+    m = _stacker()
+    words = words_up_to(8)
+    stepper = KernelSteps(m)
     peak = 0
     created = 0
-    for i, w in enumerate(sorted(words)):
-        before = set(runs.table.values())
-        result = runs.run(w)
-        after = set(runs.table.values())
-        created += len(after - before)
-        if i % 97 == 0:
-            assert result == run(m, w)
-        reached = _reached_cells(runs.path)
-        assert reached <= after
+    real = simulate._advance
+
+    def spy(stepper, layer, *rest):
+        nonlocal peak, created
+        reached = _reached_cells(point for point, _, _ in layer)
+        assert reached <= set(stepper.table.values())
         peak = max(peak, len(reached))
-        assert len(runs.table) <= 2 * peak
+        assert len(stepper.table) <= 2 * peak
+        before = len(stepper.table)
+        out = real(stepper, layer, *rest)
+        created += len(stepper.table) - before
+        return out
+
+    monkeypatch.setattr(simulate, "_advance", spy)
+    results = run_batch(stepper, [run_bounds(m, w, None) for w in words])
+    assert results == [run(m, w) for w in words]
     assert created > 20 * peak
-
-
-def test_prefix_runs_keep_at_most_cap_entries(monkeypatch):
-    # mixstep dwells on cell 0 for its whole run, so every step could serve
-    # a later word; the kept vectors together hold at most ENTRY_BUDGET
-    # keys. A step holds at most 4 entries, so no run overflows
-    m = TOTAL_MACHINES["mixstep"]()
-    words = ("0101", "0110", "0101", "1")
-    expected = [run(m, w) for w in words]
-    monkeypatch.setattr(model, "ENTRY_BUDGET", 10)
-    runs = PrefixRuns(KernelSteps(m))
-    for word, result in zip(words, expected):
-        assert runs.run(word) == result
-        assert runs.held[-1] == sum(len(point[0]) for point in runs.path) <= 10
-        assert len(runs.path) < result.steps
 
 
 def test_run_many_overflow_names_the_step(monkeypatch):
