@@ -45,7 +45,7 @@ HALT_MASS = 1e-12
 # it started from (a state vector, a PPA distribution or a frontier's
 # branch vectors, or the configurations an audit has met), the keys it has
 # made so far, and the cells of the run's interned table when it began.
-# In a ``simulate.run_batch`` batch each step counts so, with the batch's
+# In a ``simulate.run_layers`` batch each step counts so, with the batch's
 # one table, and a layer counts the entries its nodes hold together. A
 # counted entry costs at most about 210 bytes of peak RSS (CPython 3.11,
 # uncounted kernel survivors included), so 400,000 entries hold a run

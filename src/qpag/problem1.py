@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from operator import ne
 from typing import Optional
 
-from .errors import InvariantError, LengthMismatch
+from .errors import InvariantError, LengthMismatch, MachineError
 from .model import (
     EPSILON,
     POP,
@@ -34,13 +34,14 @@ from .model import (
     StackAlphabet,
     TransitionQPAG,
     check_tolerance,
+    default_max_steps,
+    make_tape,
     push,
     records,
     rendered,
-    run_bounds,
 )
 # ``problem1.run`` stays bound: perfbench/tracing.py wraps it by that name.
-from .simulate import KernelSteps, run, run_batch
+from .simulate import KernelSteps, run, run_layers
 
 SEGMENT_ALPHABET = ("a", "b", "c")
 THIRD_ALPHABET = ("a", "b", "c", "d")
@@ -242,7 +243,9 @@ class SweepReport(Record):
     max_deviation: float
 
 
-EXHAUSTIVE_CAP = 10**6
+# An exhaustive sweep lists its failures one per instance; past this many
+# it is refused, naming the count, rather than printing them all.
+FAILURE_CAP = 100_000
 
 # The transpositions (a b) and (b c); together they generate every
 # relabelling of the segment letters.
@@ -307,53 +310,96 @@ def _relabelled(pi, symbols) -> tuple[str, ...]:
     return tuple(map(pi.get, symbols, symbols))
 
 
-def _representatives(n: int):
-    """(tokens, odd1, odd2, orbit size) for one instance per orbit of the
-    relabellings of a, b, c: the instance whose letters a, b, c first
-    appear in that order across w1 w2 w3 (``d`` is fixed). ``tokens`` is
-    its word as a tuple, ``odd1`` and ``odd2`` its pairs' mismatch
-    parities (``_odd``). It is the first of its orbit in
-    ``_instances_exhaustive``'s order, and the representatives come in
-    that order too. An orbit holds 6 instances when two or more of a, b, c
-    occur, else 3."""
-    firsts = _segments(SEGMENT_ALPHABET, n)
-    thirds = _segments(THIRD_ALPHABET, n)
-    for w1, seen1 in firsts[0]:
-        for w2, seen2 in firsts[seen1]:
-            head = (*w1, SEPARATOR, *w2, SEPARATOR)
-            odd1 = _odd(w1, w2)
-            for w3, seen3 in thirds[seen2]:
-                yield head + w3, odd1, _odd(w1, w3), 6 if seen3 > 1 else 3
+class _Grader:
+    """The layout of the size-``n`` instances and the grader states an
+    exhaustive sweep counts, for ``simulate.run_layers``.
 
+    Tape position k holds one symbol of ``layout[k]``: the left endmarker,
+    a/b/c n times, ``#``, a/b/c n times, ``#``, a/b/c/d n times, the right
+    endmarker. A grader state is (w1, odd1, odd2, met): the first segment
+    read so far, the two mismatch parities (``_odd``) read so far, and
+    ``met``, one past the largest index in ``SEGMENT_ALPHABET`` of a letter
+    of w1. It is updated symbol by symbol and never reads the machine.
 
-def _segments(alphabet, n: int) -> list[list]:
-    """Entry ``met`` (0..3) lists, in lexicographic order, the length-``n``
-    segments over ``alphabet`` (tuples) that may follow words in which the
-    first ``met`` of the letters a, b, c have appeared: those in which no
-    letter of a, b, c appears before every letter ahead of it has. Each
-    comes with the count of letters met after it."""
-    out = []
-    for met in range(len(SEGMENT_ALPHABET) + 1):
-        kept = []
-        for seg in itertools.product(alphabet, repeat=n):
-            seen = met
-            for ch in seg:
-                k = SEGMENT_ALPHABET.index(ch) if ch in SEGMENT_ALPHABET else -1
-                # a letter met already, or the next one
-                if k > seen:
-                    break
-                seen = max(seen, k + 1)
-            else:
-                kept.append((seg, seen))
-        out.append(kept)
-    return out
+    When ``symmetric``, only canonical w1 are expanded, those whose letters
+    a, b, c first appear in that order (a w1 position after w1 has met
+    ``met`` letters takes one of the first ``met + 1``), and a state counts
+    for its w1's class, the relabellings of w1: 3 when w1 uses one letter,
+    6 otherwise."""
 
+    def __init__(self, machine: MachineQPAG, n: int, symmetric: bool):
+        alpha = machine.input_alphabet
+        # a letter the machine does not know raises, as ``run_bounds`` does
+        make_tape(machine, (*SEGMENT_ALPHABET, SEPARATOR, *THIRD_ALPHABET))
+        self.n = n
+        self.symmetric = symmetric
+        self.budget = default_max_steps(3 * n + 2)
+        self.layout = (
+            (alpha.left_end,),
+            *[SEGMENT_ALPHABET] * n,
+            (SEPARATOR,),
+            *[SEGMENT_ALPHABET] * n,
+            (SEPARATOR,),
+            *[THIRD_ALPHABET] * n,
+            (alpha.right_end,),
+        )
+        self.start = ("", 0, 0, 0)
 
-def _each(instances):
-    """(tokens, odd1, odd2, 1) for each instance, as ``_representatives``
-    gives a representative with its orbit size."""
-    for inst in instances:
-        yield inst.tokens(), _odd(inst.w1, inst.w2), _odd(inst.w1, inst.w3), 1
+    def symbols(self, k: int, g) -> tuple[str, ...]:
+        """The symbols position ``k`` is expanded with after state ``g``."""
+        if self.symmetric and 1 <= k <= self.n:
+            return SEGMENT_ALPHABET[: g[3] + 1]
+        return self.layout[k]
+
+    def read(self, k: int, g, s: str):
+        """The state after ``g`` reads ``s`` at position ``k``."""
+        n = self.n
+        w1, odd1, odd2, met = g
+        if k == 0 or k == n + 1 or k == 2 * n + 2 or k == 3 * n + 3:
+            return g
+        if k <= n:
+            return (w1 + s, odd1, odd2, max(met, SEGMENT_ALPHABET.index(s) + 1))
+        if k <= 2 * n + 1:
+            return (w1, odd1 ^ (s != w1[2 * n + 1 - k]), odd2, met)
+        return (w1, odd1, odd2 ^ (s != w1[3 * n + 2 - k]), met)
+
+    def weight(self, g) -> int:
+        """The instances a final state's count stands for, each."""
+        if not self.symmetric:
+            return 1
+        return 3 if g[3] == 1 else 6
+
+    def expand(self, k: int, members: dict) -> dict:
+        """``members`` read at position ``k``, as ``run_layers`` expands
+        them: (symbol, budget) -> {state: count}."""
+        out: dict = {}
+        for g, count in members.items():
+            for s in self.symbols(k, g):
+                group = out.setdefault((s, self.budget), {})
+                g2 = self.read(k, g, s)
+                group[g2] = group.get(g2, 0) + count
+        return out
+
+    def fold(self, k: int, members: dict) -> dict:
+        """The final states, with their counts, of ``members`` read through
+        every position after ``k``."""
+        for j in range(k + 1, len(self.layout)):
+            out: dict = {}
+            for group in self.expand(j, members).values():
+                for g, count in group.items():
+                    out[g] = out.get(g, 0) + count
+            members = out
+        return members
+
+    def completions(self, k: int, g):
+        """(symbols, final state) for every way to read on from state
+        ``g`` through the positions after ``k``."""
+        if k + 1 == len(self.layout):
+            yield (), g
+            return
+        for s in self.symbols(k + 1, g):
+            for rest, final in self.completions(k + 1, self.read(k + 1, g, s)):
+                yield (s, *rest), final
 
 
 def _instance(tokens) -> Instance:
@@ -361,14 +407,132 @@ def _instance(tokens) -> Instance:
     return Instance(*"".join(tokens).split(SEPARATOR))
 
 
-def _orbit(inst: Instance) -> list[Instance]:
-    """Every relabelling of ``inst``'s letters a, b, c, once each, in
-    ``_instances_exhaustive``'s order."""
-    members = set()
+def _relabellings(inst: Instance) -> list[Instance]:
+    """The instances a canonical-w1 instance counts for: its image under
+    one relabelling of a, b, c per image of its w1, the instance itself
+    first."""
+    images = {}
     for perm in itertools.permutations(SEGMENT_ALPHABET):
         table = str.maketrans("".join(SEGMENT_ALPHABET), "".join(perm))
-        members.add(Instance(*(w.translate(table) for w in (inst.w1, inst.w2, inst.w3))))
-    return sorted(members, key=lambda m: (m.w1, m.w2, m.w3))
+        w1 = inst.w1.translate(table)
+        if w1 not in images:
+            images[w1] = Instance(w1, inst.w2.translate(table), inst.w3.translate(table))
+    return list(images.values())
+
+
+class _Trace:
+    """The layers of an exhaustive sweep, walked back: ``history`` holds,
+    per layer, its nodes' members and the links out of it."""
+
+    def __init__(self, grader: _Grader, history):
+        self.grader = grader
+        self.members = [members for members, _ in history]
+        self.parents = []  # per layer: node -> [(node of the layer before, symbol)]
+        for _, links in history:
+            into: dict = {}
+            for i, s, j in links:
+                into.setdefault(j, []).append((i, s))
+            self.parents.append(into)
+        self.memo: dict = {}
+
+    def heads(self, k: int, node: int, g) -> list:
+        """The tape prefixes, through position k - 1, of the instances
+        that reach ``node`` of layer k in state ``g``."""
+        key = (k, node, g)
+        if key not in self.memo:
+            if k == 0:
+                self.memo[key] = [()]
+            else:
+                read = self.grader.read
+                self.memo[key] = [
+                    (*head, s)
+                    for i, s in self.parents[k - 1].get(node, ())
+                    for g0 in self.members[k - 1][i]
+                    if read(k - 1, g0, s) == g
+                    for head in self.heads(k - 1, i, g0)
+                ]
+        return self.memo[key]
+
+
+def _list_failures(grader: _Grader, history, failing) -> list:
+    """A ``SweepFailure`` for each instance of the failing groups, found by
+    walking the layers' links back from each (node, state) a failing group
+    came from, and reading on from each of its states."""
+    trace = _Trace(grader, history)
+    failures = []
+    for k, node, symbol, group, result, bad in failing:
+        for g0 in trace.members[k][node]:
+            g = grader.read(k, g0, symbol)
+            if g not in group:
+                continue
+            tails = [
+                (tail, cls)
+                for tail, final in grader.completions(k, g)
+                if (cls := _class_of(final[1], final[2])) in bad
+            ]
+            for head in trace.heads(k, node, g0) if tails else ():
+                for tail, cls in tails:
+                    inst = _instance((*head, symbol, *tail)[1:-1])
+                    for member in _relabellings(inst) if grader.symmetric else (inst,):
+                        failures.append(_failure(member, cls, result))
+    return failures
+
+
+def _failure(inst: Instance, expected: str, result) -> SweepFailure:
+    return SweepFailure(
+        word=inst.word(),
+        expected=expected,
+        p_acc=result.p_acc,
+        p_rej=result.p_rej,
+        deviation=_deviations(result)[expected],
+    )
+
+
+def _deviations(result) -> dict:
+    """Each class's distance of its expected outcome's probability from 1."""
+    return {YES: abs(1 - result.p_acc), NO: abs(1 - result.p_rej)}
+
+
+def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float):
+    """(checked, failures, max deviation) over every instance of size
+    ``n``, run as one ``simulate.run_layers`` batch whose members are
+    ``_Grader`` states."""
+    grader = _Grader(machine, n, _symmetric(machine))
+    history = []  # per layer: its nodes' members, the links out of it
+    members = [{grader.start: 1}]
+    failing = []
+    checked = 0
+    count_failing = 0
+    max_dev = 0.0
+    layers = run_layers(KernelSteps(machine), members[0], grader.expand)
+    for k, (layer, links, ends) in enumerate(layers):
+        history.append((members, links))
+        members = [node[2] for node in layer]
+        for parent, symbol, group, result in ends:
+            devs = _deviations(result)
+            bad = set()
+            for g, count in grader.fold(k, group).items():
+                cls = _class_of(g[1], g[2])
+                dev = devs[cls]
+                if dev > max_dev:
+                    max_dev = dev
+                weighted = count * grader.weight(g)
+                checked += weighted
+                if dev > tol:
+                    bad.add(cls)
+                    count_failing += weighted
+            if bad:
+                failing.append((k, parent, symbol, group, result, bad))
+    if count_failing > FAILURE_CAP:
+        raise MachineError(
+            f"exhaustive sweep at n={n} fails on {count_failing} instances; "
+            f"at most {FAILURE_CAP} are listed"
+        )
+    failures = _list_failures(grader, history, failing)
+    # words of one n hold "#" at the same places, so word order is
+    # enumeration order
+    failures.sort(key=lambda f: f.word)
+    return checked, failures, max_dev
 
 
 def sweep(
@@ -383,29 +547,38 @@ def sweep(
 
     Deviation per instance: distance of the expected outcome's probability
     from 1; an instance fails when it passes ``tol``, which must be a
-    nonnegative number. Exhaustive mode covers all 36**n triples, so n is
-    capped where that count passes a million. A candidate is its word's
-    token tuple with its two mismatch parities. Exhaustive mode runs all
-    its candidates as one ``simulate.run_batch``, so words share the steps
-    their common prefix fixes, and runs that meet merge. Runs do meet: the
-    branch pair comparing w1 with reversed w2 pops w1 onto the garbage
-    tape whatever w2 is, so after the second ``#`` the vector depends only
-    on w1 and the parity of the differences. Sampled mode runs each draw
-    through ``run`` as it is drawn, so its memory does not grow with the
-    sample count. A candidate is graded from its parities (``_class_of``,
-    as ``classify`` grades an instance), and an ``Instance`` is built only
-    for a failing one, so a passing candidate costs little beyond its
-    run's steps.
+    nonnegative number. Failures are listed one per instance; an
+    exhaustive sweep lists them in enumeration order, a sampled one in
+    draw order.
+
+    Exhaustive mode covers all 36**n instances as one
+    ``simulate.run_layers`` batch over ``_Grader``'s layout. Its members
+    are grader states with exact counts, not words, so the instances that
+    share a prefix share its steps, and runs that meet merge. Runs do
+    meet: the branch pair comparing w1 with reversed w2 pops w1 onto the
+    garbage tape whatever w2 is, so after the second ``#`` the vector
+    depends only on w1 and the two parities. A group whose run ends before
+    the right endmarker folds its counts through the positions left with
+    no kernel step. Grading reads only the grader state (``_class_of``, as
+    ``classify`` grades an instance), never the run. A failing group's
+    instances are found by walking the layers' links back from it, and a
+    sweep whose failures pass ``FAILURE_CAP`` is refused with a
+    ``MachineError`` naming their count. The only other limit is the entry
+    budget: a layer whose nodes hold more than ``model.ENTRY_BUDGET``
+    entries raises ``StateSpaceOverflow`` naming its tape position.
+    ``checked`` is an exact int; from n = 11 it passes 2**53, past which a
+    JSON reader that parses it as a double loses exactness.
 
     When the machine treats the letters a, b, c alike (``_symmetric``, as
-    the built-in machine does), exhaustive mode runs one representative
-    per orbit of their relabellings and counts the orbit toward
-    ``checked``. That is exact: a relabelled instance's run is ``==`` its
-    representative's, and ``classify`` is unchanged by relabelling, since
-    it counts mismatches. So a failing representative's result is
-    reported for each member of its orbit; failures are listed per
-    instance in enumeration order, and the report equals the one
-    per-instance runs give.
+    the built-in machine does), only canonical w1 are expanded, and each
+    counts for its class of relabellings. That is exact: a relabelled
+    instance's run is ``==`` its representative's, and ``classify`` is
+    unchanged by relabelling, since it counts mismatches. So a failing
+    instance's result is reported for each relabelling of it in its w1's
+    class, and the report equals the one per-instance runs give.
+
+    Sampled mode runs each draw through ``run`` as it is drawn, so its
+    memory does not grow with the sample count.
     """
     if n < 1:
         raise InvariantError("n must be at least 1")
@@ -413,50 +586,13 @@ def sweep(
     if machine is None:
         machine = build_machine()
     if samples is None:
-        total = (3**n) * (3**n) * (4**n)
-        if total > EXHAUSTIVE_CAP:
-            raise InvariantError(
-                f"exhaustive sweep at n={n} means {total} candidates; "
-                f"cap is {EXHAUSTIVE_CAP}, use sampling"
-            )
-        symmetric = _symmetric(machine)
-        candidates = list(_representatives(n) if symmetric else _each(_instances_exhaustive(n)))
-        bounds = [run_bounds(machine, tokens, None) for tokens, *_ in candidates]
-        graded = zip(candidates, run_batch(KernelSteps(machine), bounds))
+        checked, failures, max_dev = _sweep_exhaustive(machine, n, tol)
         mode = "exhaustive"
     else:
         if samples < 1:
             raise InvariantError("sample count must be positive")
-        rng = random.Random(f"sweep|{n}|{seed}")
-        candidates = _each(_draw(rng, n) for _ in range(samples))
-        graded = ((c, run(machine, c[0])) for c in candidates)
+        checked, failures, max_dev = _sweep_sampled(machine, n, samples, seed, tol)
         mode = "sample"
-
-    checked = 0
-    failures = []
-    max_dev = 0.0
-    for (tokens, odd1, odd2, weight), result in graded:
-        expected = _class_of(odd1, odd2)
-        dev = abs(1 - (result.p_acc if expected == YES else result.p_rej))
-        if dev > max_dev:
-            max_dev = dev
-        if dev > tol:
-            inst = _instance(tokens)
-            for member in _orbit(inst) if weight > 1 else (inst,):
-                failures.append(
-                    SweepFailure(
-                        word=member.word(),
-                        expected=expected,
-                        p_acc=result.p_acc,
-                        p_rej=result.p_rej,
-                        deviation=dev,
-                    )
-                )
-        checked += weight
-    if mode == "exhaustive":
-        # words of one n hold "#" at the same places, so word order is
-        # enumeration order
-        failures.sort(key=lambda f: f.word)
     return SweepReport(
         n=n,
         mode=mode,
@@ -464,6 +600,23 @@ def sweep(
         failures=tuple(failures),
         max_deviation=max_dev,
     )
+
+
+def _sweep_sampled(machine: MachineQPAG, n: int, samples: int, seed: int, tol: float):
+    """(checked, failures, max deviation) over ``samples`` seeded draws."""
+    rng = random.Random(f"sweep|{n}|{seed}")
+    failures = []
+    max_dev = 0.0
+    for _ in range(samples):
+        inst = _draw(rng, n)
+        result = run(machine, inst.tokens())
+        expected = classify(inst)
+        dev = _deviations(result)[expected]
+        if dev > max_dev:
+            max_dev = dev
+        if dev > tol:
+            failures.append(_failure(inst, expected, result))
+    return samples, failures, max_dev
 
 
 def expected_amplitudes(inst: Instance) -> tuple[complex, complex]:

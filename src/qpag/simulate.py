@@ -3,7 +3,7 @@ every quantum engine shares, and the step loop every run shares.
 
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
-  in a table that belongs to one run or one ``run_batch`` batch (``cons``),
+  in a table that belongs to one run or one ``run_layers`` batch (``cons``),
   so equal tapes are the same object, a ``CellConfiguration`` hashes and
   compares in O(1), and a push, a pop or a garbage append costs O(1)
   whatever the depth. Cells point down to their parents only, so a run's
@@ -54,50 +54,66 @@ every quantum engine shares, and the step loop every run shares.
   difference of running sums is not the same float. ``run``'s ledger is
   its last checkpoint's sums, its trace each checkpoint's vector and
   deltas; ``trajectory`` yields each checkpoint as a ``StepRecord``.
-* ``run_batch(stepper, runs)`` is the one batch driver: it takes (tape,
-  step budget) pairs and returns the stepper's result for each. Its
-  stepper also gives ``size(point)``, the entries a checkpoint holds;
-  ``cells(point)``, the cells of its ``table`` a checkpoint holds;
+* ``run_layers(stepper, members, expand)`` is the one layer loop of every
+  batch. Its stepper also gives ``size(point)``, the entries a checkpoint
+  holds; ``cells(point)``, the cells of its ``table`` a checkpoint holds;
   ``lowest(point)``, the smallest head among a checkpoint's entries (-1
   if it holds none); and ``key(point)``, everything of a checkpoint that
   ``step``, ``alive`` and ``result`` read, as a hashable value, its
   vectors' items in insertion order. The runs advance together, one layer
-  per tape position. A node of a layer is a checkpoint, its step and its
-  members, the indices of the runs that reach it; the first layer is the
-  start checkpoint with every run. At position k each node's members are
-  grouped by (tape[k], budget), and each group steps through ``walk`` on
-  its first member's tape until a step has read position k; on the
-  group's last position, the right endmarker, it steps to the end
-  instead. A group whose run has ended gives its members the result.
-  The others become the next layer's nodes, two groups merging into one
-  node when their keys ``(budget, step, tape[low:k + 1],
+  per tape position. A node of a layer is a checkpoint, its step, its
+  known tape and its members: opaque keys with counts, each standing for
+  that many runs; the first layer is the start checkpoint with the
+  caller's members. At position k the caller's ``expand`` splits each
+  node's members into groups by (symbol at k, budget), handing back each
+  group's members as it wants them one position on. Each group steps
+  through ``walk`` on the node's known tape, its symbol at k and one
+  filler symbol, until a step has read position k; on the group's last
+  position, the right endmarker, it steps to the end instead. A group
+  whose run has ended is handed back with the result. The others become
+  the next layer's nodes, two groups merging into one node, their counts
+  added key by key, when their keys ``(budget, step, tape[low:k + 1],
   stepper.key(checkpoint))`` are equal, ``low`` being the checkpoint's
-  smallest head.
+  smallest head. Each layer is yielded with its links (which node each
+  group went into), so a caller can walk a member back to the words it
+  stands for.
+  ``run_batch(stepper, runs)`` takes (tape, step budget) pairs and returns
+  the stepper's result for each: its members are run indices, each
+  counted once, grouped by their tapes. ``problem1.sweep``'s exhaustive
+  mode supplies a layout and counts grader states instead.
 * Why merging is exact: a step reads the tape only at the heads of what
   enters it (the parked check compares a head with the tape's length),
   and heads move 0 or 1, never left, so after a step that read at most
   position k every head is at most k + 1. Take a node at layer k: its
-  heads are at most k, and its members' tapes agree from its smallest
-  head ``low`` through k - 1; a group's also agree at k. So each step of
-  the group's walk reads only positions ``low`` through k, where the
-  members agree, and every head stays at most k until a step reads k,
-  where the walk stops. The parked check decides alike for every member
-  too: no word holds an endmarker, so a member whose tape ends at k ends
-  the tapes of its whole group there, and the others' tapes are longer
+  heads are at most k, and the tapes of all the runs its members stand
+  for agree from its smallest head ``low`` through k - 1, where its known
+  tape holds them; a group's also agree at k. So each step of the group's
+  walk reads only positions ``low`` through k, where the runs agree and
+  the walked tape holds their symbols, and every head stays at most k
+  until a step reads k, where the walk stops; the filler past k is never
+  read. The parked check decides alike for every run too: no word holds
+  an endmarker, so a run whose tape ends at k ends the tapes of its whole
+  group there, and the others' tapes, like the walked one, are longer
   than k + 1. So the walk yields, float for float, the checkpoints each
-  member's fresh run computes. A merge keeps this: a key fixes the step,
+  run's fresh walk computes. A merge keeps this: a key fixes the step,
   the budget and all a checkpoint gives ``step``, ``alive`` and
   ``result``, and the tape from ``low`` through k, all that the rest of
   the run reads below k + 1; positions from k + 1 on are grouped by the
-  next layers. Each result is then the one a fresh run gives, with
-  ``==``. Floats compare with ``==``, under which 0.0 and -0.0 are equal;
-  a signed zero never reaches a result, since every ledger term is a
-  square, a norm or a probability.
+  next layers. Counts only say how many runs a member stands for, and
+  are added, never read, by the loop. A run that ends before its last
+  position (its mass halts or its budget runs out) reads nothing more,
+  so its result holds for every way its tape goes on: a caller may fold
+  such a group's members through the positions left without a step.
+  Each result is then the one a fresh run gives, with ``==``. Floats
+  compare with ``==``, under which 0.0 and -0.0 are equal; a signed zero
+  never reaches a result, since every ledger term is a square, a norm or
+  a probability.
 * A batch's entry budget: each step counts its entries as in a single
   run, with the batch's one cell table in place of a run's, and a layer
   raises ``StateSpaceOverflow`` ("... at tape position k") as soon as the
-  entries its nodes hold together pass ``ENTRY_BUDGET``. Between layers,
-  once runs have ended since the table's last rebuild and it has grown
+  entries its nodes hold together pass ``ENTRY_BUDGET``; it is the only
+  limit on a batch's size. Between layers, once runs have ended since the
+  table's last rebuild and it has grown
   past twice the cells it kept then (the start's at first), it is rebuilt
   from the cells the live layer's checkpoints reach, which drops the
   ended runs' cells. A one-run batch is never rebuilt before its run
@@ -478,60 +494,95 @@ def run_batch(stepper, runs) -> list:
     """The stepper's result for each run, a (tape, step budget) pair as
     ``model.run_bounds`` gives it, in input order: each ``==`` a fresh
     ``walk_to_end`` of the tape's word. A tape ends with the only right
-    endmarker it holds. The runs advance together, one layer of nodes per
-    tape position, and runs whose checkpoints meet are merged (the module
-    docstring gives the rules and why merging is exact)."""
+    endmarker it holds. The runs go through ``run_layers`` as its members,
+    one per run index."""
     results = [None] * len(runs)
-    layer = [(stepper.start(), 0, list(range(len(runs))))]
-    table = stepper.table
-    limit = 2 * len(table)
-    live_at_rebuild = len(runs)
-    k = 0
-    while layer:
-        layer = _advance(stepper, layer, k, runs, results)
-        live = sum(len(members) for _, _, members in layer)
-        if live < live_at_rebuild and len(table) > limit:
-            limit = 2 * _keep_reached(stepper, layer)
-            live_at_rebuild = live
-        k += 1
-    return results
 
-
-def _advance(stepper, layer, k, runs, results) -> list:
-    """The layer after ``layer``, whose nodes' runs have read only tape
-    positions below ``k``: each node's members are grouped by (symbol at
-    ``k``, budget) and each group walked past position ``k``. A group
-    whose run ends sets its members' results; the others are merged by
-    key into the next layer's nodes."""
-    nodes: dict = {}
-    held = 0
-    for point, step, members in layer:
+    def expand(k, members):
         groups: dict = {}
         for m in members:
             tape, budget = runs[m]
-            groups.setdefault((tape[k], budget), []).append(m)
-        for (_, budget), group in groups.items():
-            tape = runs[group[0]][0]
-            last = k == len(tape) - 1
+            groups.setdefault((tape[k], budget), {})[m] = 1
+        return groups
+
+    for _, _, ends in run_layers(stepper, dict.fromkeys(range(len(runs)), 1), expand):
+        for _, _, group, result in ends:
+            for m in group:
+                results[m] = result
+    return results
+
+
+def run_layers(stepper, members: dict, expand):
+    """The one layer loop of every batch (the module docstring gives the
+    rules and why merging is exact). ``members`` are the start node's
+    members, opaque keys with counts; ``expand(k, members)`` splits a
+    node's members by what its runs read at tape position ``k``: a dict
+    (symbol at ``k``, step budget) -> that group's members, a new dict with
+    the keys and counts the caller wants one position on; the loop adds
+    the groups a node merges into the first one's dict.
+
+    Yields, for each position k, (layer k + 1, its links, its ends): the
+    layer is a list of nodes (checkpoint, step, members); a link (i,
+    symbol, j) says a group of node i of layer k that read ``symbol`` went
+    into node j; an end (i, symbol, group, result) gives the result of a
+    group whose run ended."""
+    right_end = stepper.machine.input_alphabet.right_end
+    layer = [(stepper.start(), 0, members)]
+    known = [()]
+    table = stepper.table
+    limit = 2 * len(table)
+    ended = False
+    k = 0
+    while layer:
+        layer, known, links, ends = _advance(stepper, layer, known, k, expand, right_end)
+        yield layer, links, ends
+        ended = ended or bool(ends)
+        if ended and len(table) > limit:
+            limit = 2 * _keep_reached(stepper, layer)
+            ended = False
+        k += 1
+
+
+def _advance(stepper, layer, known, k, expand, right_end):
+    """The layer after ``layer``, whose nodes' runs have read only tape
+    positions below ``k`` and whose known tapes, through position k - 1,
+    are ``known``: each node's members are expanded at ``k`` and each group
+    walked past position ``k`` on the node's tape, its symbol at ``k`` and
+    one filler symbol. Returns (nodes, their known tapes, links, ends), as
+    ``run_layers`` yields them."""
+    nodes: dict = {}
+    out: list = []
+    tapes: list = []
+    links: list = []
+    ends: list = []
+    held = 0
+    for parent, (point, step, members) in enumerate(layer):
+        prefix = known[parent]
+        for (symbol, budget), group in expand(k, members).items():
+            last = symbol == right_end
+            tape = prefix + (symbol,) if last else prefix + (symbol, None)
             here, i = point, step
             for i, here, read in walk(stepper, tape, point, step + 1, budget):
                 if read >= k and not last:
                     break
             else:
-                result = stepper.result(here, i)
-                for m in group:
-                    results[m] = result
+                ends.append((parent, symbol, group, stepper.result(here, i)))
                 continue
             key = (budget, i, tape[stepper.lowest(here) : k + 1], stepper.key(here))
-            node = nodes.get(key)
-            if node is not None:
-                node[2].extend(group)
-                continue
-            nodes[key] = (here, i, group)
-            held += stepper.size(here)
-            if held > model.ENTRY_BUDGET:
-                raise StateSpaceOverflow(f"{over_budget()} at tape position {k}")
-    return list(nodes.values())
+            child = nodes.get(key)
+            if child is None:
+                child = nodes[key] = len(out)
+                out.append((here, i, group))
+                tapes.append(tape[: k + 1])
+                held += stepper.size(here)
+                if held > model.ENTRY_BUDGET:
+                    raise StateSpaceOverflow(f"{over_budget()} at tape position {k}")
+            else:
+                merged = out[child][2]
+                for member, count in group.items():
+                    merged[member] = merged.get(member, 0) + count
+            links.append((parent, symbol, child))
+    return out, tapes, links, ends
 
 
 def _keep_reached(stepper, layer) -> int:

@@ -1,17 +1,30 @@
 """Built-in recognizer for the two-way mirrored comparison language."""
 
+import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpag import problem1, simulate
-from qpag.errors import InvariantError, LengthMismatch
-from qpag.model import POP, make_tape, push, run_bounds
+from qpag import model, problem1, simulate
+from qpag.errors import InvariantError, LengthMismatch, MachineError, StateSpaceOverflow
+from qpag.machinefile import emit_json
+from qpag.model import (
+    EPSILON,
+    POP,
+    InputAlphabet,
+    MachineQPAG,
+    StackAlphabet,
+    TransitionQPAG,
+    make_tape,
+    push,
+    run_bounds,
+)
 from qpag.simulate import KernelSteps, run, run_batch, run_many
 
 from .corpus import mutants
@@ -211,9 +224,67 @@ def test_sweep_sampled():
     assert rep2.max_deviation == rep.max_deviation
 
 
-def test_sweep_exhaustive_cap():
-    with pytest.raises(InvariantError):
-        problem1.sweep(4)  # 36^4 > 10^6
+def test_sweep_exhaustive_n4_is_exact():
+    # no instance cap: n = 4 runs as layers of counted grader states
+    rep = problem1.sweep(4)
+    assert (rep.checked, rep.failures, rep.max_deviation) == (36**4, (), 0.0)
+
+
+def test_sweep_refuses_a_failure_list_past_the_cap(monkeypatch):
+    # this mutant fails on 630 of the 1,296 instances at n = 2
+    broken = {mu.name: mu.machine for mu in mutants()}["flip-q1_O0-qf_acc"]
+    monkeypatch.setattr(problem1, "FAILURE_CAP", 629)
+    with pytest.raises(MachineError, match="fails on 630 instances; at most 629 are listed"):
+        problem1.sweep(2, machine=broken)
+    monkeypatch.setattr(problem1, "FAILURE_CAP", 630)
+    assert len(problem1.sweep(2, machine=broken).failures) == 630
+
+
+def test_sweep_layer_past_the_entry_budget_overflows(monkeypatch):
+    # at n = 3 a fresh run trips only below 14 entries, but the nodes of
+    # the layer past position 9 (the first w3 symbol) hold 80 together
+    want = problem1.sweep(3)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 79)
+    assert problem1.sweep(3, samples=200).failures == ()
+    with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 79 at tape position 9$"):
+        problem1.sweep(3)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 80)
+    assert problem1.sweep(3) == want
+
+
+# sha256 over emit_json(report.to_json_dict(), floats="repr") of every
+# exhaustive report at n = 1, 2, 3, the built-in machine first, then each
+# mutant in corpus order; failure lists included. Taken from per-word
+# batches before the sweep ran on grader-state counts.
+_EXHAUSTIVE_REPORTS_SHA256 = "b543cd534f51e31f4eea56f962a8230bf8a9830aa9f6334cd62e13afe9c8b330"
+
+
+def test_exhaustive_reports_hash_as_pinned():
+    digest = hashlib.sha256()
+    machines = [problem1.build_machine()] + [mu.machine for mu in mutants()]
+    assert len(machines) == 23
+    for m in machines:
+        for n in (1, 2, 3):
+            digest.update(emit_json(problem1.sweep(n, machine=m).to_json_dict(), floats="repr").encode())
+    assert digest.hexdigest() == _EXHAUSTIVE_REPORTS_SHA256
+
+
+def test_asymmetric_sweep_memory_stays_small():
+    # scale-split-b treats b unlike a and c, so its sweep expands every w1;
+    # it fails on 15,552 instances at n = 3, and their failure list is
+    # most of what the sweep holds at its peak. Measured with tracemalloc
+    # on CPython 3.11: 6.0 MB, where a sweep holding a word list per
+    # candidate peaked at 22.2 MB
+    broken = {mu.name: mu.machine for mu in mutants()}["scale-split-b"]
+    problem1.sweep(1, machine=broken)  # caches the symmetry verdict
+    tracemalloc.start()
+    try:
+        rep = problem1.sweep(3, machine=broken)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rep.failures) == 15552
+    assert peak < 12 * 2**20
 
 
 def test_sweep_flags_a_wrong_machine():
@@ -378,47 +449,134 @@ def test_sweep_of_an_asymmetric_copy_runs_per_instance():
         assert rep == _per_instance_report(n, m)
 
 
+def _rerouted(pick, target, move):
+    """The built-in machine with every row ``pick(row)`` holds sent to
+    ``target`` with an epsilon stack operation, head move ``move`` and
+    amplitude 1, duplicates dropped."""
+    rows = []
+    for t in problem1.build_machine().transitions:
+        if pick(t):
+            t = replace(t, target=target, op=EPSILON, move=move, amp=1 + 0j)
+        if t not in rows:
+            rows.append(t)
+    return replace(problem1.build_machine(), transitions=tuple(rows))
+
+
+_ENDS_EARLY = {
+    # every run halts in the accepting state at the first separator, so
+    # the no-instances fail; the copy still treats a, b, c alike
+    "accept-at-hash": lambda: _rerouted(lambda t: (t.source, t.read) == ("q0", "#"), "qf_acc", 1),
+    # a c in w1 rejects at once
+    "reject-c": lambda: _rerouted(lambda t: (t.source, t.read) == ("q0", "c"), "qf_rej", 1),
+    # a b in w1 stands still until the step budget runs out
+    "stall-b": lambda: _rerouted(lambda t: (t.source, t.read) == ("q0", "b"), "q0", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENDS_EARLY))
+def test_sweep_folds_runs_that_end_early(name, monkeypatch):
+    # groups whose runs end before the right endmarker fold their grader
+    # counts through the positions left with no kernel step, and their
+    # failures are listed by reading on from each state
+    m = _ENDS_EARLY[name]()
+    early = []
+    real = problem1._Grader.fold
+
+    def spy(grader, k, members):
+        early.append(k + 1 < len(grader.layout))
+        return real(grader, k, members)
+
+    monkeypatch.setattr(problem1._Grader, "fold", spy)
+    for n in (1, 2):
+        rep = problem1.sweep(n, machine=m)
+        assert rep.failures
+        assert rep == _per_instance_report(n, m)
+    assert any(early)
+    assert problem1._symmetric(m) == (name == "accept-at-hash")
+
+
+def test_sweep_lists_the_failures_of_merged_w1_prefixes():
+    # a machine that reads two letters without a stack and accepts on the
+    # second: its w1 prefixes "aa" and "ab" reach one node, whose run is
+    # found ended at the third letter, where only "ab" may go on with c;
+    # walking that failing group back must keep to the states that read c
+    rows = [TransitionQPAG("s0", "<", "Z", "s1", EPSILON, 1, 1 + 0j)]
+    for src, tgt in (("s1", "s2"), ("s2", "acc")):
+        rows += [TransitionQPAG(src, x, "Z", tgt, EPSILON, 1, 1 + 0j) for x in "abc"]
+    m = MachineQPAG(
+        states=("s0", "s1", "s2", "acc", "rej"),
+        input_alphabet=InputAlphabet(
+            symbols=("<", "a", "b", "c", "d", "#", ">"), left_end="<", right_end=">"
+        ),
+        stack_alphabet=StackAlphabet(symbols=("Z",), bottom="Z"),
+        transitions=tuple(rows),
+        initial="s0",
+        accepting=frozenset({"acc"}),
+        rejecting=frozenset({"rej"}),
+    )
+    assert problem1._symmetric(m)
+    rep = problem1.sweep(3, machine=m)
+    assert len(rep.failures) == 23436
+    assert rep == _per_instance_report(3, m)
+
+
+def _canonical(w1) -> bool:
+    """True when w1's letters a, b, c first appear in that order."""
+    return all("abc".index(ch) <= len(set(w1[:i])) for i, ch in enumerate(w1))
+
+
 def test_representatives_cover_each_orbit_once():
-    for n, count in ((1, 7), (2, 218), (3, 7780)):
-        reps = [(problem1._instance(tokens), size) for tokens, _, _, size in problem1._representatives(n)]
-        assert len(reps) == count
+    # a representative is an instance whose w1 is canonical; with the
+    # relabellings a failure of it is listed for (one per image of w1) the
+    # representatives cover every instance once, and each stands for its
+    # w1's class: 3 instances when w1 uses one letter, 6 otherwise
+    for n in (1, 2, 3):
         order = {inst: i for i, inst in enumerate(problem1._instances_exhaustive(n))}
-        assert [order[inst] for inst, _ in reps] == sorted(order[inst] for inst, _ in reps)
         covered = set()
-        for inst, size in reps:
-            orbit = problem1._orbit(inst)
-            assert len(orbit) == size and orbit[0] == inst
-            assert covered.isdisjoint(orbit)
-            covered.update(orbit)
+        for inst in order:
+            if not _canonical(inst.w1):
+                continue
+            members = problem1._relabellings(inst)
+            assert members[0] == inst
+            assert len(members) == (3 if len(set(inst.w1)) == 1 else 6)
+            assert all(problem1.classify(m) == problem1.classify(inst) for m in members)
+            assert covered.isdisjoint(members)
+            covered.update(members)
         assert covered == set(order)
-
-
-@pytest.mark.parametrize("n, count", [(1, 7), (2, 218), (3, 7780), (4, 279944)])
-def test_representative_counts(n, count):
-    sizes = [size for _, _, _, size in problem1._representatives(n)]
-    assert len(sizes) == count
-    assert sum(sizes) == 36**n
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_representatives_carry_their_tokens_and_parities(n):
-    for tokens, odd1, odd2, _ in problem1._representatives(n):
-        inst = problem1._instance(tokens)
-        assert inst.tokens() == tokens
+    # a symmetric grader reads exactly the representatives' tapes, and the
+    # state each tape leads to holds its w1, its letters and its two
+    # mismatch parities, so it grades the instance as classify does
+    m = problem1.build_machine()
+    grader = problem1._Grader(m, n, symmetric=True)
+    finals = dict(grader.completions(-1, grader.start))
+    want = [inst for inst in problem1._instances_exhaustive(n) if _canonical(inst.w1)]
+    assert len(finals) == len(want)
+    for inst in want:
+        w1, odd1, odd2, met = finals[make_tape(m, inst.tokens())]
+        assert (w1, met) == (inst.w1, len(set(inst.w1)))
         assert (odd1, odd2) == (
             int(not problem1.even_distinct(inst.w1, inst.w2[::-1])),
             int(not problem1.even_distinct(inst.w1, inst.w3[::-1])),
         )
         assert problem1._class_of(odd1, odd2) == problem1.classify(inst) == ref_classify(inst.w1, inst.w2, inst.w3)
+        assert sum(1 for _ in problem1._relabellings(inst)) == grader.weight((w1, odd1, odd2, met))
 
 
 def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
-    # the sweep runs one representative per orbit, in one batch: a group
-    # steps once per tape position, so the batch makes at most one step per
-    # node of their tapes' prefix trie, root excluded, and groups whose
-    # runs meet merge
+    # the sweep expands only canonical w1 (letters a, b, c first met in that
+    # order), with every w2 and w3 after them, in one batch: a group steps
+    # once per tape position, so the batch makes at most one step per node
+    # of their tapes' prefix trie, root excluded, and groups whose runs meet
+    # merge. 84 steps: two more than when one instance per orbit of the
+    # whole word ran, since w1 = "aa" now walks w2's first letter c beside
+    # b (its runs meet b's at the next layer)
     m = problem1.build_machine()
-    tapes = [make_tape(m, tokens) for tokens, _, _, _ in problem1._representatives(2)]
+    canonical = [inst for inst in problem1._instances_exhaustive(2) if _canonical(inst.w1)]
+    tapes = [make_tape(m, inst.tokens()) for inst in canonical]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
     steps = 0
     real = simulate.measure
@@ -431,8 +589,9 @@ def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
     monkeypatch.setattr(simulate, "measure", counting)
     report = problem1.sweep(2, machine=m)
     assert report.checked == 1296 and not report.failures
-    assert steps == 82
-    assert steps <= len(nodes) == 530
+    assert len(canonical) == 288
+    assert steps == 84
+    assert steps <= len(nodes) == 696
 
 
 @settings(max_examples=40, deadline=None)
