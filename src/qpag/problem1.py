@@ -310,9 +310,35 @@ def _relabelled(pi, symbols) -> tuple[str, ...]:
     return tuple(map(pi.get, symbols, symbols))
 
 
+class _Words:
+    """A set of tape prefixes, all of one length: ``count`` of them, the
+    union over ``parts``, (word set, symbol) pairs, of each part's prefixes
+    extended by its symbol. The root, with no parts, is the empty prefix.
+    Word sets share their parts, so a sweep's word sets form a DAG of
+    shared prefixes, as a GLR parser's shared packed forest does (Tomita
+    1985). ``+`` is the union of disjoint sets."""
+
+    __slots__ = ("count", "parts")
+
+    def __init__(self, count: int = 1, parts: tuple = ()):
+        self.count = count
+        self.parts = parts
+
+    def __add__(self, other: _Words) -> _Words:
+        return _Words(self.count + other.count, self.parts + other.parts)
+
+    def __iter__(self):
+        if not self.parts:
+            yield ()
+        for words, symbol in self.parts:
+            for head in words:
+                yield (*head, symbol)
+
+
 class _Grader:
     """The layout of the size-``n`` instances and the grader states an
-    exhaustive sweep counts, for ``simulate.run_layers``.
+    exhaustive sweep keeps, each with its ``_Words``, for
+    ``simulate.run_layers``.
 
     Tape position k holds one symbol of ``layout[k]``: the left endmarker,
     a/b/c n times, ``#``, a/b/c n times, ``#``, a/b/c/d n times, the right
@@ -364,42 +390,35 @@ class _Grader:
         return (w1, odd1, odd2 ^ (s != w1[3 * n + 2 - k]), met)
 
     def weight(self, g) -> int:
-        """The instances a final state's count stands for, each."""
+        """The instances each word of a final state stands for."""
         if not self.symmetric:
             return 1
         return 3 if g[3] == 1 else 6
 
     def expand(self, k: int, members: dict) -> dict:
         """``members`` read at position ``k``, as ``run_layers`` expands
-        them: (symbol, budget) -> {state: count}."""
+        them: (symbol, budget) -> {state: word set}, each word set
+        extended by the symbol read."""
         out: dict = {}
-        for g, count in members.items():
+        for g, words in members.items():
             for s in self.symbols(k, g):
+                # ``read`` at one position with one symbol is one-to-one, so
+                # no two of ``members`` meet in a group
                 group = out.setdefault((s, self.budget), {})
-                g2 = self.read(k, g, s)
-                group[g2] = group.get(g2, 0) + count
+                group[self.read(k, g, s)] = _Words(words.count, ((words, s),))
         return out
 
     def fold(self, k: int, members: dict) -> dict:
-        """The final states, with their counts, of ``members`` read through
-        every position after ``k``."""
+        """The final states, with their word sets, of ``members`` read
+        through every position after ``k``."""
         for j in range(k + 1, len(self.layout)):
             out: dict = {}
             for group in self.expand(j, members).values():
-                for g, count in group.items():
-                    out[g] = out.get(g, 0) + count
+                for g, words in group.items():
+                    old = out.get(g)
+                    out[g] = words if old is None else old + words
             members = out
         return members
-
-    def completions(self, k: int, g):
-        """(symbols, final state) for every way to read on from state
-        ``g`` through the positions after ``k``."""
-        if k + 1 == len(self.layout):
-            yield (), g
-            return
-        for s in self.symbols(k + 1, g):
-            for rest, final in self.completions(k + 1, self.read(k + 1, g, s)):
-                yield (s, *rest), final
 
 
 def _instance(tokens) -> Instance:
@@ -420,64 +439,6 @@ def _relabellings(inst: Instance) -> list[Instance]:
     return list(images.values())
 
 
-class _Trace:
-    """The layers of an exhaustive sweep, walked back: ``history`` holds,
-    per layer, its nodes' members and the links out of it."""
-
-    def __init__(self, grader: _Grader, history):
-        self.grader = grader
-        self.members = [members for members, _ in history]
-        self.parents = []  # per layer: node -> [(node of the layer before, symbol)]
-        for _, links in history:
-            into: dict = {}
-            for i, s, j in links:
-                into.setdefault(j, []).append((i, s))
-            self.parents.append(into)
-        self.memo: dict = {}
-
-    def heads(self, k: int, node: int, g) -> list:
-        """The tape prefixes, through position k - 1, of the instances
-        that reach ``node`` of layer k in state ``g``."""
-        key = (k, node, g)
-        if key not in self.memo:
-            if k == 0:
-                self.memo[key] = [()]
-            else:
-                read = self.grader.read
-                self.memo[key] = [
-                    (*head, s)
-                    for i, s in self.parents[k - 1].get(node, ())
-                    for g0 in self.members[k - 1][i]
-                    if read(k - 1, g0, s) == g
-                    for head in self.heads(k - 1, i, g0)
-                ]
-        return self.memo[key]
-
-
-def _list_failures(grader: _Grader, history, failing) -> list:
-    """A ``SweepFailure`` for each instance of the failing groups, found by
-    walking the layers' links back from each (node, state) a failing group
-    came from, and reading on from each of its states."""
-    trace = _Trace(grader, history)
-    failures = []
-    for k, node, symbol, group, result, bad in failing:
-        for g0 in trace.members[k][node]:
-            g = grader.read(k, g0, symbol)
-            if g not in group:
-                continue
-            tails = [
-                (tail, cls)
-                for tail, final in grader.completions(k, g)
-                if (cls := _class_of(final[1], final[2])) in bad
-            ]
-            for head in trace.heads(k, node, g0) if tails else ():
-                for tail, cls in tails:
-                    inst = _instance((*head, symbol, *tail)[1:-1])
-                    for member in _relabellings(inst) if grader.symmetric else (inst,):
-                        failures.append(_failure(member, cls, result))
-    return failures
-
-
 def _failure(inst: Instance, expected: str, result) -> SweepFailure:
     return SweepFailure(
         word=inst.word(),
@@ -496,39 +457,37 @@ def _deviations(result) -> dict:
 def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float):
     """(checked, failures, max deviation) over every instance of size
     ``n``, run as one ``simulate.run_layers`` batch whose members are
-    ``_Grader`` states."""
+    ``_Grader`` states, each with the ``_Words`` it stands for."""
     grader = _Grader(machine, n, _symmetric(machine))
-    history = []  # per layer: its nodes' members, the links out of it
-    members = [{grader.start: 1}]
-    failing = []
+    failing = []  # (final word set, expected class, result)
     checked = 0
     count_failing = 0
     max_dev = 0.0
-    layers = run_layers(KernelSteps(machine), members[0], grader.expand)
-    for k, (layer, links, ends) in enumerate(layers):
-        history.append((members, links))
-        members = [node[2] for node in layer]
-        for parent, symbol, group, result in ends:
+    layers = run_layers(KernelSteps(machine), {grader.start: _Words()}, grader.expand)
+    for k, ends in enumerate(layers):
+        for group, result in ends:
             devs = _deviations(result)
-            bad = set()
-            for g, count in grader.fold(k, group).items():
+            for g, words in grader.fold(k, group).items():
                 cls = _class_of(g[1], g[2])
                 dev = devs[cls]
                 if dev > max_dev:
                     max_dev = dev
-                weighted = count * grader.weight(g)
+                weighted = words.count * grader.weight(g)
                 checked += weighted
                 if dev > tol:
-                    bad.add(cls)
+                    failing.append((words, cls, result))
                     count_failing += weighted
-            if bad:
-                failing.append((k, parent, symbol, group, result, bad))
     if count_failing > FAILURE_CAP:
         raise MachineError(
             f"exhaustive sweep at n={n} fails on {count_failing} instances; "
             f"at most {FAILURE_CAP} are listed"
         )
-    failures = _list_failures(grader, history, failing)
+    failures = []
+    for words, cls, result in failing:
+        for tokens in words:
+            inst = _instance(tokens[1:-1])
+            for member in _relabellings(inst) if grader.symmetric else (inst,):
+                failures.append(_failure(member, cls, result))
     # words of one n hold "#" at the same places, so word order is
     # enumeration order
     failures.sort(key=lambda f: f.word)
@@ -553,19 +512,21 @@ def sweep(
 
     Exhaustive mode covers all 36**n instances as one
     ``simulate.run_layers`` batch over ``_Grader``'s layout. Its members
-    are grader states with exact counts, not words, so the instances that
-    share a prefix share its steps, and runs that meet merge. Runs do
-    meet: the branch pair comparing w1 with reversed w2 pops w1 onto the
-    garbage tape whatever w2 is, so after the second ``#`` the vector
-    depends only on w1 and the two parities. A group whose run ends before
-    the right endmarker folds its counts through the positions left with
-    no kernel step. Grading reads only the grader state (``_class_of``, as
-    ``classify`` grades an instance), never the run. A failing group's
-    instances are found by walking the layers' links back from it, and a
-    sweep whose failures pass ``FAILURE_CAP`` is refused with a
-    ``MachineError`` naming their count. The only other limit is the entry
-    budget: a layer whose nodes hold more than ``model.ENTRY_BUDGET``
-    entries raises ``StateSpaceOverflow`` naming its tape position.
+    are grader states, each with the set of words it stands for: a
+    ``_Words``, an exact count and parts shared with the word sets it grew
+    from. So the instances that share a prefix share its steps, and runs
+    that meet merge. Runs do meet: the branch pair comparing w1 with
+    reversed w2 pops w1 onto the garbage tape whatever w2 is, so after the
+    second ``#`` the vector depends only on w1 and the two parities. A
+    group whose run ends before the right endmarker folds its word sets
+    through the positions left with no kernel step. Grading reads only the
+    grader state (``_class_of``, as ``classify`` grades an instance) and
+    its word set's count, never the run. A failing final state's
+    instances are read off its word set, and a sweep whose failures pass
+    ``FAILURE_CAP`` is refused with a ``MachineError`` naming their count.
+    The only other limit is the entry budget: a layer whose nodes hold
+    more than ``model.ENTRY_BUDGET`` entries raises ``StateSpaceOverflow``
+    naming its tape position.
     ``checked`` is an exact int; from n = 11 it passes 2**53, past which a
     JSON reader that parses it as a double loses exactness.
 

@@ -62,8 +62,8 @@ every quantum engine shares, and the step loop every run shares.
   ``step``, ``alive`` and ``result`` read, as a hashable value, its
   vectors' items in insertion order. The runs advance together, one layer
   per tape position. A node of a layer is a checkpoint, its step, its
-  known tape and its members: opaque keys with counts, each standing for
-  that many runs; the first layer is the start checkpoint with the
+  known tape and its members: opaque keys with values, each standing for
+  some of the runs; the first layer is the start checkpoint with the
   caller's members. At position k the caller's ``expand`` splits each
   node's members into groups by (symbol at k, budget), handing back each
   group's members as it wants them one position on. Each group steps
@@ -71,16 +71,16 @@ every quantum engine shares, and the step loop every run shares.
   filler symbol, until a step has read position k; on the group's last
   position, the right endmarker, it steps to the end instead. A group
   whose run has ended is handed back with the result. The others become
-  the next layer's nodes, two groups merging into one node, their counts
-  added key by key, when their keys ``(budget, step, tape[low:k + 1],
-  stepper.key(checkpoint))`` are equal, ``low`` being the checkpoint's
-  smallest head. Each layer is yielded with its links (which node each
-  group went into), so a caller can walk a member back to the words it
-  stands for.
+  the next layer's nodes, two groups merging into one node, their values
+  added key by key with ``+``, when their keys ``(budget, step,
+  tape[low:k + 1], stepper.key(checkpoint))`` are equal, ``low`` being
+  the checkpoint's smallest head. The loop yields only each layer's
+  ends, (group members, result) pairs.
   ``run_batch(stepper, runs)`` takes (tape, step budget) pairs and returns
   the stepper's result for each: its members are run indices, each
   counted once, grouped by their tapes. ``problem1.sweep``'s exhaustive
-  mode supplies a layout and counts grader states instead.
+  mode supplies a layout and keeps, per grader state, the set of words
+  the state stands for.
 * Why merging is exact: a step reads the tape only at the heads of what
   enters it (the parked check compares a head with the tape's length),
   and heads move 0 or 1, never left, so after a step that read at most
@@ -99,11 +99,12 @@ every quantum engine shares, and the step loop every run shares.
   the budget and all a checkpoint gives ``step``, ``alive`` and
   ``result``, and the tape from ``low`` through k, all that the rest of
   the run reads below k + 1; positions from k + 1 on are grouped by the
-  next layers. Counts only say how many runs a member stands for, and
-  are added, never read, by the loop. A run that ends before its last
-  position (its mass halts or its budget runs out) reads nothing more,
-  so its result holds for every way its tape goes on: a caller may fold
-  such a group's members through the positions left without a step.
+  next layers. A member and its value stand for some of the runs; the
+  loop only adds values with ``+`` and never reads them. A run that ends
+  before its last position (its mass halts or its budget runs out) reads
+  nothing more, so its result holds for every way its tape goes on: a
+  caller may fold such a group's members through the positions left
+  without a step.
   Each result is then the one a fresh run gives, with ``==``. Floats
   compare with ``==``, under which 0.0 and -0.0 are equal; a signed zero
   never reaches a result, since every ledger term is a square, a norm or
@@ -495,7 +496,8 @@ def run_batch(stepper, runs) -> list:
     ``model.run_bounds`` gives it, in input order: each ``==`` a fresh
     ``walk_to_end`` of the tape's word. A tape ends with the only right
     endmarker it holds. The runs go through ``run_layers`` as its members,
-    one per run index."""
+    one per run index with value 1, and each end's group names the runs
+    that share its result."""
     results = [None] * len(runs)
 
     def expand(k, members):
@@ -505,8 +507,8 @@ def run_batch(stepper, runs) -> list:
             groups.setdefault((tape[k], budget), {})[m] = 1
         return groups
 
-    for _, _, ends in run_layers(stepper, dict.fromkeys(range(len(runs)), 1), expand):
-        for _, _, group, result in ends:
+    for ends in run_layers(stepper, dict.fromkeys(range(len(runs)), 1), expand):
+        for group, result in ends:
             for m in group:
                 results[m] = result
     return results
@@ -515,17 +517,15 @@ def run_batch(stepper, runs) -> list:
 def run_layers(stepper, members: dict, expand):
     """The one layer loop of every batch (the module docstring gives the
     rules and why merging is exact). ``members`` are the start node's
-    members, opaque keys with counts; ``expand(k, members)`` splits a
+    members, opaque keys with values; ``expand(k, members)`` splits a
     node's members by what its runs read at tape position ``k``: a dict
     (symbol at ``k``, step budget) -> that group's members, a new dict with
-    the keys and counts the caller wants one position on; the loop adds
-    the groups a node merges into the first one's dict.
+    the keys and values the caller wants one position on. When groups
+    merge into one node, the loop adds the later ones' members into the
+    first one's dict with ``old + value``.
 
-    Yields, for each position k, (layer k + 1, its links, its ends): the
-    layer is a list of nodes (checkpoint, step, members); a link (i,
-    symbol, j) says a group of node i of layer k that read ``symbol`` went
-    into node j; an end (i, symbol, group, result) gives the result of a
-    group whose run ended."""
+    Yields, for each position k, the ends of layer k + 1: a list of (group
+    members, result) pairs, one per group whose run ended."""
     right_end = stepper.machine.input_alphabet.right_end
     layer = [(stepper.start(), 0, members)]
     known = [()]
@@ -534,8 +534,8 @@ def run_layers(stepper, members: dict, expand):
     ended = False
     k = 0
     while layer:
-        layer, known, links, ends = _advance(stepper, layer, known, k, expand, right_end)
-        yield layer, links, ends
+        layer, known, ends = _advance(stepper, layer, known, k, expand, right_end)
+        yield ends
         ended = ended or bool(ends)
         if ended and len(table) > limit:
             limit = 2 * _keep_reached(stepper, layer)
@@ -548,16 +548,14 @@ def _advance(stepper, layer, known, k, expand, right_end):
     positions below ``k`` and whose known tapes, through position k - 1,
     are ``known``: each node's members are expanded at ``k`` and each group
     walked past position ``k`` on the node's tape, its symbol at ``k`` and
-    one filler symbol. Returns (nodes, their known tapes, links, ends), as
-    ``run_layers`` yields them."""
+    one filler symbol. Returns (nodes, their known tapes, ends), the ends
+    as ``run_layers`` yields them."""
     nodes: dict = {}
     out: list = []
     tapes: list = []
-    links: list = []
     ends: list = []
     held = 0
-    for parent, (point, step, members) in enumerate(layer):
-        prefix = known[parent]
+    for (point, step, members), prefix in zip(layer, known):
         for (symbol, budget), group in expand(k, members).items():
             last = symbol == right_end
             tape = prefix + (symbol,) if last else prefix + (symbol, None)
@@ -566,23 +564,22 @@ def _advance(stepper, layer, known, k, expand, right_end):
                 if read >= k and not last:
                     break
             else:
-                ends.append((parent, symbol, group, stepper.result(here, i)))
+                ends.append((group, stepper.result(here, i)))
                 continue
             key = (budget, i, tape[stepper.lowest(here) : k + 1], stepper.key(here))
             child = nodes.get(key)
             if child is None:
-                child = nodes[key] = len(out)
+                nodes[key] = group
                 out.append((here, i, group))
                 tapes.append(tape[: k + 1])
                 held += stepper.size(here)
                 if held > model.ENTRY_BUDGET:
                     raise StateSpaceOverflow(f"{over_budget()} at tape position {k}")
             else:
-                merged = out[child][2]
-                for member, count in group.items():
-                    merged[member] = merged.get(member, 0) + count
-            links.append((parent, symbol, child))
-    return out, tapes, links, ends
+                for member, value in group.items():
+                    old = child.get(member)
+                    child[member] = value if old is None else old + value
+    return out, tapes, ends
 
 
 def _keep_reached(stepper, layer) -> int:

@@ -549,10 +549,17 @@ def test_representatives_cover_each_orbit_once():
 def test_representatives_carry_their_tokens_and_parities(n):
     # a symmetric grader reads exactly the representatives' tapes, and the
     # state each tape leads to holds its w1, its letters and its two
-    # mismatch parities, so it grades the instance as classify does
+    # mismatch parities, so it grades the instance as classify does. Each
+    # final state's word set yields as many words as its count, none twice:
+    # grading weighs the count and the failure listing reads the words
     m = problem1.build_machine()
     grader = problem1._Grader(m, n, symmetric=True)
-    finals = dict(grader.completions(-1, grader.start))
+    finals = {}
+    for g, words in grader.fold(-1, {grader.start: problem1._Words()}).items():
+        tapes = list(words)
+        assert words.count == len(tapes) == len(set(tapes))
+        assert finals.keys().isdisjoint(tapes)
+        finals.update(dict.fromkeys(tapes, g))
     want = [inst for inst in problem1._instances_exhaustive(n) if _canonical(inst.w1)]
     assert len(finals) == len(want)
     for inst in want:
