@@ -8,8 +8,7 @@ fields: its probability, its stack, and a unit-norm amplitude vector over
 (state, head) pairs; children are renormalized after measurement.
 ``qcpda_step`` is the kernel's step, ``simulate.evolve`` then
 ``simulate.measure``, with ``measure``'s survivors split by scheduled stack
-operation, so its ledger follows the kernel's rules, and the largest head
-it read is ``evolve``'s.
+operation, so its ledger follows the kernel's rules.
 
 A branch's stack is an interned cell (``simulate.cons``,
 ``simulate.stack_after``) in the cell table of its run, which
@@ -32,7 +31,9 @@ vectors were filled.
 ``run_qcpda`` walks one word's frontier through ``BranchSteps`` with
 ``simulate.walk_to_end``, holding only the live frontier;
 ``simulate.run_batch`` over the same stepper serves only
-``compiler.equiv_check``'s batches of words. ``dump_branches`` walks the
+``compiler.equiv_check``'s batches of words; the heads it reads off a
+checkpoint are those of the branches at or above ``HALT_MASS``, since the
+next step drops the others unread. ``dump_branches`` walks the
 unmerged tree through ``TreeSteps``, so it is under the entry budget too.
 """
 
@@ -72,7 +73,6 @@ class StepDeltas(NamedTuple):
     rej: float
     parked: float
     truncated: float
-    read: int  # the largest head the step read, from ``evolve``
 
 
 def initial_branch(machine: MachineQCPDA, table: dict) -> Branch:
@@ -95,16 +95,15 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     Returns the classical children (one per stack-operation outcome with
     surviving mass, in the order the outcomes first occur), this branch's
     contributions to the probability ledgers, already scaled by the branch
-    probability, and the largest head the step read. The truncated mass is
-    (undefined-column mass) + (pruned mass), as in the kernel. The
-    children's stacks are interned in ``table``, the run's cell table.
-    ``evolve`` holds the branch's own step to the entry budget.
+    probability. The truncated mass is (undefined-column mass) + (pruned
+    mass), as in the kernel. The children's stacks are interned in
+    ``table``, the run's cell table. ``evolve`` holds the branch's own step to the entry budget.
     """
     stack = branch.cell
     top = stack.symbol
     prob = branch.prob
     limit = room(len(branch.psi) + len(table))
-    out, parked, undefined, read = evolve(
+    out, parked, undefined = evolve(
         branch.psi, tape, machine.columns, lambda key: top, _move, limit
     )
     rest, acc, rej, pruned, _ = measure(machine, out)
@@ -133,7 +132,6 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
         rej=prob * rej,
         parked=prob * parked,
         truncated=prob * (undefined + pruned),
-        read=read,
     )
 
 
@@ -162,14 +160,12 @@ class BranchSteps:
         fingerprint = self.fingerprint
         limit = room(self.size(point) + len(self.table))
         entries = 0
-        read = -1
         merged: dict = {}
         for branch in frontier:
             if branch.prob < HALT_MASS:
                 p_non += branch.prob
                 continue
             deltas = qcpda_step(machine, tape, branch, self.table)
-            read = max(read, deltas.read)
             p_acc += deltas.acc
             p_rej += deltas.rej
             p_non += deltas.parked
@@ -184,7 +180,7 @@ class BranchSteps:
                         raise over_budget()
                 else:
                     merged[fp] = Branch(old.prob + child.prob, old.cell, old.psi)
-        return (tuple(merged.values()), p_acc, p_rej, p_non, truncated), read
+        return tuple(merged.values()), p_acc, p_rej, p_non, truncated
 
     def alive(self, point) -> bool:
         return bool(point[0])
@@ -200,8 +196,9 @@ class BranchSteps:
     def cells(self, point):
         return (branch.cell for branch in point[0])
 
-    def lowest(self, point) -> int:
-        return min((min(map(head_of, b.psi)) for b in point[0]), default=-1)
+    def heads(self, point):
+        # a branch below HALT_MASS is dropped at the next step, unread
+        return (head_of(key) for b in point[0] if not b.prob < HALT_MASS for key in b.psi)
 
     def key(self, point):
         frontier, *sums = point
@@ -243,7 +240,7 @@ def dump_branches(
     stepper = TreeSteps(machine)
     levels = []
     tape, budget = run_bounds(machine, word, max_steps)
-    for i, (frontier, *_), _ in walk(stepper, tape, stepper.start(), 1, budget):
+    for i, (frontier, *_) in walk(stepper, tape, stepper.start(), 1, budget):
         levels.append(
             {
                 "step": i,

@@ -67,11 +67,8 @@ class PPASteps:
         table = self.table
         limit = room(len(dist) + len(table))
         n = len(tape)
-        read = -1
         new: dict = {}
         for (state, head, stack), mass in dist.items():
-            if head > read:
-                read = head
             if head >= n:
                 leaked += mass
                 continue
@@ -93,7 +90,7 @@ class PPASteps:
                     new[succ] = new.get(succ, 0.0) + part
                     if len(new) > limit:
                         raise over_budget()
-        return (new, p_acc, p_rej, leaked), read
+        return new, p_acc, p_rej, leaked
 
     def alive(self, point) -> bool:
         return not plain_sum(point[0].values()) < HALT_MASS

@@ -42,6 +42,14 @@ def _load(path: str):
     return parse_machine(text)
 
 
+def _save(path: str, machine) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_machine(machine))
+    except OSError as exc:
+        raise MachineError(f"cannot write {path}: {exc}") from exc
+
+
 def _word(args) -> tuple[str, ...]:
     raw = args.input
     if args.tokens:
@@ -109,8 +117,7 @@ def _cmd_compile(args) -> int:
     if not isinstance(machine, MachineQCPDA):
         raise SchemaError("compile requires a qcpda machine file")
     image, cmap = compile_qcpda(machine)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        fh.write(serialize_machine(image))
+    _save(args.output, image)
     doc = {"output": args.output, "map": cmap.to_json_dict()}
     status = 0
     if args.equiv_words is not None:
@@ -126,8 +133,7 @@ def _cmd_compile(args) -> int:
 def _cmd_problem1(args) -> int:
     if args.p1_cmd == "build":
         machine = problem1.build_machine()
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(serialize_machine(machine))
+        _save(args.output, machine)
         _emit(
             {
                 "output": args.output,

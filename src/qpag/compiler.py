@@ -175,7 +175,7 @@ class ImageSteps(KernelSteps):
         return super().start() + (True,)
 
     def step(self, point, tape, i):
-        inner, head = super().step(point, tape, i)
+        inner = super().step(point, tape, i)
         decoherent = point[-1]
         if decoherent and i % 3 == 0:
             groups: dict = {}
@@ -183,7 +183,7 @@ class ImageSteps(KernelSteps):
             for conf in inner[0]:
                 groups.setdefault(conf.garbage, set()).add(conf.stack)
             decoherent = all(len(stacks) == 1 for stacks in groups.values())
-        return inner + (decoherent,), head
+        return inner + (decoherent,)
 
     def result(self, point, steps: int):
         res = super().result(point, steps)

@@ -312,8 +312,10 @@ def _relabelled(pi, symbols) -> tuple[str, ...]:
 
 class _Words:
     """A set of tape prefixes, all of one length: ``count`` of them, the
-    union over ``parts``, (word set, symbol) pairs, of each part's prefixes
-    extended by its symbol. The root, with no parts, is the empty prefix.
+    union over ``parts``, a flat tuple (word set, symbol, word set, symbol,
+    ...), of each word set's prefixes extended by the symbol after it: one
+    tuple per word set and no pair tuples, so the cyclic garbage collector
+    tracks fewer objects. The root, with no parts, is the empty prefix.
     Word sets share their parts, so a sweep's word sets form a DAG of
     shared prefixes, as a GLR parser's shared packed forest does (Tomita
     1985). ``+`` is the union of disjoint sets."""
@@ -330,7 +332,8 @@ class _Words:
     def __iter__(self):
         if not self.parts:
             yield ()
-        for words, symbol in self.parts:
+        it = iter(self.parts)
+        for words, symbol in zip(it, it):
             for head in words:
                 yield (*head, symbol)
 
@@ -405,7 +408,7 @@ class _Grader:
                 # ``read`` at one position with one symbol is one-to-one, so
                 # no two of ``members`` meet in a group
                 group = out.setdefault((s, self.budget), {})
-                group[self.read(k, g, s)] = _Words(words.count, ((words, s),))
+                group[self.read(k, g, s)] = _Words(words.count, (words, s))
         return out
 
     def fold(self, k: int, members: dict) -> dict:

@@ -21,8 +21,8 @@ every quantum engine shares, and the step loop every run shares.
 * A step makes two passes over its data. ``evolve(psi, tape, columns,
   top, succ, limit)`` is the first, one unmeasured step of any sparse vector
   whose keys start with (state, head): expand every key through its
-  column, accumulate, count parked and undefined-column mass, and find the
-  largest head read. ``measure(machine, psi)`` is the kernel's second:
+  column, accumulate, and count parked and undefined-column mass.
+  ``measure(machine, psi)`` is the kernel's second:
   prune, drain accepting and rejecting mass, keep the survivors and sum
   their squared norm. ``KernelSteps`` and ``branching.qcpda_step`` both
   step through the two; ``qcpda_step`` then splits ``measure``'s
@@ -30,11 +30,10 @@ every quantum engine shares, and the step loop every run shares.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
   every run, quantum or classical, and of the unitarity audit. A stepper
   gives ``start()``, checkpoint 0; ``step(point, tape, i)``, checkpoint
-  ``i`` from checkpoint ``i - 1`` and the largest head step ``i`` read;
-  ``alive(point)``, whether another step may follow; and ``result(point,
-  steps)``. From ``point``, checkpoint ``first - 1``, ``walk`` yields
-  ``(i, checkpoint i, head read)`` for each step ``i <= budget`` it takes
-  while ``alive`` holds, and names the step in a StateSpaceOverflow: it
+  ``i`` from checkpoint ``i - 1``, and nothing else; ``alive(point)``,
+  whether another step may follow; and ``result(point, steps)``. From
+  ``point``, checkpoint ``first - 1``, ``walk`` yields ``(i, checkpoint
+  i)`` for each step ``i <= budget`` it takes while ``alive`` holds, and names the step in a StateSpaceOverflow: it
   is the only code that names the step of an overflow.
   ``walk_to_end(stepper, word, max_steps)`` walks one fresh run of a word
   to its end and returns its last checkpoint and step count. The
@@ -57,45 +56,49 @@ every quantum engine shares, and the step loop every run shares.
 * ``run_layers(stepper, members, expand)`` is the one layer loop of every
   batch. Its stepper also gives ``size(point)``, the entries a checkpoint
   holds; ``cells(point)``, the cells of its ``table`` a checkpoint holds;
-  ``lowest(point)``, the smallest head among a checkpoint's entries (-1
-  if it holds none); and ``key(point)``, everything of a checkpoint that
+  ``heads(point)``, the heads of the entries the next step from a
+  checkpoint reads; and ``key(point)``, everything of a checkpoint that
   ``step``, ``alive`` and ``result`` read, as a hashable value, its
   vectors' items in insertion order. The runs advance together, one layer
   per tape position. A node of a layer is a checkpoint, its step, its
-  known tape and its members: opaque keys with values, each standing for
-  some of the runs; the first layer is the start checkpoint with the
-  caller's members. At position k the caller's ``expand`` splits each
-  node's members into groups by (symbol at k, budget), handing back each
-  group's members as it wants them one position on. Each group steps
-  through ``walk`` on the node's known tape, its symbol at k and one
-  filler symbol, until a step has read position k; on the group's last
-  position, the right endmarker, it steps to the end instead. A group
-  whose run has ended is handed back with the result. The others become
-  the next layer's nodes, two groups merging into one node, their values
-  added key by key with ``+``, when their keys ``(budget, step,
-  tape[low:k + 1], stepper.key(checkpoint))`` are equal, ``low`` being
-  the checkpoint's smallest head. The loop yields only each layer's
-  ends, (group members, result) pairs.
+  members, opaque keys with values, each standing for some of the runs,
+  and its known tape; the first layer is the start checkpoint with the
+  caller's members and an empty tape. At position k the caller's
+  ``expand`` splits each node's members into groups by (symbol at k,
+  budget), handing back each group's members as it wants them one
+  position on. Each group steps through ``walk`` on the node's known tape
+  and its symbol at k through the first step whose starting checkpoint
+  has a head at k, the step that reads k; the node's own heads are read
+  once for all its groups. On the group's last position, the right
+  endmarker, it steps to the end instead. A group whose run has ended is
+  handed back with the result. The others become the next layer's nodes,
+  with the walked tape as their known tape, two groups merging into one
+  node, their values added key by key with ``+``, when their keys
+  ``(budget, step, tape[low:k + 1], stepper.key(checkpoint))`` are equal,
+  ``low`` being the smallest of the checkpoint's heads (k + 1 if it has
+  none). The loop yields only each layer's ends, (group members, result)
+  pairs.
   ``run_batch(stepper, runs)`` takes (tape, step budget) pairs and returns
   the stepper's result for each: its members are run indices, each
   counted once, grouped by their tapes. ``problem1.sweep``'s exhaustive
   mode supplies a layout and keeps, per grader state, the set of words
   the state stands for.
-* Why merging is exact: a step reads the tape only at the heads of what
-  enters it (the parked check compares a head with the tape's length),
-  and heads move 0 or 1, never left, so after a step that read at most
-  position k every head is at most k + 1. Take a node at layer k: its
-  heads are at most k, and the tapes of all the runs its members stand
-  for agree from its smallest head ``low`` through k - 1, where its known
-  tape holds them; a group's also agree at k. So each step of the group's
-  walk reads only positions ``low`` through k, where the runs agree and
-  the walked tape holds their symbols, and every head stays at most k
-  until a step reads k, where the walk stops; the filler past k is never
-  read. The parked check decides alike for every run too: no word holds
-  an endmarker, so a run whose tape ends at k ends the tapes of its whole
-  group there, and the others' tapes, like the walked one, are longer
-  than k + 1. So the walk yields, float for float, the checkpoints each
-  run's fresh walk computes. A merge keeps this: a key fixes the step,
+* Why merging is exact: a step reads the tape only at the ``heads`` of
+  the checkpoint it starts from (the parked check compares a head with
+  the tape's length), and heads move 0 or 1, never left, so after a step
+  that read at most position k every head is at most k + 1. Take a node
+  at layer k: its heads are at most k, and the tapes of all the runs its
+  members stand for agree from its smallest head ``low`` through k - 1,
+  where its known tape holds them; a group's also agree at k. So each
+  step of the group's walk reads only positions ``low`` through k, where
+  the runs agree and the walked tape holds their symbols, and every head
+  stays at most k until a step reads k, where the walk stops. The parked
+  check decides alike for every run too: each head it compares is at
+  most k, below the walked tape's length k + 1 and below every run's tape
+  length, until a last group's walk goes on past k, and a last group's
+  tapes all end at k as the walked one does (no word holds an endmarker).
+  So the walk yields, float for float, the checkpoints each run's fresh
+  walk computes. A merge keeps this: a key fixes the step,
   the budget and all a checkpoint gives ``step``, ``alive`` and
   ``result``, and the tape from ``low`` through k, all that the rest of
   the run reads below k + 1; positions from k + 1 on are grouped by the
@@ -301,13 +304,11 @@ def evolve(psi, tape, columns, top, succ, limit):
     ``succ(key, t)`` the key row ``t`` leads to. This is the first of a
     step's two passes: it expands and accumulates, and prunes nothing.
 
-    Returns (new vector, parked mass, undefined mass, largest head read):
-    parked is the mass whose head is past the right endmarker, undefined
-    the mass on undefined columns, each summed in ``psi``'s order, and the
-    largest head is taken over every key of ``psi``, parked ones included
-    (-1 if ``psi`` is empty). The caller passes the new vector to
-    ``measure`` and counts (undefined mass) + (pruned mass) as the step's
-    truncated mass.
+    Returns (new vector, parked mass, undefined mass): parked is the mass
+    whose head is past the right endmarker, undefined the mass on
+    undefined columns, each summed in ``psi``'s order. The caller passes
+    the new vector to ``measure`` and counts (undefined mass) + (pruned
+    mass) as the step's truncated mass.
     Raises ``model.over_budget()`` as soon as the new vector holds more
     than ``limit`` keys: the caller passes ``model.room`` of the entries it
     holds, so the step trips when (held + new keys) pass ``ENTRY_BUDGET``.
@@ -317,11 +318,8 @@ def evolve(psi, tape, columns, top, succ, limit):
     get = out.get
     parked = 0.0
     undefined = 0.0
-    read = -1
     for key, amp in psi.items():
         head = key[1]
-        if head > read:
-            read = head
         if head >= n:
             parked += abs(amp) ** 2
             continue
@@ -334,7 +332,7 @@ def evolve(psi, tape, columns, top, succ, limit):
             out[nxt] = get(nxt, 0j) + amp * t.amp
             if len(out) > limit:
                 raise over_budget()
-    return out, parked, undefined, read
+    return out, parked, undefined
 
 
 def measure(machine: MachineQPAG, psi: StateVector):
@@ -393,18 +391,18 @@ class StepRecord:
 
 def walk(stepper, tape, point, first: int, budget: int):
     """The step loop of every run: from ``point``, the stepper's
-    checkpoint ``first - 1``, yield ``(i, checkpoint i, largest head step
-    i read)`` for i = first, first + 1, ... up to ``budget``, while the
-    stepper finds its last checkpoint alive. A StateSpaceOverflow raised
-    inside a step is raised again with the step's number."""
+    checkpoint ``first - 1``, yield ``(i, checkpoint i)`` for i = first,
+    first + 1, ... up to ``budget``, while the stepper finds its last
+    checkpoint alive. A StateSpaceOverflow raised inside a step is raised
+    again with the step's number."""
     for i in range(first, budget + 1):
         if not stepper.alive(point):
             return
         try:
-            point, read = stepper.step(point, tape, i)
+            point = stepper.step(point, tape, i)
         except StateSpaceOverflow as exc:
             raise StateSpaceOverflow(f"{exc} at step {i}") from None
-        yield i, point, read
+        yield i, point
 
 
 def walk_to_end(stepper, word, max_steps: Optional[int] = None):
@@ -414,7 +412,7 @@ def walk_to_end(stepper, word, max_steps: Optional[int] = None):
     tape, budget = run_bounds(stepper.machine, word, max_steps)
     point = stepper.start()
     steps = 0
-    for steps, point, _ in walk(stepper, tape, point, 1, budget):
+    for steps, point in walk(stepper, tape, point, 1, budget):
         pass
     return point, steps
 
@@ -435,12 +433,12 @@ class KernelSteps:
     def step(self, point, tape, i):
         psi, acc, rej, parked, truncated = point[:5]
         limit = room(len(psi) + len(self.table))
-        psi, d_parked, d_undefined, read = evolve(
+        psi, d_parked, d_undefined = evolve(
             psi, tape, self.machine.columns, _stack_top, self._succ, limit
         )
         psi, d_acc, d_rej, d_pruned, norm = measure(self.machine, psi)
         d_truncated = d_undefined + d_pruned
-        point = (
+        return (
             psi,
             acc + d_acc,
             rej + d_rej,
@@ -452,7 +450,6 @@ class KernelSteps:
             d_parked,
             d_truncated,
         )
-        return point, read
 
     def alive(self, point) -> bool:
         return not point[5] < HALT_MASS
@@ -469,8 +466,8 @@ class KernelSteps:
             yield conf.stack
             yield conf.garbage
 
-    def lowest(self, point) -> int:
-        return min(map(head_of, point[0]), default=-1)
+    def heads(self, point):
+        return map(head_of, point[0])
 
     def key(self, point):
         return (*point[1:6], tuple(point[0].items()))
@@ -487,7 +484,7 @@ def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecor
     InvariantError when the first record is taken."""
     stepper = KernelSteps(machine)
     budget = step_budget(max_steps)
-    for i, point, _ in walk(stepper, tape, stepper.start(), 1, budget):
+    for i, point in walk(stepper, tape, stepper.start(), 1, budget):
         yield _record(i, point)
 
 
@@ -527,14 +524,13 @@ def run_layers(stepper, members: dict, expand):
     Yields, for each position k, the ends of layer k + 1: a list of (group
     members, result) pairs, one per group whose run ended."""
     right_end = stepper.machine.input_alphabet.right_end
-    layer = [(stepper.start(), 0, members)]
-    known = [()]
+    layer = [(stepper.start(), 0, members, ())]
     table = stepper.table
     limit = 2 * len(table)
     ended = False
     k = 0
     while layer:
-        layer, known, ends = _advance(stepper, layer, known, k, expand, right_end)
+        layer, ends = _advance(stepper, layer, k, expand, right_end)
         yield ends
         ended = ended or bool(ends)
         if ended and len(table) > limit:
@@ -543,35 +539,38 @@ def run_layers(stepper, members: dict, expand):
         k += 1
 
 
-def _advance(stepper, layer, known, k, expand, right_end):
+def _advance(stepper, layer, k, expand, right_end):
     """The layer after ``layer``, whose nodes' runs have read only tape
-    positions below ``k`` and whose known tapes, through position k - 1,
-    are ``known``: each node's members are expanded at ``k`` and each group
-    walked past position ``k`` on the node's tape, its symbol at ``k`` and
-    one filler symbol. Returns (nodes, their known tapes, ends), the ends
-    as ``run_layers`` yields them."""
+    positions below ``k`` and whose known tapes run through position
+    k - 1: each node's members are expanded at ``k`` and each group walked
+    on the node's tape and its symbol at ``k`` through the step that read
+    ``k``. Returns (nodes, ends), the ends as ``run_layers`` yields them."""
     nodes: dict = {}
     out: list = []
-    tapes: list = []
     ends: list = []
     held = 0
-    for (point, step, members), prefix in zip(layer, known):
+    for point, step, members, known in layer:
+        node_reads = k in stepper.heads(point)
         for (symbol, budget), group in expand(k, members).items():
             last = symbol == right_end
-            tape = prefix + (symbol,) if last else prefix + (symbol, None)
-            here, i = point, step
-            for i, here, read in walk(stepper, tape, point, step + 1, budget):
-                if read >= k and not last:
+            tape = known + (symbol,)
+            # ``reads``: the step just taken started with a head at k
+            here, i, reads = point, step, node_reads
+            for i, here in walk(stepper, tape, point, step + 1, budget):
+                if last:
+                    continue
+                if reads:
                     break
+                reads = k in stepper.heads(here)
             else:
                 ends.append((group, stepper.result(here, i)))
                 continue
-            key = (budget, i, tape[stepper.lowest(here) : k + 1], stepper.key(here))
+            low = min(stepper.heads(here), default=k + 1)
+            key = (budget, i, tape[low:], stepper.key(here))
             child = nodes.get(key)
             if child is None:
                 nodes[key] = group
-                out.append((here, i, group))
-                tapes.append(tape[: k + 1])
+                out.append((here, i, group, tape))
                 held += stepper.size(here)
                 if held > model.ENTRY_BUDGET:
                     raise StateSpaceOverflow(f"{over_budget()} at tape position {k}")
@@ -579,14 +578,14 @@ def _advance(stepper, layer, known, k, expand, right_end):
                 for member, value in group.items():
                     old = child.get(member)
                     child[member] = value if old is None else old + value
-    return out, tapes, ends
+    return out, ends
 
 
 def _keep_reached(stepper, layer) -> int:
     """Drop from the stepper's cell table every cell that no checkpoint of
     ``layer`` reaches. Returns how many cells it keeps."""
     kept: dict = {}
-    for point, _, _ in layer:
+    for point, *_ in layer:
         for cell in stepper.cells(point):
             while cell.depth and (cell.parent, cell.symbol) not in kept:
                 kept[cell.parent, cell.symbol] = cell
@@ -622,7 +621,7 @@ def run(
     point = stepper.start()
     steps = 0
     snaps: list[StepSnapshot] = []
-    for steps, point, _ in walk(stepper, tape, point, 1, budget):
+    for steps, point in walk(stepper, tape, point, 1, budget):
         if trace_depth > 0:
             rec = _record(steps, point)
             top = sorted(rec.psi.items(), key=lambda kv: (-abs(kv[1]), kv[0]))

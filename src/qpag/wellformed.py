@@ -440,11 +440,8 @@ class AuditSteps:
         # ones it meets first
         limit = room(len(seen) + len(table))
         meet = i <= self.depth
-        read = -1
         new = []
         for c in frontier:
-            if c.head > read:
-                read = c.head
             if c.head >= n:
                 continue
             col_key = (c.state, tape[c.head], c.stack.symbol)
@@ -464,7 +461,7 @@ class AuditSteps:
                         new.append(succ)
                 if len(new) > limit:
                     raise over_budget()
-        return new, read
+        return new
 
     def alive(self, frontier) -> bool:
         return bool(frontier)

@@ -35,7 +35,7 @@ from qpag.branching import (
 from qpag.simulate import run_batch, stack_after
 from qpag.wellformed import check_qcpda
 
-from .generators import random_qcpda, words_up_to
+from .generators import left_sum, random_qcpda, words_up_to
 
 _ALPHA = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
 _GAMMA = StackAlphabet(symbols=("Z", "x"), bottom="Z")
@@ -261,9 +261,9 @@ def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
     monkeypatch.setattr(
         branching,
         "qcpda_step",
-        lambda *args: StepDeltas(twins, 0.0, 0.0, 0.0, 0.0, 0),
+        lambda *args: StepDeltas(twins, 0.0, 0.0, 0.0, 0.0),
     )
-    (frontier, *_), _ = BranchSteps(m).step(
+    frontier, *_ = BranchSteps(m).step(
         ((parent,), 0.0, 0.0, 0.0, 0.0), make_tape(m, "0"), 1
     )
     assert len(frontier) == 1
@@ -391,10 +391,8 @@ def test_words_helper_is_exhaustive():
 
 def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
     """``qcpda_step`` with its pruning as a separate copy between the
-    expansion and the measurement, and its largest head read taken over
-    the branch's vector, kept as the oracle for the step that prunes and
-    measures through ``simulate.measure`` and reads its head off
-    ``evolve``. Counts pruned amplitudes into ``pruned``."""
+    expansion and the measurement, kept as the oracle for the step that
+    prunes and measures through ``simulate.measure``. Counts pruned amplitudes into ``pruned``."""
     stack = branch.cell
     top = stack.symbol
     n = len(tape)
@@ -435,7 +433,7 @@ def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
 
     children = []
     for op, vec in classes.items():
-        mass = sum(abs(amp) ** 2 for amp in vec.values())
+        mass = left_sum(abs(amp) ** 2 for amp in vec.values())
         if mass <= 0:
             continue
         scale = mass**-0.5
@@ -453,13 +451,12 @@ def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
         rej=branch.prob * rej,
         parked=branch.prob * parked,
         truncated=branch.prob * truncated,
-        read=max(key[1] for key in branch.psi),
     )
 
 
 def test_folded_pruning_matches_unfolded_step(monkeypatch):
-    # run_qcpda and equiv_check reports, and the head each BranchSteps step
-    # reads, are == whether qcpda_step measures through simulate.measure or
+    # run_qcpda and equiv_check reports, and the largest head each
+    # BranchSteps step reads, are == whether qcpda_step measures through simulate.measure or
     # through a copy that prunes before it measures; seed 8 prunes
     words = words_up_to(3)
     machines = [random_qcpda(seed) for seed in range(20)]
@@ -467,9 +464,8 @@ def test_folded_pruning_matches_unfolded_step(monkeypatch):
     real_step = BranchSteps.step
 
     def recording(self, point, tape, i):
-        point, read = real_step(self, point, tape, i)
-        reads.append(read)
-        return point, read
+        reads.append(max(self.heads(point), default=-1))
+        return real_step(self, point, tape, i)
 
     def reports():
         reads.clear()

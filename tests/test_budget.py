@@ -59,7 +59,7 @@ def _totals(stepper, word, max_steps, held, made):
         if not stepper.alive(point):
             break
         before = held(point) + len(stepper.table)
-        point, _ = stepper.step(point, tape, i)
+        point = stepper.step(point, tape, i)
         totals.append(before + made(point))
     return totals
 

@@ -34,6 +34,7 @@ from qpag.model import (
 from qpag.simulate import EMPTY, cons, stack_after
 
 from .corpus import coin_ppa, dpda_wcwr
+from .generators import left_sum
 
 # ----------------------------------------------------------------------
 # Reference runners, kept as they were
@@ -61,7 +62,7 @@ def reference_run_ppa(
     warned = set()
     steps = 0
     for i in range(1, max_steps + 1):
-        if sum(dist.values()) < HALT_MASS:
+        if left_sum(dist.values()) < HALT_MASS:
             break
         new: dict = {}
         for (state, head, stack), mass in dist.items():
@@ -92,7 +93,7 @@ def reference_run_ppa(
                     new[succ] = new.get(succ, 0.0) + part
         dist = new
         steps = i
-    p_non = leaked + sum(dist.values())
+    p_non = leaked + left_sum(dist.values())
     return RunResult(
         p_acc=p_acc,
         p_rej=p_rej,

@@ -89,6 +89,21 @@ def test_garbage_json_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_usage_error(qcpda_file, tmp_path, capsys):
+    # a machine file that cannot be written is an input error, as one that
+    # cannot be read is: its path on stderr, no document on stdout
+    target = tmp_path / "missing" / "x.json"
+    for argv in (
+        ["compile", qcpda_file, "-o", str(target)],
+        ["problem1", "build", "-o", str(target)],
+    ):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+
 def test_audit_passes(builtin_file, capsys):
     assert main(["audit", builtin_file, "--input", "ab#ba#ab", "--depth", "8"]) == 0
     doc = _json_out(capsys)
