@@ -5,6 +5,15 @@ significant digits so output is byte-stable across runs) and diagnostics to
 stderr: ``error: ...`` when a command fails, and ``warning: ...`` for each
 warning a ``ppa`` run gives. Exit codes: 0 success, 1 a check / audit /
 equivalence / sweep reported failure, 2 usage or input errors.
+
+Only ``errors``, ``machinefile`` and ``model``, which every command uses,
+load with this module. The engines (``run``, ``run_qcpda``, ``run_ppa``,
+``compile_qcpda``, ``equiv_check``, the checks, ``audit_unitarity`` and
+``problem1``) load on first use through the package's export table (see
+``__getattr__``), so a command imports only the modules it runs. Commands
+call each engine as an attribute of this module, so a binding set on
+``qpag.cli`` (as the benchmark's tracer sets its wrappers) is the one
+called.
 """
 
 from __future__ import annotations
@@ -13,24 +22,21 @@ import argparse
 import sys
 import warnings
 
-from .branching import run_qcpda
-from .classical import run_ppa
-from .compiler import compile_qcpda, equiv_check
+from . import _resolve
 from .errors import MachineError, NonWellFormedInput, ParseError, SchemaError
 from .machinefile import emit_json, parse_machine, serialize_machine
-from .model import (
-    MachinePPA,
-    MachineQCPDA,
-    MachineQPAG,
-    display_tape,
-    make_tape,
-)
-from .simulate import run
-from .wellformed import audit_unitarity, check_ppa, check_qcpda, check_qpag
-from . import problem1
+from .model import MachineQCPDA, MachineQPAG, display_tape, make_tape
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+
+# a module ``__getattr__`` serves attribute lookups, not bare names, so
+# commands call the engines as ``_cli.<name>``
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    return _resolve(name, globals())
 
 
 def _load(path: str):
@@ -64,11 +70,11 @@ def _emit(doc) -> None:
 def _cmd_check(args) -> int:
     machine = _load(args.file)
     if isinstance(machine, MachineQPAG):
-        report = check_qpag(machine, mode=args.mode, tol=args.tol)
+        report = _cli.check_qpag(machine, mode=args.mode, tol=args.tol)
     elif isinstance(machine, MachineQCPDA):
-        report = check_qcpda(machine, mode=args.mode, tol=args.tol)
+        report = _cli.check_qcpda(machine, mode=args.mode, tol=args.tol)
     else:
-        report = check_ppa(machine, tol=args.tol)
+        report = _cli.check_ppa(machine, tol=args.tol)
     _emit(report.to_json_dict())
     return 0 if report.passed else CHECK_FAILED
 
@@ -77,7 +83,7 @@ def _cmd_audit(args) -> int:
     machine = _load(args.file)
     if not isinstance(machine, MachineQPAG):
         raise SchemaError("audit requires a qpag machine file")
-    report = audit_unitarity(
+    report = _cli.audit_unitarity(
         machine, _word(args), depth=args.depth, tol=args.tol
     )
     _emit(report.to_json_dict())
@@ -90,16 +96,16 @@ def _cmd_run(args) -> int:
     if args.trace and not isinstance(machine, MachineQPAG):
         raise SchemaError("--trace requires a qpag machine file")
     if isinstance(machine, MachineQPAG):
-        result = run(machine, word, max_steps=args.max_steps, trace_depth=args.trace)
+        result = _cli.run(machine, word, max_steps=args.max_steps, trace_depth=args.trace)
     elif isinstance(machine, MachineQCPDA):
-        result = run_qcpda(machine, word, max_steps=args.max_steps)
+        result = _cli.run_qcpda(machine, word, max_steps=args.max_steps)
     else:
         # run_ppa warns once per undefined column; report each on stderr,
         # also when the run then raises
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                result = run_ppa(machine, word, max_steps=args.max_steps)
+                result = _cli.run_ppa(machine, word, max_steps=args.max_steps)
             finally:
                 for warning in caught:
                     print(f"warning: {warning.message}", file=sys.stderr)
@@ -116,13 +122,13 @@ def _cmd_compile(args) -> int:
     machine = _load(args.file)
     if not isinstance(machine, MachineQCPDA):
         raise SchemaError("compile requires a qcpda machine file")
-    image, cmap = compile_qcpda(machine)
+    image, cmap = _cli.compile_qcpda(machine)
     _save(args.output, image)
     doc = {"output": args.output, "map": cmap.to_json_dict()}
     status = 0
     if args.equiv_words is not None:
         words = [tuple(w) for w in args.equiv_words.split(",")] if args.equiv_words else [()]
-        report = equiv_check(machine, image, words, max_steps=args.max_steps)
+        report = _cli.equiv_check(machine, image, words, max_steps=args.max_steps)
         doc["equiv"] = report.to_json_dict()
         if not report.passed:
             status = CHECK_FAILED
@@ -131,6 +137,7 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_problem1(args) -> int:
+    problem1 = _cli.problem1
     if args.p1_cmd == "build":
         machine = problem1.build_machine()
         _save(args.output, machine)

@@ -57,6 +57,8 @@ def _aux_states_doc(aux_states):
 
 @dataclass(frozen=True)
 class CompileMap(Record):
+    """How ``compile_qcpda`` built the image: auxiliary states, labels and row counts."""
+
     # (target, stage_a, stage_b)
     aux_states: tuple[tuple[str, str, str], ...] = rendered(_aux_states_doc)
     # (operation description, marker)
@@ -146,6 +148,8 @@ def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
 
 @dataclass(frozen=True)
 class WordComparison(Record):
+    """Outcome probabilities of the original and its image on one word."""
+
     word: str
     p_acc_original: float
     p_rej_original: float
@@ -161,6 +165,8 @@ class WordComparison(Record):
 
 @dataclass(frozen=True)
 class EquivReport(Record):
+    """The comparison of a machine with its image, one row per word."""
+
     passed: bool
     rows: tuple[WordComparison, ...] = rendered(records)
 

@@ -183,6 +183,8 @@ def _check_symbols(symbols, what):
 
 @dataclass(frozen=True)
 class TransitionQPAG:
+    """One garbage-tape row: column, target, stack operation, head move, amplitude."""
+
     source: str
     read: str
     top: str
@@ -194,6 +196,8 @@ class TransitionQPAG:
 
 @dataclass(frozen=True)
 class TransitionQCPDA:
+    """One scheduled-stack row: column, target, head move, amplitude."""
+
     source: str
     read: str
     top: str
@@ -204,6 +208,8 @@ class TransitionQCPDA:
 
 @dataclass(frozen=True)
 class TransitionPPA:
+    """One probabilistic row: column, target, stack operation, head move, probability."""
+
     source: str
     read: str
     top: str
@@ -306,6 +312,8 @@ class _Machine:
 
 @dataclass(frozen=True)
 class MachineQPAG(_Machine):
+    """A quantum pushdown automaton whose popped symbols go to a garbage tape."""
+
     states: tuple[str, ...]
     input_alphabet: InputAlphabet
     stack_alphabet: StackAlphabet
@@ -342,6 +350,8 @@ class MachineQPAG(_Machine):
 
 @dataclass(frozen=True)
 class MachineQCPDA(_Machine):
+    """A quantum pushdown automaton whose stack operations ``sigma`` schedules per state."""
+
     states: tuple[str, ...]
     input_alphabet: InputAlphabet
     stack_alphabet: StackAlphabet
@@ -374,6 +384,8 @@ class MachineQCPDA(_Machine):
 
 @dataclass(frozen=True)
 class MachinePPA(_Machine):
+    """A probabilistic pushdown automaton: a QPAG's shape with probabilities for amplitudes."""
+
     states: tuple[str, ...]
     input_alphabet: InputAlphabet
     stack_alphabet: StackAlphabet
@@ -567,6 +579,8 @@ class StepSnapshot(Record):
 
 @dataclass(frozen=True)
 class RunResult(Record):
+    """Outcome probabilities of one run, its truncation loss and step count."""
+
     p_acc: float
     p_rej: float
     p_non: float

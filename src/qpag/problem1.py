@@ -63,6 +63,8 @@ def even_distinct(u, v) -> bool:
 
 @dataclass(frozen=True)
 class Instance:
+    """A word w1#w2#w3 of the three-segment problem."""
+
     w1: str
     w2: str
     w3: str
@@ -227,6 +229,8 @@ def _draw(rng: random.Random, n: int) -> Instance:
 
 @dataclass(frozen=True)
 class SweepFailure(Record):
+    """An instance whose expected outcome's probability is more than ``tol`` from 1."""
+
     word: str
     expected: str
     p_acc: float
@@ -236,6 +240,8 @@ class SweepFailure(Record):
 
 @dataclass(frozen=True)
 class SweepReport(Record):
+    """The outcome of one sweep: instances checked, failures and the largest deviation."""
+
     n: int
     mode: str
     checked: int

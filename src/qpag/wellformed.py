@@ -68,6 +68,8 @@ from .simulate import CellConfiguration, start, successor, walk_to_end
 
 @dataclass(frozen=True)
 class Violation(Record):
+    """One failed well-formedness condition, its witness and its residual."""
+
     condition: str
     witness: tuple[tuple[str, object], ...] = rendered(dict)
     residual: float
@@ -75,6 +77,8 @@ class Violation(Record):
 
 @dataclass(frozen=True)
 class WfReport(Record):
+    """The column checks of one machine: violations and per-condition evaluation counts."""
+
     passed: bool
     mode: str
     violations: tuple[Violation, ...] = rendered(records)
@@ -390,6 +394,8 @@ def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
 
 @dataclass(frozen=True)
 class AuditFailure(Record):
+    """Configurations whose images break unit norm or orthogonality, and by how much."""
+
     kind: str  # "norm" or "orthogonality"
     configs: tuple[Configuration, ...] = rendered(records)
     value: float
@@ -397,6 +403,8 @@ class AuditFailure(Record):
 
 @dataclass(frozen=True)
 class AuditReport(Record):
+    """The unitarity audit of one word: configurations examined, warnings and failures."""
+
     passed: bool
     examined: int
     stepped: int

@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+import qpag
 from qpag.cli import main
 from qpag.machinefile import parse_machine, serialize_machine
 from qpag.model import (
@@ -19,7 +21,7 @@ from qpag.model import (
     TransitionPPA,
     push,
 )
-from qpag import problem1
+from qpag import cli, problem1
 
 from .corpus import coin_ppa, dpda_wcwr, mutants
 from .generators import random_qcpda
@@ -465,3 +467,110 @@ def test_check_and_audit_reject_a_nan_tolerance(mutant, command, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tolerance must be a nonnegative number, got nan\n"
+
+
+@pytest.fixture()
+def machine_files(tmp_path):
+    """One machine file of each kind, by kind."""
+    files = {}
+    for kind, machine in (
+        ("qpag", problem1.build_machine()),
+        ("qcpda", halting_walker()),
+        ("ppa", coin_ppa()),
+    ):
+        files[kind] = tmp_path / f"{kind}.json"
+        files[kind].write_text(serialize_machine(machine), encoding="utf-8")
+    return files
+
+
+# Run in a fresh interpreter: the command's exit code and the qpag
+# submodules it loaded.
+_LOADED_BY = """
+import contextlib, io, json, sys
+from qpag import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m[5:] for m in sys.modules if m.startswith("qpag."))]))
+"""
+
+_CHECK_UNLOADED = {"compiler", "branching", "classical", "problem1"}
+
+
+@pytest.mark.parametrize(
+    "command, kind, unloaded",
+    [
+        (["run", "--input", "ab#ba#cc"], "qpag",
+         {"wellformed", "compiler", "branching", "classical", "problem1"}),
+        (["run", "--input", "00", "--max-steps", "8"], "qcpda",
+         {"wellformed", "compiler", "classical", "problem1"}),
+        (["run", "--input", "aaa"], "ppa", {"wellformed", "compiler", "branching", "problem1"}),
+        (["check"], "qpag", _CHECK_UNLOADED),
+        (["check"], "qcpda", _CHECK_UNLOADED),
+        (["check"], "ppa", _CHECK_UNLOADED),
+        (["audit", "--input", "a#a#a", "--depth", "4"], "qpag", _CHECK_UNLOADED),
+        (["problem1", "sweep", "-n", "1", "--exhaustive"], None,
+         {"wellformed", "compiler", "branching", "classical"}),
+    ],
+    ids=["run-qpag", "run-qcpda", "run-ppa", "check-qpag", "check-qcpda", "check-ppa",
+         "audit", "sweep"],
+)
+def test_command_loads_only_the_modules_it_runs(command, kind, unloaded, machine_files):
+    argv = command if kind is None else [command[0], str(machine_files[kind]), *command[1:]]
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *argv],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert {"cli", "errors", "machinefile", "model"} <= set(loaded)
+    assert unloaded.isdisjoint(loaded)
+
+
+# Every name perfbench/tracing.py wraps on ``qpag.cli``.
+_TRACED_ON_CLI = (
+    "run", "run_qcpda", "run_ppa", "compile_qcpda", "equiv_check", "check_qpag",
+    "check_qcpda", "check_ppa", "audit_unitarity", "parse_machine", "serialize_machine",
+    "emit_json",
+)
+
+
+def test_commands_call_the_bindings_set_on_cli(machine_files, tmp_path, monkeypatch, capsys):
+    calls = Counter()
+    for name in _TRACED_ON_CLI:
+        # the package's binding first, then the module's, in the tracer's
+        # order; dropping the cached value first makes the wrapper also the
+        # first binding a command could look up
+        for owner in (qpag, cli):
+            monkeypatch.delitem(vars(owner), name, raising=False)
+            original = getattr(owner, name)
+
+            def counted(*args, _key=(owner.__name__, name), _fn=original, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+    qp, qc, pp = (str(machine_files[k]) for k in ("qpag", "qcpda", "ppa"))
+    image = str(tmp_path / "image.json")
+    for argv, want in [
+        (["run", qp, "--input", "ab#ba#cc"], "parse_machine run emit_json"),
+        (["run", qc, "--input", "00", "--max-steps", "8"], "parse_machine run_qcpda emit_json"),
+        (["run", pp, "--input", "aaa"], "parse_machine run_ppa emit_json"),
+        (["check", qp], "parse_machine check_qpag emit_json"),
+        (["check", qc], "parse_machine check_qcpda emit_json"),
+        (["check", pp], "parse_machine check_ppa emit_json"),
+        (["audit", qp, "--input", "a#a#a", "--depth", "4"], "parse_machine audit_unitarity emit_json"),
+        (["compile", qc, "-o", image, "--equiv-words", "0,01", "--max-steps", "8"],
+         "parse_machine compile_qcpda serialize_machine equiv_check emit_json"),
+        (["problem1", "build", "-o", str(tmp_path / "built.json")], "serialize_machine emit_json"),
+    ]:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == Counter(("qpag.cli", name) for name in want.split()), argv
+    capsys.readouterr()
+
+    # bindings the tracer wraps outside ``cli`` still resolve
+    assert qpag.problem1.run is qpag.simulate.run
+    assert qpag.compiler.run_qcpda is qpag.branching.run_qcpda
+    assert qpag.compiler.trajectory is qpag.simulate.trajectory
+    assert qpag.compiler.check_qcpda is qpag.wellformed.check_qcpda

@@ -1,6 +1,10 @@
 """Core type and validation behaviour."""
 
+import importlib
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import permutations
 
@@ -254,8 +258,54 @@ def test_join_tokens_single_char_concat(tokens):
         assert joined == ",".join(tokens)
 
 
+# home module -> the names ``qpag`` exports from it
+_EXPORTED = {
+    "branching": "Branch dump_branches qcpda_step run_qcpda",
+    "classical": "ACCEPT BLOCK LOOP REJECT run_dpda run_ppa",
+    "compiler": "CompileMap EquivReport compile_qcpda equiv_check",
+    "errors": "EndmarkerInWord InvariantError LengthMismatch MachineError NonWellFormedInput "
+    "NotDeterministic ParseError PopOnBottom SchemaError StateSpaceOverflow UnknownSymbol",
+    "machinefile": "emit_json machine_to_doc parse_machine serialize_machine",
+    "model": "EPSILON POP Configuration InputAlphabet MachinePPA MachineQCPDA MachineQPAG "
+    "RunResult StackAlphabet StackOp TransitionPPA TransitionQCPDA TransitionQPAG "
+    "default_max_steps display_tape make_tape push",
+    "simulate": "measure run run_many trajectory",
+    "wellformed": "AuditReport Violation WfReport audit_unitarity check_ppa check_qcpda check_qpag",
+}
+
+# Run in a fresh interpreter: which qpag submodules a bare ``import qpag``
+# loads, what ``dir(qpag)`` lists before any name is used, and whether each
+# submodule attribute still resolves afterwards.
+_BARE_IMPORT = """
+import json, sys
+import qpag
+loaded = sorted(m for m in sys.modules if m.startswith("qpag."))
+listed = dir(qpag)
+subs = sys.argv[1:]
+print(json.dumps([loaded, listed, [getattr(qpag, s) is sys.modules["qpag." + s] for s in subs]]))
+"""
+
+
 def test_all_exports_resolve():
     import qpag
 
-    missing = [name for name in qpag.__all__ if not hasattr(qpag, name)]
-    assert missing == []
+    homes = {name: home for home, names in _EXPORTED.items() for name in names.split()}
+    assert sorted(qpag.__all__) == sorted(homes)
+    for name, home in homes.items():
+        assert getattr(qpag, name) is getattr(importlib.import_module(f"qpag.{home}"), name)
+    star = {}
+    exec("from qpag import *", star)
+    assert homes.keys() <= star.keys()
+    with pytest.raises(AttributeError, match="no_such_name"):
+        qpag.no_such_name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        importlib.import_module("qpag.cli").no_such_name
+
+    done = subprocess.run(
+        [sys.executable, "-c", _BARE_IMPORT, *_EXPORTED],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    loaded, listed, resolved = json.loads(done.stdout)
+    assert loaded == []
+    assert homes.keys() | _EXPORTED.keys() | {"problem1"} <= set(listed)
+    assert resolved == [True] * len(_EXPORTED)
