@@ -66,14 +66,17 @@ every quantum engine shares, and the step loop every run shares.
   caller's members and an empty tape. At position k the caller's
   ``expand`` splits each node's members into groups by (symbol at k,
   budget), handing back each group's members as it wants them one
-  position on. Each group steps through ``walk`` on the node's known tape
-  and its symbol at k through the first step whose starting checkpoint
-  has a head at k, the step that reads k; the node's own heads are read
-  once for all its groups. On the group's last position, the right
-  endmarker, it steps to the end instead. A group whose run has ended is
-  handed back with the result. The others become the next layer's nodes,
-  with the walked tape as their known tape, two groups merging into one
-  node, their values added key by key with ``+``, when their keys
+  position on. The node first steps through ``walk`` on its known tape
+  alone until a checkpoint has a head at k, once per budget among its
+  groups: every node but the start holds one budget, since its key holds
+  it, and the start's head is at 0, so it takes no such step. Each group
+  steps on from that checkpoint, on the known tape and its symbol at k,
+  through one step, the step that reads k; on the group's last position,
+  the right endmarker, it steps to the end instead. A group whose run has
+  ended, in the node's walk or its own, is handed back with the result.
+  The others become the next layer's nodes, with the walked tape as their
+  known tape, two groups merging into one node, their values added key by
+  key with ``+``, when their keys
   ``(budget, step, tape[low:k + 1], stepper.key(checkpoint))`` are equal,
   ``low`` being the smallest of the checkpoint's heads (k + 1 if it has
   none). The loop yields only each layer's ends, (group members, result)
@@ -89,16 +92,25 @@ every quantum engine shares, and the step loop every run shares.
   that read at most position k every head is at most k + 1. Take a node
   at layer k: its heads are at most k, and the tapes of all the runs its
   members stand for agree from its smallest head ``low`` through k - 1,
-  where its known tape holds them; a group's also agree at k. So each
-  step of the group's walk reads only positions ``low`` through k, where
-  the runs agree and the walked tape holds their symbols, and every head
-  stays at most k until a step reads k, where the walk stops. The parked
-  check decides alike for every run too: each head it compares is at
-  most k, below the walked tape's length k + 1 and below every run's tape
-  length, until a last group's walk goes on past k, and a last group's
-  tapes all end at k as the walked one does (no word holds an endmarker).
-  So the walk yields, float for float, the checkpoints each run's fresh
-  walk computes. A merge keeps this: a key fixes the step,
+  where its known tape holds them; a group's also agree at k. Until a
+  checkpoint has a head at k, every head is below k, the known tape's
+  length, and a step moves none past k: so each step of the node's walk
+  reads only positions ``low`` through k - 1, which every group's tape
+  holds alike, and its parked check parks nothing on the known tape as
+  on any longer one. The checkpoints it reaches, and its end if the
+  run's mass halts or its budget runs out there, are those each group's
+  own walk would reach on its tape, float for float, and a step taken
+  again would intern only cells the first one made; so the node takes
+  them once per budget, and a group starts from its last one. From there
+  each step of the group's walk reads only positions ``low`` through k,
+  where the runs agree and the walked tape holds their symbols, and the
+  step that reads k ends it. The parked check decides alike for every
+  run too: each head it compares is at most k, below the walked tape's
+  length k + 1 and below every run's tape length, until a last group's
+  walk goes on past k, and a last group's tapes all end at k as the
+  walked one does (no word holds an endmarker). So the walks yield,
+  float for float, the checkpoints each run's fresh walk computes. A
+  merge keeps this: a key fixes the step,
   the budget and all a checkpoint gives ``step``, ``alive`` and
   ``result``, and the tape from ``low`` through k, all that the rest of
   the run reads below k + 1; positions from k + 1 on are grouped by the
@@ -542,26 +554,27 @@ def run_layers(stepper, members: dict, expand):
 def _advance(stepper, layer, k, expand, right_end):
     """The layer after ``layer``, whose nodes' runs have read only tape
     positions below ``k`` and whose known tapes run through position
-    k - 1: each node's members are expanded at ``k`` and each group walked
-    on the node's tape and its symbol at ``k`` through the step that read
-    ``k``. Returns (nodes, ends), the ends as ``run_layers`` yields them."""
+    k - 1: each node's members are expanded at ``k``, the node is walked
+    once per budget to its first checkpoint with a head at ``k``
+    (``_reach``), and each group steps on from there with its symbol at
+    ``k``, through the step that reads ``k`` or, on the right endmarker, to
+    the end. Returns (nodes, ends), the ends as ``run_layers`` yields
+    them."""
     nodes: dict = {}
     out: list = []
     ends: list = []
     held = 0
     for point, step, members, known in layer:
-        node_reads = k in stepper.heads(point)
+        reached: dict = {}
         for (symbol, budget), group in expand(k, members).items():
+            if budget not in reached:
+                reached[budget] = _reach(stepper, known, point, step, budget, k)
+            here, i = reached[budget]
             last = symbol == right_end
             tape = known + (symbol,)
-            # ``reads``: the step just taken started with a head at k
-            here, i, reads = point, step, node_reads
-            for i, here in walk(stepper, tape, point, step + 1, budget):
-                if last:
-                    continue
-                if reads:
+            for i, here in walk(stepper, tape, here, i + 1, budget):
+                if not last:
                     break
-                reads = k in stepper.heads(here)
             else:
                 ends.append((group, stepper.result(here, i)))
                 continue
@@ -579,6 +592,20 @@ def _advance(stepper, layer, k, expand, right_end):
                     old = child.get(member)
                     child[member] = value if old is None else old + value
     return out, ends
+
+
+def _reach(stepper, known, point, step: int, budget: int, k: int):
+    """Walk ``point``, checkpoint ``step``, on the node's known tape
+    (positions 0 through k - 1) until a checkpoint has a head at ``k``.
+    Returns (that checkpoint, its step), or the run's last checkpoint and
+    step when it ends first, so that a group's walk from there takes no
+    step."""
+    i = step
+    if k not in stepper.heads(point):
+        for i, point in walk(stepper, known, point, step + 1, budget):
+            if k in stepper.heads(point):
+                break
+    return point, i
 
 
 def _keep_reached(stepper, layer) -> int:

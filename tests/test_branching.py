@@ -32,7 +32,7 @@ from qpag.branching import (
     qcpda_step,
     run_qcpda,
 )
-from qpag.simulate import run_batch, stack_after
+from qpag.simulate import run_batch, stack_after, walk_to_end
 from qpag.wellformed import check_qcpda
 
 from .generators import left_sum, random_qcpda, words_up_to
@@ -282,6 +282,19 @@ def test_run_qcpda_batch_equals_fresh_runs():
                 seed,
                 budget,
             )
+    # one batch per machine mixes every word at every budget 0..8: a node
+    # whose shared walk ends on its budget before any head reaches the next
+    # position ends all its groups with that result
+    for seed in range(5):
+        m = random_qcpda(seed)
+        runs = [(w, budget) for w in words for budget in range(9)]
+        random.Random(seed).shuffle(runs)
+        got = run_batch(BranchSteps(m), [run_bounds(m, w, budget) for w, budget in runs])
+        want = []
+        for w, budget in runs:
+            stepper = BranchSteps(m)
+            want.append(stepper.result(*walk_to_end(stepper, w, budget)))
+        assert got == want, seed
 
 
 class _CountingSteps(BranchSteps):

@@ -510,9 +510,11 @@ _CHECK_UNLOADED = {"compiler", "branching", "classical", "problem1"}
         (["audit", "--input", "a#a#a", "--depth", "4"], "qpag", _CHECK_UNLOADED),
         (["problem1", "sweep", "-n", "1", "--exhaustive"], None,
          {"wellformed", "compiler", "branching", "classical"}),
+        # only the equivalence check steps the original machine
+        (["compile", "-o", os.devnull], "qcpda", {"branching", "classical", "problem1"}),
     ],
     ids=["run-qpag", "run-qcpda", "run-ppa", "check-qpag", "check-qcpda", "check-ppa",
-         "audit", "sweep"],
+         "audit", "sweep", "compile"],
 )
 def test_command_loads_only_the_modules_it_runs(command, kind, unloaded, machine_files):
     argv = command if kind is None else [command[0], str(machine_files[kind]), *command[1:]]

@@ -310,3 +310,17 @@ def test_lowering_stays_pinned():
     assert digest.hexdigest() == (
         "dab6e874e9deefcde23e1a0a30056d93295d06cba795cd64f28c7cadc050efb3"
     )
+
+
+def test_equiv_reports_stay_pinned():
+    # every equivalence report byte for byte, floats in repr: batches that
+    # share a node's steps between its words must give each word's row as
+    # its own run does
+    digest = hashlib.sha256()
+    for seed in range(20):
+        m = random_qcpda(seed)
+        report = equiv_check(m, compile_qcpda(m)[0], words_up_to(4), max_steps=8)
+        digest.update(emit_json(report.to_json_dict(), floats="repr").encode())
+    assert digest.hexdigest() == (
+        "162acbf70fc24a0d6fda4f593a0c46dcdae1979e05d71bfcf44aa6e5123a6419"
+    )

@@ -48,6 +48,7 @@ from qpag.simulate import (
     run_many,
     stack_after,
     trajectory,
+    walk_to_end,
 )
 
 from .corpus import TOTAL_MACHINES, H, coin_ppa
@@ -587,6 +588,59 @@ def test_run_batch_groups_mixed_lengths_by_budget(machine):
     assert (want[1].steps, want[3].steps) == (40, 50)
     assert _batch(machine, words) == want
     assert _batch(machine, words[::-1]) == want[::-1]
+
+
+def _fresh(machine, word, max_steps):
+    """A fresh ``walk_to_end`` of ``word`` on the kernel's stepper, as its
+    result."""
+    stepper = KernelSteps(machine)
+    return stepper.result(*walk_to_end(stepper, word, max_steps))
+
+
+# lowered machines hold the head still for two of every three steps
+_IMAGES = [compile_qcpda(random_qcpda(seed))[0] for seed in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [_scanner(_DWELLER), _scanner(_WAITER), *_IMAGES],
+    ids=["dweller", "waiter", "image0", "image1"],
+)
+def test_run_batch_mixes_explicit_budgets(machine):
+    # one shuffled batch holds every word at seven budgets: the start node
+    # splits them by budget, every later node holds one, and a node's walk
+    # up to its first head at the next position may end on that budget,
+    # ending every group of the node with its result
+    runs = [(w, budget) for w in words_up_to(4) for budget in (0, 1, 2, 3, 5, 8, 24)]
+    random.Random(5).shuffle(runs)
+    got = run_batch(KernelSteps(machine), [run_bounds(machine, w, b) for w, b in runs])
+    assert got == [_fresh(machine, w, b) for w, b in runs]
+
+
+@pytest.mark.parametrize(
+    "machine, max_steps, steps",
+    [(_scanner(_DWELLER), None, 439), (_scanner(_WAITER), None, 115), (_IMAGES[0], 24, 215)],
+    ids=["dweller", "waiter", "image0"],
+)
+def test_run_batch_walks_a_nodes_lagging_steps_once(monkeypatch, machine, max_steps, steps):
+    # a node whose heads all lie below the next position takes the steps
+    # that bring one there once, whatever symbols its groups read next: the
+    # dweller stays on position 1 until its budget runs out, the waiter
+    # spends a second step on each 0, and an image's staging steps hold the
+    # head still. Walking them once per group took 787, 125 and 271 steps
+    count = 0
+    real = simulate.measure
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    words = words_up_to(4)
+    want = [run(machine, w, max_steps) for w in words]
+    monkeypatch.setattr(simulate, "measure", counting)
+    assert _batch(machine, words, max_steps) == want
+    assert count == steps
 
 
 def test_run_many_of_nothing_yields_nothing():
