@@ -627,7 +627,7 @@ def test_run_batch_walks_a_nodes_lagging_steps_once(monkeypatch, machine, max_st
     # that bring one there once, whatever symbols its groups read next: the
     # dweller stays on position 1 until its budget runs out, the waiter
     # spends a second step on each 0, and an image's staging steps hold the
-    # head still. Walking them once per group took 787, 125 and 271 steps
+    # head still
     count = 0
     real = simulate.measure
 
