@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 # exported name -> its home module; a submodule maps to itself
 _EXPORTS = {
-    **dict.fromkeys(("Branch", "dump_branches", "qcpda_step", "run_qcpda"), "branching"),
+    **dict.fromkeys(("Branch", "qcpda_step", "run_qcpda"), "branching"),
     **dict.fromkeys(("ACCEPT", "BLOCK", "LOOP", "REJECT", "run_dpda", "run_ppa"), "classical"),
     **dict.fromkeys(("CompileMap", "EquivReport", "compile_qcpda", "equiv_check"), "compiler"),
     **dict.fromkeys(
@@ -39,7 +39,7 @@ _EXPORTS = {
         ),
         "model",
     ),
-    **dict.fromkeys(("measure", "run", "run_many", "trajectory"), "simulate"),
+    **dict.fromkeys(("measure", "run", "trajectory"), "simulate"),
     **dict.fromkeys(
         (
             "AuditReport", "Violation", "WfReport", "audit_unitarity", "check_ppa",

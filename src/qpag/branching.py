@@ -12,11 +12,11 @@ operation, so its ledger follows the kernel's rules.
 
 A branch's stack is an interned cell (``simulate.cons``,
 ``simulate.stack_after``) in the cell table of its run, which
-``BranchSteps.table`` owns and passes to each step; ``Branch.stack`` is the
-cell's plain-tuple view. Vectors, measurement classes and the frontier are
-walked in insertion order and never sorted: every column lists its rows in
-canonical order, so that order, and with it every sum, depends on neither
-the order of the transition table nor hash seeds.
+``BranchSteps.table`` owns and passes to each step. Vectors, measurement
+classes and the frontier are walked in insertion order and never sorted:
+every column lists its rows in canonical order, so that order, and with it
+every sum, depends on neither the order of the transition table nor hash
+seeds.
 
 Branches with equal stacks and equal amplitude vectors (compared after
 rounding to 10 decimal places) are merged by summing probabilities, which
@@ -33,27 +33,21 @@ vectors were filled.
 ``simulate.run_batch`` over the same stepper serves only
 ``compiler.equiv_check``'s batches of words; the heads it reads off a
 checkpoint are those of the branches at or above ``HALT_MASS``, since the
-next step drops the others unread. ``dump_branches`` walks the
-unmerged tree through ``TreeSteps``, so it is under the entry budget too.
+next step drops the others unread.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import InvariantError
-from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, room, run_bounds
-from .simulate import EMPTY, Cell, cons, evolve, head_of, measure, stack_after, walk, walk_to_end
+from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, room
+from .simulate import EMPTY, Cell, cons, evolve, head_of, measure, stack_after, walk_to_end
 
 
 class Branch(NamedTuple):
     prob: float
     cell: Cell  # the stack, interned in the run's table
     psi: dict  # (state, head) -> amplitude, unit norm
-
-    @property
-    def stack(self) -> tuple[str, ...]:
-        return self.cell.tokens()
 
     def fingerprint(self):
         """The merge key: equal for two branches exactly when their stacks
@@ -144,9 +138,6 @@ class BranchSteps:
     merged children so far and the cells in the table when it began pass
     the entry budget."""
 
-    # the merge key of a child
-    fingerprint = staticmethod(Branch.fingerprint)
-
     def __init__(self, machine: MachineQCPDA):
         self.machine = machine
         self.table: dict = {}
@@ -157,7 +148,7 @@ class BranchSteps:
     def step(self, point, tape, i):
         frontier, p_acc, p_rej, p_non, truncated = point
         machine = self.machine
-        fingerprint = self.fingerprint
+        fingerprint = Branch.fingerprint
         limit = room(self.size(point) + len(self.table))
         entries = 0
         merged: dict = {}
@@ -205,14 +196,6 @@ class BranchSteps:
         return (*sums, tuple((b.prob, b.cell, tuple(b.psi.items())) for b in frontier))
 
 
-class TreeSteps(BranchSteps):
-    """``BranchSteps`` that merges no two children: its frontier is the
-    whole branch tree's level, for ``dump_branches``."""
-
-    # a child's own identity, unique while the step's frontier holds it
-    fingerprint = staticmethod(id)
-
-
 def run_qcpda(
     machine: MachineQCPDA,
     word,
@@ -224,39 +207,3 @@ def run_qcpda(
     point, steps = walk_to_end(stepper, word, max_steps)
     return stepper.result(point, steps)
 
-
-def dump_branches(
-    machine: MachineQCPDA,
-    word,
-    max_steps: int,
-    limit: int = 8,
-) -> dict:
-    """Depth-limited branch tree as a JSON-ready dict, for debugging: the
-    ``limit`` most probable branches of each level of the unmerged tree,
-    walked through ``TreeSteps`` and so under the entry budget. A negative
-    ``limit`` raises InvariantError."""
-    if limit < 0:
-        raise InvariantError(f"branch limit must be nonnegative, got {limit}")
-    stepper = TreeSteps(machine)
-    levels = []
-    tape, budget = run_bounds(machine, word, max_steps)
-    for i, (frontier, *_) in walk(stepper, tape, stepper.start(), 1, budget):
-        levels.append(
-            {
-                "step": i,
-                "branches": [
-                    {
-                        "prob": b.prob,
-                        "stack": list(b.stack),
-                        "amplitudes": {
-                            f"{q}@{k}": [b.psi[(q, k)].real, b.psi[(q, k)].imag]
-                            for (q, k) in sorted(b.psi)
-                        },
-                    }
-                    for b in sorted(
-                        frontier, key=lambda b: (-b.prob, b.stack)
-                    )[:limit]
-                ],
-            }
-        )
-    return {"word": "".join(word), "levels": levels}

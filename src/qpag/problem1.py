@@ -240,10 +240,12 @@ class SweepFailure(Record):
 
 @dataclass(frozen=True)
 class SweepReport(Record):
-    """The outcome of one sweep: instances checked, failures and the largest deviation."""
+    """The outcome of one sweep: instances checked, failures and the largest
+    deviation. ``seed`` is the sample stream's seed, None when exhaustive."""
 
     n: int
     mode: str
+    seed: Optional[int]
     checked: int
     failures: tuple[SweepFailure, ...] = rendered(records)
     max_deviation: float
@@ -256,13 +258,6 @@ FAILURE_CAP = 100_000
 # The transpositions (a b) and (b c); together they generate every
 # relabelling of the segment letters.
 _TRANSPOSITIONS = ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})
-
-
-def _instances_exhaustive(n: int):
-    for w1 in itertools.product(SEGMENT_ALPHABET, repeat=n):
-        for w2 in itertools.product(SEGMENT_ALPHABET, repeat=n):
-            for w3 in itertools.product(THIRD_ALPHABET, repeat=n):
-                yield Instance("".join(w1), "".join(w2), "".join(w3))
 
 
 def _symmetric(machine: MachineQPAG) -> bool:
@@ -566,6 +561,7 @@ def sweep(
     return SweepReport(
         n=n,
         mode=mode,
+        seed=None if samples is None else seed,
         checked=checked,
         failures=tuple(failures),
         max_deviation=max_dev,

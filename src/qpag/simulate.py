@@ -41,8 +41,7 @@ every quantum engine shares, and the step loop every run shares.
   ``problem1.sweep``'s batches; ``compiler.ImageSteps``, its checkpoint
   with a decoherence flag appended, behind the image half of
   ``compiler.equiv_check``; ``branching.BranchSteps`` behind
-  ``branching.run_qcpda`` and the other half, and its unmerged
-  ``TreeSteps`` behind ``branching.dump_branches``; ``classical.PPASteps``
+  ``branching.run_qcpda`` and the other half; ``classical.PPASteps``
   behind ``classical.run_ppa`` and ``classical.run_dpda``; and
   ``wellformed.AuditSteps``, whose checkpoint is the configurations first
   met at the step, behind ``wellformed.audit_unitarity``, which builds its
@@ -136,8 +135,6 @@ every quantum engine shares, and the step loop every run shares.
   ends, and a step's own check trips before the layer's whenever a single
   node passes the budget, so it overflows at the step, and with the
   message, of a fresh run.
-* ``run_many(machine, words)`` yields ``run``'s untraced result for each
-  word, in order, reading one word at a time.
 
 One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /
@@ -620,16 +617,6 @@ def _keep_reached(stepper, layer) -> int:
     stepper.table.clear()
     stepper.table.update(kept)
     return len(kept)
-
-
-def run_many(
-    machine: MachineQPAG, words, max_steps: Optional[int] = None
-) -> Iterator[RunResult]:
-    """Yield ``run(machine, word, max_steps)`` for each word, in order.
-    Words are read one at a time, as results are taken; ``run_batch``
-    runs a batch of words together."""
-    for word in words:
-        yield run(machine, word, max_steps)
 
 
 def run(

@@ -1,4 +1,5 @@
-"""Seeded random machine generators.
+"""Seeded random machine generators, and the exhaustive enumerator of
+``problem1`` instances.
 
 The scheduled-stack generator builds machines that are unitary for every
 word by construction: each (read, top) block is a random complex isometry
@@ -11,6 +12,7 @@ halting states so the isometries always fit.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from qpag.model import (
@@ -23,6 +25,7 @@ from qpag.model import (
     TransitionQCPDA,
     push,
 )
+from qpag.problem1 import SEGMENT_ALPHABET, THIRD_ALPHABET, Instance
 
 ALPHA = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
 
@@ -133,3 +136,13 @@ def words_up_to(length: int, symbols=("0", "1")):
 
 def random_word(rng: random.Random, symbols, max_len: int):
     return tuple(rng.choice(symbols) for _ in range(rng.randrange(max_len + 1)))
+
+
+def problem1_instances(n: int):
+    """Every ``problem1`` instance of segment length ``n``, w3 varying
+    fastest, then w2, then w1: the order an exhaustive sweep lists its
+    failures in."""
+    for w1 in itertools.product(SEGMENT_ALPHABET, repeat=n):
+        for w2 in itertools.product(SEGMENT_ALPHABET, repeat=n):
+            for w3 in itertools.product(THIRD_ALPHABET, repeat=n):
+                yield Instance("".join(w1), "".join(w2), "".join(w3))

@@ -9,10 +9,11 @@ from dataclasses import replace
 import pytest
 
 from qpag import branching, model
-from qpag.compiler import compile_qcpda, equiv_check
-from qpag.errors import InvariantError, PopOnBottom, StateSpaceOverflow
+from qpag.compiler import EQUIV_TOL, compile_qcpda, equiv_check
+from qpag.errors import PopOnBottom, StateSpaceOverflow
 from qpag.model import (
     EPSILON,
+    HALT_MASS,
     POP,
     InputAlphabet,
     PRUNE_THRESHOLD,
@@ -27,7 +28,6 @@ from qpag.branching import (
     Branch,
     BranchSteps,
     StepDeltas,
-    dump_branches,
     initial_branch,
     qcpda_step,
     run_qcpda,
@@ -114,10 +114,44 @@ def test_walker_closed_form(n):
     assert res.total() == pytest.approx(1.0, abs=1e-12)
 
 
+def _unmerged_tree(machine, word, max_steps):
+    """The oracle for merging: the run's branch tree with no two branches
+    merged. Every branch at or above ``HALT_MASS`` steps through
+    ``qcpda_step`` and keeps all its children; one below it retires to
+    p_non, as ``BranchSteps`` retires it. Returns (levels, ledger):
+    ``levels[i - 1]`` lists the tree's branches after step i, and the
+    ledger is (p_acc, p_rej, p_non, truncated) summed over the tree."""
+    tape, budget = run_bounds(machine, word, max_steps)
+    table: dict = {}
+    frontier = [initial_branch(machine, table)]
+    p_acc = p_rej = p_non = truncated = 0.0
+    levels = []
+    while frontier and len(levels) < budget:
+        children = []
+        for branch in frontier:
+            if branch.prob < HALT_MASS:
+                p_non += branch.prob
+                continue
+            deltas = qcpda_step(machine, tape, branch, table)
+            p_acc += deltas.acc
+            p_rej += deltas.rej
+            p_non += deltas.parked
+            truncated += deltas.truncated
+            children.extend(deltas.children)
+        frontier = children
+        levels.append(frontier)
+    p_non += left_sum(branch.prob for branch in frontier)
+    return levels, (p_acc, p_rej, p_non, truncated)
+
+
+def _level_sizes(machine, word, max_steps):
+    """How many branches each level of the unmerged tree holds."""
+    return [len(level) for level in _unmerged_tree(machine, word, max_steps)[0]]
+
+
 def test_walker_single_branch_line():
     # one live state per step: the tree never widens
-    doc = dump_branches(halting_walker(), "00", max_steps=4)
-    assert all(len(level["branches"]) == 1 for level in doc["levels"])
+    assert set(_level_sizes(halting_walker(), "00", 4)) == {1}
 
 
 def test_scheduled_ops_touch_stack():
@@ -128,9 +162,9 @@ def test_scheduled_ops_touch_stack():
     deltas = qcpda_step(m, tape, b, table)
     assert len(deltas.children) == 1
     child = deltas.children[0]
-    assert child.stack == ("Z", "x")  # landed in e1, which pushes
+    assert child.cell.tokens() == ("Z", "x")  # landed in e1, which pushes
     deltas2 = qcpda_step(m, tape, child, table)
-    assert deltas2.children[0].stack == ("Z",)  # landed in e0, which pops
+    assert deltas2.children[0].cell.tokens() == ("Z",)  # landed in e0, which pops
 
 
 def test_branch_children_renormalized():
@@ -155,21 +189,28 @@ def test_random_machines_conserve_mass(seed):
 def test_branch_count_growth_bounded():
     # at most two distinct scheduled ops: the tree at depth t has <= 2^t leaves
     for m in (random_qcpda(3), forking_walker()):
-        doc = dump_branches(m, "01", max_steps=4)
-        for level in doc["levels"]:
-            assert len(level["branches"]) <= 2 ** level["step"]
+        for step, size in enumerate(_level_sizes(m, "01", 4), 1):
+            assert size <= 2**step
 
 
 def test_forking_walker_doubles():
-    doc = dump_branches(forking_walker(), "0101", max_steps=3)
-    counts = [len(level["branches"]) for level in doc["levels"]]
-    assert counts == [2, 4, 8]
+    assert _level_sizes(forking_walker(), "0101", 3) == [2, 4, 8]
 
 
-def test_dump_branches_rejects_a_negative_limit():
-    # a negative slice bound would silently drop the least probable branches
-    with pytest.raises(InvariantError, match="branch limit must be nonnegative"):
-        dump_branches(forking_walker(), "0101", max_steps=3, limit=-1)
+def test_merged_ledger_matches_the_unmerged_tree():
+    # merging sums the probabilities of branches whose stacks and rounded
+    # amplitudes agree, so the ledger moves by float error only. No run of
+    # random_qcpda(0..9) here merges two branches, and those agree bit for
+    # bit; the forking walker merges from step 2. The largest difference
+    # measured is 4.4e-16
+    worst = 0.0
+    for m in [random_qcpda(seed) for seed in range(10)] + [forking_walker()]:
+        for word in words_up_to(3):
+            res = run_qcpda(m, word, max_steps=6)
+            got = (res.p_acc, res.p_rej, res.p_non, res.truncation_loss)
+            for a, b in zip(got, _unmerged_tree(m, word, 6)[1]):
+                worst = max(worst, abs(a - b))
+    assert worst <= EQUIV_TOL
 
 
 def test_branch_cap_enforced(monkeypatch):
@@ -236,15 +277,15 @@ def test_fingerprint_merges_identical_branches(monkeypatch):
     # a step-t branch of the forking walker is determined by its landing
     # state, its push count and a sign, so merging keeps the frontier linear
     # in t even though the raw tree doubles. The merged run holds at most
-    # 31 + 27 = 58 entries in a step, the tree 38 + 64 at step 6, so a
-    # budget of 58 only survives if equal fingerprints actually collapse
+    # 31 + 27 = 58 entries in a step, while the tree's step 6 alone makes
+    # more than 58, so a budget of 58 only survives if equal fingerprints
+    # actually collapse
+    raw, _ = _unmerged_tree(forking_walker(), "0" * 8, 6)
+    assert [len(level) for level in raw] == [2, 4, 8, 16, 32, 64]
+    assert sum(len(branch.psi) for branch in raw[5]) > 58
     monkeypatch.setattr(model, "ENTRY_BUDGET", 58)
     res = run_qcpda(forking_walker(), "0" * 8, max_steps=8)
     assert res.total() == pytest.approx(1.0, abs=1e-9)
-    raw = dump_branches(forking_walker(), "0" * 8, max_steps=5, limit=64)
-    assert [len(level["branches"]) for level in raw["levels"]] == [2, 4, 8, 16, 32]
-    with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 58 at step 6$"):
-        dump_branches(forking_walker(), "0" * 8, max_steps=8)
 
 
 def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
@@ -268,7 +309,7 @@ def test_merge_key_ignores_the_order_amplitudes_were_filled_in(monkeypatch):
     )
     assert len(frontier) == 1
     assert frontier[0].prob == 1.0
-    assert frontier[0].stack == ("Z",)
+    assert frontier[0].cell.tokens() == ("Z",)
 
 
 def test_run_qcpda_batch_equals_fresh_runs():

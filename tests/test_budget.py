@@ -19,8 +19,6 @@ import pytest
 from qpag import model, problem1, simulate
 from qpag.branching import (
     BranchSteps,
-    TreeSteps,
-    dump_branches,
     initial_branch,
     qcpda_step,
     run_qcpda,
@@ -269,14 +267,6 @@ def test_equiv_check_image_trips_where_the_counts_pass_the_budget(monkeypatch):
 def test_run_qcpda_trips_where_the_counts_pass_the_budget(monkeypatch, machine, word):
     totals = _branch_totals(BranchSteps(machine), word, 12)
     _check_budgets(monkeypatch, totals, lambda: run_qcpda(machine, word, max_steps=12))
-
-
-def test_dump_branches_trips_where_the_counts_pass_the_budget(monkeypatch):
-    # the unmerged tree doubles each step
-    m = forking_walker()
-    totals = _branch_totals(TreeSteps(m), "0" * 6, 6)
-    assert totals == [4, 8, 15, 28, 53, 102]
-    _check_budgets(monkeypatch, totals, lambda: dump_branches(m, "0" * 6, max_steps=6))
 
 
 @pytest.mark.parametrize("word", ["", "0", "0101"])

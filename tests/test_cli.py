@@ -291,9 +291,9 @@ def _cli(args, hash_seed=None):
     )
 
 
-def _sweep_doc(n, mode, checked):
+def _sweep_doc(n, mode, seed, checked):
     return (
-        f'{{\n  "n": {n},\n  "mode": "{mode}",\n  "checked": {checked},\n'
+        f'{{\n  "n": {n},\n  "mode": "{mode}",\n  "seed": {seed},\n  "checked": {checked},\n'
         '  "failures": [],\n  "max_deviation": 0\n}\n'
     ).encode()
 
@@ -309,10 +309,10 @@ def test_stdout_byte_stable_across_processes(tmp_path):
     # sweep reports pinned to what per-word runs gave before batching
     pinned = {
         ("problem1", "sweep", "-n", "2", "--exhaustive"): _sweep_doc(
-            2, "exhaustive", 1296
+            2, "exhaustive", "null", 1296
         ),
         ("problem1", "sweep", "-n", "5", "--samples", "50"): _sweep_doc(
-            5, "sample", 50
+            5, "sample", 0, 50
         ),
     }
     for args in (

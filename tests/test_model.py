@@ -260,7 +260,7 @@ def test_join_tokens_single_char_concat(tokens):
 
 # home module -> the names ``qpag`` exports from it
 _EXPORTED = {
-    "branching": "Branch dump_branches qcpda_step run_qcpda",
+    "branching": "Branch qcpda_step run_qcpda",
     "classical": "ACCEPT BLOCK LOOP REJECT run_dpda run_ppa",
     "compiler": "CompileMap EquivReport compile_qcpda equiv_check",
     "errors": "EndmarkerInWord InvariantError LengthMismatch MachineError NonWellFormedInput "
@@ -269,7 +269,7 @@ _EXPORTED = {
     "model": "EPSILON POP Configuration InputAlphabet MachinePPA MachineQCPDA MachineQPAG "
     "RunResult StackAlphabet StackOp TransitionPPA TransitionQCPDA TransitionQPAG "
     "default_max_steps display_tape make_tape push",
-    "simulate": "measure run run_many trajectory",
+    "simulate": "measure run trajectory",
     "wellformed": "AuditReport Violation WfReport audit_unitarity check_ppa check_qcpda check_qpag",
 }
 

@@ -25,9 +25,10 @@ from qpag.model import (
     push,
     run_bounds,
 )
-from qpag.simulate import KernelSteps, run, run_batch, run_many
+from qpag.simulate import KernelSteps, run, run_batch
 
 from .corpus import mutants
+from .generators import problem1_instances
 from .reference import ref_classify
 
 
@@ -255,8 +256,9 @@ def test_sweep_layer_past_the_entry_budget_overflows(monkeypatch):
 # sha256 over emit_json(report.to_json_dict(), floats="repr") of every
 # exhaustive report at n = 1, 2, 3, the built-in machine first, then each
 # mutant in corpus order; failure lists included. Taken from per-word
-# batches before the sweep ran on grader-state counts.
-_EXHAUSTIVE_REPORTS_SHA256 = "b543cd534f51e31f4eea56f962a8230bf8a9830aa9f6334cd62e13afe9c8b330"
+# batches before the sweep ran on grader-state counts, then again when the
+# reports gained their "seed" key: without it they hash to b543cd53...
+_EXHAUSTIVE_REPORTS_SHA256 = "c3d928f20010ddca826512001a0c9777e2c231bfc53a29349305d9ba21e615a5"
 
 
 def test_exhaustive_reports_hash_as_pinned():
@@ -300,14 +302,24 @@ def test_sweep_flags_a_wrong_machine():
 def test_sweep_report_json_keys():
     rep = problem1.sweep(1)
     doc = rep.to_json_dict()
-    assert set(doc) == {"n", "mode", "checked", "failures", "max_deviation"}
+    assert set(doc) == {"n", "mode", "seed", "checked", "failures", "max_deviation"}
+
+
+def test_sampled_reports_differ_by_their_seed():
+    # two sample streams with no failure give the same counts and deviation;
+    # the report still says which stream it checked
+    reports = [problem1.sweep(4, samples=20, seed=seed) for seed in (0, 1)]
+    assert [rep.seed for rep in reports] == [0, 1]
+    assert not reports[0].failures and not reports[1].failures
+    assert reports[0] != reports[1]
+    assert reports[0] == replace(reports[1], seed=0)
 
 
 def _per_instance_report(n, machine, tol=1e-9):
     """The exhaustive report with every instance run on its own."""
-    insts = list(problem1._instances_exhaustive(n))
-    results = run_many(machine, (i.tokens() for i in insts))
-    return _report(n, "exhaustive", insts, results, tol)
+    insts = list(problem1_instances(n))
+    results = [run(machine, i.tokens()) for i in insts]
+    return _report(n, "exhaustive", None, insts, results, tol)
 
 
 def _per_sample_report(n, samples, seed, machine, tol=1e-9):
@@ -315,10 +327,10 @@ def _per_sample_report(n, samples, seed, machine, tol=1e-9):
     stream run on its own, in draw order."""
     rng = random.Random(f"sweep|{n}|{seed}")
     insts = [problem1._draw(rng, n) for _ in range(samples)]
-    return _report(n, "sample", insts, (run(machine, i.word()) for i in insts), tol)
+    return _report(n, "sample", seed, insts, (run(machine, i.word()) for i in insts), tol)
 
 
-def _report(n, mode, insts, results, tol):
+def _report(n, mode, seed, insts, results, tol):
     failures = []
     max_dev = 0.0
     for inst, res in zip(insts, results):
@@ -338,6 +350,7 @@ def _report(n, mode, insts, results, tol):
     return problem1.SweepReport(
         n=n,
         mode=mode,
+        seed=seed,
         checked=len(insts),
         failures=tuple(failures),
         max_deviation=max_dev,
@@ -435,7 +448,7 @@ def test_run_many_equals_run_on_mutants(mutant):
     words = [
         inst.tokens()
         for n in (1, 2)
-        for inst in problem1._instances_exhaustive(n)
+        for inst in problem1_instances(n)
     ]
     got = run_batch(KernelSteps(m), [run_bounds(m, w, None) for w in words])
     assert got == [run(m, w) for w in words]
@@ -531,7 +544,7 @@ def test_representatives_cover_each_orbit_once():
     # representatives cover every instance once, and each stands for its
     # w1's class: 3 instances when w1 uses one letter, 6 otherwise
     for n in (1, 2, 3):
-        order = {inst: i for i, inst in enumerate(problem1._instances_exhaustive(n))}
+        order = {inst: i for i, inst in enumerate(problem1_instances(n))}
         covered = set()
         for inst in order:
             if not _canonical(inst.w1):
@@ -560,7 +573,7 @@ def test_representatives_carry_their_tokens_and_parities(n):
         assert words.count == len(tapes) == len(set(tapes))
         assert finals.keys().isdisjoint(tapes)
         finals.update(dict.fromkeys(tapes, g))
-    want = [inst for inst in problem1._instances_exhaustive(n) if _canonical(inst.w1)]
+    want = [inst for inst in problem1_instances(n) if _canonical(inst.w1)]
     assert len(finals) == len(want)
     for inst in want:
         w1, odd1, odd2, met = finals[make_tape(m, inst.tokens())]
@@ -582,7 +595,7 @@ def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
     # whole word ran, since w1 = "aa" now walks w2's first letter c beside
     # b (its runs meet b's at the next layer)
     m = problem1.build_machine()
-    canonical = [inst for inst in problem1._instances_exhaustive(2) if _canonical(inst.w1)]
+    canonical = [inst for inst in problem1_instances(2) if _canonical(inst.w1)]
     tapes = [make_tape(m, inst.tokens()) for inst in canonical]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
     steps = 0

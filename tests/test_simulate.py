@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpag import model, problem1, simulate
-from qpag.branching import dump_branches, run_qcpda
+from qpag.branching import run_qcpda
 from qpag.classical import run_ppa
 from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import (
@@ -45,14 +45,13 @@ from qpag.simulate import (
     cons,
     run,
     run_batch,
-    run_many,
     stack_after,
     trajectory,
     walk_to_end,
 )
 
 from .corpus import TOTAL_MACHINES, H, coin_ppa
-from .generators import random_qcpda, words_up_to
+from .generators import problem1_instances, random_qcpda, words_up_to
 from .reference import ref_run_qpag
 
 
@@ -445,11 +444,9 @@ def test_negative_step_budget_is_rejected():
     q = random_qcpda(0)
     calls = [
         lambda: run(m, "0", max_steps=-1),
-        lambda: list(run_many(m, ["0", "00"], max_steps=-1)),
         lambda: run_qcpda(q, "0", max_steps=-1),
         lambda: equiv_check(q, compile_qcpda(q)[0], ["0"], max_steps=-1),
         lambda: run_ppa(coin_ppa(), "a", max_steps=-1),
-        lambda: dump_branches(q, "01", max_steps=-1),
         lambda: list(trajectory(m, make_tape(m, "0"), -1)),
     ]
     for call in calls:
@@ -486,7 +483,7 @@ def test_run_many_equals_run_on_problem1_up_to_n2():
     words = [
         inst.tokens()
         for n in (1, 2)
-        for inst in problem1._instances_exhaustive(n)
+        for inst in problem1_instances(n)
     ]
     assert len(words) == 1332
     single = {w: run(m, w) for w in words}
@@ -644,8 +641,6 @@ def test_run_batch_walks_a_nodes_lagging_steps_once(monkeypatch, machine, max_st
 
 
 def test_run_many_of_nothing_yields_nothing():
-    assert list(run_many(problem1.build_machine(), [])) == []
-    assert list(run_many(problem1.build_machine(), iter(()))) == []
     assert run_batch(KernelSteps(problem1.build_machine()), []) == []
 
 
@@ -655,7 +650,7 @@ def test_run_many_shares_every_common_prefix(monkeypatch):
     # makes fewer steps than the tapes' prefix trie has nodes, root
     # excluded
     m = problem1.build_machine()
-    words = [inst.tokens() for inst in problem1._instances_exhaustive(2)]
+    words = [inst.tokens() for inst in problem1_instances(2)]
     tapes = [make_tape(m, word) for word in words]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
     steps = 0
@@ -743,29 +738,16 @@ def test_run_many_overflow_names_the_step(monkeypatch):
     tape = make_tape(m, "00")
     first = run(m, "0")
     # "0" holds at most 23 entries in a step; "00"'s step 4 starts from 8
-    # keys and 15 cells and makes 16 keys, in a fresh run and in the batch
+    # keys and 15 cells and makes 16 keys, in a trajectory and in a run
     _cap_vectors(monkeypatch, 30)
     with pytest.raises(StateSpaceOverflow) as single:
         for _ in trajectory(m, tape, default_max_steps(2)):
             pass
-    results = run_many(m, ["0", "00"])
-    assert next(results) == first
-    with pytest.raises(StateSpaceOverflow) as batch:
-        next(results)
-    assert str(batch.value) == str(single.value)
-    assert str(batch.value).endswith("at step 4")
-
-
-def test_run_many_rejects_a_bad_word_after_the_good_ones():
-    m = problem1.build_machine()
-    words = iter(["a#a#a", "ab#ba#ab", "a#z#a", "b#b#b"])
-    results = run_many(m, words)
-    assert next(results) == run(m, "a#a#a")
-    assert next(results) == run(m, "ab#ba#ab")
-    with pytest.raises(UnknownSymbol):
-        next(results)
-    # words are read one at a time, as results are taken
-    assert list(words) == ["b#b#b"]
+    assert run(m, "0") == first
+    with pytest.raises(StateSpaceOverflow) as fresh:
+        run(m, "00")
+    assert str(fresh.value) == str(single.value)
+    assert str(fresh.value).endswith("at step 4")
 
 
 def _multipass_step(machine, succ, point, tape):
