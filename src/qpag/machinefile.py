@@ -58,25 +58,17 @@ from .model import (
 # ======================================================================
 
 
-def _float_repr(x: float) -> str:
+# float style -> format spec; format(x, "") is repr(x) for every float
+_FLOAT_SPECS = {"repr": "", "sig12": ".12g"}
+
+
+def _float(x: float, spec: str) -> str:
     if x == 0:
         x = 0.0
     elif not isfinite(x):
-        raise _non_finite(x)
-    return repr(float(x))
-
-
-def _float_sig12(x: float) -> str:
-    if x == 0:
-        x = 0.0
-    elif not isfinite(x):
-        raise _non_finite(x)
-    return format(float(x), ".12g")
-
-
-def _non_finite(x: float) -> SchemaError:
-    # JSON has no token for nan or an infinity
-    return SchemaError(f"cannot emit non-finite float {float(x)!r}")
+        # JSON has no token for nan or an infinity
+        raise SchemaError(f"cannot emit non-finite float {float(x)!r}")
+    return format(float(x), spec)
 
 
 def emit_json(value, floats: str = "repr") -> str:
@@ -86,19 +78,16 @@ def emit_json(value, floats: str = "repr") -> str:
     files) or "sig12" (12 significant digits, reports). A nan or an
     infinity anywhere in ``value`` raises SchemaError.
     """
-    if floats == "repr":
-        fmt = _float_repr
-    elif floats == "sig12":
-        fmt = _float_sig12
-    else:
+    spec = _FLOAT_SPECS.get(floats)
+    if spec is None:
         raise InvariantError(f"unknown float style {floats!r}")
     out: list[str] = []
-    _emit(value, fmt, "\n", out)
+    _emit(value, spec, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _emit(value, fmt, nl, out):
+def _emit(value, spec, nl, out):
     """Append the text of ``value`` to ``out``. ``nl`` is a newline plus
     the indent of the line ``value`` starts on. The common types are
     tested first; bool is tested inside the int branch."""
@@ -113,11 +102,11 @@ def _emit(value, fmt, nl, out):
         sep = "{" + inner
         for k, v in value.items():
             out.append(sep + _quote(str(k)) + ": ")
-            _emit(v, fmt, inner, out)
+            _emit(v, spec, inner, out)
             sep = comma
         out.append(nl + "}")
     elif isinstance(value, float):
-        out.append(fmt(value))
+        out.append(_float(value, spec))
     elif isinstance(value, int):
         if value is True:
             out.append("true")
@@ -130,7 +119,7 @@ def _emit(value, fmt, nl, out):
         body = []
         for x in value:
             if isinstance(x, float):
-                body.append(fmt(x))
+                body.append(_float(x, spec))
             elif isinstance(x, int) and x is not True and x is not False:
                 body.append(str(x))
             else:
@@ -143,7 +132,7 @@ def _emit(value, fmt, nl, out):
         sep = "[" + inner
         for x in value:
             out.append(sep)
-            _emit(x, fmt, inner, out)
+            _emit(x, spec, inner, out)
             sep = comma
         out.append(nl + "]")
     elif value is None:

@@ -23,27 +23,32 @@ Condition ids: "1" column norm, "2" same-column-index orthogonality,
 "pop-on-z" (pop scheduled on the bottom symbol) and "range" (probability
 outside [0, 1]).
 
-Each orthogonality condition is a term generator: it pairs the rows whose
-images can meet and yields ``(key, term_key, conj(amp1) * amp2)``, where
-``key`` names the two columns the condition quantifies over. One routine,
-``_orthogonality``, sums the terms per key and reports each key whose sum
-exceeds the tolerance; the number of keys is the condition's evaluation
-count. Column norms (condition 1) go through ``_norm_violations`` for all
-three checkers. Every witness comes from one table, ``_WITNESS``: the
-condition's field names, paired in order with its key. ``check_qcpda``
-shares the generators of conditions 2 and 4 with ``check_qpag``; a
-scheduled-stack row carries no stack operation, so its operation key is
-``()``. Two rows of one column pair like any other two rows: applied to two
-configurations that differ in head or stack, their images can still meet.
+Every orthogonality term has one shape, ``((cid, key), term_key,
+conj(amp1) * amp2)``: ``cid`` names the condition and ``key`` the two
+columns it quantifies over. A checker chains its generators into one
+stream and makes one ``_orthogonality`` call, which sums the terms per
+``(cid, key)`` and reports each sum over the tolerance; a condition's
+evaluation count is its number of keys. ``_meeting_terms`` pairs the rows
+that share a target once for 3a and 5a (epsilon against push rows) and
+once for 3b and 5b (pop against epsilon and push rows); equal head moves
+give the first condition, opposite ones the second. Column norms
+(condition 1) go through ``_norm_violations`` for all three checkers.
+Every witness comes from one table, ``_WITNESS``: the condition's field
+names, paired in order with its key. ``check_qcpda`` shares the
+generators of conditions 2 and 4 with ``check_qpag``; a scheduled-stack
+row carries no stack operation, so its operation key is ``()``. Two rows
+of one column pair like any other two rows: applied to two configurations
+that differ in head or stack, their images can still meet.
 
-Every condition sum is accumulated in sorted term order, so reports are
+Every condition sum is accumulated in sorted term order, and each
+``(cid, key, term_key)`` names both of its rows, so reports are
 bit-identical across transition reorderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .errors import InvariantError
 from .model import (
@@ -141,14 +146,16 @@ def _sums(terms):
     return sums
 
 
-def _orthogonality(cid, terms, tol, viols):
-    """Report each key whose terms sum to more than ``tol`` in absolute
-    value; returns the number of keys evaluated."""
-    sums = _sums(terms)
-    for key, total in sums.items():
+def _orthogonality(cids, terms, tol, viols):
+    """Report each ``(cid, key)`` whose terms sum to more than ``tol`` in
+    absolute value; returns each of ``cids`` with its number of keys
+    evaluated, 0 for a condition with none."""
+    counts = dict.fromkeys(cids, 0)
+    for (cid, key), total in _sums(terms).items():
+        counts[cid] += 1
         if abs(total) > tol:
             viols.append(_violation(cid, key, abs(total)))
-    return len(sums)
+    return counts
 
 
 def _op_key(t):
@@ -210,7 +217,7 @@ def _check_mode(mode):
 
 
 # ======================================================================
-# Term generators, one per orthogonality condition
+# Term generators of the orthogonality conditions
 # ======================================================================
 
 
@@ -226,7 +233,7 @@ def _same_column_terms(trans):
         entries.sort(key=lambda e: e[0])
         for i, (q1, a1) in enumerate(entries):
             for q2, a2 in entries[i + 1 :]:
-                yield (a, b, q1, q2), (tgt, opk, mv), a1.conjugate() * a2
+                yield ("2", (a, b, q1, q2)), (tgt, opk, mv), a1.conjugate() * a2
 
 
 def _head_shift_terms(trans):
@@ -239,7 +246,7 @@ def _head_shift_terms(trans):
         for t0 in m0:
             for t1 in m1:
                 key = (b, t0.source, t0.read, t1.source, t1.read)
-                yield key, (tgt, opk), t0.amp.conjugate() * t1.amp
+                yield ("4", key), (tgt, opk), t0.amp.conjugate() * t1.amp
 
 
 def _extension(e, p, g_set):
@@ -253,59 +260,31 @@ def _extension(e, p, g_set):
     return None
 
 
-def _push_extends_terms(eps, pushes, g_set):
-    """(3a) Same head move and read: an epsilon row against a row that
-    pushes prefix + top onto the same hidden stack."""
-    same: dict = {}
-    for p in pushes:
-        same.setdefault((p.read, p.target, p.move), []).append(p)
-    for e in eps:
-        for p in same.get((e.read, e.target, e.move), ()):
-            prefix = _extension(e, p, g_set)
-            if prefix is not None:
-                key = (e.read, e.source, e.top, p.source, p.top, prefix)
-                yield key, (e.target, e.move), e.amp.conjugate() * p.amp
-
-
-def _pop_reveals_terms(pops, others):
-    """(3b) Same head move and read: a pop row against a row pushing the
-    revealed suffix (epsilon counts as the empty suffix)."""
-    same: dict = {}
-    for o in others:
-        same.setdefault((o.read, o.target, o.move), []).append(o)
-    for t1 in pops:
-        for o in same.get((t1.read, t1.target, t1.move), ()):
-            key = (t1.read, t1.source, t1.top, o.source, o.top, o.op.sort_key())
-            yield key, (t1.target, t1.move), t1.amp.conjugate() * o.amp
-
-
 def _side(t):
     return (t.source, t.read, t.top, t.move)
 
 
-def _shifted_push_terms(eps, pushes, g_set):
-    """(5a) Like (3a) with opposite head moves and free reads."""
-    by_target: dict = {}
-    for p in pushes:
-        by_target.setdefault(p.target, []).append(p)
-    for e in eps:
-        for p in by_target.get(e.target, ()):
-            prefix = _extension(e, p, g_set)
-            if e.move != p.move and prefix is not None:
-                key = (*_side(e), *_side(p), prefix)
-                yield key, (e.target,), e.amp.conjugate() * p.amp
-
-
-def _shifted_pop_terms(pops, others):
-    """(5b) Like (3b) with opposite head moves and free reads."""
+def _meeting_terms(cids, rows, others, tail):
+    """(3a, 5a) or (3b, 5b), named by ``cids``: each row of ``rows`` against
+    each row of ``others`` into the same target, where ``tail(row, other)``,
+    the key's last field, is not None. Equal reads and head moves give a
+    term of the first condition, opposite head moves one of the second
+    (reads free)."""
+    same, shifted = cids
     by_target: dict = {}
     for o in others:
         by_target.setdefault(o.target, []).append(o)
-    for t1 in pops:
-        for o in by_target.get(t1.target, ()):
-            if t1.move != o.move:
-                key = (*_side(t1), *_side(o), o.op.sort_key())
-                yield key, (t1.target,), t1.amp.conjugate() * o.amp
+    for t in rows:
+        for o in by_target.get(t.target, ()):
+            end = tail(t, o)
+            if end is None:
+                continue
+            value = t.amp.conjugate() * o.amp
+            if t.move != o.move:
+                yield (shifted, (*_side(t), *_side(o), end)), (t.target,), value
+            elif t.read == o.read:
+                key = (t.read, t.source, t.top, o.source, o.top, end)
+                yield (same, key), (t.target, t.move), value
 
 
 # ======================================================================
@@ -325,16 +304,16 @@ def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -
     pops = [t for t in trans if t.op.kind == "pop"]
     # pop on the bottom symbol is never allowed
     viols = [_pop_on_bottom(t, abs(t.amp)) for t in pops if t.top == bottom]
-    evaluations = {"1": _amplitude_norms(machine, trans, mode, tol, viols)}
-    for cid, terms in (
-        ("2", _same_column_terms(trans)),
-        ("3a", _push_extends_terms(eps, pushes, g_set)),
-        ("3b", _pop_reveals_terms(pops, eps + pushes)),
-        ("4", _head_shift_terms(trans)),
-        ("5a", _shifted_push_terms(eps, pushes, g_set)),
-        ("5b", _shifted_pop_terms(pops, eps + pushes)),
-    ):
-        evaluations[cid] = _orthogonality(cid, terms, tol, viols)
+    terms = chain(
+        _same_column_terms(trans),
+        _meeting_terms(("3a", "5a"), eps, pushes, lambda e, p: _extension(e, p, g_set)),
+        _meeting_terms(("3b", "5b"), pops, eps + pushes, lambda t, o: o.op.sort_key()),
+        _head_shift_terms(trans),
+    )
+    evaluations = {
+        "1": _amplitude_norms(machine, trans, mode, tol, viols),
+        **_orthogonality(("2", "3a", "3b", "4", "5a", "5b"), terms, tol, viols),
+    }
     return _finish(viols, mode, evaluations)
 
 
@@ -359,10 +338,10 @@ def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9)
         for t in trans
         if t.top == bottom and sigma.get(t.target) == POP
     ]
+    terms = chain(_same_column_terms(trans), _head_shift_terms(trans))
     evaluations = {
         "1": _amplitude_norms(machine, trans, mode, tol, viols),
-        "2": _orthogonality("2", _same_column_terms(trans), tol, viols),
-        "4": _orthogonality("4", _head_shift_terms(trans), tol, viols),
+        **_orthogonality(("2", "4"), terms, tol, viols),
     }
     return _finish(viols, mode, evaluations)
 

@@ -1,6 +1,9 @@
 """Seeded random machine generators, and the exhaustive enumerator of
 ``problem1`` instances.
 
+The garbage-tape table generator draws rows with no regard for unitarity,
+so that every column condition has pairs to evaluate and most fail.
+
 The scheduled-stack generator builds machines that are unitary for every
 word by construction: each (read, top) block is a random complex isometry
 from the non-halting states into a target set, and each target state owns a
@@ -20,9 +23,11 @@ from qpag.model import (
     POP,
     InputAlphabet,
     MachineQCPDA,
+    MachineQPAG,
     StackAlphabet,
     StackOp,
     TransitionQCPDA,
+    TransitionQPAG,
     push,
 )
 from qpag.problem1 import SEGMENT_ALPHABET, THIRD_ALPHABET, Instance
@@ -121,6 +126,46 @@ def random_qcpda(seed: int) -> MachineQCPDA:
         initial=names[0],
         accepting=accepting,
         rejecting=rejecting,
+    )
+
+
+_TABLE_OPS = (EPSILON, POP, push("A"), push("B"), push("A", "B"), push("B", "A"))
+_TABLE_AMPS = tuple(
+    sign * unit * size
+    for size in (1.0, 0.5, 2**-0.5)
+    for unit in (1 + 0j, 1j)
+    for sign in (1, -1)
+)
+
+
+def random_qpag_table(seed: int) -> MachineQPAG:
+    """A garbage-tape machine of 8 to 29 random rows over 3 states, input
+    ``< 0 1 >`` and stack ``Z A B``, amplitudes drawn from ±1, ±1/2 and
+    ±1/√2, real or imaginary. A row repeating an earlier row's column,
+    target, move and operation is dropped. Odd seeds declare every push
+    string of the operation pool."""
+    rng = random.Random(f"qpag-table|{seed}")
+    states = ("q0", "q1", "q2")
+    gamma = StackAlphabet(symbols=("Z", "A", "B"), bottom="Z")
+    rows: dict = {}
+    for _ in range(rng.randrange(8, 30)):
+        source, target = rng.choice(states), rng.choice(states)
+        read, top = rng.choice(ALPHA.symbols), rng.choice(gamma.symbols)
+        op, move = rng.choice(_TABLE_OPS), rng.randrange(2)
+        rows.setdefault(
+            (source, read, top, target, move, op.sort_key()),
+            TransitionQPAG(source, read, top, target, op, move, rng.choice(_TABLE_AMPS)),
+        )
+    declared = tuple(op.payload for op in _TABLE_OPS if op.kind == "push")
+    return MachineQPAG(
+        states=states,
+        input_alphabet=ALPHA,
+        stack_alphabet=gamma,
+        transitions=tuple(rows.values()),
+        initial="q0",
+        accepting=frozenset({"q2"}),
+        rejecting=frozenset(),
+        declared_push_strings=declared if seed % 2 else (),
     )
 
 

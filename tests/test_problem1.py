@@ -443,7 +443,7 @@ def test_symmetry_is_checked_once_per_machine(monkeypatch):
 
 
 @pytest.mark.parametrize("mutant", mutants(), ids=lambda mu: mu.name)
-def test_run_many_equals_run_on_mutants(mutant):
+def test_run_batch_equals_run_on_mutants(mutant):
     m = mutant.machine
     words = [
         inst.tokens()

@@ -478,7 +478,7 @@ def _batch(machine, words, max_steps=None):
     return run_batch(KernelSteps(machine), [run_bounds(machine, w, max_steps) for w in words])
 
 
-def test_run_many_equals_run_on_problem1_up_to_n2():
+def test_run_batch_equals_run_on_problem1_up_to_n2():
     m = problem1.build_machine()
     words = [
         inst.tokens()
@@ -494,7 +494,7 @@ def test_run_many_equals_run_on_problem1_up_to_n2():
         assert _batch(m, order) == [single[w] for w in order]
 
 
-def test_run_many_equals_run_on_compiled_images():
+def test_run_batch_equals_run_on_compiled_images():
     words = words_up_to(4)
     for seed in range(20):
         image = compile_qcpda(random_qcpda(seed))[0]
@@ -544,7 +544,7 @@ _LEAKER = [
 
 
 @pytest.mark.parametrize("rows", [_WAITER, _LEAKER], ids=["waiter", "leaker"])
-def test_run_many_keys_the_step_and_the_ledger(rows):
+def test_run_batch_keys_the_step_and_the_ledger(rows):
     # after reading position 1, "01" and "11" both hold the vector p@2, so
     # their keys hold the same tape slice (none) and the same vector: the
     # waiter reaches it at step 3 and step 2, the leaker with p_acc 0.5 and
@@ -640,11 +640,11 @@ def test_run_batch_walks_a_nodes_lagging_steps_once(monkeypatch, machine, max_st
     assert count == steps
 
 
-def test_run_many_of_nothing_yields_nothing():
+def test_run_batch_of_nothing_yields_nothing():
     assert run_batch(KernelSteps(problem1.build_machine()), []) == []
 
 
-def test_run_many_shares_every_common_prefix(monkeypatch):
+def test_run_batch_shares_every_common_prefix(monkeypatch):
     # problem1 heads all move right every step, so a batch steps each group
     # once per tape position; groups whose runs meet merge, so the batch
     # makes fewer steps than the tapes' prefix trie has nodes, root
@@ -704,7 +704,7 @@ def _stacker() -> MachineQPAG:
     )
 
 
-def test_run_many_cell_table_stays_bounded(monkeypatch):
+def test_run_batch_cell_table_stays_bounded(monkeypatch):
     # words of each length end at their own layer, each holding cells no
     # other run reaches: without the rebuild the table would keep every
     # cell of every ended run. Between layers it holds at most twice the
@@ -733,7 +733,7 @@ def test_run_many_cell_table_stays_bounded(monkeypatch):
     assert created > 20 * peak
 
 
-def test_run_many_overflow_names_the_step(monkeypatch):
+def test_run_batch_overflow_names_the_step(monkeypatch):
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "00")
     first = run(m, "0")

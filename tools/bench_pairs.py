@@ -22,6 +22,11 @@ than the parent's interquartile range.
 
 The record is printed, or, with ``--out`` and ``--key``, stored as
 ``FILE[KEY]``, the file created if it does not exist.
+
+Every argument is checked before the first run: ``--workload`` and
+``--claim`` must name a workload and an end-to-end metric of
+BENCHMARK.json, ``--seeds`` must give at least two seeds, and each
+checkout must hold ``perfbench/run.py``. A bad one exits with status 2.
 """
 
 from __future__ import annotations
@@ -36,14 +41,30 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"91-100"`` or ``"91,93,95"`` as a list of seeds."""
-    if "-" in text:
-        first, last = map(int, text.split("-"))
-        return list(range(first, last + 1))
-    return [int(s) for s in text.split(",")]
+    """``"91-100"`` or ``"91,93,95"`` as a list of at least two seeds; an
+    argparse type, so a bad list stops the command before its first run."""
+    try:
+        if "-" in text:
+            first, last = map(int, text.split("-"))
+            seeds = list(range(first, last + 1))
+        else:
+            seeds = [int(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a range 91-100 or a list 91,93: {text!r}")
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError("quartiles need at least two pairs")
+    return seeds
+
+
+def seeds_text(seeds: list[int]) -> str:
+    """The seeds as ``"91-100"`` when consecutive, else ``"91,93,95"``."""
+    if seeds == list(range(seeds[0], seeds[-1] + 1)):
+        return f"{seeds[0]}-{seeds[-1]}"
+    return ",".join(map(str, seeds))
 
 
 def revision(checkout: Path) -> str | None:
@@ -106,12 +127,13 @@ def claim_met(entry: dict, pairs: int) -> bool:
     return 10 * entry["change_wins"] >= 9 * pairs and gap > parent["q3"] - parent["q1"]
 
 
-def record(args, seeds: list[int], runs: dict) -> dict:
-    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+def record(args, runs: dict) -> dict:
+    specs = BENCHMARK["end_to_end"]
     sides = ("parent", "change")
+    seeds = args.seeds
     section = {
         "pairs": len(seeds),
-        "seeds": args.seeds,
+        "seeds": seeds_text(seeds),
         "seconds": args.seconds,
         "all_correct": all(r["correct"] for side in sides for r in runs[side]),
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in sides},
@@ -155,29 +177,33 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
-    p.add_argument("--workload", required=True)
-    p.add_argument("--seeds", required=True, help="a range 91-100 or a list 91,93")
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
+    p.add_argument("--seeds", type=parse_seeds, required=True, help="a range 91-100 or a list 91,93")
     p.add_argument("--seconds", type=float, required=True)
-    p.add_argument("--claim", default=None, help="the end-to-end metric the change claims")
+    p.add_argument("--claim", default=None, choices=[m["name"] for m in BENCHMARK["end_to_end"]],
+                   help="the end-to-end metric the change claims")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--key", default=None)
     args = p.parse_args(argv)
     if (args.out is None) != (args.key is None):
         p.error("--out and --key go together")
-    seeds = parse_seeds(args.seeds)
-    if len(seeds) < 2:
-        p.error("quartiles need at least two pairs")
+    for side in ("parent", "change"):
+        if not (getattr(args, side) / "perfbench" / "run.py").is_file():
+            p.error(f"--{side} {getattr(args, side)} has no perfbench/run.py")
+    if args.out is not None and not args.out.parent.is_dir():
+        p.error(f"--out {args.out}: no such directory")
+    # a record file that is not JSON stops the command here, before any run
+    doc = json.loads(args.out.read_text()) if args.out is not None and args.out.exists() else {}
     runs: dict = {"parent": [], "change": []}
-    for seed in seeds:
+    for seed in args.seeds:
         order = ("parent", "change") if seed % 2 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
             print(f"seed {seed} {side} done", file=sys.stderr)
-    rec = record(args, seeds, runs)
+    rec = record(args, runs)
     if args.out is None:
         print(json.dumps(rec, indent=2))
         return 0
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc[args.key] = rec
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
