@@ -619,7 +619,8 @@ def test_checks_reject_a_bad_tolerance(check, tol):
 # check_qcpda in both modes on random_qcpda(0..49); then check_ppa on
 # coin_ppa and dpda_wcwr. The random tables are the only machines here that
 # fail conditions 3a, 3b, 5a and 5b by the hundred; among the others only
-# the retarget mutants evaluate them at all
+# the retarget mutants evaluate them at all. Taken while each condition
+# still had a term generator and a sum of its own
 _COLUMN_REPORTS_SHA256 = "6180c32f66cb01b0fb22043c6ff1062c58c45298298191790b47630d8f93dde8"
 
 

@@ -41,7 +41,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def benchmark() -> dict:
+    """This repository's BENCHMARK.json."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -127,8 +131,7 @@ def claim_met(entry: dict, pairs: int) -> bool:
     return 10 * entry["change_wins"] >= 9 * pairs and gap > parent["q3"] - parent["q1"]
 
 
-def record(args, runs: dict) -> dict:
-    specs = BENCHMARK["end_to_end"]
+def record(args, specs: list[dict], runs: dict) -> dict:
     sides = ("parent", "change")
     seeds = args.seeds
     section = {
@@ -174,13 +177,14 @@ def record(args, runs: dict) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = benchmark()
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True)
     p.add_argument("--change", type=Path, required=True)
-    p.add_argument("--workload", required=True, choices=[w["name"] for w in BENCHMARK["workloads"]])
+    p.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
     p.add_argument("--seeds", type=parse_seeds, required=True, help="a range 91-100 or a list 91,93")
     p.add_argument("--seconds", type=float, required=True)
-    p.add_argument("--claim", default=None, choices=[m["name"] for m in BENCHMARK["end_to_end"]],
+    p.add_argument("--claim", default=None, choices=[m["name"] for m in bench["end_to_end"]],
                    help="the end-to-end metric the change claims")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--key", default=None)
@@ -200,7 +204,7 @@ def main(argv=None) -> int:
         for side in order:
             runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
             print(f"seed {seed} {side} done", file=sys.stderr)
-    rec = record(args, runs)
+    rec = record(args, bench["end_to_end"], runs)
     if args.out is None:
         print(json.dumps(rec, indent=2))
         return 0
