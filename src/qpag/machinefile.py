@@ -17,10 +17,11 @@ off two tables. ``_ROW_FIELDS`` (and ``_ALPHABET_FIELDS`` for the two
 alphabets) maps each dataclass field to its key in the file and its value
 reader and writer; a transition row's keys follow the field order of its
 transition class, so every kind writes ``from, read, top, to, [op], move,
-amp|prob``. ``_KINDS`` maps each kind to its machine class, its top-level
-keys, the reader and writer of its own top-level field (``push_strings``
-for qpag, ``sigma`` for qcpda) and its row reader and writer, all laid out
-once at import.
+amp|prob`` (the first four from the rows' shared base). ``_KINDS`` maps
+each kind to its machine class, its top-level keys, the reader and writer
+of its own top-level field (``push_strings`` for qpag, ``sigma`` for
+qcpda) and the reader and writer of the machine class's ``row_class``,
+all laid out once at import.
 
 The parser is strict: unknown, missing and repeated keys are errors. Each
 ``SchemaError`` names the path of the offending value, such as
@@ -47,9 +48,6 @@ from .model import (
     MachineQPAG,
     StackAlphabet,
     StackOp,
-    TransitionPPA,
-    TransitionQCPDA,
-    TransitionQPAG,
     tokens_doc,
 )
 
@@ -367,18 +365,17 @@ _TOP_FIELDS = (
 )
 
 
-def _kind(machine, row, read_own, write_own, required=(), optional=()):
+def _kind(machine, read_own, write_own, required=(), optional=()):
     keys = _fields(*_TOP_FIELDS, *required, optional=optional)
-    return _Kind(machine, keys, read_own, write_own, *_schema(row, _ROW_FIELDS))
+    return _Kind(machine, keys, read_own, write_own, *_schema(machine.row_class, _ROW_FIELDS))
 
 
 _KINDS = {
     "qpag": _kind(
-        MachineQPAG, TransitionQPAG, _read_push_strings, _write_push_strings,
-        optional=("push_strings",),
+        MachineQPAG, _read_push_strings, _write_push_strings, optional=("push_strings",)
     ),
-    "qcpda": _kind(MachineQCPDA, TransitionQCPDA, _read_sigma, _write_sigma, ("sigma",)),
-    "ppa": _kind(MachinePPA, TransitionPPA, lambda doc: {}, lambda machine: {}),
+    "qcpda": _kind(MachineQCPDA, _read_sigma, _write_sigma, ("sigma",)),
+    "ppa": _kind(MachinePPA, lambda doc: {}, lambda machine: {}),
 }
 
 

@@ -11,6 +11,15 @@ Three machine flavours over the same configuration space:
 * ``MachinePPA``: probabilities instead of amplitudes, otherwise the same
   shape as the QPAG.
 
+The three derive from one frozen dataclass, ``_Machine``: its seven fields
+(states, the two alphabets, transitions, initial, accepting, rejecting)
+come first, and its ``__post_init__`` is the one construction check, which
+reads the row class off the machine class (``row_class``) and the weight
+field off ``_weight``. ``MachineQPAG`` adds ``declared_push_strings`` and
+``MachineQCPDA`` adds ``sigma``, each checked after the shared check. The
+three row classes likewise share a base of ``(source, read, top, target)``
+and add their own fields after it.
+
 Symbols are text tokens. The input alphabet reserves two tokens as the left
 and right endmarker (spelled ``<`` / ``>`` in files, shown as ``¢`` / ``$``
 in traces); the stack alphabet reserves one token as the bottom symbol,
@@ -182,38 +191,36 @@ def _check_symbols(symbols, what):
 
 
 @dataclass(frozen=True)
-class TransitionQPAG:
-    """One garbage-tape row: column, target, stack operation, head move, amplitude."""
+class _Row:
+    """The column (source, read, top) and the target every row kind starts with."""
 
     source: str
     read: str
     top: str
     target: str
+
+
+@dataclass(frozen=True)
+class TransitionQPAG(_Row):
+    """One garbage-tape row: column, target, stack operation, head move, amplitude."""
+
     op: StackOp
     move: int
     amp: complex
 
 
 @dataclass(frozen=True)
-class TransitionQCPDA:
+class TransitionQCPDA(_Row):
     """One scheduled-stack row: column, target, head move, amplitude."""
 
-    source: str
-    read: str
-    top: str
-    target: str
     move: int
     amp: complex
 
 
 @dataclass(frozen=True)
-class TransitionPPA:
+class TransitionPPA(_Row):
     """One probabilistic row: column, target, stack operation, head move, probability."""
 
-    source: str
-    read: str
-    top: str
-    target: str
     op: StackOp
     move: int
     prob: float
@@ -222,48 +229,6 @@ class TransitionPPA:
 # ======================================================================
 # Machines
 # ======================================================================
-
-
-def _check_common(m, row_class):
-    if not m.states:
-        raise InvariantError("machine has no states")
-    if len(set(m.states)) != len(m.states):
-        raise InvariantError("duplicate state names")
-    states = set(m.states)
-    if m.initial not in states:
-        raise InvariantError("initial state is not a state")
-    for q in m.accepting | m.rejecting:
-        if q not in states:
-            raise InvariantError(f"halting state {q!r} is not a state")
-    if m.accepting & m.rejecting:
-        raise InvariantError("accepting and rejecting sets overlap")
-    seen = set()
-    for t in m.transitions:
-        if not isinstance(t, row_class):
-            raise InvariantError(f"transition is not a {row_class.__name__}: {t}")
-        if t.source not in states or t.target not in states:
-            raise InvariantError(f"transition endpoint missing from states: {t}")
-        if t.read not in m.input_alphabet.symbols:
-            raise InvariantError(f"transition reads unknown symbol {t.read!r}")
-        if t.top not in m.stack_alphabet.symbols:
-            raise InvariantError(f"transition tops unknown symbol {t.top!r}")
-        if t.move not in (0, 1):
-            raise InvariantError(f"head move must be 0 or 1, got {t.move!r}")
-        op = getattr(t, "op", None)
-        if op is not None:
-            _check_push_payload(op, m.stack_alphabet)
-        key = _transition_key(t)
-        if key in seen:
-            raise InvariantError(f"duplicate transition tuple {key}")
-        seen.add(key)
-        if row_class is TransitionPPA:
-            if not math.isfinite(t.prob):
-                raise InvariantError("probability must be finite")
-        else:
-            if not cmath.isfinite(t.amp):
-                raise InvariantError("amplitude must be finite")
-            if abs(t.amp) > 1 + AMP_MAG_TOL:
-                raise InvariantError(f"amplitude magnitude {abs(t.amp)} exceeds 1")
 
 
 def _check_push_payload(op, stack_alphabet):
@@ -284,11 +249,66 @@ def _transition_key(t):
     return tuple(parts)
 
 
+@dataclass(frozen=True)
 class _Machine:
-    """Halting set and column index shared by the three machine classes."""
+    """The fields, construction check, halting set and column index shared
+    by the three machine classes. A subclass names the class of its rows
+    in ``row_class`` and their weight field in ``_weight``; a subclass with
+    a field of its own checks it after ``super().__post_init__()``."""
+
+    states: tuple[str, ...]
+    input_alphabet: InputAlphabet
+    stack_alphabet: StackAlphabet
+    transitions: tuple
+    initial: str
+    accepting: frozenset[str]
+    rejecting: frozenset[str]
 
     # Name of the transition field holding the row's weight.
     _weight = "amp"
+
+    def __post_init__(self):
+        if not self.states:
+            raise InvariantError("machine has no states")
+        if len(set(self.states)) != len(self.states):
+            raise InvariantError("duplicate state names")
+        states = set(self.states)
+        if self.initial not in states:
+            raise InvariantError("initial state is not a state")
+        for q in self.accepting | self.rejecting:
+            if q not in states:
+                raise InvariantError(f"halting state {q!r} is not a state")
+        if self.accepting & self.rejecting:
+            raise InvariantError("accepting and rejecting sets overlap")
+        row_class = self.row_class
+        seen = set()
+        for t in self.transitions:
+            if not isinstance(t, row_class):
+                raise InvariantError(f"transition is not a {row_class.__name__}: {t}")
+            if t.source not in states or t.target not in states:
+                raise InvariantError(f"transition endpoint missing from states: {t}")
+            if t.read not in self.input_alphabet.symbols:
+                raise InvariantError(f"transition reads unknown symbol {t.read!r}")
+            if t.top not in self.stack_alphabet.symbols:
+                raise InvariantError(f"transition tops unknown symbol {t.top!r}")
+            # an int, as the file reader takes it: True == 1.0 == 1, but a
+            # file's ``"move": true`` or ``"move": 1.0`` is refused
+            if type(t.move) is not int or t.move not in (0, 1):
+                raise InvariantError(f"head move must be 0 or 1, got {t.move!r}")
+            op = getattr(t, "op", None)
+            if op is not None:
+                _check_push_payload(op, self.stack_alphabet)
+            key = _transition_key(t)
+            if key in seen:
+                raise InvariantError(f"duplicate transition tuple {key}")
+            seen.add(key)
+            if self._weight == "prob":
+                if not math.isfinite(t.prob):
+                    raise InvariantError("probability must be finite")
+            elif not cmath.isfinite(t.amp):
+                raise InvariantError("amplitude must be finite")
+            elif abs(t.amp) > 1 + AMP_MAG_TOL:
+                raise InvariantError(f"amplitude magnitude {abs(t.amp)} exceeds 1")
 
     @cached_property
     def halting(self) -> frozenset[str]:
@@ -314,18 +334,13 @@ class _Machine:
 class MachineQPAG(_Machine):
     """A quantum pushdown automaton whose popped symbols go to a garbage tape."""
 
-    states: tuple[str, ...]
-    input_alphabet: InputAlphabet
-    stack_alphabet: StackAlphabet
-    transitions: tuple[TransitionQPAG, ...]
-    initial: str
-    accepting: frozenset[str]
-    rejecting: frozenset[str]
     # Optional declared push-string set; must cover the inferred one.
     declared_push_strings: tuple[tuple[str, ...], ...] = ()
 
+    row_class = TransitionQPAG
+
     def __post_init__(self):
-        _check_common(self, TransitionQPAG)
+        super().__post_init__()
         inferred = set(self.push_strings)
         declared = set(self.declared_push_strings)
         for p in declared:
@@ -352,17 +367,12 @@ class MachineQPAG(_Machine):
 class MachineQCPDA(_Machine):
     """A quantum pushdown automaton whose stack operations ``sigma`` schedules per state."""
 
-    states: tuple[str, ...]
-    input_alphabet: InputAlphabet
-    stack_alphabet: StackAlphabet
-    transitions: tuple[TransitionQCPDA, ...]
     sigma: tuple[tuple[str, StackOp], ...]
-    initial: str
-    accepting: frozenset[str]
-    rejecting: frozenset[str]
+
+    row_class = TransitionQCPDA
 
     def __post_init__(self):
-        _check_common(self, TransitionQCPDA)
+        super().__post_init__()
         object.__setattr__(
             self, "sigma", tuple(sorted(self.sigma, key=lambda row: row[0]))
         )
@@ -386,18 +396,8 @@ class MachineQCPDA(_Machine):
 class MachinePPA(_Machine):
     """A probabilistic pushdown automaton: a QPAG's shape with probabilities for amplitudes."""
 
-    states: tuple[str, ...]
-    input_alphabet: InputAlphabet
-    stack_alphabet: StackAlphabet
-    transitions: tuple[TransitionPPA, ...]
-    initial: str
-    accepting: frozenset[str]
-    rejecting: frozenset[str]
-
+    row_class = TransitionPPA
     _weight = "prob"
-
-    def __post_init__(self):
-        _check_common(self, TransitionPPA)
 
     @cached_property
     def nondeterministic_column(self) -> Optional[tuple[str, str, str]]:
@@ -471,10 +471,10 @@ def step_budget(max_steps: int) -> int:
 
 
 def check_tolerance(tol: float) -> None:
-    """InvariantError unless ``tol`` is a nonnegative number. A NaN
-    tolerance is refused: every ``> tol`` comparison with it is false, so
-    it would pass any machine."""
-    if not tol >= 0:
+    """InvariantError unless ``tol`` is a finite nonnegative number. A NaN
+    or an infinite tolerance is refused: every ``> tol`` comparison with
+    it is false, so it would pass any machine."""
+    if not 0 <= tol < math.inf:
         raise InvariantError(f"tolerance must be a nonnegative number, got {tol!r}")
 
 

@@ -456,17 +456,19 @@ def test_run_rejects_a_trace_on_other_kinds(kind, trace, tmp_path, capsys):
     ids=["check", "audit"],
 )
 def test_check_and_audit_reject_a_nan_tolerance(mutant, command, tmp_path, capsys):
-    # the machine fails at the default tolerance; a NaN one would pass it
+    # the machine fails at the default tolerance; a NaN or an infinite one
+    # would pass it
     path = tmp_path / "mutant.json"
     machine = {mu.name: mu.machine for mu in mutants()}[mutant]
     path.write_text(serialize_machine(machine), encoding="utf-8")
     argv = [command[0], str(path), *command[1:]]
     assert main(argv) == 1
     capsys.readouterr()
-    assert main([*argv, "--tol", "nan"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: tolerance must be a nonnegative number, got nan\n"
+    for tol in ("nan", "inf"):
+        assert main([*argv, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tolerance must be a nonnegative number, got {tol}\n"
 
 
 @pytest.fixture()

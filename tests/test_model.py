@@ -222,6 +222,17 @@ def test_rows_of_another_machine_kind_rejected(own, foreign):
         replace(machine, transitions=_rows_as(foreign, machine.transitions))
 
 
+@pytest.mark.parametrize("move", [True, False, 1.0], ids=repr)
+@pytest.mark.parametrize("row_class", list(_OWN_ROWS), ids=lambda c: c.__name__)
+def test_head_move_that_is_not_an_int_rejected(row_class, move):
+    # True == 1 and 1.0 == 1, but the file reader refuses ``"move": true``
+    # and ``"move": 1.0``, so the model refuses them too
+    machine = _OWN_ROWS[row_class]()
+    first, *rest = machine.transitions
+    with pytest.raises(InvariantError, match="head move must be 0 or 1"):
+        replace(machine, transitions=(replace(first, move=move), *rest))
+
+
 def test_configuration_shape():
     c = Configuration("s0", 2, ("Z", "a"), ("b",))
     d = c.to_json_dict()

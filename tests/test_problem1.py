@@ -630,7 +630,7 @@ def test_relabelled_instances_run_alike(data):
         assert problem1.classify(other) == problem1.classify(inst)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf, math.inf])
 def test_sweep_rejects_a_bad_tolerance(tol):
     broken = {mu.name: mu.machine for mu in mutants()}["flip-q1_O0-qf_acc"]
     with pytest.raises(InvariantError):

@@ -599,11 +599,11 @@ def _broken_checks():
     ]
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf, math.inf])
 @pytest.mark.parametrize("check", _broken_checks())
 def test_checks_reject_a_bad_tolerance(check, tol):
-    # every ``> tol`` comparison is false when tol is NaN, so a NaN
-    # tolerance would pass these machines, which fail at the default
+    # every ``> tol`` comparison is false when tol is NaN or infinite, so
+    # such a tolerance would pass these machines, which fail at the default
     assert not check(1e-9).passed
     with pytest.raises(InvariantError, match="tolerance must be a nonnegative number"):
         check(tol)
