@@ -33,6 +33,7 @@ row or item path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields
 from json.encoder import encode_basestring as _quote
 from math import isfinite
@@ -74,13 +75,18 @@ def emit_json(value, floats: str = "repr") -> str:
 
     ``floats`` picks the float style: "repr" (exact round-trip, machine
     files) or "sig12" (12 significant digits, reports). A nan or an
-    infinity anywhere in ``value`` raises SchemaError.
+    infinity anywhere in ``value`` raises SchemaError, as does an int with
+    more digits than CPython converts to text
+    (``sys.get_int_max_str_digits()``).
     """
     spec = _FLOAT_SPECS.get(floats)
     if spec is None:
         raise InvariantError(f"unknown float style {floats!r}")
     out: list[str] = []
-    _emit(value, spec, "\n", out)
+    try:
+        _emit(value, spec, "\n", out)
+    except ValueError:  # only str(int) raises it, past the digit limit
+        raise SchemaError(f"cannot emit an int of more than {sys.get_int_max_str_digits()} digits") from None
     out.append("\n")
     return "".join(out)
 

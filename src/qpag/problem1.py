@@ -18,7 +18,6 @@ the required shape.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from operator import ne
@@ -255,60 +254,16 @@ class SweepReport(Record):
 # it is refused, naming the count, rather than printing them all.
 FAILURE_CAP = 100_000
 
-# The transpositions (a b) and (b c); together they generate every
-# relabelling of the segment letters.
-_TRANSPOSITIONS = ({"a": "b", "b": "a"}, {"b": "c", "c": "b"})
-
-
-def _symmetric(machine: MachineQPAG) -> bool:
-    """``_relabelling_invariant(machine)``, checked once per machine: the
-    verdict is kept in the machine's ``__dict__``, where
-    ``cached_property`` keeps its column index."""
+def _reduced(machine: MachineQPAG) -> bool:
+    """True for the built-in machine, whose exhaustive sweep expands
+    w1 = aⁿ alone (see ``sweep``), checked once per machine: the verdict is
+    kept in the machine's ``__dict__``, where ``cached_property`` keeps its
+    column index."""
     kept = vars(machine)
-    verdict = kept.get("_problem1_symmetric")
+    verdict = kept.get("_problem1_reduced")
     if verdict is None:
-        verdict = kept["_problem1_symmetric"] = _relabelling_invariant(machine)
+        verdict = kept["_problem1_reduced"] = machine == build_machine()
     return verdict
-
-
-def _relabelling_invariant(machine: MachineQPAG) -> bool:
-    """True when relabelling the letters a, b, c leaves the machine's runs
-    unchanged, float for float.
-
-    A transposition acts on the read symbol, the stack top and push
-    payloads, and fixes every other symbol. The machine passes when, for
-    both transpositions, the alphabets map onto themselves with the
-    endmarkers and the bottom symbol fixed, and the relabelled column
-    index equals the index: every column's image column exists and lists
-    the images of its rows in the same canonical order. ``evolve`` and ``measure`` never order by symbol, so a run on
-    a relabelled instance then does the same float operations in the same
-    order as the run on the instance, and their ``RunResult``s are ``==``.
-    """
-    alpha = machine.input_alphabet
-    stack = machine.stack_alphabet
-    fixed = (alpha.left_end, alpha.right_end, stack.bottom)
-    for pi in _TRANSPOSITIONS:
-        if _relabelled(pi, fixed) != fixed:
-            return False
-        for symbols in (alpha.symbols, stack.symbols):
-            if set(_relabelled(pi, symbols)) != set(symbols):
-                return False
-
-    def relabelled_columns(pi):
-        return {
-            (q, *_relabelled(pi, (read, top))): [
-                (t.target, t.op.kind, _relabelled(pi, t.op.payload), t.move, t.amp) for t in rows
-            ]
-            for (q, read, top), rows in machine.columns.items()
-        }
-
-    plain = relabelled_columns({})
-    return all(relabelled_columns(pi) == plain for pi in _TRANSPOSITIONS)
-
-
-def _relabelled(pi, symbols) -> tuple[str, ...]:
-    """``symbols`` with each one ``pi`` names replaced by its image."""
-    return tuple(map(pi.get, symbols, symbols))
 
 
 class _Words:
@@ -346,58 +301,43 @@ class _Grader:
 
     Tape position k holds one symbol of ``layout[k]``: the left endmarker,
     a/b/c n times, ``#``, a/b/c n times, ``#``, a/b/c/d n times, the right
-    endmarker. A grader state is (w1, odd1, odd2, met): the first segment
-    read so far, the two mismatch parities (``_odd``) read so far, and
-    ``met``, one past the largest index in ``SEGMENT_ALPHABET`` of a letter
-    of w1. It is updated symbol by symbol and never reads the machine.
+    endmarker. A grader state is (w1, odd1, odd2): the first segment read
+    so far and the two mismatch parities (``_odd``) read so far. It is
+    updated symbol by symbol and never reads the machine.
 
-    When ``symmetric``, only canonical w1 are expanded, those whose letters
-    a, b, c first appear in that order (a w1 position after w1 has met
-    ``met`` letters takes one of the first ``met + 1``), and a state counts
-    for its w1's class, the relabellings of w1: 3 when w1 uses one letter,
-    6 otherwise."""
+    When ``reduced``, positions 1..n hold "a" alone, and each word of a
+    final state counts for ``weight`` = 3**n instances, one per w1 (see
+    ``sweep``); otherwise ``weight`` is 1."""
 
-    def __init__(self, machine: MachineQPAG, n: int, symmetric: bool):
+    def __init__(self, machine: MachineQPAG, n: int, reduced: bool):
         alpha = machine.input_alphabet
         # a letter the machine does not know raises, as ``run_bounds`` does
         make_tape(machine, (*SEGMENT_ALPHABET, SEPARATOR, *THIRD_ALPHABET))
         self.n = n
-        self.symmetric = symmetric
+        self.weight = 3**n if reduced else 1
         self.budget = default_max_steps(3 * n + 2)
         self.layout = (
             (alpha.left_end,),
-            *[SEGMENT_ALPHABET] * n,
+            *[("a",) if reduced else SEGMENT_ALPHABET] * n,
             (SEPARATOR,),
             *[SEGMENT_ALPHABET] * n,
             (SEPARATOR,),
             *[THIRD_ALPHABET] * n,
             (alpha.right_end,),
         )
-        self.start = ("", 0, 0, 0)
-
-    def symbols(self, k: int, g) -> tuple[str, ...]:
-        """The symbols position ``k`` is expanded with after state ``g``."""
-        if self.symmetric and 1 <= k <= self.n:
-            return SEGMENT_ALPHABET[: g[3] + 1]
-        return self.layout[k]
+        self.start = ("", 0, 0)
 
     def read(self, k: int, g, s: str):
         """The state after ``g`` reads ``s`` at position ``k``."""
         n = self.n
-        w1, odd1, odd2, met = g
+        w1, odd1, odd2 = g
         if k == 0 or k == n + 1 or k == 2 * n + 2 or k == 3 * n + 3:
             return g
         if k <= n:
-            return (w1 + s, odd1, odd2, max(met, SEGMENT_ALPHABET.index(s) + 1))
+            return (w1 + s, odd1, odd2)
         if k <= 2 * n + 1:
-            return (w1, odd1 ^ (s != w1[2 * n + 1 - k]), odd2, met)
-        return (w1, odd1, odd2 ^ (s != w1[3 * n + 2 - k]), met)
-
-    def weight(self, g) -> int:
-        """The instances each word of a final state stands for."""
-        if not self.symmetric:
-            return 1
-        return 3 if g[3] == 1 else 6
+            return (w1, odd1 ^ (s != w1[2 * n + 1 - k]), odd2)
+        return (w1, odd1, odd2 ^ (s != w1[3 * n + 2 - k]))
 
     def expand(self, k: int, members: dict) -> dict:
         """``members`` read at position ``k``, as ``run_layers`` expands
@@ -405,7 +345,7 @@ class _Grader:
         extended by the symbol read."""
         out: dict = {}
         for g, words in members.items():
-            for s in self.symbols(k, g):
+            for s in self.layout[k]:
                 # ``read`` at one position with one symbol is one-to-one, so
                 # no two of ``members`` meet in a group
                 group = out.setdefault((s, self.budget), {})
@@ -430,19 +370,6 @@ def _instance(tokens) -> Instance:
     return Instance(*"".join(tokens).split(SEPARATOR))
 
 
-def _relabellings(inst: Instance) -> list[Instance]:
-    """The instances a canonical-w1 instance counts for: its image under
-    one relabelling of a, b, c per image of its w1, the instance itself
-    first."""
-    images = {}
-    for perm in itertools.permutations(SEGMENT_ALPHABET):
-        table = str.maketrans("".join(SEGMENT_ALPHABET), "".join(perm))
-        w1 = inst.w1.translate(table)
-        if w1 not in images:
-            images[w1] = Instance(w1, inst.w2.translate(table), inst.w3.translate(table))
-    return list(images.values())
-
-
 def _failure(inst: Instance, expected: str, result) -> SweepFailure:
     return SweepFailure(
         word=inst.word(),
@@ -458,11 +385,13 @@ def _deviations(result) -> dict:
     return {YES: abs(1 - result.p_acc), NO: abs(1 - result.p_rej)}
 
 
-def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float):
+def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float, reduced: bool):
     """(checked, failures, max deviation) over every instance of size
     ``n``, run as one ``simulate.run_layers`` batch whose members are
-    ``_Grader`` states, each with the ``_Words`` it stands for."""
-    grader = _Grader(machine, n, _symmetric(machine))
+    ``_Grader`` states, each with the ``_Words`` it stands for. A
+    ``reduced`` sweep that meets a failing final state sweeps every w1
+    instead, so that its failures are listed per instance."""
+    grader = _Grader(machine, n, reduced)
     failing = []  # (final word set, expected class, result)
     checked = 0
     count_failing = 0
@@ -476,22 +405,22 @@ def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float):
                 dev = devs[cls]
                 if dev > max_dev:
                     max_dev = dev
-                weighted = words.count * grader.weight(g)
-                checked += weighted
+                checked += words.count * grader.weight
                 if dev > tol:
+                    if reduced:
+                        return _sweep_exhaustive(machine, n, tol, False)
                     failing.append((words, cls, result))
-                    count_failing += weighted
+                    count_failing += words.count
     if count_failing > FAILURE_CAP:
         raise MachineError(
             f"exhaustive sweep at n={n} fails on {count_failing} instances; "
             f"at most {FAILURE_CAP} are listed"
         )
-    failures = []
-    for words, cls, result in failing:
-        for tokens in words:
-            inst = _instance(tokens[1:-1])
-            for member in _relabellings(inst) if grader.symmetric else (inst,):
-                failures.append(_failure(member, cls, result))
+    failures = [
+        _failure(_instance(tokens[1:-1]), cls, result)
+        for words, cls, result in failing
+        for tokens in words
+    ]
     # words of one n hold "#" at the same places, so word order is
     # enumeration order
     failures.sort(key=lambda f: f.word)
@@ -534,13 +463,29 @@ def sweep(
     ``checked`` is an exact int; from n = 11 it passes 2**53, past which a
     JSON reader that parses it as a double loses exactness.
 
-    When the machine treats the letters a, b, c alike (``_symmetric``, as
-    the built-in machine does), only canonical w1 are expanded, and each
-    counts for its class of relabellings. That is exact: a relabelled
-    instance's run is ``==`` its representative's, and ``classify`` is
-    unchanged by relabelling, since it counts mismatches. So a failing
-    instance's result is reported for each relabelling of it in its w1's
-    class, and the report equals the one per-instance runs give.
+    On the built-in machine (``_reduced``) only w1 = aⁿ is expanded, and
+    each final word counts for the 3**n instances it stands for. Let σ_a
+    be the identity, σ_b = (a b) and σ_c = (a c), each fixing d. An
+    instance maps to (aⁿ, w2′, w3′): position i applies σ_{w1[i]} to
+    w2[n−1−i] and to w3[n−1−i], and d stays fixed. σ_{w1[i]} sends w1[i]
+    to a, so each image has exactly 3**n preimages, one per w1. On the
+    built-in machine an instance's run is ``==`` its image's:
+    - every letter column has a single row, so the canonical row order of
+      no column can change under the relabelling;
+    - ``q0`` pushes the letter it reads, whatever the top;
+    - the comparing states choose their target only by ``read == top``,
+      and those two letters are always position partners, w1[i] against
+      w2[n−1−i] or w3[n−1−i], relabelled by the same σ;
+    - so the run takes rows of the same amplitudes in the same order, does
+      the same float operations in the same order, and its ``RunResult``
+      is ``==``.
+    ``classify`` is unchanged, since a σ keeps whether two letters differ,
+    so the mismatch parity at each position is kept. A reduced sweep that
+    meets a failing final state sweeps every w1 instead, so failures are
+    listed per instance as for any other machine. No such argument is made
+    for another machine, however alike it treats the letters: the
+    reduction fails on machines whose rows tell letters apart beyond
+    ``read == top``, so every other machine is swept over every w1.
 
     Sampled mode runs each draw through ``run`` as it is drawn, so its
     memory does not grow with the sample count.
@@ -551,7 +496,7 @@ def sweep(
     if machine is None:
         machine = build_machine()
     if samples is None:
-        checked, failures, max_dev = _sweep_exhaustive(machine, n, tol)
+        checked, failures, max_dev = _sweep_exhaustive(machine, n, tol, _reduced(machine))
         mode = "exhaustive"
     else:
         if samples < 1:

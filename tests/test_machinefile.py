@@ -2,6 +2,7 @@
 
 import copy
 import json
+import sys
 from collections import namedtuple
 
 import pytest
@@ -447,6 +448,21 @@ def test_emit_rejects_non_finite_floats(bad, place):
         with pytest.raises(SchemaError) as caught:
             emit_json(place(bad), floats=floats)
         assert str(caught.value) == f"cannot emit non-finite float {float(bad)!r}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize(
+    "place",
+    [lambda x: x, lambda x: {"checked": x}, lambda x: [1, x], lambda x: [True, x]],
+    ids=["top", "nested", "number-list", "mixed-list"],
+)
+def test_emit_refuses_an_int_past_the_digit_limit(place):
+    # CPython refuses to convert an int of more than 4,300 digits (by
+    # default) to text; the emitter names that limit in a SchemaError
+    # rather than letting the interpreter's ValueError through
+    with pytest.raises(SchemaError) as caught:
+        emit_json(place(10**5000))
+    assert str(caught.value) == f"cannot emit an int of more than {sys.get_int_max_str_digits()} digits"
 
 
 def test_emit_matches_reference_on_machines_and_reports():

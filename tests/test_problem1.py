@@ -243,13 +243,13 @@ def test_sweep_refuses_a_failure_list_past_the_cap(monkeypatch):
 
 def test_sweep_layer_past_the_entry_budget_overflows(monkeypatch):
     # at n = 3 a fresh run trips only below 14 entries, but the nodes of
-    # the layer past position 9 (the first w3 symbol) hold 80 together
+    # the layer past position 9 (the first w3 symbol) hold 16 together
     want = problem1.sweep(3)
-    monkeypatch.setattr(model, "ENTRY_BUDGET", 79)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 15)
     assert problem1.sweep(3, samples=200).failures == ()
-    with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 79 at tape position 9$"):
+    with pytest.raises(StateSpaceOverflow, match="^live entries exceeded 15 at tape position 9$"):
         problem1.sweep(3)
-    monkeypatch.setattr(model, "ENTRY_BUDGET", 80)
+    monkeypatch.setattr(model, "ENTRY_BUDGET", 16)
     assert problem1.sweep(3) == want
 
 
@@ -278,7 +278,7 @@ def test_asymmetric_sweep_memory_stays_small():
     # on CPython 3.11: 6.0 MB, where a sweep holding a word list per
     # candidate peaked at 22.2 MB
     broken = {mu.name: mu.machine for mu in mutants()}["scale-split-b"]
-    problem1.sweep(1, machine=broken)  # caches the symmetry verdict
+    problem1.sweep(1, machine=broken)  # caches the reduction verdict
     tracemalloc.start()
     try:
         rep = problem1.sweep(3, machine=broken)
@@ -394,52 +394,50 @@ def test_sweep_sampled_equals_per_instance_report(n, machine):
         assert rep.failures if machine != "builtin" else not rep.failures
 
 
-def test_symmetry_check():
-    assert problem1._symmetric(problem1.build_machine())
-    assert not problem1._symmetric(_scaled_push_b())
-    by_name = {mu.name: mu.machine for mu in mutants()}
-    # a changed row on fixed symbols keeps the symmetry; one on b breaks it
-    assert problem1._symmetric(by_name["flip-q1_O0-qf_acc"])
-    assert not problem1._symmetric(by_name["scale-split-b"])
-
-
-def test_symmetry_verdicts_on_mutants():
-    # the changed rows of these read only fixed symbols
-    symmetric = {
-        "scale-split-Z",
-        "dup-start",
-        "dup-hash",
-        "flip-q1_O0-qf_n0",
-        "flip-q1_O0-qf_acc",
-        "flip-q1_O1-qf_n1",
-        "flip-q1_O1-qf_rej",
-        "flip-q2_O0-qf_n0",
-        "flip-q2_O0-qf_acc",
-        "flip-q2_O1-qf_n1",
-        "flip-q2_O1-qf_rej",
-    }
-    verdicts = {mu.name: problem1._symmetric(mu.machine) for mu in mutants()}
-    assert len(verdicts) == 22
-    assert {name for name, ok in verdicts.items() if ok} == symmetric
-
-
-def test_symmetry_is_checked_once_per_machine(monkeypatch):
-    checked = []
-    real = problem1._relabelling_invariant
-
-    def spy(machine):
-        checked.append(machine)
-        return real(machine)
-
-    monkeypatch.setattr(problem1, "_relabelling_invariant", spy)
+def _row_reversed():
+    """The built-in machine with its rows listed in reverse: its column
+    index, and so every run, is the built-in machine's, but the machine is
+    not equal to it."""
     m = problem1.build_machine()
-    first = problem1.sweep(1, machine=m)
-    assert problem1.sweep(1, machine=m) == first
-    problem1.sweep(2, machine=m)
-    assert len(checked) == 1 and checked[0] is m
-    # another machine, even an equal one, is checked on its own
-    problem1.sweep(1, machine=problem1.build_machine())
-    assert len(checked) == 2
+    return replace(m, transitions=m.transitions[::-1])
+
+
+def test_reduction_verdicts():
+    # only the built-in machine is swept over w1 = a^n alone
+    assert problem1._reduced(problem1.build_machine())
+    assert not problem1._reduced(_row_reversed())
+    verdicts = {mu.name: problem1._reduced(mu.machine) for mu in mutants()}
+    assert len(verdicts) == 22
+    assert not any(verdicts.values())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_reduced_sweep_equals_the_sweep_of_every_w1(n):
+    # the row-reversed copy runs as the built-in machine does, but it is
+    # swept over every w1
+    m = _row_reversed()
+    assert m.columns == problem1.build_machine().columns
+    assert problem1.sweep(n) == problem1.sweep(n, machine=m)
+
+
+def test_reduced_sweep_that_fails_sweeps_every_w1(monkeypatch):
+    # were scale-split-a taken for reducible, its reduced sweep would meet a
+    # failing final state (its changed row reads top a, which w1 = a^n
+    # leaves at the first #) and sweep every w1 instead, so its failures
+    # are still listed per instance
+    broken = {mu.name: mu.machine for mu in mutants()}["scale-split-a"]
+    monkeypatch.setattr(problem1, "_reduced", lambda m: m is broken)
+    calls = []
+    real = problem1._sweep_exhaustive
+
+    def spy(machine, n, tol, reduced):
+        calls.append(reduced)
+        return real(machine, n, tol, reduced)
+
+    monkeypatch.setattr(problem1, "_sweep_exhaustive", spy)
+    for n in (1, 2):
+        assert problem1.sweep(n, machine=broken) == _per_instance_report(n, broken)
+    assert calls == [True, False, True, False]
 
 
 @pytest.mark.parametrize("mutant", mutants(), ids=lambda mu: mu.name)
@@ -505,7 +503,6 @@ def test_sweep_folds_runs_that_end_early(name, monkeypatch):
         assert rep.failures
         assert rep == _per_instance_report(n, m)
     assert any(early)
-    assert problem1._symmetric(m) == (name == "accept-at-hash")
 
 
 def test_sweep_lists_the_failures_of_merged_w1_prefixes():
@@ -527,76 +524,19 @@ def test_sweep_lists_the_failures_of_merged_w1_prefixes():
         accepting=frozenset({"acc"}),
         rejecting=frozenset({"rej"}),
     )
-    assert problem1._symmetric(m)
     rep = problem1.sweep(3, machine=m)
     assert len(rep.failures) == 23436
     assert rep == _per_instance_report(3, m)
 
 
-def _canonical(w1) -> bool:
-    """True when w1's letters a, b, c first appear in that order."""
-    return all("abc".index(ch) <= len(set(w1[:i])) for i, ch in enumerate(w1))
-
-
-def test_representatives_cover_each_orbit_once():
-    # a representative is an instance whose w1 is canonical; with the
-    # relabellings a failure of it is listed for (one per image of w1) the
-    # representatives cover every instance once, and each stands for its
-    # w1's class: 3 instances when w1 uses one letter, 6 otherwise
-    for n in (1, 2, 3):
-        order = {inst: i for i, inst in enumerate(problem1_instances(n))}
-        covered = set()
-        for inst in order:
-            if not _canonical(inst.w1):
-                continue
-            members = problem1._relabellings(inst)
-            assert members[0] == inst
-            assert len(members) == (3 if len(set(inst.w1)) == 1 else 6)
-            assert all(problem1.classify(m) == problem1.classify(inst) for m in members)
-            assert covered.isdisjoint(members)
-            covered.update(members)
-        assert covered == set(order)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_representatives_carry_their_tokens_and_parities(n):
-    # a symmetric grader reads exactly the representatives' tapes, and the
-    # state each tape leads to holds its w1, its letters and its two
-    # mismatch parities, so it grades the instance as classify does. Each
-    # final state's word set yields as many words as its count, none twice:
-    # grading weighs the count and the failure listing reads the words
+def test_sweep_measures_once_per_reduced_trie_node(monkeypatch):
+    # the built-in machine's sweep expands only w1 = "aa", with every w2 and
+    # w3 after it, in one batch: a group steps once per tape position, so
+    # the batch makes at most one step per node of their tapes' prefix
+    # trie, root excluded, and groups whose runs meet merge
     m = problem1.build_machine()
-    grader = problem1._Grader(m, n, symmetric=True)
-    finals = {}
-    for g, words in grader.fold(-1, {grader.start: problem1._Words()}).items():
-        tapes = list(words)
-        assert words.count == len(tapes) == len(set(tapes))
-        assert finals.keys().isdisjoint(tapes)
-        finals.update(dict.fromkeys(tapes, g))
-    want = [inst for inst in problem1_instances(n) if _canonical(inst.w1)]
-    assert len(finals) == len(want)
-    for inst in want:
-        w1, odd1, odd2, met = finals[make_tape(m, inst.tokens())]
-        assert (w1, met) == (inst.w1, len(set(inst.w1)))
-        assert (odd1, odd2) == (
-            int(not problem1.even_distinct(inst.w1, inst.w2[::-1])),
-            int(not problem1.even_distinct(inst.w1, inst.w3[::-1])),
-        )
-        assert problem1._class_of(odd1, odd2) == problem1.classify(inst) == ref_classify(inst.w1, inst.w2, inst.w3)
-        assert sum(1 for _ in problem1._relabellings(inst)) == grader.weight((w1, odd1, odd2, met))
-
-
-def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
-    # the sweep expands only canonical w1 (letters a, b, c first met in that
-    # order), with every w2 and w3 after them, in one batch: a group steps
-    # once per tape position, so the batch makes at most one step per node
-    # of their tapes' prefix trie, root excluded, and groups whose runs meet
-    # merge. 84 steps: two more than when one instance per orbit of the
-    # whole word ran, since w1 = "aa" now walks w2's first letter c beside
-    # b (its runs meet b's at the next layer)
-    m = problem1.build_machine()
-    canonical = [inst for inst in problem1_instances(2) if _canonical(inst.w1)]
-    tapes = [make_tape(m, inst.tokens()) for inst in canonical]
+    reduced = [inst for inst in problem1_instances(2) if inst.w1 == "aa"]
+    tapes = [make_tape(m, inst.tokens()) for inst in reduced]
     nodes = {tape[:i] for tape in tapes for i in range(1, len(tape) + 1)}
     steps = 0
     real = simulate.measure
@@ -609,9 +549,9 @@ def test_sweep_measures_once_per_representative_trie_node(monkeypatch):
     monkeypatch.setattr(simulate, "measure", counting)
     report = problem1.sweep(2, machine=m)
     assert report.checked == 1296 and not report.failures
-    assert len(canonical) == 288
-    assert steps == 84
-    assert steps <= len(nodes) == 696
+    assert len(reduced) == 144
+    assert steps == 43
+    assert steps <= len(nodes) == 349
 
 
 @settings(max_examples=40, deadline=None)
@@ -628,6 +568,16 @@ def test_relabelled_instances_run_alike(data):
         other = _relabel(inst, perm)
         assert run(m, other.word()) == want
         assert problem1.classify(other) == problem1.classify(inst)
+    # one relabelling per position, as the reduced sweep assumes: position
+    # i's applies to w1[i], w2[n-1-i] and w3[n-1-i], and d stays fixed
+    tables = [dict(zip("abc", perm)) for perm in data.draw(st.lists(st.permutations("abc"), min_size=n, max_size=n))]
+    other = problem1.Instance(
+        "".join(tables[i][x] for i, x in enumerate(w1)),
+        "".join(tables[n - 1 - j][x] for j, x in enumerate(w2)),
+        "".join(tables[n - 1 - j].get(x, x) for j, x in enumerate(w3)),
+    )
+    assert run(m, other.word()) == want
+    assert problem1.classify(other) == problem1.classify(inst)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, -math.inf, math.inf])
