@@ -467,12 +467,14 @@ def sweep(
     each final word counts for the 3**n instances it stands for. Let σ_a
     be the identity, σ_b = (a b) and σ_c = (a c), each fixing d. An
     instance maps to (aⁿ, w2′, w3′): position i applies σ_{w1[i]} to
-    w2[n−1−i] and to w3[n−1−i], and d stays fixed. σ_{w1[i]} sends w1[i]
-    to a, so each image has exactly 3**n preimages, one per w1. On the
-    built-in machine an instance's run is ``==`` its image's:
+    w1[i], w2[n−1−i] and w3[n−1−i]. σ_{w1[i]} sends w1[i] to a, so each
+    image has exactly 3**n preimages, one per w1. On the built-in machine
+    an instance's run is ``==`` its image's:
     - every letter column has a single row, so the canonical row order of
       no column can change under the relabelling;
-    - ``q0`` pushes the letter it reads, whatever the top;
+    - ``q0`` pushes the letter it reads, whatever the top, and the split
+      at the first ``#`` and the states that idle through a segment take
+      the same rows whatever the letter read or on top;
     - the comparing states choose their target only by ``read == top``,
       and those two letters are always position partners, w1[i] against
       w2[n−1−i] or w3[n−1−i], relabelled by the same σ;
@@ -482,10 +484,10 @@ def sweep(
     ``classify`` is unchanged, since a σ keeps whether two letters differ,
     so the mismatch parity at each position is kept. A reduced sweep that
     meets a failing final state sweeps every w1 instead, so failures are
-    listed per instance as for any other machine. No such argument is made
-    for another machine, however alike it treats the letters: the
-    reduction fails on machines whose rows tell letters apart beyond
-    ``read == top``, so every other machine is swept over every w1.
+    listed per instance as for any other machine. The argument reads the
+    built-in machine's rows, and the reduction is wrong on machines whose
+    rows tell letters apart otherwise, so every other machine is swept
+    over every w1.
 
     Sampled mode runs each draw through ``run`` as it is drawn, so its
     memory does not grow with the sample count.
