@@ -10,8 +10,6 @@ on first access (PEP 562) and then kept in the package's namespace, so a
 command that runs one engine loads only the modules that engine needs.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # exported name -> its home module; a submodule maps to itself
@@ -62,7 +60,9 @@ def _resolve(name, namespace):
     home = _EXPORTS.get(name)
     if home is None:
         raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-    module = importlib.import_module(f"{__name__}.{home}")
+    # ``__import__``, not ``importlib.import_module``: only the former is
+    # timed by ``-X importtime``, which tools/import_cost.py reads
+    module = __import__(f"{__name__}.{home}", fromlist=("_",))
     namespace[name] = value = module if home == name else getattr(module, name)
     return value
 

@@ -19,12 +19,13 @@ called.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import warnings
 
 from . import _resolve
 from .errors import MachineError, NonWellFormedInput, ParseError, SchemaError
-from .machinefile import emit_json, parse_machine, serialize_machine
+from .machinefile import emit_json, parse_machine, refuse_long_int, serialize_machine
 from .model import MachineQCPDA, MachineQPAG, display_tape, make_tape
 
 USAGE_ERROR = 2
@@ -166,6 +167,9 @@ def _cmd_problem1(args) -> int:
     # sweep
     if not args.exhaustive and args.samples is None:
         raise SchemaError("sweep needs --exhaustive or --samples C")
+    if args.exhaustive:
+        # its report's ``checked`` is 36**n, with floor(n log10 36) + 1 digits
+        refuse_long_int(math.floor(args.n * math.log10(36)) + 1)
     report = problem1.sweep(args.n, samples=args.samples, seed=args.seed)
     _emit(report.to_json_dict())
     return 0 if not report.failures else CHECK_FAILED

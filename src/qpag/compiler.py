@@ -21,7 +21,6 @@ their flags agree, and each row takes the flag its own run leaves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import _resolve
@@ -37,7 +36,6 @@ from .model import (
     TransitionQPAG,
     push,
     records,
-    rendered,
     run_bounds,
 )
 # ``compiler.trajectory`` stays bound, and ``compiler.run_qcpda`` resolves
@@ -63,16 +61,17 @@ def _aux_states_doc(aux_states):
     return {q: [a, b] for q, a, b in aux_states}
 
 
-@dataclass(frozen=True)
 class CompileMap(Record):
     """How ``compile_qcpda`` built the image: auxiliary states, labels and row counts."""
 
     # (target, stage_a, stage_b)
-    aux_states: tuple[tuple[str, str, str], ...] = rendered(_aux_states_doc)
+    aux_states: tuple[tuple[str, str, str], ...]
     # (operation description, marker)
-    labels: tuple[tuple[str, str], ...] = rendered(dict)
+    labels: tuple[tuple[str, str], ...]
     original_transitions: int
     image_transitions: int
+
+    _render = {"aux_states": _aux_states_doc, "labels": dict}
 
 
 def _fresh(name: str, used: set) -> str:
@@ -154,7 +153,6 @@ def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
 # ======================================================================
 
 
-@dataclass(frozen=True)
 class WordComparison(Record):
     """Outcome probabilities of the original and its image on one word."""
 
@@ -171,12 +169,13 @@ class WordComparison(Record):
     passed: bool
 
 
-@dataclass(frozen=True)
 class EquivReport(Record):
     """The comparison of a machine with its image, one row per word."""
 
     passed: bool
-    rows: tuple[WordComparison, ...] = rendered(records)
+    rows: tuple[WordComparison, ...]
+
+    _render = {"rows": records}
 
 
 class ImageSteps(KernelSteps):

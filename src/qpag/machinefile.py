@@ -14,7 +14,7 @@ them, so non-ASCII text is written as is.
 
 The three kinds (qpag, qcpda, ppa) share one reader and one writer, run
 off two tables. ``_ROW_FIELDS`` (and ``_ALPHABET_FIELDS`` for the two
-alphabets) maps each dataclass field to its key in the file and its value
+alphabets) maps each record field to its key in the file and its value
 reader and writer; a transition row's keys follow the field order of its
 transition class, so every kind writes ``from, read, top, to, [op], move,
 amp|prob`` (the first four from the rows' shared base). ``_KINDS`` maps
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import fields
 from json.encoder import encode_basestring as _quote
 from math import isfinite
 from typing import Callable, NamedTuple
@@ -86,9 +85,22 @@ def emit_json(value, floats: str = "repr") -> str:
     try:
         _emit(value, spec, "\n", out)
     except ValueError:  # only str(int) raises it, past the digit limit
-        raise SchemaError(f"cannot emit an int of more than {sys.get_int_max_str_digits()} digits") from None
+        raise _too_long(sys.get_int_max_str_digits()) from None
     out.append("\n")
     return "".join(out)
+
+
+def refuse_long_int(digits: int) -> None:
+    """Raise the SchemaError ``emit_json`` raises for an int of ``digits``
+    digits, if that many pass CPython's limit (``sys.get_int_max_str_digits()``,
+    0 for none): a caller can refuse before it computes the int."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit
+    if limit and digits > limit:
+        raise _too_long(limit)
+
+
+def _too_long(limit: int) -> SchemaError:
+    return SchemaError(f"cannot emit an int of more than {limit} digits")
 
 
 def _emit(value, spec, nl, out):
@@ -296,12 +308,12 @@ _ROW_FIELDS = {
 
 
 def _schema(cls, table):
-    """The reader and the writer of the objects of dataclass ``cls``: one
+    """The reader and the writer of the objects of record class ``cls``: one
     key per field, in field order, laid out once. The reader checks the
     keys, reads each field under its path relative to the object (".amp"),
     puts ``path`` in front of the message of the field it rejects, and
     calls ``cls`` once with the values in field order."""
-    layout = tuple((f.name,) + table[f.name] for f in fields(cls))
+    layout = tuple((name,) + table[name] for name in cls._fields)
     allowed = _fields(*(key for _, key, _, _ in layout))
     reads = tuple((key, check, "." + key) for _, key, check, _ in layout)
 

@@ -11,25 +11,28 @@ Three machine flavours over the same configuration space:
 * ``MachinePPA``: probabilities instead of amplitudes, otherwise the same
   shape as the QPAG.
 
-The three derive from one frozen dataclass, ``_Machine``: its seven fields
-(states, the two alphabets, transitions, initial, accepting, rejecting)
-come first, and its ``__post_init__`` is the one construction check, which
-reads the row class off the machine class (``row_class``) and the weight
-field off ``_weight``. ``MachineQPAG`` adds ``declared_push_strings`` and
+Every object here is a frozen record: it derives from ``Frozen``, whose
+fields are the class's annotated names, its bases' first. The three machine
+classes derive from one, ``_Machine``: its seven fields (states, the two
+alphabets, transitions, initial, accepting, rejecting) come first, and its
+``__post_init__`` is the one construction check, which reads the row class
+off the machine class (``row_class``) and the weight field off
+``_weight``. ``MachineQPAG`` adds ``declared_push_strings`` and
 ``MachineQCPDA`` adds ``sigma``, each checked after the shared check. The
 three row classes likewise share a base of ``(source, read, top, target)``
-and add their own fields after it.
+and add their own fields after it. ``replace`` copies a record with some
+fields changed and checks the copy as a new record is checked.
 
 Symbols are text tokens. The input alphabet reserves two tokens as the left
 and right endmarker (spelled ``<`` / ``>`` in files, shown as ``¢`` / ``$``
 in traces); the stack alphabet reserves one token as the bottom symbol,
 which lives at stack position 0 and nowhere else.
 
-Every report dataclass (run results here, and the reports of
-``wellformed``, ``compiler`` and ``problem1``) derives from ``Record``,
-whose one ``to_json_dict`` writes the dataclass fields in field order under
-their own names. A field's value goes out as it is, unless the field is
-declared with ``rendered(fn)``; then ``fn(value)`` goes out: ``records``
+Every report record (run results here, and the reports of ``wellformed``,
+``compiler`` and ``problem1``) derives from ``Record``, whose one
+``to_json_dict`` writes the fields in field order under their own names. A
+field's value goes out as it is, unless the class's ``_render`` table maps
+the field to a function ``fn``; then ``fn(value)`` goes out: ``records``
 for a tuple of records (or None), ``dict`` or ``list`` for a tuple of pairs
 or of strings, or a function of the record's module for a shape of its own.
 """
@@ -38,8 +41,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, fields
-from functools import cache, cached_property
+from functools import cached_property
+from operator import attrgetter
 from typing import NamedTuple, Optional, Union
 
 from .errors import EndmarkerInWord, InvariantError, StateSpaceOverflow, UnknownSymbol
@@ -72,12 +75,105 @@ def default_max_steps(word_length: int) -> int:
 
 
 # ======================================================================
+# Frozen records
+# ======================================================================
+
+_set = object.__setattr__
+# the default of a field that has none
+_MISSING = object()
+
+
+class Frozen:
+    """Base of the package's frozen records: stack operations, alphabets,
+    rows, machines and reports.
+
+    A subclass's fields are its annotated names, its bases' first, in MRO
+    order, read once when the class is made; a field given a value in the
+    class body defaults to it. A record is built from its fields by
+    position or keyword, then checked by ``__post_init__``. It equals only
+    a record of its own class with equal fields, hashes its field tuple,
+    reprs as a dataclass does, and raises AttributeError on any attribute
+    set or delete. Fields live in the instance's ``__dict__``, beside any
+    ``cached_property`` value and the field tuple ``_key``, which the first
+    comparison or hash keeps (stack operations key dicts in the branch
+    engine's step loop). No source is generated, as ``dataclasses`` does
+    at import: one ``__init__`` serves every class."""
+
+    _fields = ()
+    _defaults = ()
+    _key = None
+
+    def __init_subclass__(cls):
+        names, defaults = [], []
+        for klass in reversed(cls.__mro__):
+            own = vars(klass)
+            for name in own.get("__annotations__", ()):
+                if name not in names:
+                    names.append(name)
+                    defaults.append(own.get(name, _MISSING))
+        cls._fields, cls._defaults = tuple(names), tuple(defaults)
+        # the field values, then the class: a tuple whatever the field count
+        cls._values = staticmethod(attrgetter(*names, "__class__"))
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), args, kwargs)
+        # object.__setattr__ keeps the instance's values inline, which
+        # attribute reads in the step kernel need: a __dict__ written
+        # directly reads slower on CPython 3.11
+        for name, value in zip(names, args):
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        """The construction check; a class with one overrides this."""
+
+    def _keep(self):
+        _set(self, "_key", self._values(self))
+        return self._key
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self._key or self._keep()) == (other._key or other._keep())
+
+    def __hash__(self):
+        return hash(self._key or self._keep())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+def _bind(cls, args, kwargs) -> list:
+    """The field values of ``cls(*args, **kwargs)``, defaults filled in;
+    TypeError for a wrong argument list. Takes ``kwargs`` apart."""
+    names, k = cls._fields, len(args)
+    values = [*args, *map(kwargs.pop, names[k:], cls._defaults[k:])]
+    if kwargs or k > len(names) or _MISSING in values:
+        raise TypeError(f"{cls.__name__}() takes each of the fields {names} once, unless it has "
+                        f"a default; {k} came by position and {sorted(kwargs)} is left over")
+    return values
+
+
+def replace(obj: Frozen, **changes):
+    """A copy of the record ``obj`` with ``changes`` to its fields, built,
+    and so checked, as a new record is."""
+    return type(obj)(**dict(zip(obj._fields, obj._values(obj)), **changes))
+
+
+# ======================================================================
 # Stack operations
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class StackOp:
+class StackOp(Frozen):
     """One of push(word), epsilon, pop.
 
     ``payload`` is the pushed token sequence; empty for epsilon and pop.
@@ -131,8 +227,7 @@ def tokens_doc(tokens):
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class InputAlphabet:
+class InputAlphabet(Frozen):
     """Input tokens, two of which play the endmarker roles."""
 
     symbols: tuple[str, ...]
@@ -162,8 +257,7 @@ class InputAlphabet:
         return symbol
 
 
-@dataclass(frozen=True)
-class StackAlphabet:
+class StackAlphabet(Frozen):
     """Stack tokens, one of which is the reserved bottom symbol."""
 
     symbols: tuple[str, ...]
@@ -190,8 +284,7 @@ def _check_symbols(symbols, what):
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(Frozen):
     """The column (source, read, top) and the target every row kind starts with."""
 
     source: str
@@ -200,7 +293,6 @@ class _Row:
     target: str
 
 
-@dataclass(frozen=True)
 class TransitionQPAG(_Row):
     """One garbage-tape row: column, target, stack operation, head move, amplitude."""
 
@@ -209,7 +301,6 @@ class TransitionQPAG(_Row):
     amp: complex
 
 
-@dataclass(frozen=True)
 class TransitionQCPDA(_Row):
     """One scheduled-stack row: column, target, head move, amplitude."""
 
@@ -217,7 +308,6 @@ class TransitionQCPDA(_Row):
     amp: complex
 
 
-@dataclass(frozen=True)
 class TransitionPPA(_Row):
     """One probabilistic row: column, target, stack operation, head move, probability."""
 
@@ -249,8 +339,7 @@ def _transition_key(t):
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class _Machine:
+class _Machine(Frozen):
     """The fields, construction check, halting set and column index shared
     by the three machine classes. A subclass names the class of its rows
     in ``row_class`` and their weight field in ``_weight``; a subclass with
@@ -330,7 +419,6 @@ class _Machine:
         return {k: tuple(sorted(v, key=_transition_key)) for k, v in cols.items()}
 
 
-@dataclass(frozen=True)
 class MachineQPAG(_Machine):
     """A quantum pushdown automaton whose popped symbols go to a garbage tape."""
 
@@ -363,7 +451,6 @@ class MachineQPAG(_Machine):
         return frozenset(self.declared_push_strings or self.push_strings)
 
 
-@dataclass(frozen=True)
 class MachineQCPDA(_Machine):
     """A quantum pushdown automaton whose stack operations ``sigma`` schedules per state."""
 
@@ -392,7 +479,6 @@ class MachineQCPDA(_Machine):
         return dict(self.sigma)
 
 
-@dataclass(frozen=True)
 class MachinePPA(_Machine):
     """A probabilistic pushdown automaton: a QPAG's shape with probabilities for amplitudes."""
 
@@ -530,31 +616,37 @@ def vector_norm_sq(psi: StateVector) -> float:
 # ======================================================================
 
 
-def rendered(fn, **kwargs):
-    """A record field whose JSON value is ``fn(value)``; ``kwargs`` go to
-    ``dataclasses.field`` (a default)."""
-    return field(metadata={"render": fn}, **kwargs)
-
-
 def records(rs):
     """JSON value of a tuple of records, or of None."""
     return None if rs is None else [r.to_json_dict() for r in rs]
 
 
-@cache
-def _layout(cls):
-    """(name, renderer or None) per field of a record class, in field order."""
-    return tuple((f.name, f.metadata.get("render")) for f in fields(cls))
+class Record(Frozen):
+    """Base of the report records: one JSON writer for all of them. A
+    class's ``_render`` table maps a field to the function its value goes
+    out through.
 
+    A record is written once and read as a whole, so its fields go straight
+    into its ``__dict__``, with no ``object.__setattr__`` per field, and
+    ``to_json_dict`` copies that dict, which holds the fields in field
+    order."""
 
-class Record:
-    """Base of the report dataclasses: one JSON writer for all of them."""
+    _render = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs or len(args) != len(names):
+            args = _bind(type(self), args, kwargs)
+        fields = vars(self)
+        for name, value in zip(names, args):
+            fields[name] = value
+        self.__post_init__()
 
     def to_json_dict(self):
-        doc = {}
-        for name, render in _layout(type(self)):
-            value = getattr(self, name)
-            doc[name] = value if render is None else render(value)
+        doc = vars(self).copy()
+        doc.pop("_key", None)  # kept by a comparison or hash
+        for name, render in self._render.items():
+            doc[name] = render(doc[name])
         return doc
 
 
@@ -567,17 +659,17 @@ def _survivors_doc(survivors):
     return [{**c.to_json_dict(), "amp": [a.real, a.imag]} for c, a in survivors]
 
 
-@dataclass(frozen=True)
 class StepSnapshot(Record):
     """Top surviving amplitudes after one step's measurement."""
 
     step: int
-    survivors: tuple[tuple[Configuration, complex], ...] = rendered(_survivors_doc)
+    survivors: tuple[tuple[Configuration, complex], ...]
     p_acc_delta: float
     p_rej_delta: float
 
+    _render = {"survivors": _survivors_doc}
 
-@dataclass(frozen=True)
+
 class RunResult(Record):
     """Outcome probabilities of one run, its truncation loss and step count."""
 
@@ -586,7 +678,9 @@ class RunResult(Record):
     p_non: float
     truncation_loss: float
     steps: int
-    trace: Optional[tuple[StepSnapshot, ...]] = rendered(records, default=None)
+    trace: Optional[tuple[StepSnapshot, ...]] = None
+
+    _render = {"trace": records}
 
     def total(self) -> float:
         return self.p_acc + self.p_rej + self.p_non + self.truncation_loss

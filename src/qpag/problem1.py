@@ -19,7 +19,6 @@ the required shape.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from operator import ne
 from typing import Optional
 
@@ -27,6 +26,7 @@ from .errors import InvariantError, LengthMismatch, MachineError
 from .model import (
     EPSILON,
     POP,
+    Frozen,
     InputAlphabet,
     MachineQPAG,
     Record,
@@ -37,7 +37,6 @@ from .model import (
     make_tape,
     push,
     records,
-    rendered,
 )
 # ``problem1.run`` stays bound: perfbench/tracing.py wraps it by that name.
 from .simulate import KernelSteps, run, run_layers
@@ -60,8 +59,7 @@ def even_distinct(u, v) -> bool:
     return sum(1 for x, y in zip(u, v) if x != y) % 2 == 0
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(Frozen):
     """A word w1#w2#w3 of the three-segment problem."""
 
     w1: str
@@ -226,7 +224,6 @@ def _draw(rng: random.Random, n: int) -> Instance:
     return Instance(*("".join(rng.choice(a) for _ in range(n)) for a in alphabets))
 
 
-@dataclass(frozen=True)
 class SweepFailure(Record):
     """An instance whose expected outcome's probability is more than ``tol`` from 1."""
 
@@ -237,7 +234,6 @@ class SweepFailure(Record):
     deviation: float
 
 
-@dataclass(frozen=True)
 class SweepReport(Record):
     """The outcome of one sweep: instances checked, failures and the largest
     deviation. ``seed`` is the sample stream's seed, None when exhaustive."""
@@ -246,8 +242,10 @@ class SweepReport(Record):
     mode: str
     seed: Optional[int]
     checked: int
-    failures: tuple[SweepFailure, ...] = rendered(records)
+    failures: tuple[SweepFailure, ...]
     max_deviation: float
+
+    _render = {"failures": records}
 
 
 # An exhaustive sweep lists its failures one per instance; past this many
@@ -495,10 +493,12 @@ def sweep(
     if n < 1:
         raise InvariantError("n must be at least 1")
     check_tolerance(tol)
+    reduced = machine is None  # the built-in machine, known without comparing
     if machine is None:
         machine = build_machine()
     if samples is None:
-        checked, failures, max_dev = _sweep_exhaustive(machine, n, tol, _reduced(machine))
+        reduced = reduced or _reduced(machine)
+        checked, failures, max_dev = _sweep_exhaustive(machine, n, tol, reduced)
         mode = "exhaustive"
     else:
         if samples < 1:

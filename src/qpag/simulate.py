@@ -163,7 +163,6 @@ nor on hash seeds, and runs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
@@ -380,8 +379,7 @@ def measure(machine: MachineQPAG, psi: StateVector):
     return rest, acc, rej, pruned, norm
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(model.Frozen):
     """Post-measurement state after one loop iteration. ``vector`` is keyed
     by the kernel's ``CellConfiguration``s; ``psi`` is the same vector keyed
     by plain-tuple ``Configuration``s, built the first time it is read."""
@@ -649,5 +647,5 @@ def run(
             )
     result = stepper.result(point, steps)
     if trace_depth > 0:
-        result = replace(result, trace=tuple(snaps))
+        result = model.replace(result, trace=tuple(snaps))
     return result

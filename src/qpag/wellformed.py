@@ -47,7 +47,6 @@ bit-identical across transition reorderings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, product
 
 from .errors import InvariantError
@@ -63,7 +62,6 @@ from .model import (
     column_text,
     over_budget,
     records,
-    rendered,
     room,
     tokens_doc,
     vector_norm_sq,
@@ -71,23 +69,25 @@ from .model import (
 from .simulate import CellConfiguration, start, successor, walk_to_end
 
 
-@dataclass(frozen=True)
 class Violation(Record):
     """One failed well-formedness condition, its witness and its residual."""
 
     condition: str
-    witness: tuple[tuple[str, object], ...] = rendered(dict)
+    witness: tuple[tuple[str, object], ...]
     residual: float
 
+    _render = {"witness": dict}
 
-@dataclass(frozen=True)
+
 class WfReport(Record):
     """The column checks of one machine: violations and per-condition evaluation counts."""
 
     passed: bool
     mode: str
-    violations: tuple[Violation, ...] = rendered(records)
-    evaluations: dict[str, int] = rendered(dict, default_factory=dict)
+    violations: tuple[Violation, ...]
+    evaluations: dict[str, int]
+
+    _render = {"violations": records, "evaluations": dict}
 
 
 def _op_desc(op_key) -> str:
@@ -371,24 +371,26 @@ def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
 # ======================================================================
 
 
-@dataclass(frozen=True)
 class AuditFailure(Record):
     """Configurations whose images break unit norm or orthogonality, and by how much."""
 
     kind: str  # "norm" or "orthogonality"
-    configs: tuple[Configuration, ...] = rendered(records)
+    configs: tuple[Configuration, ...]
     value: float
 
+    _render = {"configs": records}
 
-@dataclass(frozen=True)
+
 class AuditReport(Record):
     """The unitarity audit of one word: configurations examined, warnings and failures."""
 
     passed: bool
     examined: int
     stepped: int
-    warnings: tuple[str, ...] = rendered(list)
-    failures: tuple[AuditFailure, ...] = rendered(records)
+    warnings: tuple[str, ...]
+    failures: tuple[AuditFailure, ...]
+
+    _render = {"warnings": list, "failures": records}
 
 
 class AuditSteps:

@@ -18,7 +18,7 @@ Three families:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from qpag.model import (
     EPSILON,
@@ -30,6 +30,7 @@ from qpag.model import (
     TransitionPPA,
     TransitionQPAG,
     push,
+    replace,
 )
 from qpag import problem1
 

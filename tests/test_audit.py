@@ -1,7 +1,7 @@
 """Reachable-basis unitarity audits cross-checked against a dense matrix."""
 
 import hashlib
-from dataclasses import replace
+from qpag.model import replace
 
 import numpy as np
 import pytest

@@ -4,7 +4,7 @@ import gc
 import random
 import re
 from collections import Counter
-from dataclasses import replace
+from qpag.model import replace
 
 import pytest
 

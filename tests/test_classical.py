@@ -1,7 +1,7 @@
 """Probabilistic and deterministic pushdown runners."""
 
 import random
-from dataclasses import replace
+from qpag.model import replace
 
 import pytest
 

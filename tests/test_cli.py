@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from qpag.model import replace
 
 import pytest
 
@@ -279,6 +279,34 @@ def test_problem1_sweep_takes_one_mode(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_problem1_sweep_past_the_digit_limit_refused_before_sweeping(monkeypatch, capsys):
+    # an exhaustive report's ``checked`` is 36**n, which has 4,299 digits at
+    # n = 2,762 and 4,301 at n = 2,763: past the limit the sweep is refused
+    # before it runs (a real one takes seconds there), with the error
+    # emit_json would give; a limit of 0 is no limit
+    swept = []
+
+    def sweep(n, **kwargs):
+        swept.append(n)
+        return problem1.SweepReport(n, "exhaustive", None, 36**n, (), 0.0)
+
+    monkeypatch.setattr(problem1, "sweep", sweep)
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert main(["problem1", "sweep", "-n", "2762", "--exhaustive"]) == 0
+        assert _json_out(capsys)["checked"] == 36**2762
+        assert main(["problem1", "sweep", "-n", "2763", "--exhaustive"]) == 2
+        assert capsys.readouterr() == ("", "error: cannot emit an int of more than 4300 digits\n")
+        assert swept == [2762]
+        sys.set_int_max_str_digits(0)
+        assert main(["problem1", "sweep", "-n", "2763", "--exhaustive"]) == 0
+        assert swept == [2762, 2763]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _cli(args, hash_seed=None):
     env = None
     if hash_seed is not None:
@@ -485,14 +513,17 @@ def machine_files(tmp_path):
     return files
 
 
-# Run in a fresh interpreter: the command's exit code and the qpag
-# submodules it loaded.
+# Run in a fresh interpreter: the command's exit code and the modules that
+# importing qpag.cli and running the command loaded, past those the
+# interpreter's start-up loaded.
 _LOADED_BY = """
-import contextlib, io, json, sys
+import sys
+started = set(sys.modules)
+import contextlib, io, json
 from qpag import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m[5:] for m in sys.modules if m.startswith("qpag."))]))
+print(json.dumps([code, sorted(set(sys.modules) - started)]))
 """
 
 _CHECK_UNLOADED = {"compiler", "branching", "classical", "problem1"}
@@ -524,10 +555,14 @@ def test_command_loads_only_the_modules_it_runs(command, kind, unloaded, machine
         [sys.executable, "-c", _LOADED_BY, *argv],
         capture_output=True, text=True, timeout=120, check=True,
     )
-    code, loaded = json.loads(done.stdout)
+    code, modules = json.loads(done.stdout)
+    loaded = {m[5:] for m in modules if m.startswith("qpag.")}
     assert code == 0
-    assert {"cli", "errors", "machinefile", "model"} <= set(loaded)
+    assert {"cli", "errors", "machinefile", "model"} <= loaded
     assert unloaded.isdisjoint(loaded)
+    # the records build no class through ``dataclasses``, which would load
+    # ``inspect`` and its imports at every start
+    assert {"dataclasses", "inspect"}.isdisjoint(modules)
 
 
 # Every name perfbench/tracing.py wraps on ``qpag.cli``.

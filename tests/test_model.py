@@ -5,7 +5,7 @@ import json
 import math
 import subprocess
 import sys
-from dataclasses import replace
+from qpag.model import replace
 from itertools import permutations
 
 import pytest
@@ -21,9 +21,13 @@ from qpag.model import (
     POP,
     Configuration,
     InputAlphabet,
+    MachinePPA,
+    MachineQCPDA,
     MachineQPAG,
+    RunResult,
     StackAlphabet,
     StackOp,
+    StepSnapshot,
     TransitionPPA,
     TransitionQCPDA,
     TransitionQPAG,
@@ -35,6 +39,7 @@ from qpag.model import (
     tokens_doc,
     vector_norm_sq,
 )
+from qpag.wellformed import Violation
 
 from .corpus import coin_ppa, cycle3, pushcycle
 from .generators import random_qcpda
@@ -222,7 +227,7 @@ def test_rows_of_another_machine_kind_rejected(own, foreign):
         replace(machine, transitions=_rows_as(foreign, machine.transitions))
 
 
-@pytest.mark.parametrize("move", [True, False, 1.0], ids=repr)
+@pytest.mark.parametrize("move", [True, False, 1.0, 2], ids=repr)
 @pytest.mark.parametrize("row_class", list(_OWN_ROWS), ids=lambda c: c.__name__)
 def test_head_move_that_is_not_an_int_rejected(row_class, move):
     # True == 1 and 1.0 == 1, but the file reader refuses ``"move": true``
@@ -231,6 +236,142 @@ def test_head_move_that_is_not_an_int_rejected(row_class, move):
     first, *rest = machine.transitions
     with pytest.raises(InvariantError, match="head move must be 0 or 1"):
         replace(machine, transitions=(replace(first, move=move), *rest))
+
+
+# ----------------------------------------------------------------------
+# Frozen records: repr, equality, hash, immutability, replace
+# ----------------------------------------------------------------------
+
+_SIGMA = InputAlphabet(("<", "a", ">"), "<", ">")
+_GAMMA = StackAlphabet(("Z", "x"), "Z")
+_SNAP = StepSnapshot(1, ((Configuration("q0", 1, ("Z", "a"), ("b",)), 0.5 - 0.5j),), 0.25, 0.0)
+
+# Each text is the repr the record had when the records were dataclasses.
+# Error messages print rows, so the format must not drift.
+_REPRS = [
+    (StackOp("push", ("x", "y")), "StackOp(kind='push', payload=('x', 'y'))"),
+    (EPSILON, "StackOp(kind='epsilon', payload=())"),
+    (
+        TransitionQPAG("q0", "<", "Z", "qa", push("x"), 1, 1 + 0j),
+        "TransitionQPAG(source='q0', read='<', top='Z', target='qa', "
+        "op=StackOp(kind='push', payload=('x',)), move=1, amp=(1+0j))",
+    ),
+    (
+        TransitionQCPDA("q0", "<", "Z", "qa", 0, -1j),
+        "TransitionQCPDA(source='q0', read='<', top='Z', target='qa', move=0, amp=(-0-1j))",
+    ),
+    (
+        TransitionPPA("q0", "<", "Z", "qa", POP, 1, 1.0),
+        "TransitionPPA(source='q0', read='<', top='Z', target='qa', "
+        "op=StackOp(kind='pop', payload=()), move=1, prob=1.0)",
+    ),
+    (
+        MachineQPAG(
+            ("q0", "qa"), _SIGMA, _GAMMA,
+            (TransitionQPAG("q0", "<", "Z", "qa", push("x"), 1, 1 + 0j),),
+            "q0", frozenset({"qa"}), frozenset(), declared_push_strings=(("x",),),
+        ),
+        "MachineQPAG(states=('q0', 'qa'), input_alphabet=InputAlphabet(symbols=('<', 'a', '>'), "
+        "left_end='<', right_end='>'), stack_alphabet=StackAlphabet(symbols=('Z', 'x'), "
+        "bottom='Z'), transitions=(TransitionQPAG(source='q0', read='<', top='Z', target='qa', "
+        "op=StackOp(kind='push', payload=('x',)), move=1, amp=(1+0j)),), initial='q0', "
+        "accepting=frozenset({'qa'}), rejecting=frozenset(), declared_push_strings=(('x',),))",
+    ),
+    (
+        MachineQCPDA(
+            ("q0", "qa"), _SIGMA, _GAMMA, (TransitionQCPDA("q0", "<", "Z", "qa", 0, -1j),),
+            "q0", frozenset(), frozenset({"qa"}), sigma=(("q0", EPSILON),),
+        ),
+        "MachineQCPDA(states=('q0', 'qa'), input_alphabet=InputAlphabet(symbols=('<', 'a', '>'), "
+        "left_end='<', right_end='>'), stack_alphabet=StackAlphabet(symbols=('Z', 'x'), "
+        "bottom='Z'), transitions=(TransitionQCPDA(source='q0', read='<', top='Z', target='qa', "
+        "move=0, amp=(-0-1j)),), initial='q0', accepting=frozenset(), "
+        "rejecting=frozenset({'qa'}), sigma=(('q0', StackOp(kind='epsilon', payload=())),))",
+    ),
+    (
+        MachinePPA(
+            ("q0", "qa"), _SIGMA, _GAMMA, (TransitionPPA("q0", "<", "Z", "qa", POP, 1, 1.0),),
+            "q0", frozenset({"qa"}), frozenset(),
+        ),
+        "MachinePPA(states=('q0', 'qa'), input_alphabet=InputAlphabet(symbols=('<', 'a', '>'), "
+        "left_end='<', right_end='>'), stack_alphabet=StackAlphabet(symbols=('Z', 'x'), "
+        "bottom='Z'), transitions=(TransitionPPA(source='q0', read='<', top='Z', target='qa', "
+        "op=StackOp(kind='pop', payload=()), move=1, prob=1.0),), initial='q0', "
+        "accepting=frozenset({'qa'}), rejecting=frozenset())",
+    ),
+    (
+        RunResult(0.25, 0.75, 0.0, 0.0, 2, (_SNAP,)),
+        "RunResult(p_acc=0.25, p_rej=0.75, p_non=0.0, truncation_loss=0.0, steps=2, "
+        "trace=(StepSnapshot(step=1, survivors=((Configuration(state='q0', head=1, "
+        "stack=('Z', 'a'), garbage=('b',)), (0.5-0.5j)),), p_acc_delta=0.25, p_rej_delta=0.0),))",
+    ),
+    (
+        RunResult(1.0, 0.0, 0.0, 0.0, 1),
+        "RunResult(p_acc=1.0, p_rej=0.0, p_non=0.0, truncation_loss=0.0, steps=1, trace=None)",
+    ),
+    (
+        Violation("4", (("state1", "q"), ("move1", 1)), 0.5),
+        "Violation(condition='4', witness=(('state1', 'q'), ('move1', 1)), residual=0.5)",
+    ),
+]
+
+
+@pytest.mark.parametrize("record, text", _REPRS, ids=[type(r).__name__ for r, _ in _REPRS])
+def test_record_repr_as_pinned(record, text):
+    assert repr(record) == text
+
+
+def test_record_fields_cannot_be_set_or_deleted():
+    row = TransitionQPAG("q0", "<", "Z", "qa", EPSILON, 1, 1 + 0j)
+    machine = cycle3()
+    for obj, name in ((row, "amp"), (row, "extra"), (machine, "initial"), (EPSILON, "kind")):
+        with pytest.raises(AttributeError, match=name):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=name):
+            delattr(obj, name)
+    assert row.amp == 1 + 0j and EPSILON.kind == "epsilon"
+
+
+def test_rows_of_two_kinds_with_equal_values_differ():
+    qpag_row = TransitionQPAG("q0", "<", "Z", "qa", EPSILON, 1, 1.0)
+    ppa_row = TransitionPPA("q0", "<", "Z", "qa", EPSILON, 1, 1.0)
+    assert qpag_row != ppa_row and ppa_row != qpag_row
+    assert qpag_row != ("q0", "<", "Z", "qa", EPSILON, 1, 1.0)
+
+
+def test_equal_records_hash_equal():
+    rows = [TransitionQPAG("q0", "<", "Z", "qa", push("x"), 1, 0.5 + 0j) for _ in range(2)]
+    assert rows[0] == rows[1] and rows[0] is not rows[1]
+    assert hash(rows[0]) == hash(rows[1]) and len(set(rows)) == 1
+    assert hash(cycle3()) == hash(cycle3())
+    assert replace(rows[0], amp=-0.5 + 0j) != rows[0]
+
+
+def test_records_built_by_position_keyword_and_default():
+    row = TransitionQCPDA("q0", "<", "Z", "qa", 0, 1j)
+    assert TransitionQCPDA(
+        "q0", "<", top="Z", target="qa", move=0, amp=1j
+    ) == row == replace(row)
+    assert StackOp("epsilon") == StackOp(kind="epsilon", payload=()) == EPSILON
+    for args, kwargs in [
+        (("q0", "<", "Z", "qa", 0), {}),  # a field missing
+        (("q0", "<", "Z", "qa", 0, 1j, 2), {}),  # one too many
+        (("q0", "<", "Z", "qa", 0, 1j), {"move": 1}),  # a field twice
+        (("q0", "<", "Z", "qa", 0, 1j), {"prob": 1.0}),  # no such field
+    ]:
+        with pytest.raises(TypeError, match="TransitionQCPDA"):
+            TransitionQCPDA(*args, **kwargs)
+    with pytest.raises(TypeError, match="size"):
+        replace(row, size=2)
+
+
+def test_replace_checks_the_copy():
+    assert replace(push("x"), payload=("x", "y")) == push("x", "y")
+    with pytest.raises(InvariantError, match="epsilon carries no payload"):
+        replace(push("x"), kind="epsilon")
+    machine = random_qcpda(0)
+    assert replace(machine) == machine
+    assert replace(machine).sigma == machine.sigma
 
 
 def test_configuration_shape():

@@ -5,7 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
-from dataclasses import replace
+from qpag.model import replace
 
 import pytest
 from hypothesis import given, settings
@@ -409,6 +409,16 @@ def test_reduction_verdicts():
     verdicts = {mu.name: problem1._reduced(mu.machine) for mu in mutants()}
     assert len(verdicts) == 22
     assert not any(verdicts.values())
+
+
+def test_default_sweep_builds_the_machine_once(monkeypatch):
+    # the default machine is the built-in one, so it is not compared with a
+    # second build
+    built = []
+    real = problem1.build_machine
+    monkeypatch.setattr(problem1, "build_machine", lambda: built.append(1) or real())
+    assert problem1.sweep(2).checked == 36**2
+    assert built == [1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -3,7 +3,7 @@ budget, and batches run layer by layer."""
 
 import random
 import re
-from dataclasses import replace
+from qpag.model import replace
 from functools import partial
 
 import pytest

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py refuses a bad argument before it runs anything."""
+"""tools/bench_pairs.py refuses a bad argument before it runs anything;
+tools/import_cost.py splits a cold start's import time by layer."""
 
 import importlib.util
 import json
@@ -9,11 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _bench_pairs():
+    return _tool("bench_pairs")
 
 
 @pytest.fixture
@@ -78,3 +83,40 @@ def test_record_holds_every_end_to_end_metric(bench_pairs, capsys):
     assert (section["pairs"], section["seeds"], section["all_correct"]) == (2, "91,93", True)
     assert list(section["metrics"]) == [m["name"] for m in bench_pairs.benchmark()["end_to_end"]]
     assert rec["claim"]["metric"] == "items_per_s"
+
+
+# -X importtime prints each import as it ends, its children first and one
+# indent deeper
+_IMPORTTIME = """\
+import time: self [us] | cumulative | imported package
+import time:       100 |        100 |   encodings.aliases
+import time:       200 |        300 | encodings
+import time:        50 |         50 |     cmath
+import time:       400 |        450 |   qpag.model
+import time:        30 |        480 | qpag
+import time:        70 |         70 | json
+import time:         5 |          5 |   qpag.errors
+import time:        60 |         65 | qpag.simulate
+"""
+
+
+def test_import_cost_groups_by_the_first_qpag_import():
+    assert _tool("import_cost").split(_IMPORTTIME) == {
+        "startup": 300, "stdlib": 120, "qpag.model": 400, "qpag": 30,
+        "qpag.errors": 5, "qpag.simulate": 60,
+    }
+
+
+def test_import_cost_times_every_command(capsys):
+    tool = _tool("import_cost")
+    assert tool.main(["--repeat", "1"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rows = doc["commands"]
+    assert [tuple(row["argv"]) for row in rows] == list(tool.COMMANDS)
+    for row in rows:
+        assert {"startup", "stdlib", "qpag", "qpag.cli", "qpag.model"} <= row["self_us"].keys()
+        assert row["wall_ms"] > 0
+    # a module the command loads on first use is timed too
+    assert "qpag.problem1" in rows[-1]["self_us"]
+    assert "qpag.wellformed" not in rows[-1]["self_us"]
+    assert doc["total"]["qpag.model"] == sum(row["self_us"]["qpag.model"] for row in rows)

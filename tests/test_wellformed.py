@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import replace
+from qpag.model import replace
 
 import pytest
 
