@@ -94,7 +94,7 @@ def refuse_long_int(digits: int) -> None:
     """Raise the SchemaError ``emit_json`` raises for an int of ``digits``
     digits, if that many pass CPython's limit (``sys.get_int_max_str_digits()``,
     0 for none): a caller can refuse before it computes the int."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() == 0: no limit
+    limit = sys.get_int_max_str_digits()
     if limit and digits > limit:
         raise _too_long(limit)
 

@@ -124,10 +124,11 @@ class Frozen:
         # directly reads slower on CPython 3.11
         for name, value in zip(names, args):
             _set(self, name, value)
-        self.__post_init__()
+        if self.__post_init__:
+            self.__post_init__()
 
-    def __post_init__(self):
-        """The construction check; a class with one overrides this."""
+    # the construction check: a class that has one defines it as a method
+    __post_init__ = None
 
     def _keep(self):
         _set(self, "_key", self._values(self))
@@ -624,23 +625,10 @@ def records(rs):
 class Record(Frozen):
     """Base of the report records: one JSON writer for all of them. A
     class's ``_render`` table maps a field to the function its value goes
-    out through.
-
-    A record is written once and read as a whole, so its fields go straight
-    into its ``__dict__``, with no ``object.__setattr__`` per field, and
-    ``to_json_dict`` copies that dict, which holds the fields in field
-    order."""
+    out through. ``to_json_dict`` copies the record's ``__dict__``, which
+    holds the fields in field order."""
 
     _render = {}
-
-    def __init__(self, *args, **kwargs):
-        names = self._fields
-        if kwargs or len(args) != len(names):
-            args = _bind(type(self), args, kwargs)
-        fields = vars(self)
-        for name, value in zip(names, args):
-            fields[name] = value
-        self.__post_init__()
 
     def to_json_dict(self):
         doc = vars(self).copy()

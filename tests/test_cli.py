@@ -279,7 +279,6 @@ def test_problem1_sweep_takes_one_mode(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
 def test_problem1_sweep_past_the_digit_limit_refused_before_sweeping(monkeypatch, capsys):
     # an exhaustive report's ``checked`` is 36**n, which has 4,299 digits at
     # n = 2,762 and 4,301 at n = 2,763: past the limit the sweep is refused

@@ -112,7 +112,10 @@ def test_import_cost_times_every_command(capsys):
     assert tool.main(["--repeat", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
     rows = doc["commands"]
-    assert [tuple(row["argv"]) for row in rows] == list(tool.COMMANDS)
+    # the commands perfbench/clicheck.py times cold
+    assert [row["argv"][0] for row in rows] == [
+        "run", "check", "audit", "compile", "run", "run", "run", "check", "problem1",
+    ]
     for row in rows:
         assert {"startup", "stdlib", "qpag", "qpag.cli", "qpag.model"} <= row["self_us"].keys()
         assert row["wall_ms"] > 0

@@ -1,27 +1,28 @@
 """Split the import time of ``qpag`` command cold starts by layer.
 
-    python tools/import_cost.py [--checkout DIR] [--repeat N]
+    python tools/import_cost.py [--checkout DIR] [--seed N] [--repeat N]
 
-Runs a fixed list of commands, the same kinds ``perfbench/clicheck.py``
-times, each as ``python -X importtime -m qpag ...`` in a fresh
-interpreter, ``--repeat`` times (default 5), and prints one JSON document.
-For each command it gives the median self time, in µs, of each group:
-``startup``, the imports the interpreter makes before the first ``qpag``
-import (``site``, ``encodings``, the ``.pth`` files of site-packages);
-``stdlib``, every other non-``qpag`` module, whichever ``qpag`` module or
-function imported it; and one entry per ``qpag.*`` module. ``wall_ms`` is
-the median wall time of the subprocess, and ``total`` sums each group over
-the commands.
+Runs the commands whose cold starts ``perfbench/clicheck.py`` times, on the
+machine files its ``write_machines`` writes for seed N (default 1), each as
+``python -X importtime -m qpag ...`` in a fresh interpreter, ``--repeat``
+times (default 5), and prints one JSON document. For each command it gives
+the median self time, in µs, of each group: ``startup``, the imports the
+interpreter makes before the first ``qpag`` import (``site``,
+``encodings``, the ``.pth`` files of site-packages); ``stdlib``, every
+other non-``qpag`` module, whichever ``qpag`` module or function imported
+it; and one entry per ``qpag.*`` module. ``wall_ms`` is the median wall
+time of the subprocess, and ``total`` sums each group over the commands.
 
 The package is copied from ``DIR/src/qpag`` (default: this checkout) into
-a temporary directory with no ``__pycache__``, and every run has
-``PYTHONDONTWRITEBYTECODE=1``, as ``tools/bench_pairs.py`` runs: each cold
-start compiles the ``qpag`` source it loads, and that compile time is part
-of each module's self time. The standard library loads from its own
-bytecode. ``-X importtime`` times only imports made through ``__import__``
-(``import`` statements), so a ``qpag`` module loaded through
-``importlib.import_module`` would be missing and its imports would count
-as top-level ones; ``qpag._resolve`` loads through ``__import__``.
+a temporary directory with no ``__pycache__``, which also holds the machine
+files, and every run has ``PYTHONDONTWRITEBYTECODE=1``, as
+``tools/bench_pairs.py`` runs: each cold start compiles the ``qpag`` source
+it loads, and that compile time is part of each module's self time. The
+standard library loads from its own bytecode. ``-X importtime`` times only
+imports made through ``__import__`` (``import`` statements), so a ``qpag``
+module loaded through ``importlib.import_module`` would be missing and its
+imports would count as top-level ones; ``qpag._resolve`` loads through
+``__import__``.
 """
 
 from __future__ import annotations
@@ -39,52 +40,6 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-H = 0.5**0.5
-
-
-def _machine_docs() -> dict:
-    """A scheduled-stack machine that sheds half its mass into an accepting
-    state per step, and a fair-coin probabilistic one."""
-    walker_rows = [
-        {"from": "w0", "read": read, "top": "Z", "to": to, "move": 1, "amp": [H, 0.0]}
-        for read in "<01>"
-        for to in ("w0", "w_acc")
-    ]
-    walker = {
-        "kind": "qcpda", "states": ["w0", "w_acc"],
-        "input_alphabet": {"symbols": ["<", "0", "1", ">"], "left_end": "<", "right_end": ">"},
-        "stack_alphabet": {"symbols": ["Z"], "bottom": "Z"},
-        "initial": "w0", "accepting": ["w_acc"], "rejecting": [],
-        "sigma": {"w0": {"op": "epsilon"}}, "transitions": walker_rows,
-    }
-    coin = {
-        "kind": "ppa", "states": ["c0", "c_acc", "c_rej"],
-        "input_alphabet": {"symbols": ["<", "a", ">"], "left_end": "<", "right_end": ">"},
-        "stack_alphabet": {"symbols": ["Z"], "bottom": "Z"},
-        "initial": "c0", "accepting": ["c_acc"], "rejecting": ["c_rej"],
-        "transitions": [
-            {"from": "c0", "read": "<", "top": "Z", "to": to, "op": {"op": "epsilon"},
-             "move": 1, "prob": 0.5}
-            for to in ("c_acc", "c_rej")
-        ],
-    }
-    return {"sched.json": walker, "coin.json": coin}
-
-
-# Each runs in the directory of the machine files; the first writes
-# builtin.json and the compile writes image.json.
-COMMANDS = (
-    ("problem1", "build", "-o", "builtin.json"),
-    ("run", "builtin.json", "--input", "abcab#bacba#cdcab"),
-    ("check", "builtin.json"),
-    ("audit", "builtin.json", "--input", "ab#ba#ab", "--depth", "12"),
-    ("compile", "sched.json", "-o", "image.json", "--equiv-words", "0,1,01", "--max-steps", "6"),
-    ("run", "image.json", "--input", "01101", "--max-steps", "18"),
-    ("run", "sched.json", "--input", "01101", "--max-steps", "6"),
-    ("run", "coin.json", "--input", "aaa"),
-    ("check", "coin.json"),
-    ("problem1", "sweep", "-n", "1", "--exhaustive"),
-)
 
 
 def split(report: str) -> dict[str, int]:
@@ -134,9 +89,25 @@ def measure(package: Path, work: Path, argv: tuple, repeat: int) -> dict:
     return row
 
 
+def commands(checkout: Path, package: Path, seed: int) -> list:
+    """Write the machine files of ``DIR/perfbench/clicheck.py`` under the
+    current directory with the copied package, and return its commands."""
+    saved = sys.path[:], sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # the copy stays free of __pycache__
+    sys.path[:0] = [str(package), str(checkout / "perfbench")]
+    try:
+        import clicheck
+        import qpag
+
+        return clicheck.write_machines(qpag, seed)
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--checkout", type=Path, default=ROOT)
+    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeat", type=int, default=5)
     args = p.parse_args(argv)
     source = args.checkout / "src" / "qpag"
@@ -144,13 +115,16 @@ def main(argv=None) -> int:
         p.error(f"no qpag sources at {source}")
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
+    here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        package, work = Path(tmp, "src"), Path(tmp, "work")
+        package = Path(tmp, "src")
         shutil.copytree(source, package / "qpag", ignore=shutil.ignore_patterns("__pycache__"))
-        work.mkdir()
-        for name, doc in _machine_docs().items():
-            (work / name).write_text(json.dumps(doc), encoding="utf-8")
-        rows = [measure(package, work, argv, args.repeat) for argv in COMMANDS]
+        os.chdir(tmp)  # the commands name their files relative to it
+        try:
+            argvs = commands(args.checkout, package, args.seed)
+            rows = [measure(package, Path(tmp), tuple(a), args.repeat) for a in argvs]
+        finally:
+            os.chdir(here)
     total: dict[str, int] = {}
     for row in rows:
         for k, us in row["self_us"].items():
@@ -158,6 +132,7 @@ def main(argv=None) -> int:
     doc = {
         "python": platform.python_version(),
         "checkout": str(args.checkout.resolve()),
+        "seed": args.seed,
         "repeat": args.repeat,
         "commands": rows,
         "total": total,
