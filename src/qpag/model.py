@@ -90,14 +90,15 @@ class Frozen:
     A subclass's fields are its annotated names, its bases' first, in MRO
     order, read once when the class is made; a field given a value in the
     class body defaults to it. A record is built from its fields by
-    position or keyword, then checked by ``__post_init__``. It equals only
-    a record of its own class with equal fields, hashes its field tuple,
-    reprs as a dataclass does, and raises AttributeError on any attribute
-    set or delete. Fields live in the instance's ``__dict__``, beside any
-    ``cached_property`` value and the field tuple ``_key``, which the first
-    comparison or hash keeps (stack operations key dicts in the branch
-    engine's step loop). No source is generated, as ``dataclasses`` does
-    at import: one ``__init__`` serves every class."""
+    position or keyword, then checked by its class's ``__post_init__``, if
+    the class defines one. It equals only a record of its own class with
+    equal fields, hashes its field tuple, reprs as a dataclass does, and
+    raises AttributeError on any attribute set or delete. Fields live in
+    the instance's ``__dict__``, beside any ``cached_property`` value and
+    the field tuple ``_key``, which the first comparison or hash keeps
+    (stack operations key dicts in the branch engine's step loop). No
+    source is generated, as ``dataclasses`` does at import: one
+    ``__init__`` serves every class."""
 
     _fields = ()
     _defaults = ()

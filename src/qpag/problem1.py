@@ -505,14 +505,10 @@ def sweep(
             raise InvariantError("sample count must be positive")
         checked, failures, max_dev = _sweep_sampled(machine, n, samples, seed, tol)
         mode = "sample"
-    return SweepReport(
-        n=n,
-        mode=mode,
-        seed=None if samples is None else seed,
-        checked=checked,
-        failures=tuple(failures),
-        max_deviation=max_dev,
-    )
+    seed = None if samples is None else seed
+    # by position, since a keyword call binds through ``model._bind``,
+    # which shows in the time of a short sweep
+    return SweepReport(n, mode, seed, checked, tuple(failures), max_dev)
 
 
 def _sweep_sampled(machine: MachineQPAG, n: int, samples: int, seed: int, tol: float):
