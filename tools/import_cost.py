@@ -1,9 +1,9 @@
 """Split the import time of ``qpag`` command cold starts by layer.
 
-    python tools/import_cost.py [--checkout DIR] [--seed N] [--repeat N]
+    python tools/import_cost.py [--checkout DIR] [--repeat N]
 
 Runs the commands whose cold starts ``perfbench/clicheck.py`` times, on the
-machine files its ``write_machines`` writes for seed N (default 1), each as
+machine files its ``write_machines`` writes, each as
 ``python -X importtime -m qpag ...`` in a fresh interpreter, ``--repeat``
 times (default 5), and prints one JSON document. For each command it gives
 the median self time, in µs, of each group: ``startup``, the imports the
@@ -40,6 +40,8 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
+# the seed only draws the commands' input words
+SEED = 1
 
 
 def split(report: str) -> dict[str, int]:
@@ -89,7 +91,7 @@ def measure(package: Path, work: Path, argv: tuple, repeat: int) -> dict:
     return row
 
 
-def commands(checkout: Path, package: Path, seed: int) -> list:
+def commands(checkout: Path, package: Path) -> list:
     """Write the machine files of ``DIR/perfbench/clicheck.py`` under the
     current directory with the copied package, and return its commands."""
     saved = sys.path[:], sys.dont_write_bytecode
@@ -99,7 +101,7 @@ def commands(checkout: Path, package: Path, seed: int) -> list:
         import clicheck
         import qpag
 
-        return clicheck.write_machines(qpag, seed)
+        return clicheck.write_machines(qpag, SEED)
     finally:
         sys.path[:], sys.dont_write_bytecode = saved
 
@@ -107,7 +109,6 @@ def commands(checkout: Path, package: Path, seed: int) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--checkout", type=Path, default=ROOT)
-    p.add_argument("--seed", type=int, default=1)
     p.add_argument("--repeat", type=int, default=5)
     args = p.parse_args(argv)
     source = args.checkout / "src" / "qpag"
@@ -121,7 +122,7 @@ def main(argv=None) -> int:
         shutil.copytree(source, package / "qpag", ignore=shutil.ignore_patterns("__pycache__"))
         os.chdir(tmp)  # the commands name their files relative to it
         try:
-            argvs = commands(args.checkout, package, args.seed)
+            argvs = commands(args.checkout, package)
             rows = [measure(package, Path(tmp), tuple(a), args.repeat) for a in argvs]
         finally:
             os.chdir(here)
@@ -132,7 +133,6 @@ def main(argv=None) -> int:
     doc = {
         "python": platform.python_version(),
         "checkout": str(args.checkout.resolve()),
-        "seed": args.seed,
         "repeat": args.repeat,
         "commands": rows,
         "total": total,
