@@ -102,13 +102,16 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     )
     rest, acc, rej, pruned, _ = measure(machine, out)
 
-    # op -> [vector, squared mass summed left to right in survivor order]
+    # op -> [vector, squared mass summed left to right in survivor order];
+    # by_state maps a state to its op's entry, so each state's op is hashed
+    # once a call, not once a survivor
     sigma = machine.sigma_map
     classes: dict = {}
+    by_state: dict = {}
     for key, amp in rest.items():
-        split = classes.get(sigma[key[0]])
+        split = by_state.get(key[0])
         if split is None:
-            split = classes[sigma[key[0]]] = [{}, 0.0]
+            split = by_state[key[0]] = classes.setdefault(sigma[key[0]], [{}, 0.0])
         split[0][key] = amp
         split[1] += abs(amp) ** 2
 

@@ -406,7 +406,9 @@ def parse_machine(text: str):
     """Parse a machine file; returns one of the three machine types."""
     try:
         doc = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as e:
+    # ValueError: a JSONDecodeError, or an int past CPython's digit limit;
+    # RecursionError: arrays or objects nested too deep
+    except (ValueError, RecursionError) as e:
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("top level: expected an object")

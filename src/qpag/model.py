@@ -30,7 +30,9 @@ which lives at stack position 0 and nowhere else.
 
 Every report record (run results here, and the reports of ``wellformed``,
 ``compiler`` and ``problem1``) derives from ``Record``, whose one
-``to_json_dict`` writes the fields in field order under their own names. A
+``to_json_dict`` writes the fields in field order under their own names,
+from the record's ``__dict__``: ``Frozen`` compares and hashes a record by
+reading its fields each time and keeps nothing beside them. A
 field's value goes out as it is, unless the class's ``_render`` table maps
 the field to a function ``fn``; then ``fn(value)`` goes out: ``records``
 for a tuple of records (or None), ``dict`` or ``list`` for a tuple of pairs
@@ -94,15 +96,13 @@ class Frozen:
     the class defines one. It equals only a record of its own class with
     equal fields, hashes its field tuple, reprs as a dataclass does, and
     raises AttributeError on any attribute set or delete. Fields live in
-    the instance's ``__dict__``, beside any ``cached_property`` value and
-    the field tuple ``_key``, which the first comparison or hash keeps
-    (stack operations key dicts in the branch engine's step loop). No
-    source is generated, as ``dataclasses`` does at import: one
-    ``__init__`` serves every class."""
+    the instance's ``__dict__``; after construction only a
+    ``cached_property`` writes there, so a report, which has none, holds
+    exactly its fields. No source is generated, as ``dataclasses`` does at
+    import: one ``__init__`` serves every class."""
 
     _fields = ()
     _defaults = ()
-    _key = None
 
     def __init_subclass__(cls):
         names, defaults = [], []
@@ -131,17 +131,13 @@ class Frozen:
     # the construction check: a class that has one defines it as a method
     __post_init__ = None
 
-    def _keep(self):
-        _set(self, "_key", self._values(self))
-        return self._key
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self._key or self._keep()) == (other._key or other._keep())
+        return self._values(self) == other._values(other)
 
     def __hash__(self):
-        return hash(self._key or self._keep())
+        return hash(self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
@@ -627,13 +623,12 @@ class Record(Frozen):
     """Base of the report records: one JSON writer for all of them. A
     class's ``_render`` table maps a field to the function its value goes
     out through. ``to_json_dict`` copies the record's ``__dict__``, which
-    holds the fields in field order."""
+    holds the fields in field order and nothing else."""
 
     _render = {}
 
     def to_json_dict(self):
         doc = vars(self).copy()
-        doc.pop("_key", None)  # kept by a comparison or hash
         for name, render in self._render.items():
             doc[name] = render(doc[name])
         return doc

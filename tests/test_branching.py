@@ -11,6 +11,7 @@ import pytest
 from qpag import branching, model
 from qpag.compiler import EQUIV_TOL, compile_qcpda, equiv_check
 from qpag.errors import PopOnBottom, StateSpaceOverflow
+from qpag.machinefile import parse_machine, serialize_machine
 from qpag.model import (
     EPSILON,
     HALT_MASS,
@@ -551,3 +552,21 @@ def test_result_sums_live_probability_left_to_right():
     frontier = tuple(first._replace(prob=prob) for prob in (1.0, 1e-16, 1e-16))
     point = (frontier, 0.0, 0.0, 0.0, 0.0)
     assert BranchSteps(m).result(point, 3).p_non == 1.0
+
+
+def test_split_groups_equal_operations_not_one_object():
+    # seed 1 schedules push x for t0 and t1 through one object; the file's
+    # copy reads each sigma entry apart, so there the two are equal but
+    # distinct objects, and each step's split must still give one child
+    machine = random_qcpda(1)
+    copy = parse_machine(serialize_machine(machine))
+    ops = machine.sigma_map
+    assert ops["t0"] is ops["t1"]
+    ops = copy.sigma_map
+    assert ops["t0"] == ops["t1"] == push("x") and ops["t0"] is not ops["t1"]
+    # budget 8, as the benchmark's lowering check: this machine's frontier
+    # passes the entry budget at step 19
+    words = words_up_to(4)
+    assert [run_qcpda(copy, w, 8) for w in words] == [run_qcpda(machine, w, 8) for w in words]
+    rows = [equiv_check(m, compile_qcpda(m)[0], words, 8).rows for m in (copy, machine)]
+    assert rows[0] == rows[1]

@@ -91,6 +91,27 @@ def test_garbage_json_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        (b'{"kind": ' + b"1" * 5000 + b"}", "invalid JSON: Exceeds the limit ("),
+    ],
+    ids=["not-utf8", "nested-too-deep", "int-past-digit-limit"],
+)
+def test_machine_file_json_cannot_hold_is_usage_error(content, message, tmp_path):
+    # an input error, not a failed check: exit 2 and one error line, with
+    # no traceback
+    path = tmp_path / "machine.json"
+    path.write_bytes(content)
+    done = _cli(["check", str(path)])
+    err = done.stderr.decode()
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert err.startswith("error: " + message.format(path=path))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_unwritable_output_is_usage_error(qcpda_file, tmp_path, capsys):
     # a machine file that cannot be written is an input error, as one that
     # cannot be read is: its path on stderr, no document on stdout

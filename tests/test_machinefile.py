@@ -260,6 +260,25 @@ def test_parse_error_messages_of_texts(text, error, message):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        ('{"kind": ' + "1" * 5000 + "}", r"invalid JSON: Exceeds the limit \(\d+ digits\) for integer string"),
+    ],
+    ids=["nested-too-deep", "int-past-digit-limit"],
+)
+def test_parse_error_of_json_that_json_loads_cannot_hold(text, message):
+    # json.loads raises RecursionError and ValueError here, not JSONDecodeError
+    with pytest.raises(ParseError, match=f"^{message}"):
+        parse_machine(text)
+
+
+def test_machine_to_doc_refuses_a_non_machine():
+    with pytest.raises(SchemaError, match="^not a machine: object$"):
+        machine_to_doc(object())
+
+
+@pytest.mark.parametrize(
     "once, twice, key",
     [
         ('"initial": "s0"', '"initial": "zz", "initial": "s0"', "initial"),

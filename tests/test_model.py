@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import re
 import subprocess
 import sys
 from qpag.model import replace
@@ -179,6 +180,61 @@ def test_machine_validation_errors():
             accepting=frozenset(),
             rejecting=frozenset(),
         )
+
+
+def _qpag_row(op=EPSILON, amp=1 + 0j):
+    return TransitionQPAG("s0", "0", "Z", "s1", op, 1, amp)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: InputAlphabet(("<", "a"), "<", ">"), "right endmarker must be an input symbol"),
+        (lambda: InputAlphabet(("a", ">"), "<", ">"), "left endmarker must be an input symbol"),
+        (lambda: InputAlphabet(("<", "a"), "<", "<"), "endmarkers must be distinct"),
+        (lambda: StackAlphabet(("Z", "x"), "Y"), "bottom symbol must be a stack symbol"),
+        (lambda: StackAlphabet((), "Z"), "stack alphabet is empty"),
+        (lambda: InputAlphabet(("<", "a", "a", ">"), "<", ">"), "input alphabet has duplicate symbols"),
+        (lambda: StackAlphabet(("Z", ""), "Z"), "stack alphabet symbol '' is not a nonempty token"),
+        (lambda: StackAlphabet(("Z", 1), "Z"), "stack alphabet symbol 1 is not a nonempty token"),
+        (
+            lambda: replace(cycle3(), transitions=(_qpag_row(push("x")),)),
+            "push string uses unknown stack symbol 'x'",
+        ),
+        (lambda: replace(cycle3(), states=()), "machine has no states"),
+        (lambda: replace(cycle3(), states=("s0", "s1", "s2", "s1")), "duplicate state names"),
+        (lambda: replace(cycle3(), rejecting=frozenset({"zz"})), "halting state 'zz' is not a state"),
+        (
+            lambda: replace(cycle3(), transitions=(_qpag_row(amp=complex(math.inf, 0)),)),
+            "amplitude must be finite",
+        ),
+        (
+            lambda: replace(coin_ppa(), transitions=(replace(coin_ppa().transitions[0], prob=math.nan),)),
+            "probability must be finite",
+        ),
+        (lambda: replace(random_qcpda(0), sigma=random_qcpda(0).sigma * 2), "sigma lists a state twice"),
+    ],
+    ids=[
+        "right-end-missing",
+        "left-end-missing",
+        "equal-endmarkers",
+        "bottom-missing",
+        "empty-alphabet",
+        "duplicate-symbol",
+        "empty-symbol",
+        "non-str-symbol",
+        "push-unknown-symbol",
+        "no-states",
+        "duplicate-states",
+        "halting-not-a-state",
+        "infinite-amplitude",
+        "nan-probability",
+        "sigma-state-twice",
+    ],
+)
+def test_machine_validation_refusals(build, message):
+    with pytest.raises(InvariantError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_declared_push_strings():

@@ -56,6 +56,13 @@ def test_instance_validation():
     assert inst.n == 2
 
 
+def test_sweep_refuses_a_size_or_sample_count_below_one():
+    with pytest.raises(InvariantError, match="^n must be at least 1$"):
+        problem1.sweep(0)
+    with pytest.raises(InvariantError, match="^sample count must be positive$"):
+        problem1.sweep(1, samples=0)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     w1=st.text(alphabet="abc", min_size=1, max_size=4),

@@ -4,9 +4,9 @@
 import pytest
 
 from qpag import problem1
-from qpag.compiler import CompileMap, compile_qcpda, equiv_check
+from qpag.compiler import CompileMap, EquivReport, compile_qcpda, equiv_check
 from qpag.machinefile import emit_json
-from qpag.model import Configuration, Record, StepSnapshot
+from qpag.model import Configuration, Record, StepSnapshot, replace
 from qpag.simulate import run
 from qpag.wellformed import AuditFailure, Violation, audit_unitarity, check_qpag
 
@@ -128,3 +128,19 @@ def test_step_snapshot_survivors():
         "p_acc_delta": 0.25,
         "p_rej_delta": 0.0,
     }
+
+
+def test_comparing_hashing_and_writing_leave_only_the_fields():
+    # a record is never written after it is built: no cached key beside
+    # its fields, for a row, a stack operation and a report of records
+    row = problem1.build_machine().transitions[0]
+    report = next(r for r in _REPORTS if type(r) is EquivReport)
+    for record in (row, row.op, report):
+        copy = replace(record)
+        assert record == copy and hash(record) == hash(copy)
+        assert repr(record) == repr(copy)
+        if isinstance(record, Record):
+            assert record.to_json_dict() == copy.to_json_dict()
+        for r in (record, copy):
+            assert list(vars(r)) == list(r._fields)
+    assert list(vars(report.rows[0])) == list(report.rows[0]._fields)

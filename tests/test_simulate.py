@@ -49,6 +49,7 @@ from qpag.simulate import (
     trajectory,
     walk_to_end,
 )
+from qpag.wellformed import audit_unitarity
 
 from .corpus import TOTAL_MACHINES, H, coin_ppa
 from .generators import problem1_instances, random_qcpda, words_up_to
@@ -844,3 +845,20 @@ def test_kernel_step_matches_multipass_oracle():
                 pruned_steps += d_pruned > 0
             assert len(steps) == budget or point[5] < HALT_MASS, word
     assert pruned_steps > 0
+
+
+def test_pop_on_bottom_raises_in_run_and_audit():
+    # one row, (q0, <, Z) -> q0, pop, move 1: the first step pops Z
+    m = MachineQPAG(
+        states=("q0",),
+        input_alphabet=InputAlphabet(("<", "0", ">"), "<", ">"),
+        stack_alphabet=StackAlphabet(("Z",), "Z"),
+        transitions=(TransitionQPAG("q0", "<", "Z", "q0", POP, 1, 1 + 0j),),
+        initial="q0",
+        accepting=frozenset(),
+        rejecting=frozenset(),
+    )
+    with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
+        run(m, "0")
+    with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
+        audit_unitarity(m, "0")

@@ -643,3 +643,8 @@ def test_column_reports_hash_as_pinned():
     for rep in reports:
         digest.update(emit_json(rep.to_json_dict(), floats="repr").encode())
     assert digest.hexdigest() == _COLUMN_REPORTS_SHA256
+
+
+def test_check_rejects_an_unknown_mode():
+    with pytest.raises(InvariantError, match="^unknown check mode 'x'$"):
+        check_qpag(problem1.build_machine(), mode="x")
