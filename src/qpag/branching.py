@@ -4,27 +4,35 @@ target state.
 The stack here is classical: measuring which stack operation fired after a
 step collapses the superposition into one classical branch per operation
 outcome (plus accept and reject). A branch is a plain record of three
-fields: its probability, its stack, and a unit-norm amplitude vector over
-(state, head) pairs; children are renormalized after measurement.
-``qcpda_step`` is the kernel's step, ``simulate.evolve`` then
-``simulate.measure``, with ``measure``'s survivors split by scheduled stack
-operation, so its ledger follows the kernel's rules.
+fields: its probability, its stack, and a unit-norm amplitude vector keyed
+by ``simulate.CellConfiguration(state, head, stack, EMPTY)``, every key
+holding the branch's stack; children are renormalized after measurement.
+``qcpda_step`` is the kernel's step: ``simulate.evolve`` over the
+machine's compiled rows, each of which applies its target's scheduled
+operation to the key's stack, then ``simulate.measure``, with
+``measure``'s survivors split by their stack cell, so its ledger follows
+the kernel's rules. Distinct operations leave distinct stacks, so the
+classes are the parent's operation outcomes. A scheduled pop of the
+bottom symbol leaves the empty tape ``simulate.EMPTY`` unchecked, and
+``qcpda_step`` raises PopOnBottom, naming the branch's stack, only for a
+class on it that survives measurement: mass pruned or halting before
+then never pops.
 
-A branch's stack is an interned cell (``simulate.cons``,
-``simulate.stack_after``) in the cell table of its run, which
-``BranchSteps.table`` owns and passes to each step. Vectors, measurement
-classes and the frontier are walked in insertion order and never sorted:
-every column lists its rows in canonical order, so that order, and with it
-every sum, depends on neither the order of the transition table nor hash
-seeds.
+A branch's stack is an interned cell (``simulate.cons``) in the cell table
+of its run, which ``BranchSteps.table`` owns and passes to each step.
+Vectors, measurement classes and the frontier are walked in insertion
+order and never sorted: every column lists its rows in canonical order,
+so that order, and with it every sum, depends on neither the order of the
+transition table nor hash seeds.
 
 Branches with equal stacks and equal amplitude vectors (compared after
 rounding to 10 decimal places) are merged by summing probabilities, which
 keeps the frontier polynomial for machines that forget their history. The
 merge key is the stack cell with the frozenset of (key, rounded real,
 rounded imaginary) triples. Interned cells are the same object exactly
-when their stacks are equal, and a vector has each key once, so the set
-determines the key-sorted tuple of triples and back: two branches merge
+when their stacks are equal, and a vector has each key once, its keys
+differing only in (state, head), so the set determines the tuple of
+triples sorted by (state, head) and back: two branches merge
 exactly when the sorted tuples would match, in whatever order their
 vectors were filled.
 
@@ -40,14 +48,15 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, room
-from .simulate import EMPTY, Cell, cons, evolve, head_of, measure, stack_after, walk_to_end
+from .errors import PopOnBottom
+from .model import HALT_MASS, MachineQCPDA, RunResult, join_tokens, over_budget, plain_sum, room
+from .simulate import EMPTY, Cell, evolve, head_of, measure, start, walk_to_end
 
 
 class Branch(NamedTuple):
     prob: float
     cell: Cell  # the stack, interned in the run's table
-    psi: dict  # (state, head) -> amplitude, unit norm
+    psi: dict  # CellConfiguration (state, head, cell, EMPTY) -> amplitude, unit norm
 
     def fingerprint(self):
         """The merge key: equal for two branches exactly when their stacks
@@ -71,20 +80,14 @@ class StepDeltas(NamedTuple):
 
 def initial_branch(machine: MachineQCPDA, table: dict) -> Branch:
     """The branch a run starts from, its stack interned in ``table``."""
-    bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
-    return Branch(1.0, bottom, {(machine.initial, 0): 1 + 0j})
-
-
-def _move(key, t):
-    """The (state, head) key row ``t`` leads to; the stack operation waits
-    for the measurement."""
-    return (t.target, key[1] + t.move)
+    first = start(machine, table)
+    return Branch(1.0, first.stack, {first: 1 + 0j})
 
 
 def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> StepDeltas:
-    """Advance one branch by one step and measure: ``evolve``, then the
-    kernel's ``measure``, then split its survivors by scheduled stack
-    operation.
+    """Advance one branch by one step and measure: ``evolve``, which
+    applies each row's scheduled stack operation, then the kernel's
+    ``measure``, then split its survivors by their stack cell.
 
     Returns the classical children (one per stack-operation outcome with
     surviving mass, in the order the outcomes first occur), this branch's
@@ -92,36 +95,32 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     probability. The truncated mass is (undefined-column mass) + (pruned
     mass), as in the kernel. The children's stacks are interned in
     ``table``, the run's cell table. ``evolve`` holds the branch's own step to the entry budget.
+    A surviving class that popped the bottom symbol raises PopOnBottom.
     """
-    stack = branch.cell
-    top = stack.symbol
     prob = branch.prob
     limit = room(len(branch.psi) + len(table))
-    out, parked, undefined = evolve(
-        branch.psi, tape, machine.columns, lambda key: top, _move, limit
-    )
+    out, parked, undefined = evolve(branch.psi, tape, machine.compiled, table, limit)
     rest, acc, rej, pruned, _ = measure(machine, out)
 
-    # op -> [vector, squared mass summed left to right in survivor order];
-    # by_state maps a state to its op's entry, so each state's op is hashed
-    # once a call, not once a survivor
-    sigma = machine.sigma_map
+    # stack cell -> [vector, squared mass summed left to right in survivor
+    # order]: distinct operations leave distinct stacks
     classes: dict = {}
-    by_state: dict = {}
     for key, amp in rest.items():
-        split = by_state.get(key[0])
+        split = classes.get(key[2])
         if split is None:
-            split = by_state[key[0]] = classes.setdefault(sigma[key[0]], [{}, 0.0])
+            split = classes[key[2]] = [{}, 0.0]
         split[0][key] = amp
         split[1] += abs(amp) ** 2
 
     children = []
-    for op, (vec, mass) in classes.items():
+    for cell, (vec, mass) in classes.items():
+        if cell is EMPTY:
+            raise PopOnBottom(f"pop on stack {join_tokens(branch.cell.tokens())!r}")
         # every survivor has |amp| >= PRUNE_THRESHOLD, so mass > 0
         scale = mass**-0.5
         for key in vec:
             vec[key] *= scale
-        children.append(Branch(prob * mass, stack_after(table, stack, op), vec))
+        children.append(Branch(prob * mass, cell, vec))
 
     return StepDeltas(
         children=tuple(children),

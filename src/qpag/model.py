@@ -18,10 +18,16 @@ alphabets, transitions, initial, accepting, rejecting) come first, and its
 ``__post_init__`` is the one construction check, which reads the row class
 off the machine class (``row_class``) and the weight field off
 ``_weight``. ``MachineQPAG`` adds ``declared_push_strings`` and
-``MachineQCPDA`` adds ``sigma``, each checked after the shared check. The
-three row classes likewise share a base of ``(source, read, top, target)``
-and add their own fields after it. ``replace`` copies a record with some
-fields changed and checks the copy as a new record is checked.
+``MachineQCPDA`` adds ``sigma``, each checked after the shared check.
+The three row classes likewise share a base of ``(source, read, top,
+target)`` and add their own fields after it. ``replace`` copies a record
+with some fields changed and checks the copy as a new record is checked.
+
+``_Machine`` holds the one column index, ``columns``, and beside it
+``compiled``, the form the steppers read: each row as a plain (weight,
+target, move, stack effect) tuple, built once per machine. A QPAG row's
+effect is read off its own operation, a QCPDA row's off its target's
+scheduled one; ``GARBAGE_POP`` gives the forms.
 
 Symbols are text tokens. The input alphabet reserves two tokens as the left
 and right endmarker (spelled ``<`` / ``>`` in files, shown as ``¢`` / ``$``
@@ -67,6 +73,15 @@ HALT_MASS = 1e-12
 # measurements.
 ENTRY_BUDGET = 400_000
 
+# The stack effect of a compiled row (``_Machine.compiled``) is None, which
+# leaves the stack alone; the tuple of symbols a push puts on it; or one of
+# two pops. ``GARBAGE_POP`` moves the top symbol onto the garbage tape, and
+# raises PopOnBottom on the bottom symbol. ``SCHEDULED_POP`` drops the top
+# symbol unchecked, so the bottom's pop leaves the empty tape, which
+# ``branching.qcpda_step`` refuses for a class that survives measurement.
+GARBAGE_POP = "garbage pop"
+SCHEDULED_POP = "scheduled pop"
+
 LEFT_DISPLAY = "¢"
 RIGHT_DISPLAY = "$"
 
@@ -95,9 +110,12 @@ class Frozen:
     position or keyword, then checked by its class's ``__post_init__``, if
     the class defines one. It equals only a record of its own class with
     equal fields, hashes its field tuple, reprs as a dataclass does, and
-    raises AttributeError on any attribute set or delete. Fields live in
-    the instance's ``__dict__``; after construction only a
-    ``cached_property`` writes there, so a report, which has none, holds
+    raises AttributeError on any attribute set or delete. A record that
+    holds an unhashable value does not hash: ``hash`` of a
+    ``wellformed.WfReport``, whose ``evaluations`` is a dict, raises
+    TypeError. Fields live in the instance's ``__dict__``; after
+    construction only a ``cached_property`` writes there (a machine's
+    ``columns`` and ``compiled``, say), so a report, which has none, holds
     exactly its fields. No source is generated, as ``dataclasses`` does at
     import: one ``__init__`` serves every class."""
 
@@ -416,6 +434,28 @@ class _Machine(Frozen):
                 cols.setdefault((t.source, t.read, t.top), []).append(t)
         return {k: tuple(sorted(v, key=_transition_key)) for k, v in cols.items()}
 
+    @cached_property
+    def compiled(self):
+        """``columns`` with each row compiled to a plain tuple (weight,
+        target, move, stack effect), in the same order, so a step reads a
+        row's stack operation without working it out again. ``_effect(t)``
+        is row ``t``'s stack effect, as ``GARBAGE_POP`` describes it."""
+        weight, effect = attrgetter(self._weight), self._effect
+        return {
+            key: tuple((weight(t), t.target, t.move, effect(t)) for t in column)
+            for key, column in self.columns.items()
+        }
+
+    def _effect(self, t):
+        return _stack_effect(t.op, GARBAGE_POP)
+
+
+def _stack_effect(op: StackOp, pop):
+    """The compiled form of ``op``, with ``pop`` standing for a pop."""
+    if op.kind == "push":
+        return op.payload
+    return pop if op.kind == "pop" else None
+
 
 class MachineQPAG(_Machine):
     """A quantum pushdown automaton whose popped symbols go to a garbage tape."""
@@ -475,6 +515,12 @@ class MachineQCPDA(_Machine):
     @cached_property
     def sigma_map(self) -> dict[str, StackOp]:
         return dict(self.sigma)
+
+    def _effect(self, t):
+        # the target's scheduled operation; a halting target's run ends there
+        if t.target in self.halting:
+            return None
+        return _stack_effect(self.sigma_map[t.target], SCHEDULED_POP)
 
 
 class MachinePPA(_Machine):

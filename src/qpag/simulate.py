@@ -11,22 +11,30 @@ every quantum engine shares, and the step loop every run shares.
   ``CellConfiguration.view`` turns one back into a plain-tuple
   ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
   trace and ``wellformed.audit_unitarity``'s reports.
-* ``stack_after(table, stack, op)`` applies a stack operation to a cell
-  stack; ``classical.PPASteps`` and ``branching`` keep their stacks
-  through it.
-  ``successor(table, conf, t)`` is the garbage-tape successor rule over
-  cells: row ``t``'s stack operation and head move, with a popped symbol
-  appended to the garbage tape. ``KernelSteps`` and
-  ``wellformed.AuditSteps`` build configurations through it.
-* A step makes two passes over its data. ``evolve(psi, tape, columns,
-  top, succ, limit)`` is the first, one unmeasured step of any sparse vector
-  whose keys start with (state, head): expand every key through its
-  column, accumulate, and count parked and undefined-column mass.
-  ``measure(machine, psi)`` is the kernel's second:
-  prune, drain accepting and rejecting mass, keep the survivors and sum
-  their squared norm. ``KernelSteps`` and ``branching.qcpda_step`` both
-  step through the two; ``qcpda_step`` then splits ``measure``'s
-  survivors by scheduled stack operation.
+* A machine compiles its rows once (``model._Machine.compiled``): each
+  column of ``columns`` becomes, in the same order, plain (weight, target,
+  move, stack effect) tuples. A QPAG row's effect is its own stack
+  operation, a popped symbol going to the garbage tape; a QCPDA row's is
+  its target's scheduled operation, with no garbage tape, and none for a
+  halting target.
+* A step makes two passes over its data. ``evolve(psi, tape, rows,
+  table, limit)`` is the first, one unmeasured step of a sparse vector of
+  ``CellConfiguration``s: expand every key through its column of
+  ``rows``, a machine's compiled table, applying each row's stack effect
+  inline with new cells interned in ``table``; accumulate; and count
+  parked and undefined-column mass. ``measure(machine, psi)`` is the
+  kernel's second: prune, drain accepting and rejecting mass, keep the
+  survivors and sum their squared norm. ``KernelSteps`` and
+  ``branching.qcpda_step`` both step through the two; ``qcpda_step`` then
+  splits ``measure``'s survivors by their stack cell.
+* The stack rule is written out in three places, each inside the loop
+  that needs it: ``evolve``, on compiled rows; ``successor(table, conf,
+  t)``, on row ``t``'s own operation and head move, a popped symbol
+  appended to the garbage tape, through which ``wellformed.AuditSteps``
+  builds configurations; and ``stack_after(table, stack, op)``, on a
+  cell stack, through which ``classical.PPASteps`` keeps its stacks. A
+  pop of the bottom symbol raises PopOnBottom in each, but for a
+  scheduled pop, which ``qcpda_step`` refuses once its class survives.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
   every run, quantum or classical, and of the unitarity audit. A stepper
   gives ``start()``, checkpoint 0; ``step(point, tape, i)``, checkpoint
@@ -163,15 +171,17 @@ nor on hash seeds, and runs are deterministic.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from . import model
 from .errors import InvariantError, PopOnBottom, StateSpaceOverflow
 from .model import (
+    GARBAGE_POP,
     HALT_MASS,
     PRUNE_THRESHOLD,
+    SCHEDULED_POP,
     Configuration,
     MachineQPAG,
     RunResult,
@@ -280,7 +290,9 @@ def successor(table: dict, conf: CellConfiguration, t) -> CellConfiguration:
     operation applies as in ``stack_after`` and a popped symbol is appended
     to the garbage tape. New cells are interned in ``table``. Popping the
     bottom symbol raises PopOnBottom. The stack operation is written out
-    here rather than called: this is the innermost loop of every run."""
+    here rather than called: this is the innermost loop of the unitarity
+    audit, which reads rows, not their compiled tuples, as ``evolve``
+    does."""
     stack = conf.stack
     garbage = conf.garbage
     kind = t.op.kind
@@ -297,20 +309,18 @@ def successor(table: dict, conf: CellConfiguration, t) -> CellConfiguration:
     )
 
 
-def _stack_top(conf: CellConfiguration) -> str:
-    return conf.stack.symbol
-
-
-# the head of a vector key: (state, head, ...) in the kernel, (state, head)
-# in a branch
+# the head of a vector key, ``CellConfiguration.head``
 head_of = itemgetter(1)
 
 
-def evolve(psi, tape, columns, top, succ, limit):
-    """Apply one transition-table step to a sparse vector whose keys start
-    with (state, head). ``top(key)`` is the stack top the key reads and
-    ``succ(key, t)`` the key row ``t`` leads to. This is the first of a
-    step's two passes: it expands and accumulates, and prunes nothing.
+def evolve(psi, tape, rows, table, limit):
+    """Apply one transition-table step to a sparse vector of
+    ``CellConfiguration``s: ``rows`` is the machine's ``compiled`` table
+    and ``table`` the run's cell table, where new cells are interned. Each
+    row's stack effect is applied as ``model.GARBAGE_POP`` describes it;
+    a garbage pop of the bottom symbol raises PopOnBottom. This is the
+    first of a step's two passes: it expands and accumulates, and prunes
+    nothing.
 
     Returns (new vector, parked mass, undefined mass): parked is the mass
     whose head is past the right endmarker, undefined the mass on
@@ -327,19 +337,36 @@ def evolve(psi, tape, columns, top, succ, limit):
     parked = 0.0
     undefined = 0.0
     for key, amp in psi.items():
-        head = key[1]
+        state, head, stack, garbage = key
         if head >= n:
             parked += abs(amp) ** 2
             continue
-        column = columns.get((key[0], tape[head], top(key)))
+        column = rows.get((state, tape[head], stack.symbol))
         if column is None:
             undefined += abs(amp) ** 2
             continue
-        for t in column:
-            nxt = succ(key, t)
-            out[nxt] = get(nxt, 0j) + amp * t.amp
-            if len(out) > limit:
-                raise over_budget()
+        for weight, target, move, effect in column:
+            stack2, garbage2 = stack, garbage
+            if effect is not None:
+                if effect is GARBAGE_POP:
+                    if stack.depth <= 1:
+                        raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+                    stack2 = stack.parent
+                    garbage2 = cons(table, garbage, stack.symbol)
+                elif effect is SCHEDULED_POP:
+                    stack2 = stack.parent
+                else:
+                    for symbol in effect:
+                        stack2 = cons(table, stack2, symbol)
+            nxt = (target, head + move, stack2, garbage2)
+            old = get(nxt)
+            if old is None:
+                # a plain tuple finds an equal CellConfiguration key
+                out[_new_configuration(CellConfiguration, nxt)] = 0j + amp * weight
+                if len(out) > limit:
+                    raise over_budget()
+            else:
+                out[nxt] = old + amp * weight
     return out, parked, undefined
 
 
@@ -431,7 +458,6 @@ class KernelSteps:
     def __init__(self, machine: MachineQPAG):
         self.machine = machine
         self.table: dict = {}
-        self._succ = partial(successor, self.table)
 
     def start(self):
         psi = {start(self.machine, self.table): 1 + 0j}
@@ -441,7 +467,7 @@ class KernelSteps:
         psi, acc, rej, parked, truncated = point[:5]
         limit = room(len(psi) + len(self.table))
         psi, d_parked, d_undefined = evolve(
-            psi, tape, self.machine.columns, _stack_top, self._succ, limit
+            psi, tape, self.machine.compiled, self.table, limit
         )
         psi, d_acc, d_rej, d_pruned, norm = measure(self.machine, psi)
         d_truncated = d_undefined + d_pruned

@@ -274,6 +274,33 @@ def test_pop_on_bottom_raises():
         run_qcpda(m, "0")
 
 
+def _bottom_popper(pop_amp: float) -> MachineQCPDA:
+    """From (s0, r, Z), for every read r: a row into accepting ``acc`` and
+    one of amplitude ``pop_amp`` into ``p``, whose scheduled pop takes the
+    bottom symbol."""
+    keep = (1 - pop_amp**2) ** 0.5
+    rows = []
+    for read in _ALPHA.symbols:
+        rows.append(TransitionQCPDA("s0", read, "Z", "acc", 1, keep + 0j))
+        rows.append(TransitionQCPDA("s0", read, "Z", "p", 1, pop_amp + 0j))
+    return _qcpda(
+        rows, [("s0", EPSILON), ("p", POP)], ("s0", "p", "acc"), accepting=frozenset({"acc"})
+    )
+
+
+def test_scheduled_pop_of_the_bottom_raises_only_for_surviving_mass():
+    # a pop into p from the bottom symbol is refused only when p's class
+    # survives measurement: an amplitude of 1e-13 is pruned first, and its
+    # mass goes to truncation
+    res = run_qcpda(_bottom_popper(1e-13), "0")
+    assert (res.p_acc, res.truncation_loss) == (1.0, 1e-26)
+    m = _bottom_popper(H)
+    with pytest.raises(PopOnBottom, match=r"^pop on stack 'Z'$"):
+        run_qcpda(m, "0")
+    with pytest.raises(PopOnBottom, match=r"^pop on stack 'Z'$"):
+        run_batch(BranchSteps(m), [run_bounds(m, w, None) for w in ("0", "1")])
+
+
 def test_fingerprint_merges_identical_branches(monkeypatch):
     # a step-t branch of the forking walker is determined by its landing
     # state, its push count and a sign, so merging keeps the frontier linear

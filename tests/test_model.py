@@ -3,6 +3,7 @@
 import importlib
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -17,9 +18,13 @@ from qpag.errors import (
     InvariantError,
     UnknownSymbol,
 )
+from qpag import problem1
+from qpag.compiler import compile_qcpda
 from qpag.model import (
     EPSILON,
+    GARBAGE_POP,
     POP,
+    SCHEDULED_POP,
     Configuration,
     InputAlphabet,
     MachinePPA,
@@ -42,7 +47,7 @@ from qpag.model import (
 )
 from qpag.wellformed import Violation
 
-from .corpus import coin_ppa, cycle3, pushcycle
+from .corpus import TOTAL_MACHINES, coin_ppa, cycle3, mutants, pushcycle
 from .generators import random_qcpda
 
 
@@ -428,6 +433,35 @@ def test_replace_checks_the_copy():
     machine = random_qcpda(0)
     assert replace(machine) == machine
     assert replace(machine).sigma == machine.sigma
+
+
+def _expected_effect(machine, t):
+    """Row ``t``'s stack effect as ``model.GARBAGE_POP`` describes it: its
+    own operation in a QPAG, its target's scheduled one in a QCPDA."""
+    if isinstance(machine, MachineQCPDA):
+        if machine.is_halting(t.target):
+            return None
+        op, pop = machine.sigma_map[t.target], SCHEDULED_POP
+    else:
+        op, pop = t.op, GARBAGE_POP
+    return {"push": op.payload, "pop": pop, "epsilon": None}[op.kind]
+
+
+def test_compiled_rows_mirror_columns():
+    machines = [build() for build in TOTAL_MACHINES.values()]
+    machines += [problem1.build_machine(), *(mutant.machine for mutant in mutants())]
+    for seed in range(20):
+        machines += [random_qcpda(seed), compile_qcpda(random_qcpda(seed))[0]]
+    assert {type(m) for m in machines} == {MachineQPAG, MachineQCPDA}
+    for i, machine in enumerate(machines):
+        compiled = machine.compiled
+        assert list(compiled) == list(machine.columns)
+        for key, column in machine.columns.items():
+            want = [(t.amp, t.target, t.move, _expected_effect(machine, t)) for t in column]
+            assert list(compiled[key]) == want, (i, key)
+        rows = list(machine.transitions)
+        random.Random(i).shuffle(rows)
+        assert replace(machine, transitions=tuple(rows)).compiled == compiled, i
 
 
 def test_configuration_shape():

@@ -216,19 +216,20 @@ def test_config_cap_overflow(monkeypatch):
 def test_config_cap_trips_during_accumulation(monkeypatch):
     # the budget must stop a step while its vector grows, not after the
     # whole step has been built: count the successors the failing step
-    # computed. Step 4 starts from 8 keys and 15 cells and makes 16 keys,
-    # so a budget of 30 stops it at its eighth new key
+    # computed, through the one call ``evolve`` makes per successor key.
+    # Step 4 starts from 8 keys and 15 cells and makes 16 keys, so a
+    # budget of 30 stops it at its eighth new key
     m = TOTAL_MACHINES["splitter"]()
     tape = make_tape(m, "000000")
     calls = 0
-    real = simulate.successor
+    real = simulate._new_configuration
 
     def counting(*args):
         nonlocal calls
         calls += 1
         return real(*args)
 
-    monkeypatch.setattr(simulate, "successor", counting)
+    monkeypatch.setattr(simulate, "_new_configuration", counting)
     per_step = []
     for _ in trajectory(m, tape, max_steps=20):
         per_step.append(calls - sum(per_step))

@@ -119,6 +119,8 @@ def test_import_cost_times_every_command(capsys):
     for row in rows:
         assert {"startup", "stdlib", "qpag", "qpag.cli", "qpag.model"} <= row["self_us"].keys()
         assert row["wall_ms"] > 0
+    # the bare interpreter's start, with and without site
+    assert doc["bare_ms"] > 0 and doc["bare_no_site_ms"] > 0
     # a module the command loads on first use is timed too
     assert "qpag.problem1" in rows[-1]["self_us"]
     assert "qpag.wellformed" not in rows[-1]["self_us"]

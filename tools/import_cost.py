@@ -12,6 +12,10 @@ interpreter makes before the first ``qpag`` import (``site``,
 other non-``qpag`` module, whichever ``qpag`` module or function imported
 it; and one entry per ``qpag.*`` module. ``wall_ms`` is the median wall
 time of the subprocess, and ``total`` sums each group over the commands.
+Beside the commands, ``bare_ms`` is the median wall time of
+``python -c pass`` and ``bare_no_site_ms`` that of ``python -S -c pass``,
+the floor under every cold start with and without ``site``; where the two
+differ widely, a ``.pth`` file of site-packages imports something at start.
 
 The package is copied from ``DIR/src/qpag`` (default: this checkout) into
 a temporary directory with no ``__pycache__``, which also holds the machine
@@ -91,6 +95,17 @@ def measure(package: Path, work: Path, argv: tuple, repeat: int) -> dict:
     return row
 
 
+def bare_ms(flags: tuple, repeat: int) -> float:
+    """Median wall time, in ms, of ``python *flags -c pass``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    walls = []
+    for _ in range(repeat):
+        t0 = perf_counter()
+        subprocess.run([sys.executable, *flags, "-c", "pass"], env=env, timeout=60, check=True)
+        walls.append((perf_counter() - t0) * 1e3)
+    return round(statistics.median(walls), 1)
+
+
 def commands(checkout: Path, package: Path) -> list:
     """Write the machine files of ``DIR/perfbench/clicheck.py`` under the
     current directory with the copied package, and return its commands."""
@@ -134,6 +149,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "checkout": str(args.checkout.resolve()),
         "repeat": args.repeat,
+        "bare_ms": bare_ms((), args.repeat),
+        "bare_no_site_ms": bare_ms(("-S",), args.repeat),
         "commands": rows,
         "total": total,
     }
