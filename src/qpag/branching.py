@@ -8,7 +8,7 @@ fields: its probability, its stack, and a unit-norm amplitude vector keyed
 by ``simulate.CellConfiguration(state, head, stack, EMPTY)``, every key
 holding the branch's stack; children are renormalized after measurement.
 ``qcpda_step`` is the kernel's step: ``simulate.evolve`` over the
-machine's compiled rows, each of which applies its target's scheduled
+machine's column index, each row of which applies its target's scheduled
 operation to the key's stack, then ``simulate.measure``, with
 ``measure``'s survivors split by their stack cell, so its ledger follows
 the kernel's rules. Distinct operations leave distinct stacks, so the
@@ -99,7 +99,7 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     """
     prob = branch.prob
     limit = room(len(branch.psi) + len(table))
-    out, parked, undefined = evolve(branch.psi, tape, machine.compiled, table, limit)
+    out, parked, undefined = evolve(branch.psi, tape, machine.columns, table, limit)
     rest, acc, rej, pruned, _ = measure(machine, out)
 
     # stack cell -> [vector, squared mass summed left to right in survivor

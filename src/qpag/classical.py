@@ -1,11 +1,16 @@
 """Classical runners: probabilistic pushdown and its deterministic special
 case, both stepping one ``PPASteps`` through ``simulate.walk``.
 
-``PPASteps`` tracks a distribution over (state, head, stack) triples.
-Stacks are cells interned in the stepper's table (``simulate.stack_after``),
-so a push or a pop costs O(1) whatever the depth, and the distribution is
-walked in insertion order: every column lists its rows in canonical order,
-so no result depends on the order of the transition table. A checkpoint is
+``PPASteps`` tracks a distribution over ``simulate.CellConfiguration``s
+whose garbage tape stays ``EMPTY``: the paper's garbage-tape configuration
+of a PPA, from ``simulate.start``. Each row of the machine's column index
+takes a configuration on through ``simulate.successor``; a PPA's pop keeps
+no garbage, and a row that pops the bottom symbol raises PopOnBottom
+before its target is tested for halting. Stacks are cells interned in the
+stepper's table, so a push or a pop costs O(1) whatever the depth, and
+the distribution is walked in insertion order: every column lists its
+rows in canonical order, so no result depends on the order of the
+transition table. A checkpoint is
 the distribution after the step and the running (p_acc, p_rej, leaked)
 sums. Halting mass moves to p_acc / p_rej at the transition that enters a
 halting state, in column order; an initial halting state holds all the mass
@@ -30,9 +35,9 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .errors import NotDeterministic
+from .errors import NotDeterministic, PopOnBottom
 from .model import HALT_MASS, MachinePPA, RunResult, column_text, over_budget, plain_sum, room
-from .simulate import EMPTY, cons, stack_after, walk_to_end
+from .simulate import EMPTY, start, successor, walk_to_end
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -55,8 +60,7 @@ class PPASteps:
             return {}, 1.0, 0.0, 0.0
         if machine.initial in machine.rejecting:
             return {}, 0.0, 1.0, 0.0
-        bottom = cons(self.table, EMPTY, machine.stack_alphabet.bottom)
-        return {(machine.initial, 0, bottom): 1.0}, 0.0, 0.0, 0.0
+        return {start(machine, self.table): 1.0}, 0.0, 0.0, 0.0
 
     def step(self, point, tape, i):
         dist, p_acc, p_rej, leaked = point
@@ -68,7 +72,8 @@ class PPASteps:
         limit = room(len(dist) + len(table))
         n = len(tape)
         new: dict = {}
-        for (state, head, stack), mass in dist.items():
+        for conf, mass in dist.items():
+            state, head, stack, _ = conf
             if head >= n:
                 leaked += mass
                 continue
@@ -78,15 +83,16 @@ class PPASteps:
                 self.undefined.setdefault(col_key)
                 leaked += mass
                 continue
-            for t in column:
-                new_stack = stack_after(table, stack, t.op)
-                part = mass * t.prob
-                if t.target in accepting:
+            for prob, target, move, effect in column:
+                succ = successor(table, conf, target, move, effect)
+                if succ.stack is EMPTY:  # the row popped the bottom symbol
+                    raise PopOnBottom(f"pop on stack {stack.symbol!r}")
+                part = mass * prob
+                if target in accepting:
                     p_acc += part
-                elif t.target in rejecting:
+                elif target in rejecting:
                     p_rej += part
                 else:
-                    succ = (t.target, head + t.move, new_stack)
                     new[succ] = new.get(succ, 0.0) + part
                     if len(new) > limit:
                         raise over_budget()

@@ -23,11 +23,11 @@ The three row classes likewise share a base of ``(source, read, top,
 target)`` and add their own fields after it. ``replace`` copies a record
 with some fields changed and checks the copy as a new record is checked.
 
-``_Machine`` holds the one column index, ``columns``, and beside it
-``compiled``, the form the steppers read: each row as a plain (weight,
-target, move, stack effect) tuple, built once per machine. A QPAG row's
-effect is read off its own operation, a QCPDA row's off its target's
-scheduled one; ``GARBAGE_POP`` gives the forms.
+``_Machine`` holds the one column index, ``columns``, the form every
+stepper reads: each row as a plain (weight, target, move, stack effect)
+tuple, built once per machine. A QPAG or PPA row's effect is read off its
+own operation, a QCPDA row's off its target's scheduled one;
+``GARBAGE_POP`` gives the forms.
 
 Symbols are text tokens. The input alphabet reserves two tokens as the left
 and right endmarker (spelled ``<`` / ``>`` in files, shown as ``¢`` / ``$``
@@ -38,7 +38,9 @@ Every report record (run results here, and the reports of ``wellformed``,
 ``compiler`` and ``problem1``) derives from ``Record``, whose one
 ``to_json_dict`` writes the fields in field order under their own names,
 from the record's ``__dict__``: ``Frozen`` compares and hashes a record by
-reading its fields each time and keeps nothing beside them. A
+reading its fields each time, and a report keeps nothing beside them. A
+machine's ``__dict__`` also keeps what is cached on it after construction
+(see ``Frozen``), which no comparison, hash or report reads. A
 field's value goes out as it is, unless the class's ``_render`` table maps
 the field to a function ``fn``; then ``fn(value)`` goes out: ``records``
 for a tuple of records (or None), ``dict`` or ``list`` for a tuple of pairs
@@ -50,7 +52,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Union
 
 from .errors import EndmarkerInWord, InvariantError, StateSpaceOverflow, UnknownSymbol
@@ -73,12 +75,15 @@ HALT_MASS = 1e-12
 # measurements.
 ENTRY_BUDGET = 400_000
 
-# The stack effect of a compiled row (``_Machine.compiled``) is None, which
+# The stack effect of a compiled row (``_Machine.columns``) is None, which
 # leaves the stack alone; the tuple of symbols a push puts on it; or one of
-# two pops. ``GARBAGE_POP`` moves the top symbol onto the garbage tape, and
-# raises PopOnBottom on the bottom symbol. ``SCHEDULED_POP`` drops the top
-# symbol unchecked, so the bottom's pop leaves the empty tape, which
-# ``branching.qcpda_step`` refuses for a class that survives measurement.
+# two pops. A QPAG's pop compiles to ``GARBAGE_POP``, which moves the top
+# symbol onto the garbage tape; ``simulate.evolve`` and ``simulate.successor``
+# raise PopOnBottom when it meets the bottom symbol. A QCPDA's scheduled pop
+# and a PPA's pop compile to ``SCHEDULED_POP``, which drops the top symbol
+# unchecked and keeps no garbage, so the bottom's pop leaves the empty tape:
+# ``branching.qcpda_step`` refuses that for a class that survives
+# measurement, and ``classical.PPASteps`` for any row that takes it.
 GARBAGE_POP = "garbage pop"
 SCHEDULED_POP = "scheduled pop"
 
@@ -113,11 +118,12 @@ class Frozen:
     raises AttributeError on any attribute set or delete. A record that
     holds an unhashable value does not hash: ``hash`` of a
     ``wellformed.WfReport``, whose ``evaluations`` is a dict, raises
-    TypeError. Fields live in the instance's ``__dict__``; after
-    construction only a ``cached_property`` writes there (a machine's
-    ``columns`` and ``compiled``, say), so a report, which has none, holds
-    exactly its fields. No source is generated, as ``dataclasses`` does at
-    import: one ``__init__`` serves every class."""
+    TypeError. Fields live in the instance's ``__dict__``. After
+    construction a machine's ``__dict__`` also takes what is cached on it:
+    each ``cached_property`` read (``columns``, say) and the verdict
+    ``problem1._reduced`` keeps under ``_problem1_reduced``. A report has
+    neither, so it holds exactly its fields. No source is generated, as
+    ``dataclasses`` does at import: one ``__init__`` serves every class."""
 
     _fields = ()
     _defaults = ()
@@ -422,39 +428,38 @@ class _Machine(Frozen):
     def is_halting(self, state: str) -> bool:
         return state in self.halting
 
+    # the effect a row's pop compiles to (see ``GARBAGE_POP``)
+    _pop = GARBAGE_POP
+
     @cached_property
     def columns(self):
-        """(state, read, top) -> rows in canonical order, sorted by
-        (target, move, stack operation), so the order of the table never
-        reaches a result. Rows of weight zero are left out, so a column of
-        only zero rows is undefined."""
-        cols: dict[tuple[str, str, str], list] = {}
-        for t in self.transitions:
-            if getattr(t, self._weight) != 0:
-                cols.setdefault((t.source, t.read, t.top), []).append(t)
-        return {k: tuple(sorted(v, key=_transition_key)) for k, v in cols.items()}
+        """(state, read, top) -> the column's rows, each a plain tuple
+        (weight, target, move, stack effect), the effect as ``GARBAGE_POP``
+        describes it. Columns come in the order the table first lists them,
+        rows in canonical order, sorted by (target, move, stack operation),
+        so the order of the table never reaches a result. Rows of weight
+        zero are left out, so a column of only zero rows is undefined. One
+        pass enters each row under its sort key, which no two rows of a
+        column share, so the sort never compares two weights."""
+        weight, pop = self._weight, self._pop
+        cols: dict = {}
+        for t, op in zip(self.transitions, self._ops()):
+            w = getattr(t, weight)
+            if w != 0:
+                kind, payload = op.kind, op.payload
+                effect = payload if kind == "push" else pop if kind == "pop" else None
+                cols.setdefault((t.source, t.read, t.top), []).append(
+                    (t.target, t.move, kind, payload, w, effect)
+                )
+        return {key: tuple(map(_compiled, sorted(rows))) for key, rows in cols.items()}
 
-    @cached_property
-    def compiled(self):
-        """``columns`` with each row compiled to a plain tuple (weight,
-        target, move, stack effect), in the same order, so a step reads a
-        row's stack operation without working it out again. ``_effect(t)``
-        is row ``t``'s stack effect, as ``GARBAGE_POP`` describes it."""
-        weight, effect = attrgetter(self._weight), self._effect
-        return {
-            key: tuple((weight(t), t.target, t.move, effect(t)) for t in column)
-            for key, column in self.columns.items()
-        }
-
-    def _effect(self, t):
-        return _stack_effect(t.op, GARBAGE_POP)
+    def _ops(self):
+        """The stack operation of each row of ``transitions``, in order."""
+        return map(attrgetter("op"), self.transitions)
 
 
-def _stack_effect(op: StackOp, pop):
-    """The compiled form of ``op``, with ``pop`` standing for a pop."""
-    if op.kind == "push":
-        return op.payload
-    return pop if op.kind == "pop" else None
+# a sorted row of ``_Machine.columns``'s pass as (weight, target, move, effect)
+_compiled = itemgetter(4, 0, 1, 5)
 
 
 class MachineQPAG(_Machine):
@@ -512,15 +517,17 @@ class MachineQCPDA(_Machine):
         for q, op in self.sigma:
             _check_push_payload(op, self.stack_alphabet)
 
+    _pop = SCHEDULED_POP
+
     @cached_property
     def sigma_map(self) -> dict[str, StackOp]:
         return dict(self.sigma)
 
-    def _effect(self, t):
-        # the target's scheduled operation; a halting target's run ends there
-        if t.target in self.halting:
-            return None
-        return _stack_effect(self.sigma_map[t.target], SCHEDULED_POP)
+    def _ops(self):
+        # the target's scheduled operation; a halting target's run ends
+        # there, so its rows leave the stack alone
+        scheduled = dict.fromkeys(self.halting, EPSILON) | self.sigma_map
+        return map(scheduled.__getitem__, map(attrgetter("target"), self.transitions))
 
 
 class MachinePPA(_Machine):
@@ -528,13 +535,14 @@ class MachinePPA(_Machine):
 
     row_class = TransitionPPA
     _weight = "prob"
+    _pop = SCHEDULED_POP
 
     @cached_property
     def nondeterministic_column(self) -> Optional[tuple[str, str, str]]:
         """The first column, in ``columns`` order, that is not a single
         row of probability 1 (within 1e-9), or None if every column is."""
         for key, column in self.columns.items():
-            if len(column) != 1 or abs(column[0].prob - 1) > 1e-9:
+            if len(column) != 1 or abs(column[0][0] - 1) > 1e-9:
                 return key
         return None
 

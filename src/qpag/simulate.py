@@ -11,30 +11,31 @@ every quantum engine shares, and the step loop every run shares.
   ``CellConfiguration.view`` turns one back into a plain-tuple
   ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
   trace and ``wellformed.audit_unitarity``'s reports.
-* A machine compiles its rows once (``model._Machine.compiled``): each
-  column of ``columns`` becomes, in the same order, plain (weight, target,
-  move, stack effect) tuples. A QPAG row's effect is its own stack
-  operation, a popped symbol going to the garbage tape; a QCPDA row's is
-  its target's scheduled operation, with no garbage tape, and none for a
+* A machine compiles its rows once (``model._Machine.columns``, the one
+  column index): each column's rows, in canonical order, as plain
+  (weight, target, move, stack effect) tuples. A QPAG row's effect is its
+  own stack operation, a popped symbol going to the garbage tape; a PPA
+  row's is its own operation with no garbage tape; a QCPDA row's is its
+  target's scheduled operation, with no garbage tape, and none for a
   halting target.
 * A step makes two passes over its data. ``evolve(psi, tape, rows,
   table, limit)`` is the first, one unmeasured step of a sparse vector of
   ``CellConfiguration``s: expand every key through its column of
-  ``rows``, a machine's compiled table, applying each row's stack effect
+  ``rows``, a machine's column index, applying each row's stack effect
   inline with new cells interned in ``table``; accumulate; and count
   parked and undefined-column mass. ``measure(machine, psi)`` is the
   kernel's second: prune, drain accepting and rejecting mass, keep the
   survivors and sum their squared norm. ``KernelSteps`` and
   ``branching.qcpda_step`` both step through the two; ``qcpda_step`` then
   splits ``measure``'s survivors by their stack cell.
-* The stack rule is written out in three places, each inside the loop
-  that needs it: ``evolve``, on compiled rows; ``successor(table, conf,
-  t)``, on row ``t``'s own operation and head move, a popped symbol
-  appended to the garbage tape, through which ``wellformed.AuditSteps``
-  builds configurations; and ``stack_after(table, stack, op)``, on a
-  cell stack, through which ``classical.PPASteps`` keeps its stacks. A
-  pop of the bottom symbol raises PopOnBottom in each, but for a
-  scheduled pop, which ``qcpda_step`` refuses once its class survives.
+* The stack rule is written out twice, each time inside the loop that
+  needs it: in ``evolve``, and in ``successor(table, conf, target, move,
+  effect)``, which takes one configuration along one compiled row.
+  ``wellformed.AuditSteps`` builds its images through ``successor``, and
+  ``classical.PPASteps`` steps its distribution through it. A garbage pop
+  of the bottom symbol raises PopOnBottom in both; a scheduled pop of it
+  leaves the empty tape, which ``qcpda_step`` refuses once its class
+  survives and ``PPASteps`` at once.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
   every run, quantum or classical, and of the unitarity audit. A stepper
   gives ``start()``, checkpoint 0; ``step(point, tape, i)``, checkpoint
@@ -271,42 +272,25 @@ def start(machine: MachineQPAG, table: dict) -> CellConfiguration:
     return CellConfiguration(machine.initial, 0, bottom, EMPTY)
 
 
-def stack_after(table: dict, stack: Cell, op) -> Cell:
-    """The stack ``op`` leaves, its new cells interned in ``table``.
-    Popping the bottom symbol raises PopOnBottom."""
-    kind = op.kind
-    if kind == "push":
-        for symbol in op.payload:
-            stack = cons(table, stack, symbol)
-    elif kind == "pop":
-        if stack.depth <= 1:
-            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
-        stack = stack.parent
-    return stack
-
-
-def successor(table: dict, conf: CellConfiguration, t) -> CellConfiguration:
-    """The configuration transition ``t`` takes ``conf`` to: the stack
-    operation applies as in ``stack_after`` and a popped symbol is appended
-    to the garbage tape. New cells are interned in ``table``. Popping the
-    bottom symbol raises PopOnBottom. The stack operation is written out
-    here rather than called: this is the innermost loop of the unitarity
-    audit, which reads rows, not their compiled tuples, as ``evolve``
-    does."""
-    stack = conf.stack
-    garbage = conf.garbage
-    kind = t.op.kind
-    if kind == "push":
-        for symbol in t.op.payload:
-            stack = cons(table, stack, symbol)
-    elif kind == "pop":
-        if stack.depth <= 1:
-            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
-        garbage = cons(table, garbage, stack.symbol)
-        stack = stack.parent
-    return _new_configuration(
-        CellConfiguration, (t.target, conf.head + t.move, stack, garbage)
-    )
+def successor(table: dict, conf: CellConfiguration, target, move, effect) -> CellConfiguration:
+    """The configuration a compiled row (weight, ``target``, ``move``,
+    ``effect``) takes ``conf`` to: its stack effect applies as ``evolve``
+    applies it, with new cells interned in ``table``. A garbage pop of the
+    bottom symbol raises PopOnBottom; a scheduled pop of it leaves the
+    empty tape ``EMPTY``."""
+    state, head, stack, garbage = conf
+    if effect is not None:
+        if effect is GARBAGE_POP:
+            if stack.depth <= 1:
+                raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+            garbage = cons(table, garbage, stack.symbol)
+            stack = stack.parent
+        elif effect is SCHEDULED_POP:
+            stack = stack.parent
+        else:
+            for symbol in effect:
+                stack = cons(table, stack, symbol)
+    return _new_configuration(CellConfiguration, (target, head + move, stack, garbage))
 
 
 # the head of a vector key, ``CellConfiguration.head``
@@ -315,8 +299,8 @@ head_of = itemgetter(1)
 
 def evolve(psi, tape, rows, table, limit):
     """Apply one transition-table step to a sparse vector of
-    ``CellConfiguration``s: ``rows`` is the machine's ``compiled`` table
-    and ``table`` the run's cell table, where new cells are interned. Each
+    ``CellConfiguration``s: ``rows`` is the machine's column index
+    (``columns``) and ``table`` the run's cell table, where new cells are interned. Each
     row's stack effect is applied as ``model.GARBAGE_POP`` describes it;
     a garbage pop of the bottom symbol raises PopOnBottom. This is the
     first of a step's two passes: it expands and accumulates, and prunes
@@ -467,7 +451,7 @@ class KernelSteps:
         psi, acc, rej, parked, truncated = point[:5]
         limit = room(len(psi) + len(self.table))
         psi, d_parked, d_undefined = evolve(
-            psi, tape, self.machine.compiled, self.table, limit
+            psi, tape, self.machine.columns, self.table, limit
         )
         psi, d_acc, d_rej, d_pruned, norm = measure(self.machine, psi)
         d_truncated = d_undefined + d_pruned

@@ -401,11 +401,12 @@ class AuditSteps:
     with its plain-tuple view, the sort key), their images (``images``) and
     the undefined columns, first met first (``undefined``).
 
-    The audit expands images itself rather than through ``simulate.evolve``:
-    ``evolve`` sums the images of different configurations into one vector,
-    but the audit needs each image apart. Calling ``evolve`` once per
-    configuration measured 15 to 25 % slower, and once per step with keys
-    tagged by their source about 12 % slower."""
+    The audit builds each image from the machine's column index through
+    ``simulate.successor``, one compiled row at a time, rather than through
+    ``simulate.evolve``: ``evolve`` sums the images of different
+    configurations into one vector, but the audit needs each image apart.
+    Calling ``evolve`` once per configuration built images about 40 %
+    slower, and cost ``verify_io`` 3.1 % of its items/s."""
 
     def __init__(self, machine: MachineQPAG, depth: int):
         self.machine = machine
@@ -439,9 +440,9 @@ class AuditSteps:
                 self.undefined.setdefault(col_key)
                 continue
             vec: dict[CellConfiguration, complex] = {}
-            for t in col:
-                succ = successor(table, c, t)
-                vec[succ] = vec.get(succ, 0j) + t.amp
+            for amp, target, move, effect in col:
+                succ = successor(table, c, target, move, effect)
+                vec[succ] = vec.get(succ, 0j) + amp
             self.images[c] = vec
             if meet:
                 for succ in vec:

@@ -18,19 +18,23 @@ from __future__ import annotations
 import itertools
 import random
 
+from qpag.errors import PopOnBottom
 from qpag.model import (
     EPSILON,
     POP,
     InputAlphabet,
+    MachinePPA,
     MachineQCPDA,
     MachineQPAG,
     StackAlphabet,
     StackOp,
     TransitionQCPDA,
     TransitionQPAG,
+    join_tokens,
     push,
 )
 from qpag.problem1 import SEGMENT_ALPHABET, THIRD_ALPHABET, Instance
+from qpag.simulate import cons
 
 ALPHA = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
 
@@ -44,6 +48,38 @@ def left_sum(values):
     for value in values:
         total += value
     return total
+
+
+def row_columns(machine):
+    """The machine's columns as the model defines them, rows as row
+    objects, for the tests' oracles: (state, read, top) -> the column's rows
+    of nonzero weight, sorted by (target, move, stack operation), columns
+    in the order the table first lists them."""
+    weight = "prob" if isinstance(machine, MachinePPA) else "amp"
+    cols: dict = {}
+    for t in machine.transitions:
+        if getattr(t, weight) != 0:
+            cols.setdefault((t.source, t.read, t.top), []).append(t)
+
+    def order(t):
+        op = getattr(t, "op", None)
+        return (t.target, t.move) if op is None else (t.target, t.move, op.kind, op.payload)
+
+    return {key: sorted(rows, key=order) for key, rows in cols.items()}
+
+
+def apply_op(table, stack, op):
+    """The stack cell the stack operation ``op`` leaves on ``stack``, new
+    cells interned in ``table``. Popping the bottom symbol raises
+    PopOnBottom."""
+    if op.kind == "push":
+        for symbol in op.payload:
+            stack = cons(table, stack, symbol)
+    elif op.kind == "pop":
+        if stack.depth <= 1:
+            raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+        stack = stack.parent
+    return stack
 
 
 def gram_schmidt_columns(rng: random.Random, rows: int, cols: int):

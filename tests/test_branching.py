@@ -33,10 +33,10 @@ from qpag.branching import (
     qcpda_step,
     run_qcpda,
 )
-from qpag.simulate import run_batch, stack_after, walk_to_end
+from qpag.simulate import run_batch, walk_to_end
 from qpag.wellformed import check_qcpda
 
-from .generators import left_sum, random_qcpda, words_up_to
+from .generators import apply_op, left_sum, random_qcpda, row_columns, words_up_to
 
 _ALPHA = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
 _GAMMA = StackAlphabet(symbols=("Z", "x"), bottom="Z")
@@ -471,10 +471,11 @@ def test_words_helper_is_exhaustive():
     assert len(set(ws)) == 31
 
 
-def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
+def _unfolded_qcpda_step(machine, columns, tape, branch, table, pruned):
     """``qcpda_step`` with its pruning as a separate copy between the
     expansion and the measurement, kept as the oracle for the step that
-    prunes and measures through ``simulate.measure``. Counts pruned amplitudes into ``pruned``."""
+    prunes and measures through ``simulate.measure``. ``columns`` is
+    ``row_columns(machine)``. Counts pruned amplitudes into ``pruned``."""
     stack = branch.cell
     top = stack.symbol
     n = len(tape)
@@ -486,7 +487,7 @@ def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
         if head >= n:
             parked += abs(amp) ** 2
             continue
-        column = machine.columns.get((key[0], tape[head], top))
+        column = columns.get((key[0], tape[head], top))
         if column is None:
             truncated += abs(amp) ** 2
             continue
@@ -522,7 +523,7 @@ def _unfolded_qcpda_step(machine, tape, branch, table, pruned):
         children.append(
             Branch(
                 prob=branch.prob * mass,
-                cell=stack_after(table, stack, op),
+                cell=apply_op(table, stack, op),
                 psi={key: amp * scale for key, amp in vec.items()},
             )
         )
@@ -560,11 +561,12 @@ def test_folded_pruning_matches_unfolded_step(monkeypatch):
     monkeypatch.setattr(BranchSteps, "step", recording)
     folded = reports()
     pruned = []
+    columns = {id(m): row_columns(m) for m in machines}
     monkeypatch.setattr(
         branching,
         "qcpda_step",
         lambda machine, tape, branch, table: _unfolded_qcpda_step(
-            machine, tape, branch, table, pruned
+            machine, columns[id(machine)], tape, branch, table, pruned
         ),
     )
     assert reports() == folded

@@ -321,7 +321,7 @@ def test_result_sums_live_mass_left_to_right():
     # plain left-to-right adds give 1.0; a compensated sum (CPython 3.12's
     # sum()) would give 1.0000000000000002
     stepper = PPASteps(coin_ppa())
-    ((state, _, stack),) = stepper.start()[0]
+    (first,) = stepper.start()[0]
     masses = (1.0, 1e-16, 1e-16)
-    dist = {(state, head, stack): mass for head, mass in enumerate(masses)}
+    dist = {first._replace(head=head): mass for head, mass in enumerate(masses)}
     assert stepper.result((dist, 0.0, 0.0, 0.0), 3).p_non == 1.0

@@ -31,10 +31,10 @@ from qpag.model import (
     push,
     run_bounds,
 )
-from qpag.simulate import EMPTY, cons, stack_after
+from qpag.simulate import EMPTY, cons
 
 from .corpus import coin_ppa, dpda_wcwr
-from .generators import left_sum
+from .generators import apply_op, left_sum, row_columns
 
 # ----------------------------------------------------------------------
 # Reference runners, kept as they were
@@ -53,6 +53,7 @@ def reference_run_ppa(
         return RunResult(1.0, 0.0, 0.0, 0.0, 0, None)
     if machine.initial in machine.rejecting:
         return RunResult(0.0, 1.0, 0.0, 0.0, 0, None)
+    columns = row_columns(machine)
     table: dict = {}
     bottom = cons(table, EMPTY, machine.stack_alphabet.bottom)
     dist = {(machine.initial, 0, bottom): 1.0}
@@ -70,7 +71,7 @@ def reference_run_ppa(
                 leaked += mass
                 continue
             col_key = (state, tape[head], stack.symbol)
-            column = machine.columns.get(col_key)
+            column = columns.get(col_key)
             if column is None:
                 if col_key not in warned:
                     warned.add(col_key)
@@ -82,7 +83,7 @@ def reference_run_ppa(
                 leaked += mass
                 continue
             for t in column:
-                new_stack = stack_after(table, stack, t.op)
+                new_stack = apply_op(table, stack, t.op)
                 part = mass * t.prob
                 if t.target in machine.accepting:
                     p_acc += part
@@ -109,7 +110,8 @@ def reference_run_dpda(
     word,
     max_steps: Optional[int] = None,
 ) -> str:
-    for col_key, column in machine.columns.items():
+    columns = row_columns(machine)
+    for col_key, column in columns.items():
         if len(column) != 1 or abs(column[0].prob - 1) > 1e-9:
             raise NotDeterministic(
                 f"column (state={col_key[0]}, read={col_key[1]}, "
@@ -127,7 +129,7 @@ def reference_run_dpda(
             return REJECT
         if head >= n:
             return BLOCK
-        column = machine.columns.get((state, tape[head], stack[-1]))
+        column = columns.get((state, tape[head], stack[-1]))
         if column is None:
             return BLOCK
         t = column[0]

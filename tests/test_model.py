@@ -47,8 +47,9 @@ from qpag.model import (
 )
 from qpag.wellformed import Violation
 
-from .corpus import TOTAL_MACHINES, coin_ppa, cycle3, mutants, pushcycle
-from .generators import random_qcpda
+from .corpus import TOTAL_MACHINES, coin_ppa, cycle3, dpda_wcwr, mutants, pushcycle
+from .generators import random_qcpda, row_columns
+from .test_classical_walk import random_ppa
 
 
 def test_stack_op_kinds():
@@ -437,13 +438,14 @@ def test_replace_checks_the_copy():
 
 def _expected_effect(machine, t):
     """Row ``t``'s stack effect as ``model.GARBAGE_POP`` describes it: its
-    own operation in a QPAG, its target's scheduled one in a QCPDA."""
+    own operation in a QPAG or a PPA, its target's scheduled one in a
+    QCPDA; a pop keeps garbage only in a QPAG."""
     if isinstance(machine, MachineQCPDA):
         if machine.is_halting(t.target):
             return None
         op, pop = machine.sigma_map[t.target], SCHEDULED_POP
     else:
-        op, pop = t.op, GARBAGE_POP
+        op, pop = t.op, GARBAGE_POP if isinstance(machine, MachineQPAG) else SCHEDULED_POP
     return {"push": op.payload, "pop": pop, "epsilon": None}[op.kind]
 
 
@@ -452,16 +454,22 @@ def test_compiled_rows_mirror_columns():
     machines += [problem1.build_machine(), *(mutant.machine for mutant in mutants())]
     for seed in range(20):
         machines += [random_qcpda(seed), compile_qcpda(random_qcpda(seed))[0]]
-    assert {type(m) for m in machines} == {MachineQPAG, MachineQCPDA}
+    machines += [coin_ppa(), dpda_wcwr(), *(random_ppa(seed) for seed in range(20))]
+    assert {type(m) for m in machines} == {MachineQPAG, MachineQCPDA, MachinePPA}
     for i, machine in enumerate(machines):
-        compiled = machine.compiled
-        assert list(compiled) == list(machine.columns)
-        for key, column in machine.columns.items():
-            want = [(t.amp, t.target, t.move, _expected_effect(machine, t)) for t in column]
-            assert list(compiled[key]) == want, (i, key)
-        rows = list(machine.transitions)
-        random.Random(i).shuffle(rows)
-        assert replace(machine, transitions=tuple(rows)).compiled == compiled, i
+        columns = machine.columns
+        rows = row_columns(machine)
+        assert list(columns) == list(rows), i
+        weight = "prob" if isinstance(machine, MachinePPA) else "amp"
+        for key, column in rows.items():
+            want = [
+                (getattr(t, weight), t.target, t.move, _expected_effect(machine, t))
+                for t in column
+            ]
+            assert list(columns[key]) == want, (i, key)
+        shuffled = list(machine.transitions)
+        random.Random(i).shuffle(shuffled)
+        assert replace(machine, transitions=tuple(shuffled)).columns == columns, i
 
 
 def test_configuration_shape():

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpag import model, problem1, simulate
-from qpag.branching import run_qcpda
-from qpag.classical import run_ppa
+from qpag.branching import BranchSteps, run_qcpda
+from qpag.classical import PPASteps, run_ppa
 from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import (
     EndmarkerInWord,
@@ -23,9 +23,11 @@ from qpag.errors import (
 )
 from qpag.model import (
     EPSILON,
+    GARBAGE_POP,
     HALT_MASS,
     POP,
     PRUNE_THRESHOLD,
+    SCHEDULED_POP,
     Configuration,
     InputAlphabet,
     MachineQCPDA,
@@ -41,19 +43,29 @@ from qpag.model import (
 )
 from qpag.simulate import (
     EMPTY,
+    CellConfiguration,
     KernelSteps,
     cons,
+    evolve,
     run,
     run_batch,
-    stack_after,
+    successor,
     trajectory,
     walk_to_end,
 )
 from qpag.wellformed import audit_unitarity
 
-from .corpus import TOTAL_MACHINES, H, coin_ppa
-from .generators import problem1_instances, random_qcpda, words_up_to
+from .corpus import TOTAL_MACHINES, H, coin_ppa, dpda_wcwr
+from .generators import (
+    apply_op,
+    problem1_instances,
+    random_qcpda,
+    random_qpag_table,
+    row_columns,
+    words_up_to,
+)
 from .reference import ref_run_qpag
+from .test_classical_walk import random_ppa
 
 
 def test_outcome_masses_sum_to_one():
@@ -181,19 +193,106 @@ def test_trace_contents_sorted_by_weight():
     assert set(row) == {"state", "head", "stack", "garbage", "amp"}
 
 
-def test_stack_after():
+def test_successor():
     table: dict = {}
     bottom = cons(table, EMPTY, "Z")
     stack = cons(table, bottom, "a")
-    assert stack_after(table, stack, EPSILON) is stack
-    assert stack_after(table, stack, POP) is bottom
-    pushed = stack_after(table, stack, push("b", "c"))
+    conf = CellConfiguration("q", 2, stack, EMPTY)
+    # epsilon keeps the stack cell; the row gives the state and head move
+    assert successor(table, conf, "r", 1, None) == ("r", 3, stack, EMPTY)
+    assert successor(table, conf, "r", 1, None).stack is stack
+    pushed = successor(table, conf, "r", 0, ("b", "c")).stack
     assert pushed.tokens() == ("Z", "a", "b", "c")
     assert pushed is cons(table, cons(table, stack, "b"), "c")
-    with pytest.raises(PopOnBottom):
-        stack_after(table, bottom, POP)
+    # a garbage pop appends the top symbol to the garbage tape
+    popped = successor(table, conf, "r", 0, GARBAGE_POP)
+    assert popped.stack is bottom and popped.garbage is cons(table, EMPTY, "a")
+    on_bottom = conf._replace(stack=bottom)
+    with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
+        successor(table, on_bottom, "r", 0, GARBAGE_POP)
+    # a scheduled pop keeps no garbage and leaves the empty tape unchecked
+    assert successor(table, conf, "r", 0, SCHEDULED_POP) == ("r", 2, bottom, EMPTY)
+    assert successor(table, on_bottom, "r", 0, SCHEDULED_POP).stack is EMPTY
 
 
+def _met(stepper, word, keys):
+    """The tape of ``word`` and every configuration the checkpoints of a
+    walk of ``word`` hold (``keys(point)``), up to 12 steps, the walk's end
+    or a PopOnBottom."""
+    tape, budget = run_bounds(stepper.machine, word, 12)
+    point = stepper.start()
+    met = list(keys(point))
+    try:
+        for _, point in simulate.walk(stepper, tape, point, 1, budget):
+            met += keys(point)
+    except PopOnBottom:
+        pass
+    return tape, met
+
+
+def _images(expand):
+    """``expand()``'s configurations, or the message of the PopOnBottom it
+    raises."""
+    try:
+        return list(expand())
+    except PopOnBottom as exc:
+        return str(exc)
+
+
+def _as_qpag(ppa):
+    """The rows of ``ppa`` read as a garbage-tape machine's, each
+    probability as an amplitude, so that its pops keep garbage."""
+    rows = tuple(
+        TransitionQPAG(t.source, t.read, t.top, t.target, t.op, t.move, complex(t.prob))
+        for t in ppa.transitions
+    )
+    fields = (ppa.initial, ppa.accepting, ppa.rejecting)
+    return MachineQPAG(ppa.states, ppa.input_alphabet, ppa.stack_alphabet, rows, *fields)
+
+
+def test_evolve_and_successor_agree_on_every_configuration_met():
+    # the two stack rules agree: on a one-key vector evolve makes the keys
+    # successor makes on each row of the key's column, in row order, and a
+    # bottom pop raises the same error in both. No run of the garbage-tape
+    # machines below pops the bottom symbol, so each random PPA is walked
+    # a second time as one, its pops keeping garbage
+    vector = lambda point: point[0]
+    branches = lambda point: [key for branch in point[0] for key in branch.psi]
+    cases = [(KernelSteps, build()) for build in TOTAL_MACHINES.values()]
+    cases += [(KernelSteps, problem1.build_machine())]
+    cases += [(PPASteps, coin_ppa()), (PPASteps, dpda_wcwr())]
+    for seed in range(20):
+        machine = random_qcpda(seed)
+        cases += [(BranchSteps, machine), (KernelSteps, compile_qcpda(machine)[0])]
+        cases += [(KernelSteps, random_qpag_table(seed)), (PPASteps, random_ppa(seed))]
+        cases += [(KernelSteps, _as_qpag(random_ppa(seed)))]
+    raised = emptied = compared = 0
+    for steps, machine in cases:
+        keys = branches if steps is BranchSteps else vector
+        columns = machine.columns
+        for word in words_up_to(3, sorted(machine.input_alphabet.word_symbols)):
+            stepper = steps(machine)
+            table = stepper.table
+            tape, met = _met(stepper, word, keys)
+            for conf in dict.fromkeys(met):
+                if conf.head >= len(tape):
+                    continue
+                column = columns.get((conf.state, tape[conf.head], conf.stack.symbol))
+                if column is None:
+                    continue
+                want = _images(
+                    lambda: [successor(table, conf, *row[1:]) for row in column]
+                )
+                got = _images(
+                    lambda: evolve({conf: 1}, tape, columns, table, model.ENTRY_BUDGET)[0]
+                )
+                assert got == want, (word, conf.view())
+                compared += 1
+                if isinstance(want, str):
+                    raised += 1
+                else:
+                    emptied += any(succ.stack is EMPTY for succ in want)
+    assert raised and emptied, (compared, raised, emptied)
 def test_trace_depth_caps_entries():
     res = run(TOTAL_MACHINES["splitter"](), "0000", trace_depth=3)
     assert res.trace
@@ -752,10 +851,22 @@ def test_run_batch_overflow_names_the_step(monkeypatch):
     assert str(fresh.value).endswith("at step 4")
 
 
-def _multipass_step(machine, succ, point, tape):
+def _garbage_successor(table, conf, t):
+    """The configuration garbage-tape row ``t`` takes ``conf`` to: ``t``'s
+    stack operation applies to the stack, and a popped symbol goes onto the
+    garbage tape."""
+    garbage = conf.garbage
+    if t.op.kind == "pop":
+        garbage = cons(table, garbage, conf.stack.symbol)
+    stack = apply_op(table, conf.stack, t.op)
+    return CellConfiguration(t.target, conf.head + t.move, stack, garbage)
+
+
+def _multipass_step(machine, columns, succ, point, tape):
     """The kernel step as separate passes, kept as the oracle for
     ``KernelSteps.step``: a max over the heads, an expansion, a pruning
-    copy, a measuring copy and a norm. The step's truncated mass is the
+    copy, a measuring copy and a norm. ``columns`` is
+    ``row_columns(machine)``. The step's truncated mass is the
     undefined-column mass plus the pruned mass, each summed on its own.
     Returns (checkpoint, largest head read, pruned mass)."""
     psi, acc, rej, parked, truncated = point[:5]
@@ -769,7 +880,7 @@ def _multipass_step(machine, succ, point, tape):
         if head >= n:
             d_parked += abs(amp) ** 2
             continue
-        column = machine.columns.get((key[0], tape[head], key.stack.symbol))
+        column = columns.get((key[0], tape[head], key.stack.symbol))
         if column is None:
             undefined += abs(amp) ** 2
             continue
@@ -827,18 +938,19 @@ def test_kernel_step_matches_multipass_oracle():
     cases += [(build(), words_up_to(3), None) for build in TOTAL_MACHINES.values()]
     pruned_steps = 0
     for machine, words, max_steps in cases:
+        columns = row_columns(machine)
         for word in words:
             tape, budget = run_bounds(machine, word, max_steps)
             stepper = KernelSteps(machine)
             first = stepper.start()
             steps = list(simulate.walk(stepper, tape, first, 1, budget))
-            succ = partial(simulate.successor, stepper.table)
+            succ = partial(_garbage_successor, stepper.table)
             point = first
             for i, kernel in steps:
                 assert not point[5] < HALT_MASS
                 read = max(stepper.heads(point))
                 point, oracle_read, d_pruned = _multipass_step(
-                    machine, succ, point, tape
+                    machine, columns, succ, point, tape
                 )
                 assert list(kernel[0].items()) == list(point[0].items()), (word, i)
                 assert kernel[1:] == point[1:], (word, i)
