@@ -272,13 +272,15 @@ def start(machine: MachineQPAG, table: dict) -> CellConfiguration:
     return CellConfiguration(machine.initial, 0, bottom, EMPTY)
 
 
-def successor(table: dict, conf: CellConfiguration, target, move, effect) -> CellConfiguration:
+def successor(
+    table: dict, conf: CellConfiguration, target: str, move: int, effect
+) -> CellConfiguration:
     """The configuration a compiled row (weight, ``target``, ``move``,
     ``effect``) takes ``conf`` to: its stack effect applies as ``evolve``
     applies it, with new cells interned in ``table``. A garbage pop of the
     bottom symbol raises PopOnBottom; a scheduled pop of it leaves the
     empty tape ``EMPTY``."""
-    state, head, stack, garbage = conf
+    _, head, stack, garbage = conf
     if effect is not None:
         if effect is GARBAGE_POP:
             if stack.depth <= 1:
@@ -300,11 +302,11 @@ head_of = itemgetter(1)
 def evolve(psi, tape, rows, table, limit):
     """Apply one transition-table step to a sparse vector of
     ``CellConfiguration``s: ``rows`` is the machine's column index
-    (``columns``) and ``table`` the run's cell table, where new cells are interned. Each
-    row's stack effect is applied as ``model.GARBAGE_POP`` describes it;
-    a garbage pop of the bottom symbol raises PopOnBottom. This is the
-    first of a step's two passes: it expands and accumulates, and prunes
-    nothing.
+    (``columns``) and ``table`` the run's cell table, where new cells are
+    interned. Each row's stack effect is applied as ``model.GARBAGE_POP``
+    describes it; a garbage pop of the bottom symbol raises PopOnBottom.
+    This is the first of a step's two passes: it expands and accumulates,
+    and prunes nothing.
 
     Returns (new vector, parked mass, undefined mass): parked is the mass
     whose head is past the right endmarker, undefined the mass on
