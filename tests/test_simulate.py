@@ -855,10 +855,10 @@ def _garbage_successor(table, conf, t):
     """The configuration garbage-tape row ``t`` takes ``conf`` to: ``t``'s
     stack operation applies to the stack, and a popped symbol goes onto the
     garbage tape."""
+    stack = apply_op(table, conf.stack, t.op)
     garbage = conf.garbage
     if t.op.kind == "pop":
         garbage = cons(table, garbage, conf.stack.symbol)
-    stack = apply_op(table, conf.stack, t.op)
     return CellConfiguration(t.target, conf.head + t.move, stack, garbage)
 
 
