@@ -26,15 +26,15 @@ so that order, and with it every sum, depends on neither the order of the
 transition table nor hash seeds.
 
 Branches with equal stacks and equal amplitude vectors (compared after
-rounding to 10 decimal places) are merged by summing probabilities, which
-keeps the frontier polynomial for machines that forget their history. The
-merge key is the stack cell with the frozenset of (key, rounded real,
-rounded imaginary) triples. Interned cells are the same object exactly
-when their stacks are equal, and a vector has each key once, its keys
-differing only in (state, head), so the set determines the tuple of
-triples sorted by (state, head) and back: two branches merge
-exactly when the sorted tuples would match, in whatever order their
-vectors were filled.
+rounding each part to 10 decimal places) are merged by summing
+probabilities, which keeps the frontier polynomial for machines that
+forget their history. A child can only merge with an entry of its bucket,
+the entries with its stack cell and its key set: interned cells are the
+same object exactly when their stacks are equal. ``agree`` then compares
+the two vectors key by key, in whatever order they were filled. Entries
+of one bucket pairwise disagree, so at most one matches a child; the
+merged entry keeps its place, stack and vector and sums the
+probabilities.
 
 ``run_qcpda`` walks one word's frontier through ``BranchSteps`` with
 ``simulate.walk_to_end``, holding only the live frontier;
@@ -58,16 +58,21 @@ class Branch(NamedTuple):
     cell: Cell  # the stack, interned in the run's table
     psi: dict  # CellConfiguration (state, head, cell, EMPTY) -> amplitude, unit norm
 
-    def fingerprint(self):
-        """The merge key: equal for two branches exactly when their stacks
-        are equal and their amplitudes agree after rounding to 10 places."""
-        return (
-            self.cell,
-            frozenset(
-                (key, round(amp.real, 10), round(amp.imag, 10))
-                for key, amp in self.psi.items()
-            ),
-        )
+
+def agree(a: dict, b: dict) -> bool:
+    """Whether two vectors on one key set have equal real and equal
+    imaginary parts at every key after rounding to 10 places. Parts that
+    round equal differ by at most 1e-10, so amplitudes that do differ by at
+    most sqrt(2) * 1e-10, and a key whose amplitudes lie more than 2e-10
+    apart refuses the pair before any rounding."""
+    for key, x in a.items():
+        if abs(x - b[key]) > 2e-10:
+            return False
+    for key, x in a.items():
+        y = b[key]
+        if round(x.real, 10) != round(y.real, 10) or round(x.imag, 10) != round(y.imag, 10):
+            return False
+    return True
 
 
 class StepDeltas(NamedTuple):
@@ -150,10 +155,11 @@ class BranchSteps:
     def step(self, point, tape, i):
         frontier, p_acc, p_rej, p_non, truncated = point
         machine = self.machine
-        fingerprint = Branch.fingerprint
         limit = room(self.size(point) + len(self.table))
         entries = 0
-        merged: dict = {}
+        merged: list = []
+        # (stack cell, key set) -> the indices in merged of that bucket
+        buckets: dict = {}
         for branch in frontier:
             if branch.prob < HALT_MASS:
                 p_non += branch.prob
@@ -164,16 +170,22 @@ class BranchSteps:
             p_non += deltas.parked
             truncated += deltas.truncated
             for child in deltas.children:
-                fp = fingerprint(child)
-                old = merged.get(fp)
-                if old is None:
-                    merged[fp] = child
-                    entries += len(child.psi)
+                psi = child.psi
+                bucket = buckets.setdefault((child.cell, frozenset(psi)), [])
+                # most pairs already disagree at the child's first key
+                probe, amp = next(iter(psi.items()))
+                for at in bucket:
+                    old = merged[at]
+                    if abs(old.psi[probe] - amp) <= 2e-10 and agree(old.psi, psi):
+                        merged[at] = Branch(old.prob + child.prob, old.cell, old.psi)
+                        break
+                else:
+                    bucket.append(len(merged))
+                    merged.append(child)
+                    entries += len(psi)
                     if entries > limit:
                         raise over_budget()
-                else:
-                    merged[fp] = Branch(old.prob + child.prob, old.cell, old.psi)
-        return tuple(merged.values()), p_acc, p_rej, p_non, truncated
+        return tuple(merged), p_acc, p_rej, p_non, truncated
 
     def alive(self, point) -> bool:
         return bool(point[0])

@@ -1,6 +1,7 @@
 """Branch-tree engine for machines that schedule stack moves per state."""
 
 import gc
+import math
 import random
 import re
 from collections import Counter
@@ -33,7 +34,7 @@ from qpag.branching import (
     qcpda_step,
     run_qcpda,
 )
-from qpag.simulate import run_batch, walk_to_end
+from qpag.simulate import run_batch, walk, walk_to_end
 from qpag.wellformed import check_qcpda
 
 from .generators import apply_op, left_sum, random_qcpda, row_columns, words_up_to
@@ -306,8 +307,8 @@ def test_fingerprint_merges_identical_branches(monkeypatch):
     # state, its push count and a sign, so merging keeps the frontier linear
     # in t even though the raw tree doubles. The merged run holds at most
     # 31 + 27 = 58 entries in a step, while the tree's step 6 alone makes
-    # more than 58, so a budget of 58 only survives if equal fingerprints
-    # actually collapse
+    # more than 58, so a budget of 58 only survives if branches with equal
+    # stacks and rounded vectors actually collapse
     raw, _ = _unmerged_tree(forking_walker(), "0" * 8, 6)
     assert [len(level) for level in raw] == [2, 4, 8, 16, 32, 64]
     assert sum(len(branch.psi) for branch in raw[5]) > 58
@@ -599,3 +600,143 @@ def test_split_groups_equal_operations_not_one_object():
     assert [run_qcpda(copy, w, 8) for w in words] == [run_qcpda(machine, w, 8) for w in words]
     rows = [equiv_check(m, compile_qcpda(m)[0], words, 8).rows for m in (copy, machine)]
     assert rows[0] == rows[1]
+
+
+class _FingerprintSteps(BranchSteps):
+    """``BranchSteps`` merging by the rule as first written, kept as the
+    oracle for its bucketed merge: children go through a dict keyed by
+    the stack cell with the frozenset of (key, real part, imaginary part)
+    triples, each part rounded to 10 places, and a child whose key is
+    already there adds its probability to that entry, which keeps its
+    place, stack and vector."""
+
+    def step(self, point, tape, i):
+        frontier, p_acc, p_rej, p_non, truncated = point
+        limit = model.room(self.size(point) + len(self.table))
+        entries = 0
+        merged: dict = {}
+        for branch in frontier:
+            if branch.prob < HALT_MASS:
+                p_non += branch.prob
+                continue
+            deltas = qcpda_step(self.machine, tape, branch, self.table)
+            p_acc += deltas.acc
+            p_rej += deltas.rej
+            p_non += deltas.parked
+            truncated += deltas.truncated
+            for child in deltas.children:
+                fp = (
+                    child.cell,
+                    frozenset(
+                        (key, round(amp.real, 10), round(amp.imag, 10))
+                        for key, amp in child.psi.items()
+                    ),
+                )
+                old = merged.get(fp)
+                if old is None:
+                    merged[fp] = child
+                    entries += len(child.psi)
+                    if entries > limit:
+                        raise model.over_budget()
+                else:
+                    merged[fp] = Branch(old.prob + child.prob, old.cell, old.psi)
+        return tuple(merged.values()), p_acc, p_rej, p_non, truncated
+
+
+def _exact(point):
+    """A checkpoint with each branch's vector as its items in order, so
+    that == also compares the order of frontiers and vectors."""
+    frontier, *sums = point
+    return [(b.prob, b.cell, tuple(b.psi.items())) for b in frontier], sums
+
+
+@pytest.mark.parametrize(
+    "machine, words",
+    [(random_qcpda(seed), words_up_to(3)) for seed in range(20)]
+    + [(forking_walker(), ["0" * 8])],
+    ids=[f"seed{seed}" for seed in range(20)] + ["forking"],
+)
+def test_bucketed_merge_steps_like_the_fingerprint_dict(machine, words):
+    # every checkpoint of every run is == the oracle's, frontier order,
+    # vector order and sums included; one cell table serves both, so equal
+    # stacks are one object. The forking walker's unmerged tree holds 2**i
+    # branches after step i; merging starts at step 3
+    for word in words:
+        steps = BranchSteps(machine)
+        oracle = _FingerprintSteps(machine)
+        oracle.table = steps.table
+        tape, budget = run_bounds(machine, word, 8)
+        got = [(i, _exact(p)) for i, p in walk(steps, tape, steps.start(), 1, budget)]
+        want = [(i, _exact(p)) for i, p in walk(oracle, tape, oracle.start(), 1, budget)]
+        assert got == want, word
+    if machine.states[0] == "f0":
+        assert [len(frontier) for _, (frontier, _) in got] == [2, 4, 7, 11, 15, 19, 23, 27]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_bucketed_merge_batches_like_the_fingerprint_dict(seed):
+    m = random_qcpda(seed)
+    runs = [run_bounds(m, w, 8) for w in words_up_to(4)]
+    assert run_batch(BranchSteps(m), runs) == run_batch(_FingerprintSteps(m), runs)
+
+
+def _up(x, times=1):
+    for _ in range(times):
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+def _down(x, times=1):
+    for _ in range(times):
+        x = math.nextafter(x, -math.inf)
+    return x
+
+
+# the double nearest 0.12345678905 lies just above that tie, so it rounds
+# up to 10 places and the double below it rounds down
+_TIE = 0.12345678905
+_NEAR_TIES = {
+    "equal-after-rounding": (complex(_TIE, 0.5), complex(_up(_TIE, 3), 0.5), True),
+    "equal-below-the-tie": (complex(_down(_TIE), 0.5), complex(_down(_TIE, 3), 0.5), True),
+    "one-ulp-across-the-tie": (complex(_down(_TIE), 0.5), complex(_TIE, 0.5), False),
+    "within-2e-10-apart": (complex(0.12345678901, 0.5), complex(0.12345678909, 0.5), False),
+    "past-2e-10": (complex(0.1234567890, 0.5), complex(0.1234567893, 0.5), False),
+    "signed-zero": (complex(-0.0, 0.5), complex(0.0, 0.5), True),
+    "tiny-of-either-sign": (complex(-1e-12, 0.5), complex(1e-12, 0.5), True),
+    "imaginary-mismatch": (complex(0.5, _down(_TIE)), complex(0.5, _TIE), False),
+    "imaginary-equal": (complex(0.5, _TIE), complex(0.5, _up(_TIE)), True),
+}
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first-key", "second-key"])
+@pytest.mark.parametrize("case", list(_NEAR_TIES))
+def test_near_tie_amplitudes_merge_exactly_when_they_round_equal(case, first, monkeypatch):
+    # two children on one stack whose vectors differ at one key, the first
+    # key filled or the second, merge exactly when both parts of the two
+    # amplitudes there are equal after round(., 10)
+    a, b, merges = _NEAR_TIES[case]
+    assert merges == (
+        round(a.real, 10) == round(b.real, 10) and round(a.imag, 10) == round(b.imag, 10)
+    )
+    assert a != b or case == "signed-zero"
+    m = forking_walker()
+    parent = initial_branch(m, {})
+    other = -H + 0j
+
+    def vector(amp):
+        return {("f0", 1): amp, ("f1", 1): other} if first else {("f0", 1): other, ("f1", 1): amp}
+
+    twins = (Branch(0.25, parent.cell, vector(a)), Branch(0.75, parent.cell, vector(b)))
+    assert branching.agree(twins[0].psi, twins[1].psi) == merges
+    monkeypatch.setattr(
+        branching,
+        "qcpda_step",
+        lambda *args: StepDeltas(twins, 0.0, 0.0, 0.0, 0.0),
+    )
+    frontier, *_ = BranchSteps(m).step(
+        ((parent,), 0.0, 0.0, 0.0, 0.0), make_tape(m, "0"), 1
+    )
+    if merges:
+        assert frontier == (Branch(1.0, parent.cell, twins[0].psi),)
+    else:
+        assert frontier == twins
