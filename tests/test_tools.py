@@ -1,8 +1,11 @@
 """tools/bench_pairs.py refuses a bad argument before it runs anything;
-tools/import_cost.py splits a cold start's import time by layer."""
+tools/import_cost.py splits a cold start's import time by layer;
+tools/equiv_halves.py times each stage of a lower_equiv round."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -125,3 +128,21 @@ def test_import_cost_times_every_command(capsys):
     assert "qpag.problem1" in rows[-1]["self_us"]
     assert "qpag.wellformed" not in rows[-1]["self_us"]
     assert doc["total"]["qpag.model"] == sum(row["self_us"]["qpag.model"] for row in rows)
+
+
+def test_equiv_halves_times_every_stage():
+    # in a fresh interpreter: the tool imports qpag and perfbench's modules
+    # from the checkout it times
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "equiv_halves.py"), "--repeat", "2",
+         "--machines", "2"],
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    doc = json.loads(done.stdout)
+    assert (doc["repeat"], doc["machines"], doc["words"], doc["max_steps"]) == (2, 2, 31, 8)
+    stages = ["compile", "io", "branch", "image"]
+    assert list(doc["best_ms"]) == list(doc["runs_ms"]) == stages
+    for stage in stages:
+        assert len(doc["runs_ms"][stage]) == 2
+        assert doc["best_ms"][stage] == min(doc["runs_ms"][stage]) > 0
+    assert doc["total_ms"] == pytest.approx(sum(doc["best_ms"].values()), abs=0.05)
