@@ -139,8 +139,10 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
 class BranchSteps:
     """The stepper behind ``run_qcpda`` and ``compiler.equiv_check``. A
     checkpoint is the merged branch frontier after the step and the running
-    (p_acc, p_rej, p_non, truncated) sums. ``table`` is the run's cell
-    table. Its entries are the keys of its branch vectors; a step raises
+    (p_acc, p_rej, p_non, truncated) sums. A branch below ``HALT_MASS`` is
+    dropped unstepped and its probability booked as truncated, as pruned
+    mass is; ``result`` books the frontier live at the end as p_non.
+    ``table`` is the run's cell table. Its entries are the keys of its branch vectors; a step raises
     ``model.over_budget()`` as soon as the frontier it started from, the
     merged children so far and the cells in the table when it began pass
     the entry budget."""
@@ -162,7 +164,7 @@ class BranchSteps:
         buckets: dict = {}
         for branch in frontier:
             if branch.prob < HALT_MASS:
-                p_non += branch.prob
+                truncated += branch.prob
                 continue
             deltas = qcpda_step(machine, tape, branch, self.table)
             p_acc += deltas.acc

@@ -119,8 +119,9 @@ def test_walker_closed_form(n):
 def _unmerged_tree(machine, word, max_steps):
     """The oracle for merging: the run's branch tree with no two branches
     merged. Every branch at or above ``HALT_MASS`` steps through
-    ``qcpda_step`` and keeps all its children; one below it retires to
-    p_non, as ``BranchSteps`` retires it. Returns (levels, ledger):
+    ``qcpda_step`` and keeps all its children; one below it is dropped and
+    its mass booked as truncated, as ``BranchSteps`` books it, while the
+    frontier live at the budget goes to p_non. Returns (levels, ledger):
     ``levels[i - 1]`` lists the tree's branches after step i, and the
     ledger is (p_acc, p_rej, p_non, truncated) summed over the tree."""
     tape, budget = run_bounds(machine, word, max_steps)
@@ -132,7 +133,7 @@ def _unmerged_tree(machine, word, max_steps):
         children = []
         for branch in frontier:
             if branch.prob < HALT_MASS:
-                p_non += branch.prob
+                truncated += branch.prob
                 continue
             deltas = qcpda_step(machine, tape, branch, table)
             p_acc += deltas.acc
@@ -149,6 +150,18 @@ def _unmerged_tree(machine, word, max_steps):
 def _level_sizes(machine, word, max_steps):
     """How many branches each level of the unmerged tree holds."""
     return [len(level) for level in _unmerged_tree(machine, word, max_steps)[0]]
+
+
+def test_dropped_branch_is_truncation_not_non_halting():
+    # the halting walker's live branch holds 2**-t after step t, below
+    # HALT_MASS from t = 40, so step 41 drops it unstepped. Its mass is
+    # truncation, as pruned mass is: p_non holds only parked mass and mass
+    # live at the budget
+    res = run_qcpda(halting_walker(), "0" * 50)
+    assert res.steps == 41
+    assert res.p_non == 0.0
+    assert res.truncation_loss == pytest.approx(2.0**-40, rel=1e-12)
+    assert res.p_acc + res.truncation_loss == pytest.approx(1.0, abs=1e-15)
 
 
 def test_walker_single_branch_line():
@@ -617,7 +630,7 @@ class _FingerprintSteps(BranchSteps):
         merged: dict = {}
         for branch in frontier:
             if branch.prob < HALT_MASS:
-                p_non += branch.prob
+                truncated += branch.prob
                 continue
             deltas = qcpda_step(self.machine, tape, branch, self.table)
             p_acc += deltas.acc
