@@ -134,15 +134,14 @@ def test_equiv_halves_times_every_stage():
     # in a fresh interpreter: the tool imports qpag and perfbench's modules
     # from the checkout it times
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "equiv_halves.py"), "--repeat", "2",
-         "--machines", "2"],
+        [sys.executable, str(ROOT / "tools" / "equiv_halves.py"), "--repeat", "1"],
         capture_output=True, text=True, timeout=300, check=True,
     )
     doc = json.loads(done.stdout)
-    assert (doc["repeat"], doc["machines"], doc["words"], doc["max_steps"]) == (2, 2, 31, 8)
+    assert (doc["repeat"], doc["machines"], doc["words"], doc["max_steps"]) == (1, 50, 31, 8)
     stages = ["compile", "io", "branch", "image"]
     assert list(doc["best_ms"]) == list(doc["runs_ms"]) == stages
     for stage in stages:
-        assert len(doc["runs_ms"][stage]) == 2
-        assert doc["best_ms"][stage] == min(doc["runs_ms"][stage]) > 0
+        assert doc["runs_ms"][stage] == [doc["best_ms"][stage]]
+        assert doc["best_ms"][stage] > 0
     assert doc["total_ms"] == pytest.approx(sum(doc["best_ms"].values()), abs=0.05)

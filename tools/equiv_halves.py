@@ -1,13 +1,12 @@
 """Time each stage of one round of the ``lower_equiv`` benchmark workload
 in-process.
 
-    python tools/equiv_halves.py [--checkout DIR] [--seed N] [--repeat N] [--machines K]
+    python tools/equiv_halves.py [--checkout DIR] [--repeat N]
 
-Builds the workload's seeded scheduled-stack machines with
-``DIR/perfbench/inputs.py`` (default: this checkout), its words and its step
-budget from ``perfbench/workloads.py``, and times the stages of
-``perfbench``'s round over the first ``--machines`` of them (default: all
-of them): ``compile``, ``compile_qcpda`` of each machine; ``io``,
+Builds the workload's scheduled-stack machines of seed 7 with
+``DIR/perfbench/inputs.py`` (default: this checkout), takes its words and
+its step budget from ``perfbench/workloads.py``, and times the stages of
+its round: ``compile``, ``compile_qcpda`` of each machine; ``io``,
 ``serialize_machine`` and ``parse_machine`` of each image; ``branch`` and
 ``image``, the two halves of ``equiv_check``, each as the one
 ``simulate.run_batch`` per machine that ``equiv_check`` runs, through
@@ -35,6 +34,8 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 STAGES = ("compile", "io", "branch", "image")
+# the seed only draws the machines' amplitudes and schedules
+SEED = 7
 
 
 def load(checkout: Path):
@@ -83,9 +84,7 @@ def stages(qp, machines, words, max_steps):
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--checkout", type=Path, default=ROOT)
-    p.add_argument("--seed", type=int, default=7)
     p.add_argument("--repeat", type=int, default=5)
-    p.add_argument("--machines", type=int, default=None)
     args = p.parse_args(argv)
     if not (args.checkout / "src" / "qpag" / "__init__.py").is_file():
         p.error(f"no qpag sources at {args.checkout / 'src' / 'qpag'}")
@@ -93,10 +92,7 @@ def main(argv=None) -> int:
         p.error("--repeat must be at least 1")
     qp, inputs, workloads = load(args.checkout)
     workload = workloads.WORKLOADS["lower_equiv"]
-    count = workload.MACHINES if args.machines is None else args.machines
-    if not 1 <= count <= workload.MACHINES:
-        p.error(f"--machines must be 1..{workload.MACHINES}")
-    machines = [inputs.scheduled_stack_machine(qp, args.seed, i) for i in range(count)]
+    machines = [inputs.scheduled_stack_machine(qp, SEED, i) for i in range(workload.MACHINES)]
     for m in machines:  # built before the clock starts, as the workload builds them
         m.columns  # noqa: B018
         m.sigma_map  # noqa: B018
@@ -113,9 +109,9 @@ def main(argv=None) -> int:
     doc = {
         "python": platform.python_version(),
         "checkout": str(args.checkout.resolve()),
-        "seed": args.seed,
+        "seed": SEED,
         "repeat": args.repeat,
-        "machines": count,
+        "machines": len(machines),
         "words": len(words),
         "max_steps": workload.MAX_STEPS,
         "best_ms": best,
