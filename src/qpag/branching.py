@@ -61,13 +61,7 @@ class Branch(NamedTuple):
 
 def agree(a: dict, b: dict) -> bool:
     """Whether two vectors on one key set have equal real and equal
-    imaginary parts at every key after rounding to 10 places. Parts that
-    round equal differ by at most 1e-10, so amplitudes that do differ by at
-    most sqrt(2) * 1e-10, and a key whose amplitudes lie more than 2e-10
-    apart refuses the pair before any rounding."""
-    for key, x in a.items():
-        if abs(x - b[key]) > 2e-10:
-            return False
+    imaginary parts at every key after rounding to 10 places."""
     for key, x in a.items():
         y = b[key]
         if round(x.real, 10) != round(y.real, 10) or round(x.imag, 10) != round(y.imag, 10):
@@ -174,7 +168,9 @@ class BranchSteps:
             for child in deltas.children:
                 psi = child.psi
                 bucket = buckets.setdefault((child.cell, frozenset(psi)), [])
-                # most pairs already disagree at the child's first key
+                # parts that round equal differ by at most 1e-10, so two
+                # amplitudes more than 2e-10 apart never agree: most pairs
+                # are refused at the child's first key, before any rounding
                 probe, amp = next(iter(psi.items()))
                 for at in bucket:
                     old = merged[at]

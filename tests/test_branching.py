@@ -711,6 +711,8 @@ _TIE = 0.12345678905
 _NEAR_TIES = {
     "equal-after-rounding": (complex(_TIE, 0.5), complex(_up(_TIE, 3), 0.5), True),
     "equal-below-the-tie": (complex(_down(_TIE), 0.5), complex(_down(_TIE, 3), 0.5), True),
+    # both parts round to 0.1234567891 from 1e-10 apart: 1.414e-10 in modulus
+    "widest-that-merge": (complex(_TIE, _TIE), complex(0.1234567891499999, 0.1234567891499999), True),
     "one-ulp-across-the-tie": (complex(_down(_TIE), 0.5), complex(_TIE, 0.5), False),
     "within-2e-10-apart": (complex(0.12345678901, 0.5), complex(0.12345678909, 0.5), False),
     "past-2e-10": (complex(0.1234567890, 0.5), complex(0.1234567893, 0.5), False),
