@@ -29,12 +29,12 @@ Branches with equal stacks and equal amplitude vectors (compared after
 rounding each part to 10 decimal places) are merged by summing
 probabilities, which keeps the frontier polynomial for machines that
 forget their history. A child can only merge with an entry of its bucket,
-the entries with its stack cell and its key set: interned cells are the
-same object exactly when their stacks are equal. ``agree`` then compares
-the two vectors key by key, in whatever order they were filled. Entries
-of one bucket pairwise disagree, so at most one matches a child; the
-merged entry keeps its place, stack and vector and sums the
-probabilities.
+the entries with its key set. The key set fixes the stack: every key
+holds the branch's stack cell, and interned cells are the same object
+exactly when their stacks are equal. ``agree`` then compares the two
+vectors key by key, in whatever order they were filled. Entries of one
+bucket pairwise disagree, so at most one matches a child; the merged
+entry keeps its place, stack and vector and sums the probabilities.
 
 ``run_qcpda`` walks one word's frontier through ``BranchSteps`` with
 ``simulate.walk_to_end``, holding only the live frontier;
@@ -154,7 +154,8 @@ class BranchSteps:
         limit = room(self.size(point) + len(self.table))
         entries = 0
         merged: list = []
-        # (stack cell, key set) -> the indices in merged of that bucket
+        # key set (which fixes the stack cell) -> the indices in merged of
+        # that bucket
         buckets: dict = {}
         for branch in frontier:
             if branch.prob < HALT_MASS:
@@ -167,7 +168,7 @@ class BranchSteps:
             truncated += deltas.truncated
             for child in deltas.children:
                 psi = child.psi
-                bucket = buckets.setdefault((child.cell, frozenset(psi)), [])
+                bucket = buckets.setdefault(frozenset(psi), [])
                 # parts that round equal differ by at most 1e-10, so two
                 # amplitudes more than 2e-10 apart never agree: most pairs
                 # are refused at the child's first key, before any rounding
@@ -204,8 +205,8 @@ class BranchSteps:
         return (head_of(key) for b in point[0] if not b.prob < HALT_MASS for key in b.psi)
 
     def key(self, point):
-        frontier, *sums = point
-        return (*sums, tuple((b.prob, b.cell, tuple(b.psi.items())) for b in frontier))
+        # a branch's keys hold its stack cell
+        return (*point[1:], tuple((b.prob, tuple(b.psi.items())) for b in point[0]))
 
 
 def run_qcpda(

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import suppress
 from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Union
@@ -573,22 +574,24 @@ class Configuration(NamedTuple):
 
 
 def make_tape(machine: Machine, word) -> tuple[str, ...]:
-    """Wrap a word in endmarkers: tape = left, word..., right. A word that
-    holds an endmarker or a symbol outside the input alphabet raises
-    EndmarkerInWord or UnknownSymbol for the first such token."""
+    """Wrap a word in endmarkers: tape = left, word..., right. A token is
+    valid when it is in ``InputAlphabet.word_symbols``, which an unhashable
+    token never is. A word with an invalid token raises, for the first
+    one, EndmarkerInWord if it equals an endmarker and UnknownSymbol
+    otherwise."""
     alpha = machine.input_alphabet
     word = tuple(word)
-    try:
+    # an unhashable token is in no set: hashing it raises TypeError
+    with suppress(TypeError):
         if alpha.word_symbols.issuperset(word):
             return (alpha.left_end, *word, alpha.right_end)
-    except TypeError:  # an unhashable token, which the loop names
-        pass
     for s in word:
+        with suppress(TypeError):
+            if s in alpha.word_symbols:
+                continue
         if s in (alpha.left_end, alpha.right_end):
             raise EndmarkerInWord(f"word contains endmarker token {s!r}")
-        if s not in alpha.symbols:
-            raise UnknownSymbol(f"word contains unknown symbol {s!r}")
-    return (alpha.left_end,) + word + (alpha.right_end,)
+        raise UnknownSymbol(f"word contains unknown symbol {s!r}")
 
 
 def run_bounds(machine: Machine, word, max_steps: Optional[int]) -> tuple[tuple, int]:

@@ -65,23 +65,25 @@ every quantum engine shares, and the step loop every run shares.
   batch. Its stepper also gives ``size(point)``, the entries a checkpoint
   holds; ``cells(point)``, the cells of its ``table`` a checkpoint holds;
   ``heads(point)``, the heads of the entries the next step from a
-  checkpoint reads; and ``key(point)``, everything of a checkpoint that
-  ``step``, ``alive`` and ``result`` read, as a hashable value, its
-  vectors' items in insertion order. The runs advance together, one layer
+  checkpoint reads; and ``key(point)``, a hashable value that fixes
+  everything of a checkpoint that ``step``, ``alive`` and ``result`` read:
+  its running sums and its vectors' items in insertion order, which fix a
+  kernel checkpoint's norm (``measure`` sums it over them) and a branch's
+  stack cell (every key holds it). The runs advance together, one layer
   per tape position. A node of a layer is a checkpoint, its step, its
   members, opaque keys with values, each standing for some of the runs,
   and its known tape; the first layer is the start checkpoint with the
   caller's members and an empty tape. At position k the caller's
   ``expand`` splits each node's members into groups by (symbol at k,
-  budget), handing back each group's members as it wants them one
-  position on. The node first steps through ``walk`` on its known tape
-  alone until a checkpoint has a head at k, once per budget among its
-  groups: every node but the start holds one budget, since its key holds
-  it, and the start's head is at 0, so it takes no such step. Each group
-  steps on from that checkpoint, on the known tape and its symbol at k,
-  through one step, the step that reads k; on the group's last position,
-  the right endmarker, it steps to the end instead. A group whose run has
-  ended, in the node's walk or its own, is handed back with the result.
+  budget), handing back each group's members as it wants them one position
+  on. The node first steps through ``walk`` on its known tape alone until
+  a checkpoint has a head at k, once per budget among its groups: every
+  node but the start holds one budget, since its key holds it, and the
+  start's head is at 0, so it takes no such step. Each group steps on from
+  that checkpoint, on the known tape and its symbol at k, through one
+  step, the step that reads k; on the group's last position, the right
+  endmarker, it steps to the end instead. A group whose run has ended, in
+  the node's walk or its own, is handed back with the result.
   The others become the next layer's nodes, with the walked tape as their
   known tape, two groups merging into one node, their values added key by
   key with ``+``, when their keys
@@ -489,7 +491,8 @@ class KernelSteps:
         return map(head_of, point[0])
 
     def key(self, point):
-        return (*point[1:6], tuple(point[0].items()))
+        # the vector fixes its norm: ``measure`` sums it over the same items
+        return (*point[1:5], tuple(point[0].items()))
 
 
 def _record(i: int, point) -> StepRecord:

@@ -222,6 +222,28 @@ def test_compile_with_equivalence_words(qcpda_file, tmp_path, capsys):
     assert [r["word"] for r in doc["equiv"]["rows"]] == ["0", "01", "110"]
 
 
+def test_compile_with_failing_equivalence_exits_1(qcpda_file, tmp_path, monkeypatch, capsys):
+    # the image of a copy whose accepting state rejects: every word that
+    # accepts on the source rejects on this image
+    compile_qcpda = cli.compile_qcpda
+
+    def swapped(machine):
+        return compile_qcpda(
+            replace(machine, accepting=machine.rejecting, rejecting=machine.accepting)
+        )
+
+    monkeypatch.setattr(cli, "compile_qcpda", swapped)
+    out = tmp_path / "image.json"
+    rc = main(
+        ["compile", qcpda_file, "-o", str(out), "--equiv-words", "0,01", "--max-steps", "8"]
+    )
+    assert rc == 1
+    doc = _json_out(capsys)
+    assert doc["equiv"]["passed"] is False
+    assert [r["word"] for r in doc["equiv"]["rows"]] == ["0", "01"]
+    assert doc["output"] == str(out) and out.is_file()
+
+
 def test_compile_rejects_bad_machine(tmp_path, capsys):
     # over-full column: fails the pre-compile checks, report on stderr
     from qpag.model import EPSILON, InputAlphabet, MachineQCPDA, StackAlphabet, TransitionQCPDA

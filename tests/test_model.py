@@ -45,7 +45,10 @@ from qpag.model import (
     tokens_doc,
     vector_norm_sq,
 )
-from qpag.wellformed import Violation
+from qpag.branching import run_qcpda
+from qpag.classical import run_ppa
+from qpag.simulate import run
+from qpag.wellformed import Violation, audit_unitarity
 
 from .corpus import TOTAL_MACHINES, coin_ppa, cycle3, dpda_wcwr, mutants, pushcycle
 from .generators import random_qcpda, row_columns
@@ -119,6 +122,42 @@ def test_make_tape_takes_multi_character_tokens():
     m = _multi_character_machine()
     assert make_tape(m, ("ab", "c", "ab")) == ("<<", "ab", "c", "ab", ">>")
     assert make_tape(m, ()) == ("<<", ">>")
+
+
+class _Unhashable:
+    """A token equal to one symbol of the alphabet that no set can hold."""
+
+    __hash__ = None
+
+    def __init__(self, symbol):
+        self.symbol = symbol
+
+    def __eq__(self, other):
+        return other == self.symbol
+
+    def __repr__(self):
+        return f"_Unhashable({self.symbol!r})"
+
+
+@pytest.mark.parametrize(
+    "machine, call",
+    [
+        (cycle3, make_tape),
+        (cycle3, run),
+        (lambda: random_qcpda(0), run_qcpda),
+        (coin_ppa, run_ppa),
+        (cycle3, lambda m, w: audit_unitarity(m, w, depth=2)),
+    ],
+    ids=["make_tape", "run", "run_qcpda", "run_ppa", "audit_unitarity"],
+)
+def test_unhashable_token_equal_to_a_symbol_is_unknown(machine, call):
+    m = machine()
+    symbol = sorted(m.input_alphabet.word_symbols)[0]
+    token = _Unhashable(symbol)
+    assert token == symbol
+    with pytest.raises(UnknownSymbol) as caught:
+        call(m, (symbol, token, symbol))
+    assert str(caught.value) == f"word contains unknown symbol _Unhashable({symbol!r})"
 
 
 def test_default_max_steps():
@@ -219,6 +258,14 @@ def _qpag_row(op=EPSILON, amp=1 + 0j):
             "probability must be finite",
         ),
         (lambda: replace(random_qcpda(0), sigma=random_qcpda(0).sigma * 2), "sigma lists a state twice"),
+        (
+            lambda: replace(random_qcpda(1), sigma=random_qcpda(1).sigma[1:]),
+            "sigma domain must be exactly the non-halting states",
+        ),
+        (
+            lambda: replace(random_qcpda(0), sigma=random_qcpda(0).sigma + (("t1", EPSILON),)),
+            "sigma domain must be exactly the non-halting states",
+        ),
     ],
     ids=[
         "right-end-missing",
@@ -236,6 +283,8 @@ def _qpag_row(op=EPSILON, amp=1 + 0j):
         "infinite-amplitude",
         "nan-probability",
         "sigma-state-twice",
+        "sigma-misses-a-state",
+        "sigma-names-a-halting-state",
     ],
 )
 def test_machine_validation_refusals(build, message):

@@ -1,9 +1,11 @@
 """tools/bench_pairs.py refuses a bad argument before it runs anything;
-tools/import_cost.py splits a cold start's import time by layer;
-tools/equiv_halves.py times each stage of a lower_equiv round."""
+tools/import_cost.py splits a cold start's import time by layer and
+leaves no module of its copy loaded; tools/equiv_halves.py times each
+stage of a lower_equiv round; tools/code_lines.py counts code lines."""
 
 import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -130,6 +132,30 @@ def test_import_cost_times_every_command(capsys):
     assert doc["total"]["qpag.model"] == sum(row["self_us"]["qpag.model"] for row in rows)
 
 
+def test_import_cost_commands_leave_no_module_loaded(tmp_path, monkeypatch):
+    # as in a command-line run of the tool, no qpag module is loaded, so
+    # the commands import qpag from the temporary copy
+    for name in [n for n in sys.modules if n == "qpag" or n.startswith("qpag.")]:
+        monkeypatch.delitem(sys.modules, name)
+    tool = _tool("import_cost")
+    package = tmp_path / "copy"
+    shutil.copytree(ROOT / "src" / "qpag", package / "qpag",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.chdir(tmp_path)
+    loaded = set(sys.modules)
+    try:
+        assert tool.commands(ROOT, package)
+        assert sys.modules.keys() == loaded
+        shutil.rmtree(package)
+        # a submodule the commands do not load comes from the real tree
+        module = importlib.import_module("qpag.wellformed")
+        assert Path(module.__file__).parent == ROOT / "src" / "qpag"
+    finally:
+        # drop this test's own imports; monkeypatch restores the others
+        for name in sys.modules.keys() - loaded:
+            del sys.modules[name]
+
+
 def test_equiv_halves_times_every_stage():
     # in a fresh interpreter: the tool imports qpag and perfbench's modules
     # from the checkout it times
@@ -145,3 +171,38 @@ def test_equiv_halves_times_every_stage():
         assert doc["runs_ms"][stage] == [doc["best_ms"][stage]]
         assert doc["best_ms"][stage] > 0
     assert doc["total_ms"] == pytest.approx(sum(doc["best_ms"].values()), abs=0.05)
+
+
+_SOURCE = '''"""A module docstring
+over two lines."""
+
+# a comment
+
+
+def f(x):
+    """A function docstring."""
+    return (x +
+            1)  # a trailing comment counts its line
+
+
+class C:
+    """A class docstring."""
+    y = "not a docstring"
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blank_lines():
+    tool = _tool("code_lines")
+    # def f, return and its continuation, class C and y
+    assert tool.code_lines(_SOURCE) == 5
+
+
+def test_code_lines_lists_every_module_and_their_total(capsys):
+    tool = _tool("code_lines")
+    tool.main()
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(path.name for path in (ROOT / "src" / "qpag").glob("*.py"))
+    assert [name for name, _ in rows[:-1]] == modules
+    counts = [int(count) for _, count in rows[:-1]]
+    assert all(count > 0 for count in counts)
+    assert rows[-1] == ["total", str(sum(counts))]

@@ -108,8 +108,12 @@ def bare_ms(flags: tuple, repeat: int) -> float:
 
 def commands(checkout: Path, package: Path) -> list:
     """Write the machine files of ``DIR/perfbench/clicheck.py`` under the
-    current directory with the copied package, and return its commands."""
+    current directory with the copied package, and return its commands.
+    Every module it imports is dropped from ``sys.modules`` again: the
+    copy's are gone with its directory, and perfbench's would shadow a
+    later import of another checkout's."""
     saved = sys.path[:], sys.dont_write_bytecode
+    loaded = set(sys.modules)
     sys.dont_write_bytecode = True  # the copy stays free of __pycache__
     sys.path[:0] = [str(package), str(checkout / "perfbench")]
     try:
@@ -119,6 +123,8 @@ def commands(checkout: Path, package: Path) -> list:
         return clicheck.write_machines(qpag, SEED)
     finally:
         sys.path[:], sys.dont_write_bytecode = saved
+        for name in sys.modules.keys() - loaded:
+            del sys.modules[name]
 
 
 def main(argv=None) -> int:
