@@ -14,9 +14,9 @@ operation to the key's stack, then ``simulate.measure``, with
 the kernel's rules. Distinct operations leave distinct stacks, so the
 classes are the parent's operation outcomes. A scheduled pop of the
 bottom symbol leaves the empty tape ``simulate.EMPTY`` unchecked, and
-``qcpda_step`` raises PopOnBottom, naming the branch's stack, only for a
-class on it that survives measurement: mass pruned or halting before
-then never pops.
+``qcpda_step`` raises ``model.pop_on_bottom``'s PopOnBottom, naming the
+branch's stack, only for a class on it that survives measurement: mass
+pruned or halting before then never pops.
 
 A branch's stack is an interned cell (``simulate.cons``) in the cell table
 of its run, which ``BranchSteps.table`` owns and passes to each step.
@@ -48,8 +48,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import PopOnBottom
-from .model import HALT_MASS, MachineQCPDA, RunResult, join_tokens, over_budget, plain_sum, room
+from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, pop_on_bottom, room
 from .simulate import EMPTY, Cell, evolve, head_of, measure, start, walk_to_end
 
 
@@ -114,7 +113,7 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     children = []
     for cell, (vec, mass) in classes.items():
         if cell is EMPTY:
-            raise PopOnBottom(f"pop on stack {join_tokens(branch.cell.tokens())!r}")
+            raise pop_on_bottom(branch.cell)
         # every survivor has |amp| >= PRUNE_THRESHOLD, so mass > 0
         scale = mass**-0.5
         for key in vec:

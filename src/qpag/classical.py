@@ -5,8 +5,9 @@ case, both stepping one ``PPASteps`` through ``simulate.walk``.
 whose garbage tape stays ``EMPTY``: the paper's garbage-tape configuration
 of a PPA, from ``simulate.start``. Each row of the machine's column index
 takes a configuration on through ``simulate.successor``; a PPA's pop keeps
-no garbage, and a row that pops the bottom symbol raises PopOnBottom
-before its target is tested for halting. Stacks are cells interned in the
+no garbage, and a row that pops the bottom symbol raises
+``model.pop_on_bottom``'s PopOnBottom, as every engine does, before its
+target is tested for halting. Stacks are cells interned in the
 stepper's table, so a push or a pop costs O(1) whatever the depth, and
 the distribution is walked in insertion order: every column lists its
 rows in canonical order, so no result depends on the order of the
@@ -35,8 +36,10 @@ from __future__ import annotations
 import warnings
 from typing import Optional
 
-from .errors import NotDeterministic, PopOnBottom
-from .model import HALT_MASS, MachinePPA, RunResult, column_text, over_budget, plain_sum, room
+from .errors import NotDeterministic
+from .model import (
+    HALT_MASS, MachinePPA, RunResult, column_text, over_budget, plain_sum, pop_on_bottom, room,
+)
 from .simulate import EMPTY, start, successor, walk_to_end
 
 ACCEPT = "accept"
@@ -86,7 +89,7 @@ class PPASteps:
             for prob, target, move, effect in column:
                 succ = successor(table, conf, target, move, effect)
                 if succ.stack is EMPTY:  # the row popped the bottom symbol
-                    raise PopOnBottom(f"pop on stack {stack.symbol!r}")
+                    raise pop_on_bottom(stack)
                 part = mass * prob
                 if target in accepting:
                     p_acc += part

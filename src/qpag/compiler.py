@@ -7,16 +7,18 @@ a second staging state pops that marker onto the garbage tape. The garbage
 tape thus records the operation history, which is exactly the information
 the scheduled-stack machine's measurement leaks classically, so the two
 machines produce identical probability ledgers when one original step is
-matched against three lowered steps.
+matched against ``IMAGE_STEPS`` = 3 lowered steps: the row's own step,
+then stage a, then stage b.
 
 Transitions into accepting or rejecting states skip the staging detour: the
 run ends there and no marker is needed.
 
 ``equiv_check`` runs each side's words as one ``simulate.run_batch``: the
 original on ``branching.BranchSteps``, the image on ``ImageSteps``, the
-kernel's stepper with a decoherence flag in each checkpoint. The flag is
-part of an image checkpoint's key, so two image runs merge only when
-their flags agree, and each row takes the flag its own run leaves.
+kernel's stepper with a decoherence flag in each checkpoint, at
+``IMAGE_STEPS`` times the original's step budget. The flag is part of an
+image checkpoint's key, so two image runs merge only when their flags
+agree, and each row takes the flag its own run leaves.
 """
 
 from __future__ import annotations
@@ -38,16 +40,14 @@ from .model import (
     records,
     run_bounds,
 )
-# ``compiler.trajectory`` stays bound, and ``compiler.run_qcpda`` resolves
-# (``__getattr__``): perfbench/tracing.py wraps them by these names.
-from .simulate import KernelSteps, run_batch, trajectory  # noqa: F401
+from .simulate import KernelSteps, run_batch
 from .wellformed import check_qcpda
 
 
 def __getattr__(name):
+    # ``compiler.trajectory`` and ``compiler.run_qcpda`` resolve through the
+    # export table (perfbench/tracing.py wraps them by these names), so
     # ``branching`` loads with the equivalence check, not with a compile
-    if name != "run_qcpda":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return _resolve(name, globals())
 
 
@@ -55,10 +55,12 @@ def __getattr__(name):
 CHECK_TOL = 1e-9
 # the largest |delta p_acc| and |delta p_rej| a passing equivalence row shows
 EQUIV_TOL = 1e-9
+# image steps per original step: the row's own step, then stage a, then stage b
+IMAGE_STEPS = 3
 
 
 def _aux_states_doc(aux_states):
-    return {q: [a, b] for q, a, b in aux_states}
+    return {q: list(stages) for q, *stages in aux_states}
 
 
 class CompileMap(Record):
@@ -182,7 +184,8 @@ class ImageSteps(KernelSteps):
     """The stepper behind the image runs of ``equiv_check``: the kernel's
     steps, with a checkpoint that is the kernel's with the decoherence flag
     appended, true while components sharing a garbage history have shared a
-    stack at every completed three-step block so far."""
+    stack at the end of every completed block of ``IMAGE_STEPS`` steps so
+    far."""
 
     def start(self):
         return super().start() + (True,)
@@ -190,12 +193,11 @@ class ImageSteps(KernelSteps):
     def step(self, point, tape, i):
         inner = super().step(point, tape, i)
         decoherent = point[-1]
-        if decoherent and i % 3 == 0:
-            groups: dict = {}
-            # interned cells are equal exactly when their tapes are
-            for conf in inner[0]:
-                groups.setdefault(conf.garbage, set()).add(conf.stack)
-            decoherent = all(len(stacks) == 1 for stacks in groups.values())
+        if decoherent and i % IMAGE_STEPS == 0:
+            # the first stack met with each garbage tape; interned cells are
+            # the same object exactly when their tapes are equal
+            first: dict = {}
+            decoherent = all(first.setdefault(c.garbage, c.stack) is c.stack for c in inner[0])
         return inner + (decoherent,)
 
     def result(self, point, steps: int):
@@ -213,14 +215,16 @@ def equiv_check(
     max_steps: Optional[int] = None,
 ) -> EquivReport:
     """Compare the two machines word by word, giving the lowered machine
-    three steps for every original step. A word passes when its two
-    ledgers agree within ``EQUIV_TOL`` and the image run stays decoherent.
-    Each side runs all the words as one ``simulate.run_batch``."""
+    ``IMAGE_STEPS`` steps for every original step: a word's image run has
+    ``IMAGE_STEPS`` times the budget of its original run, ``max_steps`` or
+    the default for its length. A word passes when its two ledgers agree
+    within ``EQUIV_TOL`` and the image run stays decoherent. Each side runs
+    all the words as one ``simulate.run_batch``."""
     from .branching import BranchSteps
 
     words = [tuple(word) for word in words]
     originals = [run_bounds(original, word, max_steps) for word in words]
-    images = [run_bounds(image, word, 3 * budget) for word, (_, budget) in zip(words, originals)]
+    images = [run_bounds(image, w, IMAGE_STEPS * b) for w, (_, b) in zip(words, originals)]
     rows = []
     for word, orig, (ia, ir, inon, deco) in zip(
         words, run_batch(BranchSteps(original), originals), run_batch(ImageSteps(image), images)

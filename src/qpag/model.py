@@ -56,7 +56,7 @@ from functools import cached_property
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Optional, Union
 
-from .errors import EndmarkerInWord, InvariantError, StateSpaceOverflow, UnknownSymbol
+from .errors import EndmarkerInWord, InvariantError, PopOnBottom, StateSpaceOverflow, UnknownSymbol
 
 # Magnitude slack for single amplitudes and vector norms.
 AMP_MAG_TOL = 1e-9
@@ -633,6 +633,12 @@ def over_budget() -> StateSpaceOverflow:
     """The one overflow error: live entries passed ``ENTRY_BUDGET``.
     ``simulate.walk`` names the step it was raised in."""
     return StateSpaceOverflow(f"live entries exceeded {ENTRY_BUDGET}")
+
+
+def pop_on_bottom(stack) -> PopOnBottom:
+    """The one error of a pop that meets the bottom symbol, naming
+    ``stack``, the cell (``simulate.Cell``) of the stack it pops."""
+    return PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
 
 
 def column_text(key) -> str:

@@ -363,21 +363,6 @@ class _Grader:
         return members
 
 
-def _instance(tokens) -> Instance:
-    """The instance whose word is ``tokens``."""
-    return Instance(*"".join(tokens).split(SEPARATOR))
-
-
-def _failure(inst: Instance, expected: str, result) -> SweepFailure:
-    return SweepFailure(
-        word=inst.word(),
-        expected=expected,
-        p_acc=result.p_acc,
-        p_rej=result.p_rej,
-        deviation=_deviations(result)[expected],
-    )
-
-
 def _deviations(result) -> dict:
     """Each class's distance of its expected outcome's probability from 1."""
     return {YES: abs(1 - result.p_acc), NO: abs(1 - result.p_rej)}
@@ -390,7 +375,7 @@ def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float, reduced: bool):
     ``reduced`` sweep that meets a failing final state sweeps every w1
     instead, so that its failures are listed per instance."""
     grader = _Grader(machine, n, reduced)
-    failing = []  # (final word set, expected class, result)
+    failing = []  # (final word set, expected class, result, deviation)
     checked = 0
     count_failing = 0
     max_dev = 0.0
@@ -407,7 +392,7 @@ def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float, reduced: bool):
                 if dev > tol:
                     if reduced:
                         return _sweep_exhaustive(machine, n, tol, False)
-                    failing.append((words, cls, result))
+                    failing.append((words, cls, result, dev))
                     count_failing += words.count
     if count_failing > FAILURE_CAP:
         raise MachineError(
@@ -415,8 +400,8 @@ def _sweep_exhaustive(machine: MachineQPAG, n: int, tol: float, reduced: bool):
             f"at most {FAILURE_CAP} are listed"
         )
     failures = [
-        _failure(_instance(tokens[1:-1]), cls, result)
-        for words, cls, result in failing
+        SweepFailure("".join(tokens[1:-1]), cls, result.p_acc, result.p_rej, dev)
+        for words, cls, result, dev in failing
         for tokens in words
     ]
     # words of one n hold "#" at the same places, so word order is
@@ -524,7 +509,7 @@ def _sweep_sampled(machine: MachineQPAG, n: int, samples: int, seed: int, tol: f
         if dev > max_dev:
             max_dev = dev
         if dev > tol:
-            failures.append(_failure(inst, expected, result))
+            failures.append(SweepFailure(inst.word(), expected, result.p_acc, result.p_rej, dev))
     return samples, failures, max_dev
 
 

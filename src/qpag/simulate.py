@@ -35,7 +35,8 @@ every quantum engine shares, and the step loop every run shares.
   ``classical.PPASteps`` steps its distribution through it. A garbage pop
   of the bottom symbol raises PopOnBottom in both; a scheduled pop of it
   leaves the empty tape, which ``qcpda_step`` refuses once its class
-  survives and ``PPASteps`` at once.
+  survives and ``PPASteps`` at once. All four raise the one error that
+  ``model.pop_on_bottom`` builds, naming the stack popped.
 * ``walk(stepper, tape, point, first, budget)`` is the one step loop of
   every run, quantum or classical, and of the unitarity audit. A stepper
   gives ``start()``, checkpoint 0; ``step(point, tape, i)``, checkpoint
@@ -59,8 +60,9 @@ every quantum engine shares, and the step loop every run shares.
   (p_acc, p_rej, parked, truncated) sums, the vector's squared norm, and
   the step's four deltas (acc, rej, parked, truncated), kept because a
   difference of running sums is not the same float. ``run``'s ledger is
-  its last checkpoint's sums, its trace each checkpoint's vector and
-  deltas; ``trajectory`` yields each checkpoint as a ``StepRecord``.
+  its last checkpoint's sums, its trace built from each checkpoint in
+  hand: its survivors' views, largest first, and its acc and rej deltas;
+  ``trajectory`` yields each checkpoint as a ``StepRecord``.
 * ``run_layers(stepper, members, expand)`` is the one layer loop of every
   batch. Its stepper also gives ``size(point)``, the entries a checkpoint
   holds; ``cells(point)``, the cells of its ``table`` a checkpoint holds;
@@ -179,7 +181,7 @@ from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from . import model
-from .errors import InvariantError, PopOnBottom, StateSpaceOverflow
+from .errors import InvariantError, StateSpaceOverflow
 from .model import (
     GARBAGE_POP,
     HALT_MASS,
@@ -190,8 +192,8 @@ from .model import (
     RunResult,
     StateVector,
     StepSnapshot,
-    join_tokens,
     over_budget,
+    pop_on_bottom,
     room,
     run_bounds,
     step_budget,
@@ -280,13 +282,13 @@ def successor(
     """The configuration a compiled row (weight, ``target``, ``move``,
     ``effect``) takes ``conf`` to: its stack effect applies as ``evolve``
     applies it, with new cells interned in ``table``. A garbage pop of the
-    bottom symbol raises PopOnBottom; a scheduled pop of it leaves the
-    empty tape ``EMPTY``."""
+    bottom symbol raises ``model.pop_on_bottom``'s PopOnBottom; a scheduled
+    pop of it leaves the empty tape ``EMPTY``."""
     _, head, stack, garbage = conf
     if effect is not None:
         if effect is GARBAGE_POP:
             if stack.depth <= 1:
-                raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+                raise pop_on_bottom(stack)
             garbage = cons(table, garbage, stack.symbol)
             stack = stack.parent
         elif effect is SCHEDULED_POP:
@@ -306,7 +308,8 @@ def evolve(psi, tape, rows, table, limit):
     ``CellConfiguration``s: ``rows`` is the machine's column index
     (``columns``) and ``table`` the run's cell table, where new cells are
     interned. Each row's stack effect is applied as ``model.GARBAGE_POP``
-    describes it; a garbage pop of the bottom symbol raises PopOnBottom.
+    describes it; a garbage pop of the bottom symbol raises
+    ``model.pop_on_bottom``'s PopOnBottom.
     This is the first of a step's two passes: it expands and accumulates,
     and prunes nothing.
 
@@ -338,7 +341,7 @@ def evolve(psi, tape, rows, table, limit):
             if effect is not None:
                 if effect is GARBAGE_POP:
                     if stack.depth <= 1:
-                        raise PopOnBottom(f"pop on stack {join_tokens(stack.tokens())!r}")
+                        raise pop_on_bottom(stack)
                     stack2 = stack.parent
                     garbage2 = cons(table, garbage, stack.symbol)
                 elif effect is SCHEDULED_POP:
@@ -495,11 +498,6 @@ class KernelSteps:
         return (*point[1:5], tuple(point[0].items()))
 
 
-def _record(i: int, point) -> StepRecord:
-    """``KernelSteps`` checkpoint ``i`` as a StepRecord."""
-    return StepRecord(i, point[0], *point[6:])
-
-
 def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecord]:
     """Yield one StepRecord per loop iteration until the live mass dies out
     or the budget is exhausted. A negative ``max_steps`` raises
@@ -507,7 +505,7 @@ def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecor
     stepper = KernelSteps(machine)
     budget = step_budget(max_steps)
     for i, point in walk(stepper, tape, stepper.start(), 1, budget):
-        yield _record(i, point)
+        yield StepRecord(i, point[0], *point[6:])
 
 
 def run_batch(stepper, runs) -> list:
@@ -650,16 +648,11 @@ def run(
     snaps: list[StepSnapshot] = []
     for steps, point in walk(stepper, tape, point, 1, budget):
         if trace_depth > 0:
-            rec = _record(steps, point)
-            top = sorted(rec.psi.items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-            snaps.append(
-                StepSnapshot(
-                    step=steps,
-                    survivors=tuple(top[:trace_depth]),
-                    p_acc_delta=rec.acc_delta,
-                    p_rej_delta=rec.rej_delta,
-                )
+            top = sorted(
+                ((conf.view(), amp) for conf, amp in point[0].items()),
+                key=lambda kv: (-abs(kv[1]), kv[0]),
             )
+            snaps.append(StepSnapshot(steps, tuple(top[:trace_depth]), point[6], point[7]))
     result = stepper.result(point, steps)
     if trace_depth > 0:
         result = model.replace(result, trace=tuple(snaps))

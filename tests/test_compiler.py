@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from qpag.compiler import ImageSteps, compile_qcpda, equiv_check
+from qpag import compiler
+from qpag.branching import BranchSteps
+from qpag.compiler import IMAGE_STEPS, ImageSteps, compile_qcpda, equiv_check
 from qpag.errors import NonWellFormedInput
 from qpag.machinefile import emit_json, serialize_machine
 from qpag.model import (
@@ -19,6 +21,7 @@ from qpag.model import (
     TransitionQPAG,
     make_tape,
     push,
+    run_bounds,
 )
 from qpag.simulate import run, trajectory
 from qpag.wellformed import check_qpag
@@ -277,6 +280,31 @@ def test_image_key_holds_the_decoherence_flag():
     flipped = point[:-1] + (not point[-1],)
     assert stepper.key(point) != stepper.key(flipped)
     assert stepper.result(point, 0) != stepper.result(flipped, 0)
+
+
+@pytest.mark.parametrize("max_steps", [None, 5], ids=["default", "given"])
+def test_equiv_check_gives_each_image_word_image_steps_per_original_step(
+    monkeypatch, max_steps
+):
+    # the two batches equiv_check runs, recorded as (stepper class, runs)
+    calls = []
+
+    def recording(stepper, runs):
+        calls.append((type(stepper), list(runs)))
+        return run_batch(stepper, runs)
+
+    run_batch = compiler.run_batch
+    monkeypatch.setattr(compiler, "run_batch", recording)
+    m = random_qcpda(3)
+    image = compile_qcpda(m)[0]
+    words = words_up_to(3)
+    equiv_check(m, image, words, max_steps=max_steps)
+    (branch, originals), (steps, images) = calls
+    assert (branch, steps) == (BranchSteps, ImageSteps)
+    assert originals == [run_bounds(m, w, max_steps) for w in words]
+    assert images == [
+        (make_tape(image, w), IMAGE_STEPS * budget) for w, (_, budget) in zip(words, originals)
+    ]
 
 
 def _primed_machine():

@@ -33,6 +33,7 @@ from qpag.model import (
     MachineQCPDA,
     MachineQPAG,
     StackAlphabet,
+    StepSnapshot,
     TransitionQCPDA,
     TransitionQPAG,
     default_max_steps,
@@ -470,6 +471,29 @@ def test_run_and_trajectory_agree_bit_for_bit(monkeypatch):
                 assert [(s.step, s.p_acc_delta, s.p_rej_delta) for s in traced.trace] == [
                     (r.step, r.acc_delta, r.rej_delta) for r in records
                 ]
+
+
+@pytest.mark.parametrize("depth", [1, 3, 16])
+def test_run_trace_is_each_trajectory_record_cut_to_depth(depth):
+    # each snapshot holds its record's survivors, largest |amp| first and
+    # ties by configuration, cut to the depth, and its record's deltas
+    cases = [(problem1.build_machine(), ["a#b#c", "ab#ba#cd", "abc#cab#dda"])]
+    cases += [
+        (TOTAL_MACHINES[name](), words_up_to(3)) for name in ("splitter", "halfstep", "pushcycle")
+    ]
+    for m, words in cases:
+        for word in words:
+            tape = make_tape(m, word)
+            want = tuple(
+                StepSnapshot(
+                    rec.step,
+                    tuple(sorted(rec.psi.items(), key=lambda kv: (-abs(kv[1]), kv[0]))[:depth]),
+                    rec.acc_delta,
+                    rec.rej_delta,
+                )
+                for rec in trajectory(m, tape, default_max_steps(len(tape) - 2))
+            )
+            assert run(m, word, trace_depth=depth).trace == want, (word, depth)
 
 
 def test_empty_word_runs():

@@ -1,16 +1,24 @@
 """tools/bench_pairs.py refuses a bad argument before it runs anything;
 tools/import_cost.py splits a cold start's import time by layer and
 leaves no module of its copy loaded; tools/equiv_halves.py times each
-stage of a lower_equiv round; tools/code_lines.py counts code lines."""
+stage of a lower_equiv round, as equiv_check runs it, and writes no
+bytecode into the checkout it times; tools/code_lines.py counts code lines."""
 
 import importlib.util
 import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import qpag
+from qpag import compiler, simulate
+from qpag.compiler import ImageSteps, equiv_check
+
+from .generators import random_qcpda, words_up_to
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -171,6 +179,49 @@ def test_equiv_halves_times_every_stage():
         assert doc["runs_ms"][stage] == [doc["best_ms"][stage]]
         assert doc["best_ms"][stage] > 0
     assert doc["total_ms"] == pytest.approx(sum(doc["best_ms"].values()), abs=0.05)
+
+
+def test_equiv_halves_writes_no_bytecode_into_the_checkout(tmp_path):
+    # the package loads its submodules lazily, after the tool has imported
+    # it, and a .pyc left in the checkout would spare its next cold start
+    # the source compile
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+    subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "equiv_halves.py"),
+         "--checkout", str(tmp_path), "--repeat", "1"],
+        capture_output=True, text=True, timeout=300, check=True, env=env,
+    )
+    assert list(tmp_path.rglob("__pycache__")) == []
+
+
+def test_equiv_halves_image_stage_runs_equiv_checks_image_runs(monkeypatch):
+    # the tool's image half hands run_batch the (tape, budget) pairs that
+    # equiv_check hands it for the image, machine by machine
+    def recording(calls, run_batch):
+        def record(stepper, runs):
+            if isinstance(stepper, ImageSteps):
+                calls.append(list(runs))
+            return run_batch(stepper, runs)
+        return record
+
+    tool = _tool("equiv_halves")
+    machines = [random_qcpda(seed) for seed in range(4)]
+    words = [tuple(w) for w in words_up_to(3)]
+    timed, checked = [], []
+    monkeypatch.setattr(simulate, "run_batch", recording(timed, simulate.run_batch))
+    monkeypatch.setattr(compiler, "run_batch", recording(checked, compiler.run_batch))
+    run = tool.stages(qpag, machines, words, 6)
+    run["compile"]()
+    run["io"]()
+    run["image"]()
+    for m in machines:
+        equiv_check(m, qpag.compile_qcpda(m)[0], words, max_steps=6)
+    assert len(timed) == len(machines)
+    assert timed == checked
 
 
 _SOURCE = '''"""A module docstring

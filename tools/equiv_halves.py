@@ -11,15 +11,19 @@ its round: ``compile``, ``compile_qcpda`` of each machine; ``io``,
 ``image``, the two halves of ``equiv_check``, each as the one
 ``simulate.run_batch`` per machine that ``equiv_check`` runs, through
 ``branching.BranchSteps`` on the machine and ``compiler.ImageSteps`` on its
-parsed image. The benchmark's tracer sees neither half on its own, as it
-sees no batch.
+parsed image, at ``compiler.IMAGE_STEPS`` times the machine's step budget.
+The benchmark's tracer sees neither half on its own, as it sees no batch.
 
 The stages run one after another, ``--repeat`` times (default 5), so a
 drift of the host's speed reaches each of them alike; each stage reports
 its best time in ms and every run's time. ``total_ms`` sums the best
 times. Every run starts from a collected heap. The package is imported
-from ``DIR/src`` without writing bytecode into it, so two checkouts can be
-compared from one tree.
+from ``DIR/src``, so two checkouts can be compared from one tree (a
+checkout whose ``compiler`` has no ``IMAGE_STEPS`` is timed with its own
+copy of this tool), and no bytecode is written while the tool runs: the
+package loads its submodules lazily, during the timed stages too, and a
+``.pyc`` left in ``DIR`` would spare a later cold start there the source
+compile it is meant to include.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ SEED = 7
 
 def load(checkout: Path):
     """The ``qpag`` package and the ``inputs`` and ``workloads`` modules of
-    ``checkout``, imported without writing bytecode."""
-    saved = sys.path[:], sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
+    ``checkout``."""
+    saved = sys.path[:]
     sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
     try:
         import inputs
@@ -51,14 +54,14 @@ def load(checkout: Path):
 
         return qpag, inputs, workloads
     finally:
-        sys.path[:], sys.dont_write_bytecode = saved
+        sys.path[:] = saved
 
 
 def stages(qp, machines, words, max_steps):
     """One function per stage, each doing its stage for every machine and
     handing its outputs to the next."""
     from qpag.branching import BranchSteps
-    from qpag.compiler import ImageSteps
+    from qpag.compiler import IMAGE_STEPS, ImageSteps
     from qpag.model import run_bounds
     from qpag.simulate import run_batch
 
@@ -76,7 +79,9 @@ def stages(qp, machines, words, max_steps):
 
     def image():
         for back in backs:
-            run_batch(ImageSteps(back), [run_bounds(back, w, 3 * max_steps) for w in words])
+            run_batch(
+                ImageSteps(back), [run_bounds(back, w, IMAGE_STEPS * max_steps) for w in words]
+            )
 
     return dict(zip(STAGES, (compile_, io, branch, image)))
 
@@ -90,6 +95,8 @@ def main(argv=None) -> int:
         p.error(f"no qpag sources at {args.checkout / 'src' / 'qpag'}")
     if args.repeat < 1:
         p.error("--repeat must be at least 1")
+    # on for the whole run, as the package imports submodules on first use
+    sys.dont_write_bytecode = True
     qp, inputs, workloads = load(args.checkout)
     workload = workloads.WORKLOADS["lower_equiv"]
     machines = [inputs.scheduled_stack_machine(qp, SEED, i) for i in range(workload.MACHINES)]
