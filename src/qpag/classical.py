@@ -15,12 +15,16 @@ transition table. A checkpoint is
 the distribution after the step and the running (p_acc, p_rej, leaked)
 sums. Halting mass moves to p_acc / p_rej at the transition that enters a
 halting state, in column order; an initial halting state holds all the mass
-at checkpoint 0. Mass reaching an undefined column or a parked head leaks,
-and whatever is still live at the end lands in p_non with it. The stepper
-records each undefined column it meets, first met first, in ``undefined``;
-it warns about none of them. A step raises ``model.over_budget()`` as soon
-as the distribution it started from, the keys of its new one and the cells
-in its table when it began pass the entry budget.
+at checkpoint 0, and the run takes 0 steps. The quantum engines do not
+measure their start configuration: an initial halting state steps on there
+as any other state does (see ``simulate``), so a PPA lowered onto them
+must stage a halting initial state. Mass reaching an undefined column or
+a parked head leaks, and whatever is still live at the end lands in p_non
+with it. The stepper records each undefined column it meets, first met
+first, in ``undefined``; it warns about none of them. A step raises
+``model.over_budget()`` as soon as the distribution it started from, the
+keys of its new one and the cells in its table when it began pass the
+entry budget.
 
 ``run_ppa`` walks the stepper and warns once per recorded column, also
 when the walk raises. ``run_dpda`` insists on a single probability-1

@@ -141,9 +141,13 @@ def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
         accepting=machine.accepting,
         rejecting=machine.rejecting,
     )
+    # two operations may describe alike (push("a", "b") and push("ab")):
+    # their labels are primed apart, as their markers are
+    used_labels: set = set()
+    labels = tuple((_fresh(op.describe(), used_labels), m) for op, m in markers.items())
     cmap = CompileMap(
         aux_states=tuple((q, a, b) for q, (a, b) in stages.items()),
-        labels=tuple((op.describe(), marker) for op, marker in markers.items()),
+        labels=labels,
         original_transitions=len(machine.transitions),
         image_transitions=len(transitions),
     )

@@ -84,7 +84,9 @@ ENTRY_BUDGET = 400_000
 # and a PPA's pop compile to ``SCHEDULED_POP``, which drops the top symbol
 # unchecked and keeps no garbage, so the bottom's pop leaves the empty tape:
 # ``branching.qcpda_step`` refuses that for a class that survives
-# measurement, and ``classical.PPASteps`` for any row that takes it.
+# measurement, and ``classical.PPASteps`` for any row that takes it. The
+# column checks of ``wellformed`` flag a row of either pop effect in a
+# column whose top is the bottom symbol ("pop-on-z").
 GARBAGE_POP = "garbage pop"
 SCHEDULED_POP = "scheduled pop"
 
@@ -354,14 +356,6 @@ def _check_push_payload(op, stack_alphabet):
             raise InvariantError(f"push string uses unknown stack symbol {s!r}")
 
 
-def _transition_key(t):
-    op = getattr(t, "op", None)
-    parts = [t.source, t.read, t.top, t.target, t.move]
-    if op is not None:
-        parts.append(op.sort_key())
-    return tuple(parts)
-
-
 class _Machine(Frozen):
     """The fields, construction check, halting set and column index shared
     by the three machine classes. A subclass names the class of its rows
@@ -407,10 +401,11 @@ class _Machine(Frozen):
             # file's ``"move": true`` or ``"move": 1.0`` is refused
             if type(t.move) is not int or t.move not in (0, 1):
                 raise InvariantError(f"head move must be 0 or 1, got {t.move!r}")
+            key = (t.source, t.read, t.top, t.target, t.move)
             op = getattr(t, "op", None)
             if op is not None:
                 _check_push_payload(op, self.stack_alphabet)
-            key = _transition_key(t)
+                key += (op.sort_key(),)
             if key in seen:
                 raise InvariantError(f"duplicate transition tuple {key}")
             seen.add(key)

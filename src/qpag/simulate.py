@@ -153,6 +153,11 @@ One step of the loop: apply the transition table to every live
 configuration, then measure. Measurement projects onto accepting /
 rejecting / neither; the squared mass of halting configurations is drained
 into the running accept / reject probabilities and the rest keeps evolving.
+The start configuration is never measured: a run puts amplitude 1 on it
+whatever the initial state, so an accepting or rejecting initial state
+steps on through its column at step 1 like any other state, and
+``branching.run_qcpda`` starts alike. ``classical.PPASteps`` instead
+books an initial halting state's whole mass at checkpoint 0, with 0 steps.
 
 Bookkeeping rules, all of which keep
 ``p_acc + p_rej + p_non + truncation_loss == 1`` exactly up to float error:

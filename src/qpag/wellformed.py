@@ -23,6 +23,19 @@ Condition ids: "1" column norm, "2" same-column-index orthogonality,
 "pop-on-z" (pop scheduled on the bottom symbol) and "range" (probability
 outside [0, 1]).
 
+``check_qpag`` and ``check_qcpda`` run one skeleton, ``_check_amplitudes``:
+the mode and tolerance checks, the row rules, condition 1 and one
+``_orthogonality`` call; each passes only its condition ids and a function
+that yields its terms from the rows of nonzero amplitude. The per-row rules
+of all three checkers ("pop-on-z", and "range" for ``check_ppa``) are read
+off the machine's column index, ``model._Machine.columns``, in canonical
+row order by ``_row_rules``: a row pops the bottom symbol when its compiled
+effect is ``GARBAGE_POP`` or ``SCHEDULED_POP`` in a column whose top is the
+bottom symbol, the compiled form every engine steps by. Column norms sum
+the table's rows in their own term order, (target, operation, move), not
+in the column index's (target, move, operation): on some columns the two
+orders give different floats, and so different reports.
+
 Every orthogonality term has one shape, ``((cid, key), term_key,
 conj(amp1) * amp2)``: ``cid`` names the condition and ``key`` the two
 columns it quantifies over. A checker chains its generators into one
@@ -40,9 +53,10 @@ row carries no stack operation, so its operation key is ``()``. Two rows
 of one column pair like any other two rows: applied to two configurations
 that differ in head or stack, their images can still meet.
 
-Every condition sum is accumulated in sorted term order, and each
-``(cid, key, term_key)`` names both of its rows, so reports are
-bit-identical across transition reorderings.
+Every condition sum is accumulated in sorted term order, each
+``(cid, key, term_key)`` names both of its rows, and the row rules come in
+canonical row order, so reports are bit-identical across transition
+reorderings.
 """
 
 from __future__ import annotations
@@ -51,7 +65,8 @@ from itertools import chain, product
 
 from .errors import InvariantError
 from .model import (
-    POP,
+    GARBAGE_POP,
+    SCHEDULED_POP,
     Configuration,
     MachinePPA,
     MachineQCPDA,
@@ -125,10 +140,25 @@ def _violation(cid, key, residual, *extra):
     return cid, key, Violation(cid, witness, residual)
 
 
-def _pop_on_bottom(t, weight):
-    """The "pop-on-z" entry for row ``t``, which pops the bottom symbol."""
-    key = (t.source, t.read, t.top, t.target, t.move)
-    return _violation("pop-on-z", key, weight)
+def _row_rules(machine, tol=None):
+    """The entries of the per-row rules, read off ``machine.columns`` in
+    canonical row order: "pop-on-z" for each row whose compiled effect
+    pops the bottom symbol (``GARBAGE_POP`` or ``SCHEDULED_POP``), its
+    residual the weight's magnitude; and, given ``tol``, "range" for each
+    weight more than ``tol`` outside [0, 1]. Without ``tol`` only the
+    columns whose top is the bottom symbol are read."""
+    bottom = machine.stack_alphabet.bottom
+    viols = []
+    for (state, read, top), rows in machine.columns.items():
+        if top != bottom and tol is None:
+            continue
+        for w, target, move, effect in rows:
+            key = (state, read, top, target, move)
+            if top == bottom and effect in (GARBAGE_POP, SCHEDULED_POP):
+                viols.append(_violation("pop-on-z", key, abs(w)))
+            if tol is not None and (w < -tol or w > 1 + tol):
+                viols.append(_violation("range", key, w - 1 if w > 1 else -w, w))
+    return viols
 
 
 def _sums(terms):
@@ -184,22 +214,6 @@ def _norm_violations(norms, columns, bad, viols):
     return len(columns)
 
 
-def _amplitude_norms(machine, trans, mode, tol, viols):
-    """Condition (1) on amplitude rows: partial mode checks the defined
-    columns for overshoot, total mode every column of Q x Sigma x Gamma."""
-    norms = _column_norms(trans, lambda t: abs(t.amp) ** 2)
-    if mode == "partial":
-        return _norm_violations(norms, norms, lambda s: s > 1 + tol, viols)
-    every = list(
-        product(
-            machine.states,
-            machine.input_alphabet.symbols,
-            machine.stack_alphabet.symbols,
-        )
-    )
-    return _norm_violations(norms, every, lambda s: abs(s - 1) > tol, viols)
-
-
 def _finish(viols, mode, evaluations):
     viols.sort(key=lambda v: (v[0], v[1]))
     ordered = tuple(v[2] for v in viols)
@@ -209,11 +223,6 @@ def _finish(viols, mode, evaluations):
         violations=ordered,
         evaluations=evaluations,
     )
-
-
-def _check_mode(mode):
-    if mode not in ("partial", "total"):
-        raise InvariantError(f"unknown check mode {mode!r}")
 
 
 # ======================================================================
@@ -292,29 +301,44 @@ def _meeting_terms(cids, rows, others, tail):
 # ======================================================================
 
 
-def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -> WfReport:
-    """Column conditions for the garbage-tape machine."""
-    _check_mode(mode)
+def _check_amplitudes(machine, mode, tol, cids, terms):
+    """The column checks of an amplitude machine: the row rules
+    (``_row_rules``), column norms (1) and the orthogonality conditions
+    ``cids``, whose terms ``terms(rows)`` yields from the rows of nonzero
+    amplitude. Partial mode checks the defined columns for overshoot, total
+    mode every column of Q x Sigma x Gamma."""
+    if mode not in ("partial", "total"):
+        raise InvariantError(f"unknown check mode {mode!r}")
     check_tolerance(tol)
     trans = [t for t in machine.transitions if t.amp != 0]
-    g_set = machine.push_string_universe
-    bottom = machine.stack_alphabet.bottom
-    eps = [t for t in trans if t.op.kind == "epsilon"]
-    pushes = [t for t in trans if t.op.kind == "push"]
-    pops = [t for t in trans if t.op.kind == "pop"]
-    # pop on the bottom symbol is never allowed
-    viols = [_pop_on_bottom(t, abs(t.amp)) for t in pops if t.top == bottom]
-    terms = chain(
-        _same_column_terms(trans),
-        _meeting_terms(("3a", "5a"), eps, pushes, lambda e, p: _extension(e, p, g_set)),
-        _meeting_terms(("3b", "5b"), pops, eps + pushes, lambda t, o: o.op.sort_key()),
-        _head_shift_terms(trans),
-    )
-    evaluations = {
-        "1": _amplitude_norms(machine, trans, mode, tol, viols),
-        **_orthogonality(("2", "3a", "3b", "4", "5a", "5b"), terms, tol, viols),
-    }
+    viols = _row_rules(machine)
+    norms = _column_norms(trans, lambda t: abs(t.amp) ** 2)
+    if mode == "partial":
+        evaluated = _norm_violations(norms, norms, lambda s: s > 1 + tol, viols)
+    else:
+        alphabets = (machine.input_alphabet.symbols, machine.stack_alphabet.symbols)
+        every = list(product(machine.states, *alphabets))
+        evaluated = _norm_violations(norms, every, lambda s: abs(s - 1) > tol, viols)
+    evaluations = {"1": evaluated, **_orthogonality(cids, terms(trans), tol, viols)}
     return _finish(viols, mode, evaluations)
+
+
+def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -> WfReport:
+    """Column conditions for the garbage-tape machine."""
+
+    def terms(trans):
+        g_set = machine.push_string_universe
+        eps = [t for t in trans if t.op.kind == "epsilon"]
+        pushes = [t for t in trans if t.op.kind == "push"]
+        pops = [t for t in trans if t.op.kind == "pop"]
+        return chain(
+            _same_column_terms(trans),
+            _meeting_terms(("3a", "5a"), eps, pushes, lambda e, p: _extension(e, p, g_set)),
+            _meeting_terms(("3b", "5b"), pops, eps + pushes, lambda t, o: o.op.sort_key()),
+            _head_shift_terms(trans),
+        )
+
+    return _check_amplitudes(machine, mode, tol, ("2", "3a", "3b", "4", "5a", "5b"), terms)
 
 
 def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9) -> WfReport:
@@ -328,37 +352,18 @@ def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9)
     word may repeat a symbol at adjacent positions. Also flags any amplitude
     that would schedule a pop on the bottom symbol.
     """
-    _check_mode(mode)
-    check_tolerance(tol)
-    trans = [t for t in machine.transitions if t.amp != 0]
-    bottom = machine.stack_alphabet.bottom
-    sigma = machine.sigma_map
-    viols = [
-        _pop_on_bottom(t, abs(t.amp))
-        for t in trans
-        if t.top == bottom and sigma.get(t.target) == POP
-    ]
-    terms = chain(_same_column_terms(trans), _head_shift_terms(trans))
-    evaluations = {
-        "1": _amplitude_norms(machine, trans, mode, tol, viols),
-        **_orthogonality(("2", "4"), terms, tol, viols),
-    }
-    return _finish(viols, mode, evaluations)
+
+    def terms(trans):
+        return chain(_same_column_terms(trans), _head_shift_terms(trans))
+
+    return _check_amplitudes(machine, mode, tol, ("2", "4"), terms)
 
 
 def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
     """Row stochasticity: every defined column's probabilities sum to 1,
     every probability lies in [0, 1], and nothing pops the bottom symbol."""
     check_tolerance(tol)
-    bottom = machine.stack_alphabet.bottom
-    viols: list = []
-    for t in machine.transitions:
-        if t.prob != 0 and t.op.kind == "pop" and t.top == bottom:
-            viols.append(_pop_on_bottom(t, abs(t.prob)))
-        if t.prob < -tol or t.prob > 1 + tol:
-            dist = t.prob - 1 if t.prob > 1 else -t.prob
-            key = (t.source, t.read, t.top, t.target, t.move)
-            viols.append(_violation("range", key, dist, t.prob))
+    viols = _row_rules(machine, tol)
     norms = _column_norms(
         [t for t in machine.transitions if t.prob != 0], lambda t: t.prob
     )

@@ -95,6 +95,32 @@ def test_name_collisions_get_primed():
     assert dict(cmap.labels)["epsilon"] == "l:epsilon'"
 
 
+def test_operations_that_describe_alike_keep_a_label_each():
+    # push("a", "b") and push("ab") both describe as push:ab; their
+    # markers are primed apart, and so are their labels
+    alpha = InputAlphabet(symbols=("<", "0", ">"), left_end="<", right_end=">")
+    gamma = StackAlphabet(symbols=("Z", "a", "b", "ab"), bottom="Z")
+    h = 2**-0.5 + 0j
+    m = MachineQCPDA(
+        states=("s", "u", "v"),
+        input_alphabet=alpha,
+        stack_alphabet=gamma,
+        transitions=(
+            TransitionQCPDA("s", "<", "Z", "u", 1, h),
+            TransitionQCPDA("s", "<", "Z", "v", 1, h),
+        ),
+        sigma=(("s", EPSILON), ("u", push("a", "b")), ("v", push("ab"))),
+        initial="s",
+        accepting=frozenset(),
+        rejecting=frozenset(),
+    )
+    image, cmap = compile_qcpda(m)
+    assert cmap.labels == (("push:ab", "l:push:ab"), ("push:ab'", "l:push:ab'"))
+    markers = set(image.stack_alphabet.symbols) - set(gamma.symbols)
+    assert sorted(dict(cmap.labels).values()) == sorted(markers)
+    assert sorted(cmap.to_json_dict()["labels"].values()) == sorted(markers)
+
+
 def test_rejects_non_well_formed_input():
     alpha = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
     gamma = StackAlphabet(symbols=("Z",), bottom="Z")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from qpag import model, problem1, simulate
 from qpag.branching import BranchSteps, run_qcpda
-from qpag.classical import PPASteps, run_ppa
+from qpag.classical import ACCEPT, PPASteps, run_dpda, run_ppa
 from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import (
     EndmarkerInWord,
@@ -30,10 +30,13 @@ from qpag.model import (
     SCHEDULED_POP,
     Configuration,
     InputAlphabet,
+    MachinePPA,
     MachineQCPDA,
     MachineQPAG,
+    RunResult,
     StackAlphabet,
     StepSnapshot,
+    TransitionPPA,
     TransitionQCPDA,
     TransitionQPAG,
     default_max_steps,
@@ -999,3 +1002,39 @@ def test_pop_on_bottom_raises_in_run_and_audit():
         run(m, "0")
     with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
         audit_unitarity(m, "0")
+
+
+def test_an_accepting_initial_state_is_measured_by_the_classical_runs_alone():
+    # q accepts and its one row goes to r, which has no rows. The quantum
+    # engines do not measure the start configuration: they step from q,
+    # then lose the mass at r's undefined column. The classical runs book
+    # all of it at checkpoint 0, with 0 steps
+    fields = dict(
+        states=("q", "r"),
+        input_alphabet=InputAlphabet(("<", "a", ">"), "<", ">"),
+        stack_alphabet=StackAlphabet(("Z",), "Z"),
+        initial="q",
+        accepting=frozenset({"q"}),
+        rejecting=frozenset(),
+    )
+    qpag = MachineQPAG(
+        transitions=(TransitionQPAG("q", "<", "Z", "r", EPSILON, 1, 1 + 0j),), **fields
+    )
+    qcpda = MachineQCPDA(
+        transitions=(TransitionQCPDA("q", "<", "Z", "r", 1, 1 + 0j),),
+        sigma=(("r", EPSILON),),
+        **fields,
+    )
+    ppa = MachinePPA(
+        transitions=(TransitionPPA("q", "<", "Z", "r", EPSILON, 1, 1.0),), **fields
+    )
+    image, _ = compile_qcpda(qcpda)
+    lost = RunResult(p_acc=0.0, p_rej=0.0, p_non=0.0, truncation_loss=1.0, steps=2)
+    assert run(qpag, "a") == lost
+    assert run_qcpda(qcpda, "a") == lost
+    # the image's step into r takes its two staging steps too
+    assert run(image, "a") == replace(lost, steps=4)
+    assert run_ppa(ppa, "a") == RunResult(
+        p_acc=1.0, p_rej=0.0, p_non=0.0, truncation_loss=0.0, steps=0
+    )
+    assert run_dpda(ppa, "a") == ACCEPT

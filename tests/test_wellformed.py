@@ -2,13 +2,14 @@
 
 import hashlib
 import math
+import random
 from qpag.model import replace
 
 import pytest
 
 from qpag import problem1
 from qpag.compiler import compile_qcpda
-from qpag.errors import InvariantError
+from qpag.errors import InvariantError, PopOnBottom
 from qpag.machinefile import emit_json
 from qpag.model import (
     EPSILON,
@@ -27,6 +28,7 @@ from qpag.wellformed import audit_unitarity, check_ppa, check_qcpda, check_qpag
 
 from .corpus import TOTAL_MACHINES, coin_ppa, dpda_wcwr, mutants
 from .generators import random_qcpda, random_qpag_table
+from .test_classical_walk import random_ppa
 
 _ALPHA = InputAlphabet(symbols=("<", "0", "1", ">"), left_end="<", right_end=">")
 _GAMMA = StackAlphabet(symbols=("Z",), bottom="Z")
@@ -645,6 +647,111 @@ def test_column_reports_hash_as_pinned():
     assert digest.hexdigest() == _COLUMN_REPORTS_SHA256
 
 
+def _range_broken(machine, seed):
+    """``machine`` with about a third of its rows given a probability
+    outside [0, 1], no two of them sharing (source, read, top, target,
+    move), so that their "range" entries never tie."""
+    rng = random.Random(f"range-broken|{seed}")
+    broken = set()
+    rows = []
+    for t in machine.transitions:
+        key = (t.source, t.read, t.top, t.target, t.move)
+        if key not in broken and rng.random() < 0.3:
+            broken.add(key)
+            t = replace(t, prob=rng.choice((-1.0, -0.25, 1.5, 2.0)))
+        rows.append(t)
+    return replace(machine, transitions=tuple(rows))
+
+
+# sha256 over emit_json(report.to_json_dict(), floats="repr") of check_ppa
+# on random_ppa(0..99), which hold pop-on-z rows, then on their
+# _range_broken copies. Taken while the row rules still walked the table
+_PPA_REPORTS_SHA256 = "a39025f9ab720cca70a1605c890b4f4efb7525ba0097962357a3ea01e72a4237"
+
+
+def test_ppa_reports_hash_as_pinned():
+    machines = [random_ppa(seed) for seed in range(100)]
+    machines += [_range_broken(m, seed) for seed, m in enumerate(machines)]
+    reports = [check_ppa(m) for m in machines]
+    assert sum(v.condition == "pop-on-z" for rep in reports for v in rep.violations) > 0
+    assert sum(v.condition == "range" for rep in reports for v in rep.violations) > 0
+    digest = hashlib.sha256()
+    for rep in reports:
+        digest.update(emit_json(rep.to_json_dict(), floats="repr").encode())
+    assert digest.hexdigest() == _PPA_REPORTS_SHA256
+
+
 def test_check_rejects_an_unknown_mode():
     with pytest.raises(InvariantError, match="^unknown check mode 'x'$"):
         check_qpag(problem1.build_machine(), mode="x")
+
+
+# ----------------------------------------------------------------------
+# reports do not depend on the order of the transition table
+# ----------------------------------------------------------------------
+
+
+def _tied_range_pair():
+    """Two out-of-range rows that share (source, read, top, target, move)
+    and differ only in their operation, the push listed first."""
+    return MachinePPA(
+        states=("p0", "p1"),
+        input_alphabet=InputAlphabet(symbols=("<", "a", ">"), left_end="<", right_end=">"),
+        stack_alphabet=StackAlphabet(symbols=("Z", "A"), bottom="Z"),
+        transitions=(
+            TransitionPPA("p0", "a", "Z", "p1", push("A"), 1, -0.5),
+            TransitionPPA("p0", "a", "Z", "p1", EPSILON, 1, 1.5),
+        ),
+        initial="p0",
+        accepting=frozenset(),
+        rejecting=frozenset(),
+    )
+
+
+def test_tied_range_rows_come_in_canonical_order():
+    # epsilon sorts before push in a column, whichever the table lists first
+    m = _tied_range_pair()
+    for rows in (m.transitions, m.transitions[::-1]):
+        rep = check_ppa(replace(m, transitions=rows))
+        probs = [dict(v.witness)["prob"] for v in rep.violations if v.condition == "range"]
+        assert probs == [1.5, -0.5]
+
+
+def _report_texts(machine):
+    """emit_json of every check that applies to ``machine``'s kind and,
+    for a garbage-tape machine, of its unitarity audit on one word (or
+    the PopOnBottom that the audit raises)."""
+    if isinstance(machine, MachinePPA):
+        reports = [check_ppa(machine)]
+    else:
+        check = check_qcpda if isinstance(machine, MachineQCPDA) else check_qpag
+        reports = [check(machine, mode) for mode in ("partial", "total")]
+    if isinstance(machine, MachineQPAG):
+        symbols = sorted(machine.input_alphabet.word_symbols)
+        try:
+            reports.append(audit_unitarity(machine, (symbols * 5)[:5], depth=8))
+        except PopOnBottom as exc:
+            return [emit_json(r.to_json_dict(), floats="repr") for r in reports] + [str(exc)]
+    return [emit_json(r.to_json_dict(), floats="repr") for r in reports]
+
+
+def test_reports_do_not_depend_on_table_order():
+    machines = (
+        [problem1.build_machine(), coin_ppa(), dpda_wcwr(), _tied_range_pair()]
+        + [build() for build in TOTAL_MACHINES.values()]
+        + [mu.machine for mu in mutants()]
+        + [random_qpag_table(seed) for seed in range(40)]
+        + [random_qcpda(seed) for seed in range(40)]
+        + [compile_qcpda(random_qcpda(seed))[0] for seed in range(10)]
+        + [random_ppa(seed) for seed in range(40)]
+        + [_range_broken(random_ppa(seed), seed) for seed in range(40)]
+    )
+    for i, machine in enumerate(machines):
+        want = _report_texts(machine)
+        orders = [machine.transitions[::-1]]
+        for seed in range(3):
+            rows = list(machine.transitions)
+            random.Random(seed).shuffle(rows)
+            orders.append(tuple(rows))
+        for rows in orders:
+            assert _report_texts(replace(machine, transitions=rows)) == want, i
