@@ -25,14 +25,18 @@ every quantum engine shares, and the step loop every run shares.
   inline with new cells interned in ``table``; accumulate; and count
   parked and undefined-column mass. ``measure(machine, psi)`` is the
   kernel's second: prune, drain accepting and rejecting mass, keep the
-  survivors and sum their squared norm. ``KernelSteps`` and
-  ``branching.qcpda_step`` both step through the two; ``qcpda_step`` then
-  splits ``measure``'s survivors by their stack cell.
+  survivors and sum their squared norm. ``KernelSteps`` steps through
+  the two. ``branching.qcpda_step``, whose branch holds one stack for all
+  its keys, makes its own first pass, keyed by (target, head, stack
+  effect) rather than by configuration, passes that vector through
+  ``measure``, which reads only a key's state, and splits the survivors by
+  effect.
 * The stack rule is written out twice, each time inside the loop that
   needs it: in ``evolve``, and in ``successor(table, conf, target, move,
   effect)``, which takes one configuration along one compiled row.
-  ``wellformed.AuditSteps`` builds its images through ``successor``, and
-  ``classical.PPASteps`` steps its distribution through it. A garbage pop
+  ``wellformed.AuditSteps`` builds its images through ``successor``,
+  ``classical.PPASteps`` steps its distribution through it, and
+  ``qcpda_step`` builds each class's stack through it. A garbage pop
   of the bottom symbol raises PopOnBottom in both; a scheduled pop of it
   leaves the empty tape, which ``qcpda_step`` refuses once its class
   survives and ``PPASteps`` at once. All four raise the one error that
@@ -70,15 +74,17 @@ every quantum engine shares, and the step loop every run shares.
   checkpoint reads; and ``key(point)``, a hashable value that fixes
   everything of a checkpoint that ``step``, ``alive`` and ``result`` read:
   its running sums and its vectors' items in insertion order, which fix a
-  kernel checkpoint's norm (``measure`` sums it over them) and a branch's
-  stack cell (every key holds it). The runs advance together, one layer
-  per tape position. A node of a layer is a checkpoint, its step, its
-  members, opaque keys with values, each standing for some of the runs,
-  and its known tape; the first layer is the start checkpoint with the
-  caller's members and an empty tape. At position k the caller's
-  ``expand`` splits each node's members into groups by (symbol at k,
-  budget), handing back each group's members as it wants them one position
-  on. The node first steps through ``walk`` on its known tape alone until
+  kernel checkpoint's norm (``measure`` sums it over them), and for a
+  branch checkpoint each branch's stack cell beside its vector's items,
+  since a branch's keys are (state, head) alone. The runs advance
+  together, one layer per tape position. A node of a layer is a
+  checkpoint, its step, its members, opaque keys with values, each
+  standing for some of the runs, and its known tape; the first layer is
+  the start checkpoint with the caller's members and an empty tape. At
+  position k the caller's ``expand`` splits each node's members into
+  groups by (symbol at k, budget), handing back each group's members as
+  it wants them one position on. The node first steps through ``walk``
+  on its known tape alone until
   a checkpoint has a head at k, once per budget among its groups: every
   node but the start holds one budget, since its key holds it, and the
   start's head is at 0, so it takes no such step. Each group steps on from

@@ -34,7 +34,7 @@ from qpag.branching import (
     qcpda_step,
     run_qcpda,
 )
-from qpag.simulate import run_batch, walk, walk_to_end
+from qpag.simulate import EMPTY, evolve, measure, run_batch, start, walk, walk_to_end
 from qpag.wellformed import check_qcpda
 
 from .generators import apply_op, left_sum, random_qcpda, row_columns, words_up_to
@@ -691,6 +691,157 @@ def test_bucketed_merge_batches_like_the_fingerprint_dict(seed):
     m = random_qcpda(seed)
     runs = [run_bounds(m, w, 8) for w in words_up_to(4)]
     assert run_batch(BranchSteps(m), runs) == run_batch(_FingerprintSteps(m), runs)
+
+
+def _evolve_qcpda_step(machine, tape, branch, table):
+    """``qcpda_step`` as it was written before branch vectors were keyed
+    by (state, head), kept as the oracle for the step that holds the stack
+    once: every key of ``branch.psi`` is a ``CellConfiguration`` holding
+    the branch's stack, ``simulate.evolve`` applies each row's scheduled
+    operation to it, and ``measure``'s survivors are split by their stack
+    cell."""
+    prob = branch.prob
+    limit = model.room(len(branch.psi) + len(table))
+    out, parked, undefined = evolve(branch.psi, tape, machine.columns, table, limit)
+    rest, acc, rej, pruned, _ = measure(machine, out)
+    classes: dict = {}
+    for key, amp in rest.items():
+        split = classes.get(key[2])
+        if split is None:
+            split = classes[key[2]] = [{}, 0.0]
+        split[0][key] = amp
+        split[1] += abs(amp) ** 2
+    children = []
+    for cell, (vec, mass) in classes.items():
+        if cell is EMPTY:
+            raise model.pop_on_bottom(branch.cell)
+        scale = mass**-0.5
+        for key in vec:
+            vec[key] *= scale
+        children.append(Branch(prob * mass, cell, vec))
+    return StepDeltas(
+        tuple(children), prob * acc, prob * rej, prob * parked, prob * (undefined + pruned)
+    )
+
+
+class _ScanSteps(BranchSteps):
+    """``BranchSteps`` as it was written before branch vectors were keyed
+    by (state, head), kept as the oracle for the stepper that holds the
+    stack once and finds merge partners by lookup: it steps each branch
+    through ``_evolve_qcpda_step``, and a child scans every entry of its
+    bucket, the entries with its key set, which fixes the stack since
+    every key holds it."""
+
+    def start(self):
+        first = start(self.machine, self.table)
+        return ((Branch(1.0, first.stack, {first: 1 + 0j}),), 0.0, 0.0, 0.0, 0.0)
+
+    def step(self, point, tape, i):
+        frontier, p_acc, p_rej, p_non, truncated = point
+        limit = model.room(self.size(point) + len(self.table))
+        entries = 0
+        merged: list = []
+        buckets: dict = {}
+        for branch in frontier:
+            if branch.prob < HALT_MASS:
+                truncated += branch.prob
+                continue
+            deltas = _evolve_qcpda_step(self.machine, tape, branch, self.table)
+            p_acc += deltas.acc
+            p_rej += deltas.rej
+            p_non += deltas.parked
+            truncated += deltas.truncated
+            for child in deltas.children:
+                psi = child.psi
+                bucket = buckets.setdefault(frozenset(psi), [])
+                probe, amp = next(iter(psi.items()))
+                for at in bucket:
+                    old = merged[at]
+                    if abs(old.psi[probe] - amp) <= 2e-10 and branching.agree(old.psi, psi):
+                        merged[at] = Branch(old.prob + child.prob, old.cell, old.psi)
+                        break
+                else:
+                    bucket.append(len(merged))
+                    merged.append(child)
+                    entries += len(psi)
+                    if entries > limit:
+                        raise model.over_budget()
+        return tuple(merged), p_acc, p_rej, p_non, truncated
+
+    def key(self, point):
+        return (*point[1:], tuple((b.prob, tuple(b.psi.items())) for b in point[0]))
+
+
+def _rekeyed(point):
+    """``_exact`` of a checkpoint with each vector key cut to its (state,
+    head) and each stack read as its symbols."""
+    frontier, *sums = point
+    return [
+        (b.prob, b.cell.tokens(), tuple((tuple(key[:2]), amp) for key, amp in b.psi.items()))
+        for b in frontier
+    ], sums
+
+
+@pytest.mark.parametrize(
+    "machine, words",
+    [(random_qcpda(seed), words_up_to(3)) for seed in range(40)]
+    + [(forking_walker(), ["0" * 8])],
+    ids=[f"seed{seed}" for seed in range(40)] + ["forking"],
+)
+def test_branch_steps_step_like_the_evolve_oracle(machine, words):
+    # every checkpoint of every run is == the oracle's once its keys are
+    # cut to (state, head): frontier order, vector order, stacks and sums
+    # included. Each stepper interns cells in its own table
+    for word in words:
+        steps, oracle = BranchSteps(machine), _ScanSteps(machine)
+        tape, budget = run_bounds(machine, word, 8)
+        got = [(i, _rekeyed(p)) for i, p in walk(steps, tape, steps.start(), 1, budget)]
+        want = [(i, _rekeyed(p)) for i, p in walk(oracle, tape, oracle.start(), 1, budget)]
+        assert got == want, word
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_branch_steps_batch_like_the_evolve_oracle(seed):
+    m = random_qcpda(seed)
+    runs = [run_bounds(m, w, 8) for w in words_up_to(4)]
+    assert run_batch(BranchSteps(m), runs) == run_batch(_ScanSteps(m), runs)
+
+
+def test_scheduled_pop_of_the_bottom_raises_as_the_evolve_oracle_does():
+    # the surviving class that pops the bottom symbol raises the oracle's
+    # PopOnBottom, naming the branch's one-symbol stack
+    m = _bottom_popper(H)
+    messages = []
+    for steps in (BranchSteps, _ScanSteps):
+        with pytest.raises(PopOnBottom) as info:
+            walk_to_end(steps(m), "0")
+        messages.append(str(info.value))
+    assert messages == ["pop on stack 'Z'"] * 2
+
+
+def test_merge_lookup_probes_the_bucket_key_and_checks_every_key(monkeypatch):
+    # the index probes each bucket at one key, the first key of its first
+    # child. c and e round like a at the probe key but not at the other
+    # key, so neither merges, and all three are then indexed under that
+    # rounding. b lists a's keys in the other order, so its own first key
+    # holds -H where a's holds H: it still merges into a, past c and e.
+    # d agrees with c and merges into c, past a and e
+    m = forking_walker()
+    parent = initial_branch(m, {})
+    keys = (("f0", 1), ("f1", 1))
+    a = Branch(0.125, parent.cell, {keys[0]: H + 0j, keys[1]: -H + 0j})
+    b = Branch(0.25, parent.cell, {keys[1]: -H + 0j, keys[0]: H + 0j})
+    c = Branch(0.375, parent.cell, {keys[0]: H + 0j, keys[1]: H + 0j})
+    d = Branch(0.25, parent.cell, {keys[1]: H + 0j, keys[0]: H + 1e-12j})
+    e = Branch(0.5, parent.cell, {keys[0]: H + 0j, keys[1]: H * 1j})
+    assert list(a.psi) != list(b.psi)
+    monkeypatch.setattr(
+        branching,
+        "qcpda_step",
+        lambda *args: StepDeltas((a, c, e, b, d), 0.0, 0.0, 0.0, 0.0),
+    )
+    frontier, *_ = BranchSteps(m).step(((parent,), 0.0, 0.0, 0.0, 0.0), make_tape(m, "0"), 1)
+    assert frontier == (a._replace(prob=0.375), c._replace(prob=0.625), e)
 
 
 def _up(x, times=1):

@@ -261,7 +261,9 @@ def test_evolve_and_successor_agree_on_every_configuration_met():
     # machines below pops the bottom symbol, so each random PPA is walked
     # a second time as one, its pops keeping garbage
     vector = lambda point: point[0]
-    branches = lambda point: [key for branch in point[0] for key in branch.psi]
+    branches = lambda point: [
+        CellConfiguration(state, head, b.cell, EMPTY) for b in point[0] for state, head in b.psi
+    ]
     cases = [(KernelSteps, build()) for build in TOTAL_MACHINES.values()]
     cases += [(KernelSteps, problem1.build_machine())]
     cases += [(PPASteps, coin_ppa()), (PPASteps, dpda_wcwr())]

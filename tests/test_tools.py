@@ -16,6 +16,7 @@ import pytest
 
 import qpag
 from qpag import compiler, simulate
+from qpag.branching import BranchSteps
 from qpag.compiler import ImageSteps, equiv_check
 
 from .generators import random_qcpda, words_up_to
@@ -198,13 +199,14 @@ def test_equiv_halves_writes_no_bytecode_into_the_checkout(tmp_path):
     assert list(tmp_path.rglob("__pycache__")) == []
 
 
-def test_equiv_halves_image_stage_runs_equiv_checks_image_runs(monkeypatch):
-    # the tool's image half hands run_batch the (tape, budget) pairs that
-    # equiv_check hands it for the image, machine by machine
+def _stage_and_check_runs(monkeypatch, stage, steps):
+    """The runs the tool's ``stage`` and ``equiv_check`` each hand
+    ``run_batch`` on a stepper of class ``steps``, one list per batch,
+    for random_qcpda 0-3 on every word up to length 3 at budget 6."""
     def recording(calls, run_batch):
         def record(stepper, runs):
-            if isinstance(stepper, ImageSteps):
-                calls.append(list(runs))
+            if type(stepper) is steps:
+                calls.append((stepper.machine, list(runs)))
             return run_batch(stepper, runs)
         return record
 
@@ -217,10 +219,26 @@ def test_equiv_halves_image_stage_runs_equiv_checks_image_runs(monkeypatch):
     run = tool.stages(qpag, machines, words, 6)
     run["compile"]()
     run["io"]()
-    run["image"]()
+    run[stage]()
     for m in machines:
         equiv_check(m, qpag.compile_qcpda(m)[0], words, max_steps=6)
     assert len(timed) == len(machines)
+    return timed, checked
+
+
+def test_equiv_halves_image_stage_runs_equiv_checks_image_runs(monkeypatch):
+    # the tool's image half hands run_batch the (tape, budget) pairs that
+    # equiv_check hands it for the image, machine by machine
+    timed, checked = _stage_and_check_runs(monkeypatch, "image", ImageSteps)
+    assert timed == checked
+
+
+def test_equiv_halves_branch_stage_runs_equiv_checks_branch_runs(monkeypatch):
+    # the tool's branch half hands run_batch the machines and the (tape,
+    # budget) pairs that equiv_check hands it for the original, machine by
+    # machine
+    timed, checked = _stage_and_check_runs(monkeypatch, "branch", BranchSteps)
+    assert [m for m, _ in timed] == [random_qcpda(seed) for seed in range(4)]
     assert timed == checked
 
 
