@@ -56,7 +56,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .model import HALT_MASS, MachineQCPDA, RunResult, over_budget, plain_sum, pop_on_bottom, room
+from .model import (
+    HALT_MASS, MachineQCPDA, RunResult, check_kind, over_budget, plain_sum, pop_on_bottom, room,
+)
 
 # ``measure`` is bound here at import: a tracer that wraps
 # ``simulate.measure`` afterwards, as perfbench's does, reads each
@@ -258,6 +260,7 @@ def run_qcpda(
 ) -> RunResult:
     """Full run of the branch frontier with probability accounting,
     holding only the live frontier."""
+    check_kind(machine, MachineQCPDA)
     stepper = BranchSteps(machine)
     point, steps = walk_to_end(stepper, word, max_steps)
     return stepper.result(point, steps)

@@ -42,7 +42,8 @@ from typing import Optional
 
 from .errors import NotDeterministic
 from .model import (
-    HALT_MASS, MachinePPA, RunResult, column_text, over_budget, plain_sum, pop_on_bottom, room,
+    HALT_MASS, MachinePPA, RunResult, check_kind, column_text, over_budget, plain_sum,
+    pop_on_bottom, room,
 )
 from .simulate import EMPTY, start, successor, walk_to_end
 
@@ -118,6 +119,7 @@ def run_ppa(
     word,
     max_steps: Optional[int] = None,
 ) -> RunResult:
+    check_kind(machine, MachinePPA)
     stepper = PPASteps(machine)
     try:
         point, steps = walk_to_end(stepper, word, max_steps)
@@ -134,6 +136,7 @@ def run_dpda(
     word,
     max_steps: Optional[int] = None,
 ) -> str:
+    check_kind(machine, MachinePPA)
     col_key = machine.nondeterministic_column
     if col_key is not None:
         raise NotDeterministic(

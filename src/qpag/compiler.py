@@ -36,6 +36,7 @@ from .model import (
     StackAlphabet,
     StackOp,
     TransitionQPAG,
+    check_kind,
     push,
     records,
     run_bounds,
@@ -86,6 +87,7 @@ def _fresh(name: str, used: set) -> str:
 
 
 def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
+    # the column check refuses a machine of another kind before any work
     report = check_qcpda(machine, mode="partial", tol=CHECK_TOL)
     if not report.passed:
         raise NonWellFormedInput(
@@ -226,6 +228,8 @@ def equiv_check(
     all the words as one ``simulate.run_batch``."""
     from .branching import BranchSteps
 
+    check_kind(original, MachineQCPDA)
+    check_kind(image, MachineQPAG)
     words = [tuple(word) for word in words]
     originals = [run_bounds(original, word, max_steps) for word in words]
     images = [run_bounds(image, w, IMAGE_STEPS * b) for w, (_, b) in zip(words, originals)]

@@ -123,9 +123,11 @@ class Frozen:
     ``wellformed.WfReport``, whose ``evaluations`` is a dict, raises
     TypeError. Fields live in the instance's ``__dict__``. After
     construction a machine's ``__dict__`` also takes what is cached on it:
-    each ``cached_property`` read (``columns``, say) and the verdict
-    ``problem1._reduced`` keeps under ``_problem1_reduced``. A report has
-    neither, so it holds exactly its fields. No source is generated, as
+    each ``cached_property`` read (``columns``, say), the verdict
+    ``problem1._reduced`` keeps under ``_problem1_reduced``, and the
+    condition sums ``wellformed.check_qpag`` and ``check_qcpda`` keep under
+    ``_check_qpag_sums`` and ``_check_qcpda_sums``. A report has none of
+    these, so it holds exactly its fields. No source is generated, as
     ``dataclasses`` does at import: one ``__init__`` serves every class."""
 
     _fields = ()
@@ -604,6 +606,14 @@ def step_budget(max_steps: int) -> int:
     if max_steps < 0:
         raise InvariantError(f"step budget must be nonnegative, got {max_steps}")
     return max_steps
+
+
+def check_kind(machine, kind: type) -> None:
+    """InvariantError, naming both classes, unless ``machine`` is a
+    ``kind``. Each checker, the audit, the compiler and each engine calls
+    it first, so a machine of another kind is refused before any work."""
+    if not isinstance(machine, kind):
+        raise InvariantError(f"expected a {kind.__name__}, got a {type(machine).__name__}")
 
 
 def check_tolerance(tol: float) -> None:

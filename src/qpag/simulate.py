@@ -203,6 +203,7 @@ from .model import (
     RunResult,
     StateVector,
     StepSnapshot,
+    check_kind,
     over_budget,
     pop_on_bottom,
     room,
@@ -511,8 +512,10 @@ class KernelSteps:
 
 def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecord]:
     """Yield one StepRecord per loop iteration until the live mass dies out
-    or the budget is exhausted. A negative ``max_steps`` raises
-    InvariantError when the first record is taken."""
+    or the budget is exhausted. A negative ``max_steps``, or a machine
+    that is not a MachineQPAG, raises InvariantError when the first record
+    is taken."""
+    check_kind(machine, MachineQPAG)
     stepper = KernelSteps(machine)
     budget = step_budget(max_steps)
     for i, point in walk(stepper, tape, stepper.start(), 1, budget):
@@ -650,6 +653,7 @@ def run(
     """Full run with probability accounting and optional per-step trace of
     the ``trace_depth`` largest surviving amplitudes. A negative
     ``trace_depth`` raises InvariantError."""
+    check_kind(machine, MachineQPAG)
     if trace_depth < 0:
         raise InvariantError(f"trace depth must be nonnegative, got {trace_depth}")
     tape, budget = run_bounds(machine, word, max_steps)

@@ -57,6 +57,17 @@ Every condition sum is accumulated in sorted term order, each
 ``(cid, key, term_key)`` names both of its rows, and the row rules come in
 canonical row order, so reports are bit-identical across transition
 reorderings.
+
+The sums depend on the machine alone, so ``_check_amplitudes`` works them
+out once per machine and checker: the row-rule entries, the column norms
+and the orthogonality sums are kept in the machine's ``__dict__`` under
+``_check_qpag_sums`` or ``_check_qcpda_sums``, beside the column index.
+Each call then applies only its mode and tolerance, so the second mode of
+a machine, another tolerance and every later ``compiler.compile_qcpda`` of
+it sum nothing again, and the reports are those of a fresh copy.
+``check_ppa``, whose "range" rule depends on ``tol``, keeps nothing. Every
+checker and ``audit_unitarity`` refuse a machine of another kind before
+any work (``model.check_kind``), so no checker ever fills another's entry.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ from .model import (
     MachineQPAG,
     Record,
     StackOp,
+    check_kind,
     check_tolerance,
     column_text,
     over_budget,
@@ -129,14 +141,21 @@ _WITNESS = {
 _RENDER = {"prefix": tokens_doc, "op2": _op_desc}
 
 
+# conditions none of whose witness fields is rendered
+_PLAIN = frozenset(cid for cid, names in _WITNESS.items() if _RENDER.keys().isdisjoint(names))
+
+
 def _violation(cid, key, residual, *extra):
     """The sortable entry (cid, key, Violation) of one failed condition. Its
-    witness pairs the condition's field names with ``key`` then ``extra``."""
-    values = key + extra
-    witness = tuple(
-        (name, _RENDER[name](value) if name in _RENDER else value)
-        for name, value in zip(_WITNESS[cid], values, strict=True)
-    )
+    witness pairs the condition's field names with ``key`` then ``extra``,
+    as they are unless the condition renders a field."""
+    pairs = zip(_WITNESS[cid], key + extra, strict=True)
+    if cid in _PLAIN:
+        witness = tuple(pairs)
+    else:
+        witness = tuple(
+            (name, _RENDER[name](value) if name in _RENDER else value) for name, value in pairs
+        )
     return cid, key, Violation(cid, witness, residual)
 
 
@@ -176,12 +195,12 @@ def _sums(terms):
     return sums
 
 
-def _orthogonality(cids, terms, tol, viols):
-    """Report each ``(cid, key)`` whose terms sum to more than ``tol`` in
-    absolute value; returns each of ``cids`` with its number of keys
-    evaluated, 0 for a condition with none."""
+def _orthogonality(cids, sums, tol, viols):
+    """Report each ``(cid, key)`` of ``sums`` (``_sums`` of the terms) whose
+    sum is more than ``tol`` in absolute value; returns each of ``cids``
+    with its number of keys evaluated, 0 for a condition with none."""
     counts = dict.fromkeys(cids, 0)
-    for (cid, key), total in _sums(terms).items():
+    for (cid, key), total in sums.items():
         counts[cid] += 1
         if abs(total) > tol:
             viols.append(_violation(cid, key, abs(total)))
@@ -301,30 +320,43 @@ def _meeting_terms(cids, rows, others, tail):
 # ======================================================================
 
 
-def _check_amplitudes(machine, mode, tol, cids, terms):
+def _check_amplitudes(machine, mode, tol, cids, terms, name):
     """The column checks of an amplitude machine: the row rules
     (``_row_rules``), column norms (1) and the orthogonality conditions
     ``cids``, whose terms ``terms(rows)`` yields from the rows of nonzero
     amplitude. Partial mode checks the defined columns for overshoot, total
-    mode every column of Q x Sigma x Gamma."""
+    mode every column of Q x Sigma x Gamma.
+
+    What depends on the machine alone, the row-rule entries, the column
+    norms and the orthogonality sums, is worked out on the first call and
+    kept in the machine's ``__dict__`` under ``name``, one key per checker,
+    as ``cached_property`` keeps ``columns``. Every call, the first too,
+    then checks its mode and tolerance against the kept sums, on a copy of
+    the kept row-rule list, so a second mode, another tolerance or a later
+    ``compiler.compile_qcpda`` sums nothing again."""
     if mode not in ("partial", "total"):
         raise InvariantError(f"unknown check mode {mode!r}")
     check_tolerance(tol)
-    trans = [t for t in machine.transitions if t.amp != 0]
-    viols = _row_rules(machine)
-    norms = _column_norms(trans, lambda t: abs(t.amp) ** 2)
+    kept = vars(machine)
+    if name not in kept:
+        trans = [t for t in machine.transitions if t.amp != 0]
+        norms = _column_norms(trans, lambda t: abs(t.amp) ** 2)
+        kept[name] = _row_rules(machine), norms, _sums(terms(trans))
+    rules, norms, sums = kept[name]
+    viols = list(rules)
     if mode == "partial":
         evaluated = _norm_violations(norms, norms, lambda s: s > 1 + tol, viols)
     else:
         alphabets = (machine.input_alphabet.symbols, machine.stack_alphabet.symbols)
         every = list(product(machine.states, *alphabets))
         evaluated = _norm_violations(norms, every, lambda s: abs(s - 1) > tol, viols)
-    evaluations = {"1": evaluated, **_orthogonality(cids, terms(trans), tol, viols)}
+    evaluations = {"1": evaluated, **_orthogonality(cids, sums, tol, viols)}
     return _finish(viols, mode, evaluations)
 
 
 def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -> WfReport:
     """Column conditions for the garbage-tape machine."""
+    check_kind(machine, MachineQPAG)
 
     def terms(trans):
         g_set = machine.push_string_universe
@@ -338,7 +370,8 @@ def check_qpag(machine: MachineQPAG, mode: str = "partial", tol: float = 1e-9) -
             _head_shift_terms(trans),
         )
 
-    return _check_amplitudes(machine, mode, tol, ("2", "3a", "3b", "4", "5a", "5b"), terms)
+    cids = ("2", "3a", "3b", "4", "5a", "5b")
+    return _check_amplitudes(machine, mode, tol, cids, terms, "_check_qpag_sums")
 
 
 def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9) -> WfReport:
@@ -352,16 +385,18 @@ def check_qcpda(machine: MachineQCPDA, mode: str = "partial", tol: float = 1e-9)
     word may repeat a symbol at adjacent positions. Also flags any amplitude
     that would schedule a pop on the bottom symbol.
     """
+    check_kind(machine, MachineQCPDA)
 
     def terms(trans):
         return chain(_same_column_terms(trans), _head_shift_terms(trans))
 
-    return _check_amplitudes(machine, mode, tol, ("2", "4"), terms)
+    return _check_amplitudes(machine, mode, tol, ("2", "4"), terms, "_check_qcpda_sums")
 
 
 def check_ppa(machine: MachinePPA, tol: float = 1e-9) -> WfReport:
     """Row stochasticity: every defined column's probabilities sum to 1,
     every probability lies in [0, 1], and nothing pops the bottom symbol."""
+    check_kind(machine, MachinePPA)
     check_tolerance(tol)
     viols = _row_rules(machine, tol)
     norms = _column_norms(
@@ -482,6 +517,7 @@ def audit_unitarity(
     far and the cells in the table when the step began pass
     ``model.ENTRY_BUDGET``.
     """
+    check_kind(machine, MachineQPAG)
     if depth < 1:
         raise InvariantError("audit depth must be at least 1")
     check_tolerance(tol)

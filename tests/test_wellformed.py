@@ -7,10 +7,12 @@ from qpag.model import replace
 
 import pytest
 
-from qpag import problem1
-from qpag.compiler import compile_qcpda
+from qpag import problem1, wellformed
+from qpag.branching import run_qcpda
+from qpag.classical import run_dpda, run_ppa
+from qpag.compiler import compile_qcpda, equiv_check
 from qpag.errors import InvariantError, PopOnBottom
-from qpag.machinefile import emit_json
+from qpag.machinefile import emit_json, serialize_machine
 from qpag.model import (
     EPSILON,
     POP,
@@ -24,6 +26,7 @@ from qpag.model import (
     TransitionQPAG,
     push,
 )
+from qpag.simulate import run, trajectory
 from qpag.wellformed import audit_unitarity, check_ppa, check_qcpda, check_qpag
 
 from .corpus import TOTAL_MACHINES, coin_ppa, dpda_wcwr, mutants
@@ -755,3 +758,135 @@ def test_reports_do_not_depend_on_table_order():
             orders.append(tuple(rows))
         for rows in orders:
             assert _report_texts(replace(machine, transitions=rows)) == want, i
+
+
+# ----------------------------------------------------------------------
+# the sums kept on a machine
+# ----------------------------------------------------------------------
+
+# the key each amplitude checker keeps its machine-only work under
+_KEPT = {MachineQPAG: "_check_qpag_sums", MachineQCPDA: "_check_qcpda_sums"}
+
+
+def _amplitude_check(machine):
+    return check_qcpda if isinstance(machine, MachineQCPDA) else check_qpag
+
+
+@pytest.mark.parametrize(
+    "calls",
+    [
+        [("total", 1e-9), ("partial", 1e-9)],
+        [("partial", 1e-9), ("partial", 1e-3), ("total", 1e-9)],
+    ],
+    ids=["total-first", "partial-first"],
+)
+def test_kept_sums_give_a_fresh_copys_reports(calls):
+    machines = (
+        [problem1.build_machine()]
+        + [mu.machine for mu in mutants()]
+        + [random_qpag_table(seed) for seed in range(40)]
+        + [random_qcpda(seed) for seed in range(40)]
+        + [compile_qcpda(random_qcpda(seed))[0] for seed in range(40)]
+    )
+    for i, machine in enumerate(machines):
+        check = _amplitude_check(machine)
+        kept = replace(machine)
+        for mode, tol in calls:
+            got = check(kept, mode, tol).to_json_dict()
+            want = check(replace(machine), mode, tol).to_json_dict()
+            assert emit_json(got, floats="repr") == emit_json(want, floats="repr"), (i, mode, tol)
+        assert _KEPT[type(machine)] in vars(kept)
+
+
+def test_kept_sums_stay_out_of_the_machine():
+    for machine in (problem1.build_machine(), random_qcpda(3)):
+        check = _amplitude_check(machine)
+        fresh = replace(machine)
+        report = check(machine, "total")
+        assert _KEPT[type(machine)] in vars(machine)
+        assert _KEPT[type(machine)] not in vars(fresh)
+        assert machine == fresh
+        assert hash(machine) == hash(fresh)
+        assert repr(machine) == repr(fresh)
+        assert serialize_machine(machine) == serialize_machine(fresh)
+        assert set(report.to_json_dict()) == {"passed", "mode", "violations", "evaluations"}
+        assert _KEPT[type(machine)] not in vars(replace(machine))
+
+
+def test_a_second_mode_or_compile_sums_nothing(monkeypatch):
+    calls = []
+    sums = wellformed._sums
+    monkeypatch.setattr(wellformed, "_sums", lambda terms: calls.append(1) or sums(terms))
+    machine = problem1.build_machine()
+    check_qpag(machine, "partial")
+    assert calls
+    calls.clear()
+    check_qpag(machine, "total")
+    assert calls == []
+
+    machine = random_qcpda(0)
+    compile_qcpda(machine)
+    assert calls
+    calls.clear()
+    image, _ = compile_qcpda(machine)
+    check_qcpda(machine, "total", tol=1e-3)
+    assert calls == []
+    check_qpag(image)
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "cid, key",
+    [("1", ("q", "a")), ("3a", ("a", "q", "Z", "q", "Z")), ("range", ("q", "a", "Z", "q", 1))],
+    ids=["plain", "rendered", "extra-missing"],
+)
+def test_witness_length_stays_strict(cid, key):
+    with pytest.raises(ValueError):
+        wellformed._violation(cid, key, 0.0)
+
+
+# ----------------------------------------------------------------------
+# a machine of another kind is refused before any work
+# ----------------------------------------------------------------------
+
+_TAKES = [
+    pytest.param(check_qpag, MachineQPAG, id="check_qpag"),
+    pytest.param(check_qcpda, MachineQCPDA, id="check_qcpda"),
+    pytest.param(check_ppa, MachinePPA, id="check_ppa"),
+    pytest.param(lambda m: audit_unitarity(m, ()), MachineQPAG, id="audit_unitarity"),
+    pytest.param(compile_qcpda, MachineQCPDA, id="compile_qcpda"),
+    pytest.param(
+        lambda m: equiv_check(m, compile_qcpda(random_qcpda(0))[0], [()]),
+        MachineQCPDA,
+        id="equiv_check-original",
+    ),
+    pytest.param(
+        lambda m: equiv_check(random_qcpda(0), m, [()]), MachineQPAG, id="equiv_check-image"
+    ),
+    pytest.param(lambda m: run(m, ()), MachineQPAG, id="run"),
+    pytest.param(lambda m: next(trajectory(m, ("<", ">"), 4)), MachineQPAG, id="trajectory"),
+    pytest.param(lambda m: run_qcpda(m, ()), MachineQCPDA, id="run_qcpda"),
+    pytest.param(lambda m: run_ppa(m, ()), MachinePPA, id="run_ppa"),
+    pytest.param(lambda m: run_dpda(m, ()), MachinePPA, id="run_dpda"),
+]
+
+_KINDS = {
+    MachineQPAG: problem1.build_machine,
+    MachineQCPDA: lambda: random_qcpda(0),
+    MachinePPA: dpda_wcwr,
+}
+
+
+@pytest.mark.parametrize("given", sorted(_KINDS, key=lambda kind: kind.__name__))
+@pytest.mark.parametrize("call, expected", _TAKES)
+def test_a_machine_of_another_kind_is_refused(call, expected, given):
+    machine = _KINDS[given]()
+    if given is expected:
+        call(machine)
+        return
+    before = dict(vars(machine))
+    message = f"^expected a {expected.__name__}, got a {given.__name__}$"
+    with pytest.raises(InvariantError, match=message):
+        call(machine)
+    # nothing was worked out or kept on the machine
+    assert vars(machine) == before
