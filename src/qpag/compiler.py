@@ -96,8 +96,7 @@ def compile_qcpda(machine: MachineQCPDA) -> tuple[MachineQPAG, CompileMap]:
         )
 
     sigma = machine.sigma_map
-    targets = {t.target for t in machine.transitions}
-    reached = sorted(q for q in targets if not machine.is_halting(q))
+    reached = sorted({t.target for t in machine.transitions} - machine.halting)
     # fresh names: one marker per stack operation that actually fires, then
     # one staging pair per reached target
     used_stack = set(machine.stack_alphabet.symbols)

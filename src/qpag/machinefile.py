@@ -13,9 +13,9 @@ is a SchemaError, as JSON has no token for it. Strings and keys
 them, so non-ASCII text is written as is.
 
 The three kinds (qpag, qcpda, ppa) share one reader and one writer, run
-off two tables. ``_ROW_FIELDS`` (and ``_ALPHABET_FIELDS`` for the two
-alphabets) maps each record field to its key in the file and its value
-reader and writer; a transition row's keys follow the field order of its
+off two tables. ``_FIELDS`` maps each field of the two alphabets and the
+three transition classes to its key in the file and its value reader and
+writer; a transition row's keys follow the field order of its
 transition class, so every kind writes ``from, read, top, to, [op], move,
 amp|prob`` (the first four from the rows' shared base). ``_KINDS`` maps
 each kind to its machine class, its top-level keys, the reader and writer
@@ -286,16 +286,14 @@ def _op_to_doc(op: StackOp):
 # Schema tables
 # ======================================================================
 
-# Dataclass field -> (key in the file, value reader, value writer), for the
+# Record field -> (key in the file, value reader, value writer), for the
 # fields of the two alphabets and of the three transition classes. A writer
 # of None writes the value as it is.
-_ALPHABET_FIELDS = {
+_FIELDS = {
     "symbols": ("symbols", _string_list, list),
     "left_end": ("left_end", _string, None),
     "right_end": ("right_end", _string, None),
     "bottom": ("bottom", _string, None),
-}
-_ROW_FIELDS = {
     "source": ("from", _string, None),
     "read": ("read", _string, None),
     "top": ("top", _string, None),
@@ -307,13 +305,13 @@ _ROW_FIELDS = {
 }
 
 
-def _schema(cls, table):
+def _schema(cls):
     """The reader and the writer of the objects of record class ``cls``: one
     key per field, in field order, laid out once. The reader checks the
     keys, reads each field under its path relative to the object (".amp"),
     puts ``path`` in front of the message of the field it rejects, and
     calls ``cls`` once with the values in field order."""
-    layout = tuple((name,) + table[name] for name in cls._fields)
+    layout = tuple((name,) + _FIELDS[name] for name in cls._fields)
     allowed = _fields(*(key for _, key, _, _ in layout))
     reads = tuple((key, check, "." + key) for _, key, check, _ in layout)
 
@@ -334,8 +332,8 @@ def _schema(cls, table):
     return read, write
 
 
-_read_input_alphabet, _write_input_alphabet = _schema(InputAlphabet, _ALPHABET_FIELDS)
-_read_stack_alphabet, _write_stack_alphabet = _schema(StackAlphabet, _ALPHABET_FIELDS)
+_read_input_alphabet, _write_input_alphabet = _schema(InputAlphabet)
+_read_stack_alphabet, _write_stack_alphabet = _schema(StackAlphabet)
 
 
 # The top-level field of one kind alone: its reader returns the machine's
@@ -385,7 +383,7 @@ _TOP_FIELDS = (
 
 def _kind(machine, read_own, write_own, required=(), optional=()):
     keys = _fields(*_TOP_FIELDS, *required, optional=optional)
-    return _Kind(machine, keys, read_own, write_own, *_schema(machine.row_class, _ROW_FIELDS))
+    return _Kind(machine, keys, read_own, write_own, *_schema(machine.row_class))
 
 
 _KINDS = {

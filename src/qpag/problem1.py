@@ -32,6 +32,7 @@ from .model import (
     Record,
     StackAlphabet,
     TransitionQPAG,
+    check_kind,
     check_tolerance,
     default_max_steps,
     make_tape,
@@ -481,6 +482,7 @@ def sweep(
     reduced = machine is None  # the built-in machine, known without comparing
     if machine is None:
         machine = build_machine()
+    check_kind(machine, MachineQPAG)
     if samples is None:
         reduced = reduced or _reduced(machine)
         checked, failures, max_dev = _sweep_exhaustive(machine, n, tol, reduced)

@@ -84,14 +84,14 @@ every quantum engine shares, and the step loop every run shares.
   position k the caller's ``expand`` splits each node's members into
   groups by (symbol at k, budget), handing back each group's members as
   it wants them one position on. The node first steps through ``walk``
-  on its known tape alone until
-  a checkpoint has a head at k, once per budget among its groups: every
-  node but the start holds one budget, since its key holds it, and the
-  start's head is at 0, so it takes no such step. Each group steps on from
-  that checkpoint, on the known tape and its symbol at k, through one
-  step, the step that reads k; on the group's last position, the right
-  endmarker, it steps to the end instead. A group whose run has ended, in
-  the node's walk or its own, is handed back with the result.
+  on its known tape alone until a checkpoint has a head at k, once for
+  all its groups: every node but the start holds one budget, since its
+  key holds it, and the start's head is at 0, so it takes no such step.
+  Each group steps on from that checkpoint, on the known tape and its
+  symbol at k, through one step, the step that reads k; on the group's
+  last position, the right endmarker, it steps to the end instead. A
+  group whose run has ended, in the node's walk or its own, is handed
+  back with the result.
   The others become the next layer's nodes, with the walked tape as their
   known tape, two groups merging into one node, their values added key by
   key with ``+``, when their keys
@@ -119,7 +119,7 @@ every quantum engine shares, and the step loop every run shares.
   run's mass halts or its budget runs out there, are those each group's
   own walk would reach on its tape, float for float, and a step taken
   again would intern only cells the first one made; so the node takes
-  them once per budget, and a group starts from its last one. From there
+  them once, and each group starts from its last one. From there
   each step of the group's walk reads only positions ``low`` through k,
   where the runs agree and the walked tape holds their symbols, and the
   step that reads k ends it. The parked check decides alike for every
@@ -209,7 +209,6 @@ from .model import (
     room,
     run_bounds,
     step_budget,
-    vector_norm_sq,
 )
 
 
@@ -464,7 +463,7 @@ class KernelSteps:
 
     def start(self):
         psi = {start(self.machine, self.table): 1 + 0j}
-        return (psi, 0.0, 0.0, 0.0, 0.0, vector_norm_sq(psi), 0.0, 0.0, 0.0, 0.0)
+        return (psi, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0)
 
     def step(self, point, tape, i):
         psi, acc, rej, parked, truncated = point[:5]
@@ -551,9 +550,10 @@ def run_layers(stepper, members: dict, expand):
     members, opaque keys with values; ``expand(k, members)`` splits a
     node's members by what its runs read at tape position ``k``: a dict
     (symbol at ``k``, step budget) -> that group's members, a new dict with
-    the keys and values the caller wants one position on. When groups
-    merge into one node, the loop adds the later ones' members into the
-    first one's dict with ``old + value``.
+    the keys and values the caller wants one position on. A run's budget
+    never changes between layers: ``expand`` gives it the same one at
+    every position. When groups merge into one node, the loop adds the
+    later ones' members into the first one's dict with ``old + value``.
 
     Yields, for each position k, the ends of layer k + 1: a list of (group
     members, result) pairs, one per group whose run ended."""
@@ -577,7 +577,7 @@ def _advance(stepper, layer, k, expand, right_end):
     """The layer after ``layer``, whose nodes' runs have read only tape
     positions below ``k`` and whose known tapes run through position
     k - 1: each node's members are expanded at ``k``, the node is walked
-    once per budget to its first checkpoint with a head at ``k``
+    once to its first checkpoint with a head at ``k``
     (``_reach``), and each group steps on from there with its symbol at
     ``k``, through the step that reads ``k`` or, on the right endmarker, to
     the end. Returns (nodes, ends), the ends as ``run_layers`` yields
@@ -587,11 +587,12 @@ def _advance(stepper, layer, k, expand, right_end):
     ends: list = []
     held = 0
     for point, step, members, known in layer:
-        reached: dict = {}
+        reached = None
         for (symbol, budget), group in expand(k, members).items():
-            if budget not in reached:
-                reached[budget] = _reach(stepper, known, point, step, budget, k)
-            here, i = reached[budget]
+            # one walk serves every group: a node's key holds its budget, and
+            # the start, whose groups' budgets may differ, has its head at 0
+            reached = reached or _reach(stepper, known, point, step, budget, k)
+            here, i = reached
             last = symbol == right_end
             tape = known + (symbol,)
             for i, here in walk(stepper, tape, here, i + 1, budget):

@@ -118,8 +118,7 @@ class WfReport(Record):
 
 
 def _op_desc(op_key) -> str:
-    kind, payload = op_key
-    return StackOp(kind, tuple(payload)).describe()
+    return StackOp(*op_key).describe()
 
 
 _SHIFT = ("state1", "read1", "top1", "move1", "state2", "read2", "top2", "move2")
@@ -164,13 +163,10 @@ def _row_rules(machine, tol=None):
     canonical row order: "pop-on-z" for each row whose compiled effect
     pops the bottom symbol (``GARBAGE_POP`` or ``SCHEDULED_POP``), its
     residual the weight's magnitude; and, given ``tol``, "range" for each
-    weight more than ``tol`` outside [0, 1]. Without ``tol`` only the
-    columns whose top is the bottom symbol are read."""
+    weight more than ``tol`` outside [0, 1]."""
     bottom = machine.stack_alphabet.bottom
     viols = []
     for (state, read, top), rows in machine.columns.items():
-        if top != bottom and tol is None:
-            continue
         for w, target, move, effect in rows:
             key = (state, read, top, target, move)
             if top == bottom and effect in (GARBAGE_POP, SCHEDULED_POP):

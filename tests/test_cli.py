@@ -135,9 +135,14 @@ def test_audit_passes(builtin_file, capsys):
 
 
 def test_audit_rejects_ppa_file(tmp_path, capsys):
-    path = tmp_path / "coin.json"
-    path.write_text(serialize_machine(coin_ppa()), encoding="utf-8")
-    assert main(["audit", str(path), "--input", "a"]) == 2
+    # and a qcpda file: the audit steps the garbage-tape kernel alone
+    for name, machine in [("coin", coin_ppa()), ("walker", halting_walker())]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(serialize_machine(machine), encoding="utf-8")
+        assert main(["audit", str(path), "--input", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: audit requires a qpag machine file\n"
 
 
 def test_run_reports_probabilities(builtin_file, capsys):
@@ -274,7 +279,16 @@ def test_compile_rejects_bad_machine(tmp_path, capsys):
 
 
 def test_compile_rejects_plain_machine_file(builtin_file, tmp_path, capsys):
-    assert main(["compile", builtin_file, "-o", str(tmp_path / "x.json")]) == 2
+    # and a ppa file: only a scheduled-stack machine is lowered
+    coin = tmp_path / "coin.json"
+    coin.write_text(serialize_machine(coin_ppa()), encoding="utf-8")
+    out = tmp_path / "x.json"
+    for path in [builtin_file, str(coin)]:
+        assert main(["compile", path, "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: compile requires a qcpda machine file\n"
+    assert not out.exists()
 
 
 def test_problem1_build_round_trip(tmp_path, capsys):

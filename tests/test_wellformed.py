@@ -868,6 +868,10 @@ _TAKES = [
     pytest.param(lambda m: run_qcpda(m, ()), MachineQCPDA, id="run_qcpda"),
     pytest.param(lambda m: run_ppa(m, ()), MachinePPA, id="run_ppa"),
     pytest.param(lambda m: run_dpda(m, ()), MachinePPA, id="run_dpda"),
+    pytest.param(lambda m: problem1.sweep(1, machine=m), MachineQPAG, id="sweep-exhaustive"),
+    pytest.param(
+        lambda m: problem1.sweep(1, samples=4, machine=m), MachineQPAG, id="sweep-sampled"
+    ),
 ]
 
 _KINDS = {
