@@ -113,6 +113,9 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     children's stacks are interned in ``table``, the run's cell table. The
     step holds its own expansion to the entry budget, as ``evolve`` does.
     A surviving class that popped the bottom symbol raises PopOnBottom.
+    ``BranchSteps`` checks the machine's kind when it is built; this
+    function, called once per branch per step, does not, just as
+    ``evolve`` takes its column index unchecked.
     """
     prob, stack, psi = branch
     columns = machine.columns
@@ -180,6 +183,7 @@ class BranchSteps:
     stack, so ``key`` holds each branch's cell beside its items."""
 
     def __init__(self, machine: MachineQCPDA):
+        check_kind(machine, MachineQCPDA)
         self.machine = machine
         self.table: dict = {}
 
@@ -260,7 +264,6 @@ def run_qcpda(
 ) -> RunResult:
     """Full run of the branch frontier with probability accounting,
     holding only the live frontier."""
-    check_kind(machine, MachineQCPDA)
     stepper = BranchSteps(machine)
     point, steps = walk_to_end(stepper, word, max_steps)
     return stepper.result(point, steps)

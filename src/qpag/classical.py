@@ -58,6 +58,7 @@ class PPASteps:
     docstring gives its checkpoint."""
 
     def __init__(self, machine: MachinePPA):
+        check_kind(machine, MachinePPA)
         self.machine = machine
         self.table: dict = {}
         self.undefined: dict = {}  # (state, read, top) -> None, first met first
@@ -119,7 +120,6 @@ def run_ppa(
     word,
     max_steps: Optional[int] = None,
 ) -> RunResult:
-    check_kind(machine, MachinePPA)
     stepper = PPASteps(machine)
     try:
         point, steps = walk_to_end(stepper, word, max_steps)
@@ -136,13 +136,13 @@ def run_dpda(
     word,
     max_steps: Optional[int] = None,
 ) -> str:
-    check_kind(machine, MachinePPA)
+    stepper = PPASteps(machine)
     col_key = machine.nondeterministic_column
     if col_key is not None:
         raise NotDeterministic(
             f"{column_text(col_key)} is not a single probability-1 transition"
         )
-    (_, p_acc, p_rej, leaked), _ = walk_to_end(PPASteps(machine), word, max_steps)
+    (_, p_acc, p_rej, leaked), _ = walk_to_end(stepper, word, max_steps)
     if p_acc:
         return ACCEPT
     if p_rej:

@@ -36,7 +36,6 @@ from .model import (
     StackAlphabet,
     StackOp,
     TransitionQPAG,
-    check_kind,
     push,
     records,
     run_bounds,
@@ -227,14 +226,14 @@ def equiv_check(
     all the words as one ``simulate.run_batch``."""
     from .branching import BranchSteps
 
-    check_kind(original, MachineQCPDA)
-    check_kind(image, MachineQPAG)
+    original_steps = BranchSteps(original)
+    image_steps = ImageSteps(image)
     words = [tuple(word) for word in words]
     originals = [run_bounds(original, word, max_steps) for word in words]
     images = [run_bounds(image, w, IMAGE_STEPS * b) for w, (_, b) in zip(words, originals)]
     rows = []
     for word, orig, (ia, ir, inon, deco) in zip(
-        words, run_batch(BranchSteps(original), originals), run_batch(ImageSteps(image), images)
+        words, run_batch(original_steps, originals), run_batch(image_steps, images)
     ):
         da = abs(orig.p_acc - ia)
         dr = abs(orig.p_rej - ir)

@@ -423,9 +423,6 @@ class _Machine(Frozen):
     def halting(self) -> frozenset[str]:
         return self.accepting | self.rejecting
 
-    def is_halting(self, state: str) -> bool:
-        return state in self.halting
-
     # the effect a row's pop compiles to (see ``GARBAGE_POP``)
     _pop = GARBAGE_POP
 
@@ -610,8 +607,10 @@ def step_budget(max_steps: int) -> int:
 
 def check_kind(machine, kind: type) -> None:
     """InvariantError, naming both classes, unless ``machine`` is a
-    ``kind``. Each checker, the audit, the compiler and each engine calls
-    it first, so a machine of another kind is refused before any work."""
+    ``kind``. Each checker and each stepper whose rules depend on the kind
+    (``KernelSteps``, ``BranchSteps``, ``PPASteps``, ``AuditSteps``) calls
+    it first, so every entry point, batch and walk refuses a machine of
+    another kind before any work."""
     if not isinstance(machine, kind):
         raise InvariantError(f"expected a {kind.__name__}, got a {type(machine).__name__}")
 

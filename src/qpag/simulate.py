@@ -458,6 +458,7 @@ class KernelSteps:
     batches; the module docstring gives its checkpoint."""
 
     def __init__(self, machine: MachineQPAG):
+        check_kind(machine, MachineQPAG)
         self.machine = machine
         self.table: dict = {}
 
@@ -514,7 +515,6 @@ def trajectory(machine: MachineQPAG, tape, max_steps: int) -> Iterator[StepRecor
     or the budget is exhausted. A negative ``max_steps``, or a machine
     that is not a MachineQPAG, raises InvariantError when the first record
     is taken."""
-    check_kind(machine, MachineQPAG)
     stepper = KernelSteps(machine)
     budget = step_budget(max_steps)
     for i, point in walk(stepper, tape, stepper.start(), 1, budget):
@@ -654,11 +654,10 @@ def run(
     """Full run with probability accounting and optional per-step trace of
     the ``trace_depth`` largest surviving amplitudes. A negative
     ``trace_depth`` raises InvariantError."""
-    check_kind(machine, MachineQPAG)
+    stepper = KernelSteps(machine)
     if trace_depth < 0:
         raise InvariantError(f"trace depth must be nonnegative, got {trace_depth}")
     tape, budget = run_bounds(machine, word, max_steps)
-    stepper = KernelSteps(machine)
     point = stepper.start()
     steps = 0
     snaps: list[StepSnapshot] = []

@@ -66,8 +66,9 @@ Each call then applies only its mode and tolerance, so the second mode of
 a machine, another tolerance and every later ``compiler.compile_qcpda`` of
 it sum nothing again, and the reports are those of a fresh copy.
 ``check_ppa``, whose "range" rule depends on ``tol``, keeps nothing. Every
-checker and ``audit_unitarity`` refuse a machine of another kind before
-any work (``model.check_kind``), so no checker ever fills another's entry.
+checker, and ``AuditSteps`` for the audit, refuses a machine of another
+kind before any work (``model.check_kind``), so no checker ever fills
+another's entry.
 """
 
 from __future__ import annotations
@@ -445,6 +446,7 @@ class AuditSteps:
     slower, and cost ``verify_io`` 3.1 % of its items/s."""
 
     def __init__(self, machine: MachineQPAG, depth: int):
+        check_kind(machine, MachineQPAG)
         self.machine = machine
         self.depth = depth
         self.table: dict = {}
@@ -513,11 +515,10 @@ def audit_unitarity(
     far and the cells in the table when the step began pass
     ``model.ENTRY_BUDGET``.
     """
-    check_kind(machine, MachineQPAG)
+    stepper = AuditSteps(machine, depth)
     if depth < 1:
         raise InvariantError("audit depth must be at least 1")
     check_tolerance(tol)
-    stepper = AuditSteps(machine, depth)
     walk_to_end(stepper, word, depth + 1)
     seen = stepper.seen
     images = sorted(stepper.images.items(), key=lambda item: seen[item[0]])

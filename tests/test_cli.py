@@ -318,6 +318,18 @@ def test_problem1_sweep_exhaustive(capsys):
     assert doc["failures"] == []
 
 
+def test_console_script_entry_reads_argv_and_exits_with_the_code(monkeypatch, capsys):
+    # ``qpag = "qpag.cli:entry"`` in pyproject.toml: the installed script
+    # reads sys.argv and leaves through SystemExit with main's exit code
+    monkeypatch.setattr(sys, "argv", ["qpag", "problem1", "sweep", "-n", "1", "--exhaustive"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    doc = _json_out(capsys)
+    assert doc["checked"] == 36
+    assert doc["failures"] == []
+
+
 def test_problem1_sweep_sampled(capsys):
     assert main(["problem1", "sweep", "-n", "5", "--samples", "10"]) == 0
     doc = _json_out(capsys)

@@ -40,7 +40,7 @@ def test_image_is_well_formed():
 def test_transition_count_formula():
     m = halting_walker()
     image, cmap = compile_qcpda(m)
-    reached = {t.target for t in m.transitions if not m.is_halting(t.target)}
+    reached = {t.target for t in m.transitions if t.target not in m.halting}
     per_target = len(m.input_alphabet.symbols) * (len(m.stack_alphabet.symbols) + 1)
     want = len(m.transitions) + len(reached) * per_target
     assert cmap.image_transitions == want

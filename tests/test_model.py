@@ -490,7 +490,7 @@ def _expected_effect(machine, t):
     own operation in a QPAG or a PPA, its target's scheduled one in a
     QCPDA; a pop keeps garbage only in a QPAG."""
     if isinstance(machine, MachineQCPDA):
-        if machine.is_halting(t.target):
+        if t.target in machine.halting:
             return None
         op, pop = machine.sigma_map[t.target], SCHEDULED_POP
     else:

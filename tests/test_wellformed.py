@@ -8,9 +8,9 @@ from qpag.model import replace
 import pytest
 
 from qpag import problem1, wellformed
-from qpag.branching import run_qcpda
-from qpag.classical import run_dpda, run_ppa
-from qpag.compiler import compile_qcpda, equiv_check
+from qpag.branching import BranchSteps, run_qcpda
+from qpag.classical import PPASteps, run_dpda, run_ppa
+from qpag.compiler import ImageSteps, compile_qcpda, equiv_check
 from qpag.errors import InvariantError, PopOnBottom
 from qpag.machinefile import emit_json, serialize_machine
 from qpag.model import (
@@ -25,9 +25,10 @@ from qpag.model import (
     TransitionQCPDA,
     TransitionQPAG,
     push,
+    run_bounds,
 )
-from qpag.simulate import run, trajectory
-from qpag.wellformed import audit_unitarity, check_ppa, check_qcpda, check_qpag
+from qpag.simulate import KernelSteps, run, run_batch, trajectory, walk_to_end
+from qpag.wellformed import AuditSteps, audit_unitarity, check_ppa, check_qcpda, check_qpag
 
 from .corpus import TOTAL_MACHINES, coin_ppa, dpda_wcwr, mutants
 from .generators import random_qcpda, random_qpag_table
@@ -872,6 +873,24 @@ _TAKES = [
     pytest.param(
         lambda m: problem1.sweep(1, samples=4, machine=m), MachineQPAG, id="sweep-sampled"
     ),
+    # the steppers themselves, so a batch or a walk refuses as its engine does
+    pytest.param(
+        lambda m: run_batch(KernelSteps(m), [run_bounds(m, (), None)]),
+        MachineQPAG,
+        id="run_batch-KernelSteps",
+    ),
+    pytest.param(
+        lambda m: run_batch(ImageSteps(m), [run_bounds(m, (), None)]),
+        MachineQPAG,
+        id="run_batch-ImageSteps",
+    ),
+    pytest.param(
+        lambda m: run_batch(BranchSteps(m), [run_bounds(m, (), None)]),
+        MachineQCPDA,
+        id="run_batch-BranchSteps",
+    ),
+    pytest.param(lambda m: walk_to_end(PPASteps(m), ()), MachinePPA, id="walk-PPASteps"),
+    pytest.param(lambda m: walk_to_end(AuditSteps(m, 1), ()), MachineQPAG, id="walk-AuditSteps"),
 ]
 
 _KINDS = {
