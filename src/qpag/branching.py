@@ -154,7 +154,7 @@ def qcpda_step(machine: MachineQCPDA, tape, branch: Branch, table: dict) -> Step
     children = []
     for effect, (vec, mass) in classes.items():
         # the class's stack, built by the one stack rule
-        cell = successor(table, (None, 0, stack, EMPTY), None, 0, effect).stack
+        cell = successor(table, (None, 0, stack, EMPTY), None, 0, effect)[2]
         if cell is EMPTY:
             raise pop_on_bottom(stack)
         # every survivor has |amp| >= PRUNE_THRESHOLD, so mass > 0

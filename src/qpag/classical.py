@@ -1,10 +1,11 @@
 """Classical runners: probabilistic pushdown and its deterministic special
 case, both stepping one ``PPASteps`` through ``simulate.walk``.
 
-``PPASteps`` tracks a distribution over ``simulate.CellConfiguration``s
-whose garbage tape stays ``EMPTY``: the paper's garbage-tape configuration
-of a PPA, from ``simulate.start``. Each row of the machine's column index
-takes a configuration on through ``simulate.successor``; a PPA's pop keeps
+``PPASteps`` tracks a distribution over kernel configurations, (state,
+head, stack cell, garbage cell) tuples whose garbage tape stays ``EMPTY``:
+the paper's garbage-tape configuration of a PPA, from ``simulate.start``.
+Each row of the machine's column index takes a configuration on through
+``simulate.successor``; a PPA's pop keeps
 no garbage, and a row that pops the bottom symbol raises
 ``model.pop_on_bottom``'s PopOnBottom, as every engine does, before its
 target is tested for halting. Stacks are cells interned in the
@@ -94,7 +95,7 @@ class PPASteps:
                 continue
             for prob, target, move, effect in column:
                 succ = successor(table, conf, target, move, effect)
-                if succ.stack is EMPTY:  # the row popped the bottom symbol
+                if succ[2] is EMPTY:  # the row popped the bottom symbol
                     raise pop_on_bottom(stack)
                 part = mass * prob
                 if target in accepting:

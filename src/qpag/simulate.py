@@ -4,13 +4,17 @@ every quantum engine shares, and the step loop every run shares.
 * Inside the kernel a stack or a garbage tape is a ``Cell``: its top
   symbol, a link to the cell below it, and its length. Cells are interned
   in a table that belongs to one run or one ``run_layers`` batch (``cons``),
-  so equal tapes are the same object, a ``CellConfiguration`` hashes and
+  so equal tapes are the same object, a configuration of cells hashes and
   compares in O(1), and a push, a pop or a garbage append costs O(1)
   whatever the depth. Cells point down to their parents only, so a run's
   cells are freed when its table and vectors are.
-  ``CellConfiguration.view`` turns one back into a plain-tuple
-  ``Configuration`` where callers see it: ``StepRecord.psi``, the ``run``
-  trace and ``wellformed.audit_unitarity``'s reports.
+  A kernel configuration is a (state, head, stack cell, garbage cell)
+  tuple: ``start`` and ``evolve`` key their vectors by the
+  ``CellConfiguration`` NamedTuple, and ``successor`` returns a plain
+  tuple, which hashes and compares as the NamedTuple does. ``view`` turns
+  either back into a plain-tuple ``Configuration`` where callers see it:
+  ``StepRecord.psi``, the ``run`` trace and
+  ``wellformed.audit_unitarity``'s reports.
 * A machine compiles its rows once (``model._Machine.columns``, the one
   column index): each column's rows, in canonical order, as plain
   (weight, target, move, stack effect) tuples. A QPAG row's effect is its
@@ -271,12 +275,13 @@ class CellConfiguration(NamedTuple):
     stack: Cell
     garbage: Cell
 
-    def view(self) -> Configuration:
-        """The same configuration with plain-tuple stack and garbage."""
-        return _new_configuration(
-            Configuration,
-            (self.state, self.head, self.stack.tokens(), self.garbage.tokens()),
-        )
+
+def view(conf) -> Configuration:
+    """A kernel configuration, a ``CellConfiguration`` or a plain tuple of
+    (state, head, stack cell, garbage cell), with plain-tuple stack and
+    garbage."""
+    state, head, stack, garbage = conf
+    return _new_configuration(Configuration, (state, head, stack.tokens(), garbage.tokens()))
 
 
 def start(machine: MachineQPAG, table: dict) -> CellConfiguration:
@@ -287,11 +292,10 @@ def start(machine: MachineQPAG, table: dict) -> CellConfiguration:
     return CellConfiguration(machine.initial, 0, bottom, EMPTY)
 
 
-def successor(
-    table: dict, conf: CellConfiguration, target: str, move: int, effect
-) -> CellConfiguration:
+def successor(table: dict, conf, target: str, move: int, effect) -> tuple[str, int, Cell, Cell]:
     """The configuration a compiled row (weight, ``target``, ``move``,
-    ``effect``) takes ``conf`` to: its stack effect applies as ``evolve``
+    ``effect``) takes ``conf`` to, as a plain tuple (state, head, stack
+    cell, garbage cell): its stack effect applies as ``evolve``
     applies it, with new cells interned in ``table``. A garbage pop of the
     bottom symbol raises ``model.pop_on_bottom``'s PopOnBottom; a scheduled
     pop of it leaves the empty tape ``EMPTY``."""
@@ -307,10 +311,10 @@ def successor(
         else:
             for symbol in effect:
                 stack = cons(table, stack, symbol)
-    return _new_configuration(CellConfiguration, (target, head + move, stack, garbage))
+    return (target, head + move, stack, garbage)
 
 
-# the head of a vector key, ``CellConfiguration.head``
+# the head of a kernel configuration, its second field
 head_of = itemgetter(1)
 
 
@@ -422,7 +426,7 @@ class StepRecord(model.Frozen):
 
     @cached_property
     def psi(self) -> StateVector:
-        return {conf.view(): amp for conf, amp in self.vector.items()}
+        return {view(conf): amp for conf, amp in self.vector.items()}
 
 
 def walk(stepper, tape, point, first: int, budget: int):
@@ -664,7 +668,7 @@ def run(
     for steps, point in walk(stepper, tape, point, 1, budget):
         if trace_depth > 0:
             top = sorted(
-                ((conf.view(), amp) for conf, amp in point[0].items()),
+                ((view(conf), amp) for conf, amp in point[0].items()),
                 key=lambda kv: (-abs(kv[1]), kv[0]),
             )
             snaps.append(StepSnapshot(steps, tuple(top[:trace_depth]), point[6], point[7]))

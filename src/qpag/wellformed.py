@@ -94,7 +94,7 @@ from .model import (
     tokens_doc,
     vector_norm_sq,
 )
-from .simulate import CellConfiguration, start, successor, walk_to_end
+from .simulate import start, successor, view, walk_to_end
 
 
 class Violation(Record):
@@ -450,13 +450,14 @@ class AuditSteps:
         self.machine = machine
         self.depth = depth
         self.table: dict = {}
-        self.seen: dict[CellConfiguration, Configuration] = {}
-        self.images: dict[CellConfiguration, dict[CellConfiguration, complex]] = {}
+        # keyed by kernel configurations, (state, head, stack cell, garbage cell)
+        self.seen: dict[tuple, Configuration] = {}
+        self.images: dict[tuple, dict[tuple, complex]] = {}
         self.undefined: dict = {}  # (state, read, top) -> None, first met first
 
     def start(self):
         first = start(self.machine, self.table)
-        self.seen[first] = first.view()
+        self.seen[first] = view(first)
         return [first]
 
     def step(self, frontier, tape, i):
@@ -470,14 +471,15 @@ class AuditSteps:
         meet = i <= self.depth
         new = []
         for c in frontier:
-            if c.head >= n:
+            state, head, stack, _ = c
+            if head >= n:
                 continue
-            col_key = (c.state, tape[c.head], c.stack.symbol)
+            col_key = (state, tape[head], stack.symbol)
             col = columns.get(col_key)
             if col is None:
                 self.undefined.setdefault(col_key)
                 continue
-            vec: dict[CellConfiguration, complex] = {}
+            vec: dict[tuple, complex] = {}
             for amp, target, move, effect in col:
                 succ = successor(table, c, target, move, effect)
                 vec[succ] = vec.get(succ, 0j) + amp
@@ -485,7 +487,7 @@ class AuditSteps:
             if meet:
                 for succ in vec:
                     if succ not in seen:
-                        seen[succ] = succ.view()
+                        seen[succ] = view(succ)
                         new.append(succ)
                 if len(new) > limit:
                     raise over_budget()
@@ -529,12 +531,14 @@ def audit_unitarity(
         if abs(norm - 1) > tol:
             failures.append(AuditFailure("norm", (seen[c],), norm))
 
-    by_target: dict[CellConfiguration, list[tuple[int, complex]]] = {}
+    by_target: dict[tuple, list[tuple[int, complex]]] = {}
     for i, (_, vec) in enumerate(images):
         for tgt, a in vec.items():
             by_target.setdefault(tgt, []).append((i, a))
     overlaps: dict[tuple[int, int], complex] = {}
     for entries in by_target.values():
+        if len(entries) == 1:  # most targets: one image reaches them, no pair
+            continue
         for x, (i, ai) in enumerate(entries):
             for j, aj in entries[x + 1 :]:
                 overlaps[(i, j)] = overlaps.get((i, j), 0j) + ai.conjugate() * aj

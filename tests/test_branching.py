@@ -696,10 +696,11 @@ def test_bucketed_merge_batches_like_the_fingerprint_dict(seed):
 def _evolve_qcpda_step(machine, tape, branch, table):
     """``qcpda_step`` as it was written before branch vectors were keyed
     by (state, head), kept as the oracle for the step that holds the stack
-    once: every key of ``branch.psi`` is a ``CellConfiguration`` holding
-    the branch's stack, ``simulate.evolve`` applies each row's scheduled
-    operation to it, and ``measure``'s survivors are split by their stack
-    cell."""
+    once: every key of ``branch.psi`` is a kernel configuration (state,
+    head, stack cell, garbage cell) holding the branch's stack, as
+    ``simulate.start`` and ``simulate.evolve`` build them; ``evolve``
+    applies each row's scheduled operation to it, and ``measure``'s
+    survivors are split by their stack cell."""
     prob = branch.prob
     limit = model.room(len(branch.psi) + len(table))
     out, parked, undefined = evolve(branch.psi, tape, machine.columns, table, limit)

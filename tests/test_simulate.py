@@ -55,6 +55,7 @@ from qpag.simulate import (
     run_batch,
     successor,
     trajectory,
+    view,
     walk_to_end,
 )
 from qpag.wellformed import audit_unitarity
@@ -204,19 +205,44 @@ def test_successor():
     conf = CellConfiguration("q", 2, stack, EMPTY)
     # epsilon keeps the stack cell; the row gives the state and head move
     assert successor(table, conf, "r", 1, None) == ("r", 3, stack, EMPTY)
-    assert successor(table, conf, "r", 1, None).stack is stack
-    pushed = successor(table, conf, "r", 0, ("b", "c")).stack
+    assert successor(table, conf, "r", 1, None)[2] is stack
+    pushed = successor(table, conf, "r", 0, ("b", "c"))[2]
     assert pushed.tokens() == ("Z", "a", "b", "c")
     assert pushed is cons(table, cons(table, stack, "b"), "c")
     # a garbage pop appends the top symbol to the garbage tape
     popped = successor(table, conf, "r", 0, GARBAGE_POP)
-    assert popped.stack is bottom and popped.garbage is cons(table, EMPTY, "a")
+    assert popped[2] is bottom and popped[3] is cons(table, EMPTY, "a")
     on_bottom = conf._replace(stack=bottom)
     with pytest.raises(PopOnBottom, match="^pop on stack 'Z'$"):
         successor(table, on_bottom, "r", 0, GARBAGE_POP)
     # a scheduled pop keeps no garbage and leaves the empty tape unchecked
     assert successor(table, conf, "r", 0, SCHEDULED_POP) == ("r", 2, bottom, EMPTY)
-    assert successor(table, on_bottom, "r", 0, SCHEDULED_POP).stack is EMPTY
+    assert successor(table, on_bottom, "r", 0, SCHEDULED_POP)[2] is EMPTY
+
+
+@pytest.mark.parametrize(
+    "effect, stack, garbage",
+    [
+        (None, ("Z", "a"), ()),
+        (("b", "c"), ("Z", "a", "b", "c"), ()),
+        (GARBAGE_POP, ("Z",), ("a",)),
+        (SCHEDULED_POP, ("Z",), ()),
+    ],
+    ids=["epsilon", "push", "garbage-pop", "scheduled-pop"],
+)
+def test_successor_returns_a_plain_tuple_that_views_as_its_configuration(
+    effect, stack, garbage
+):
+    # successor builds no NamedTuple, from a CellConfiguration or from one
+    # of its own tuples, and view reads either key type
+    table: dict = {}
+    conf = CellConfiguration("q", 2, cons(table, cons(table, EMPTY, "Z"), "a"), EMPTY)
+    for source in (conf, tuple(conf)):
+        succ = successor(table, source, "r", 1, effect)
+        assert type(succ) is tuple
+        assert view(succ) == ("r", 3, stack, garbage)
+        assert type(view(succ)) is Configuration
+    assert view(conf) == ("q", 2, ("Z", "a"), ())
 
 
 def _met(stepper, word, keys):
@@ -281,9 +307,10 @@ def test_evolve_and_successor_agree_on_every_configuration_met():
             table = stepper.table
             tape, met = _met(stepper, word, keys)
             for conf in dict.fromkeys(met):
-                if conf.head >= len(tape):
+                state, head, stack, _ = conf
+                if head >= len(tape):
                     continue
-                column = columns.get((conf.state, tape[conf.head], conf.stack.symbol))
+                column = columns.get((state, tape[head], stack.symbol))
                 if column is None:
                     continue
                 want = _images(
@@ -292,12 +319,12 @@ def test_evolve_and_successor_agree_on_every_configuration_met():
                 got = _images(
                     lambda: evolve({conf: 1}, tape, columns, table, model.ENTRY_BUDGET)[0]
                 )
-                assert got == want, (word, conf.view())
+                assert got == want, (word, view(conf))
                 compared += 1
                 if isinstance(want, str):
                     raised += 1
                 else:
-                    emptied += any(succ.stack is EMPTY for succ in want)
+                    emptied += any(succ[2] is EMPTY for succ in want)
     assert raised and emptied, (compared, raised, emptied)
 def test_trace_depth_caps_entries():
     res = run(TOTAL_MACHINES["splitter"](), "0000", trace_depth=3)

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py refuses a bad argument before it runs anything;
+"""tools/bench_pairs.py refuses a bad argument before it runs anything
+and names no revision for a copy without its own git tree;
 tools/import_cost.py splits a cold start's import time by layer and
 leaves no module of its copy loaded; tools/equiv_halves.py times each
 stage of a lower_equiv round, as equiv_check runs it, and writes no
@@ -97,6 +98,19 @@ def test_record_holds_every_end_to_end_metric(bench_pairs, capsys):
     assert (section["pairs"], section["seeds"], section["all_correct"]) == (2, "91,93", True)
     assert list(section["metrics"]) == [m["name"] for m in bench_pairs.benchmark()["end_to_end"]]
     assert rec["claim"]["metric"] == "items_per_s"
+
+
+def test_revision_is_none_for_a_copy_nested_in_another_work_tree(tmp_path):
+    # a git-archive copy of a checkout has no .git of its own; placed
+    # inside another work tree it must not report that tree's HEAD
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", "-C", str(tmp_path)]
+    subprocess.run(git + ["init", "-q"], check=True)
+    subprocess.run(git + ["commit", "-q", "--allow-empty", "-m", "outer"], check=True)
+    nested = tmp_path / "copies" / "parent"
+    nested.mkdir(parents=True)
+    tools = _bench_pairs()
+    assert tools.revision(nested) is None
+    assert tools.revision(tmp_path) is not None
 
 
 # -X importtime prints each import as it ends, its children first and one

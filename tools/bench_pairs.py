@@ -72,10 +72,15 @@ def seeds_text(seeds: list[int]) -> str:
 
 
 def revision(checkout: Path) -> str | None:
-    """The checkout's short git revision, None if it is not a git tree."""
+    """The checkout's short git revision, None if it is not a git tree.
+    Git looks no higher than the checkout, so a copy without its own
+    ``.git`` placed inside another work tree gives None, not that tree's
+    HEAD."""
+    ceiling = str(checkout.resolve().parent)
     proc = subprocess.run(
         ["git", "-C", str(checkout), "rev-parse", "--short", "HEAD"],
         capture_output=True, text=True, check=False,
+        env={**os.environ, "GIT_CEILING_DIRECTORIES": ceiling},
     )
     return proc.stdout.strip() if proc.returncode == 0 else None
 
